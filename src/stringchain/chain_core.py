@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .errors import (
     ArityMismatch,
@@ -42,6 +41,8 @@ __all__ = [
     "l2_norm",
 ]
 
+_CSV_CHUNK = 8192  # EnergyTrace rows formatted per write
+
 
 @dataclass(frozen=True)
 class ChainConfig:
@@ -67,7 +68,12 @@ class ChainConfig:
     @classmethod
     def from_json(cls, text: str) -> "ChainConfig":
         data = json.loads(text)
-        return cls(densities=tuple(data["densities"]))
+        densities = data["densities"]
+        if not isinstance(densities, list) or not all(
+            isinstance(r, (int, float)) and not isinstance(r, bool) for r in densities
+        ):
+            raise ValueError(f"densities must be a JSON list of numbers, got {densities!r}")
+        return cls(densities=tuple(densities))
 
 
 def validate_config(cfg: ChainConfig) -> ChainConfig:
@@ -241,17 +247,44 @@ class EnergyTrace:
     fitted_rate: Optional[float] = None
 
     def to_csv(self, path) -> None:
+        """Rows t, E, boundary_flux_cum with .17g fields and csv's \\r\\n line ends.
+
+        Rows are formatted in chunks, so no Python list of the whole
+        trace is ever built.
+        """
+        cols = [np.asarray(c) for c in (self.times, self.energies, self.boundary_flux)]
+        rows = min(c.shape[0] for c in cols)
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "E", "boundary_flux_cum"])
-            for t, e, f in zip(self.times, self.energies, self.boundary_flux):
-                writer.writerow([f"{t:.17g}", f"{e:.17g}", f"{f:.17g}"])
+            fh.write("t,E,boundary_flux_cum\r\n")
+            for lo in range(0, rows, _CSV_CHUNK):
+                t, e, f = (c[lo : lo + _CSV_CHUNK].tolist() for c in cols)
+                fh.writelines(f"{ti:.17g},{ei:.17g},{fi:.17g}\r\n" for ti, ei, fi in zip(t, e, f))
+
+
+def _simpson_odd(x: np.ndarray, y: np.ndarray):
+    """Composite Simpson on an odd number of points, any spacing.
+
+    Per panel [x_{2i}, x_{2i+2}] with widths h0, h1 it is the quadratic
+    interpolant's integral, in the form scipy.integrate.simpson uses:
+    (h0 + h1)/6 * (y0 (2 - h1/h0) + y1 (h0 + h1)^2 / (h0 h1) + y2 (2 - h0/h1)).
+    """
+    h = np.diff(x)
+    h0 = h[0::2]
+    h1 = h[1::2]
+    hsum = h0 + h1
+    ratio = h0 / h1
+    panels = hsum / 6.0 * (
+        y[:-2:2] * (2.0 - 1.0 / ratio)
+        + y[1::2] * (hsum * (hsum / (h0 * h1)))
+        + y[2::2] * (2.0 - ratio)
+    )
+    return np.sum(panels)
 
 
 def integrate_edge(x: np.ndarray, y: np.ndarray) -> complex:
     """Composite Simpson for an odd number of points, trapezoid otherwise."""
     if x.size % 2 == 1:
-        return simpson(y, x=x)
+        return _simpson_odd(x, y)
     return np.trapezoid(y, x)
 
 

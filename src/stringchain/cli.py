@@ -2,9 +2,9 @@
 
 Every subcommand reads the chain from a JSON config {"densities": [...]},
 writes its results as CSV next to a manifest.json that pins the exact
-inputs (command, options, seed), and prints a one-line summary.  Exit
-codes: 0 success, 1 validation failure, 2 numerical failure, 64 usage
-error, 65 config error.
+inputs (command, options, seed) and a timing.json with the wall time,
+and prints a one-line summary.  Exit codes: 0 success, 1 validation
+failure, 2 numerical failure, 64 usage error, 65 config error.
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ def _load_config(path: str) -> ChainConfig:
         with open(path) as fh:
             cfg = ChainConfig.from_json(fh.read())
         return validate_config(cfg)
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"cannot load config {path}: {exc}") from exc
     except ChainError as exc:
         raise ConfigError(f"invalid config {path}: {exc}") from exc
@@ -96,13 +96,18 @@ def _load_config(path: str) -> ChainConfig:
 def _jobs(args) -> int:
     env = os.environ.get("STRINGCHAIN_JOBS")
     if env is not None:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise UsageError(f"STRINGCHAIN_JOBS={env!r} is not an integer") from None
     if args.jobs is not None:
         return max(1, args.jobs)
     return os.cpu_count() or 1
 
 
 def _manifest(args, cfg: ChainConfig, outputs, started, extra=None):
+    """Write manifest.json (inputs and results only, so equal runs give equal
+    bytes) and timing.json (the wall time) into the output directory."""
     options = {
         k: v
         for k, v in sorted(vars(args).items())
@@ -115,11 +120,13 @@ def _manifest(args, cfg: ChainConfig, outputs, started, extra=None):
         "outputs": [str(p) for p in outputs],
         "seed": getattr(args, "seed", 0),
         "version": __version__,
-        "wall_time_s": time.perf_counter() - started,
     }
     if extra:
         data.update(extra)
-    path = Path(args.out) / "manifest.json"
+    out = Path(args.out)
+    with open(out / "timing.json", "w") as fh:
+        json.dump({"wall_time_s": time.perf_counter() - started}, fh, indent=2)
+    path = out / "manifest.json"
     with open(path, "w") as fh:
         json.dump(data, fh, indent=2, default=str)
     return path
@@ -134,8 +141,13 @@ def _parse_floats(text: str, count: int, what: str):
 
 def _beta_grid(args) -> np.ndarray:
     if args.betas:
-        return np.array([float(b) for b in args.betas.split(",")])
+        try:
+            return np.array([float(b) for b in args.betas.split(",")])
+        except ValueError:
+            raise UsageError(f"--betas {args.betas!r} is not a comma-separated list") from None
     lo, hi, cnt = args.beta_min, args.beta_max, args.count
+    if cnt < 1:
+        raise UsageError(f"--count must be at least 1, got {cnt}")
     if lo == 0 or hi == 0 or (lo < 0) != (hi < 0):
         raise UsageError("log beta grid needs endpoints of one sign, away from 0")
     sgn = 1.0 if lo > 0 else -1.0

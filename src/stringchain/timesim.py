@@ -10,6 +10,12 @@ joint coupling folded into a tridiagonal system; in the lumped product
 the discrete energy then decreases by exactly dt * |u(t+dt/2, 0)|^2 per
 step, so the recorded flux balances the energy drop to machine
 precision.
+
+Neither step loop repeats set-up work: the leapfrog step updates three
+preallocated buffers in place and closes the boundary and joint rows in
+Python floats, the Crank-Nicolson matrix is factored once (LAPACK
+zgttrf) and each step is one zgttrs solve, and both write their records
+into arrays preallocated from the step count and record_stride.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-import scipy.linalg as sla
+from scipy.linalg.lapack import zgttrf, zgttrs
 
 from .chain_core import (
     ChainConfig,
@@ -67,17 +73,17 @@ class SimOptions:
 
 
 def _global_layout(cfg: ChainConfig, p: int):
-    """Shared-node global grid: p points per edge, spacing h = 1/(p-1)."""
-    n_edges = cfg.n_edges
+    """Shared-node global grid: p points per edge, spacing h = 1/(p-1).
+
+    Returns (n, h, rho_node, joints, cell_rho); a joint node carries the
+    density of the edge to its right.
+    """
+    rho = np.asarray(cfg.densities, dtype=float)
     h = 1.0 / (p - 1)
-    n = n_edges * (p - 1) + 1
-    rho_node = np.empty(n)
-    cell_rho = np.empty(n - 1)
-    for j in range(n_edges):
-        rho_node[j * (p - 1) : (j + 1) * (p - 1) + 1] = cfg.densities[j]
-        cell_rho[j * (p - 1) : (j + 1) * (p - 1)] = cfg.densities[j]
-    joints = np.array([j * (p - 1) for j in range(1, n_edges)], dtype=int)
-    return n, h, rho_node, joints, cell_rho
+    cell_rho = np.repeat(rho, p - 1)
+    rho_node = np.append(cell_rho, rho[-1])
+    joints = np.arange(1, cfg.n_edges) * (p - 1)
+    return rho_node.size, h, rho_node, joints, cell_rho
 
 
 def _gather_real(cfg: ChainConfig, fn: ChainFunction, p: int, n: int, what: str) -> np.ndarray:
@@ -99,14 +105,23 @@ def _scatter(cfg: ChainConfig, p: int, arr: np.ndarray) -> list[np.ndarray]:
     return [arr[j * (p - 1) : (j + 1) * (p - 1) + 1].copy() for j in range(cfg.n_edges)]
 
 
-def _set_joints(u: np.ndarray, joints: np.ndarray, rho_l: np.ndarray, rho_r: np.ndarray):
-    """Flux balance with second-order one-sided derivatives at shared nodes."""
-    if joints.size == 0:
-        return
-    num = rho_l * (4.0 * u[joints - 1] - u[joints - 2]) + rho_r * (
-        4.0 * u[joints + 1] - u[joints + 2]
-    )
-    u[joints] = num / (3.0 * (rho_l + rho_r))
+def _joint_stencil(cfg: ChainConfig, joints: np.ndarray):
+    """Per joint J: (J, rho_l, rho_r, 3 (rho_l + rho_r)) as Python scalars.
+
+    The shared node closes the flux balance rho_l u_x(J-) = rho_r u_x(J+)
+    with second-order one-sided derivatives:
+    u_J = (rho_l (4 u_{J-1} - u_{J-2}) + rho_r (4 u_{J+1} - u_{J+2})) / (3 (rho_l + rho_r)).
+    """
+    rho = cfg.densities
+    return [
+        (int(J), rho[i], rho[i + 1], 3.0 * (rho[i] + rho[i + 1])) for i, J in enumerate(joints)
+    ]
+
+
+def _record_arrays(steps: int, stride: int):
+    """(times, energies, flux) sized for t = 0, every stride-th step and the last step."""
+    n_rec = 1 + -(-steps // stride)
+    return np.zeros(n_rec), np.empty(n_rec), np.zeros(n_rec)
 
 
 def simulate_wave(cfg: ChainConfig, init: WaveState, opts: SimOptions,
@@ -126,9 +141,8 @@ def simulate_wave(cfg: ChainConfig, init: WaveState, opts: SimOptions,
     if mode == "forced" and forcing is None:
         raise ValueError("forced mode needs a forcing callable")
     p = opts.points_per_edge
-    n, h, rho_node, joints, cell_rho = _global_layout(cfg, p)
-    rho_l = rho_node[joints - 1] if joints.size else np.empty(0)
-    rho_r = rho_node[joints + 1] if joints.size else np.empty(0)
+    n, h, rho_node, joints, _ = _global_layout(cfg, p)
+    stencil = _joint_stencil(cfg, joints)
     c_max = float(np.max(cfg.wave_speeds))
     dt = opts.cfl * h / c_max
     steps = max(2, int(np.ceil(opts.T / dt)))
@@ -142,16 +156,25 @@ def simulate_wave(cfg: ChainConfig, init: WaveState, opts: SimOptions,
     v0 = _gather_real(cfg, init.v, p, n, "velocity")
     u_prev[-1] = 0.0
 
-    w_kin = np.full(n, h)
-    w_kin[0] = w_kin[-1] = 0.5 * h
-    inv_h = 1.0 / h
+    def close_joints(u):
+        for J, rho_l, rho_r, den in stencil:
+            u[J] = (
+                rho_l * (4.0 * u.item(J - 1) - u.item(J - 2))
+                + rho_r * (4.0 * u.item(J + 1) - u.item(J + 2))
+            ) / den
 
-    def elastic(u):
-        du = np.diff(u)
-        return 0.5 * float(np.dot(cell_rho * du, du)) * inv_h
+    # elastic term: rho_j |du|^2 / h summed edge by edge over the cell differences
+    du = np.empty(n - 1)
+    du_edges = [(rho, du[j * (p - 1) : (j + 1) * (p - 1)]) for j, rho in enumerate(cfg.densities)]
 
-    def kinetic(v):
-        return 0.5 * float(np.dot(w_kin * v, v))
+    def energy(d, u, kin_scale):
+        """kin_scale * sum_i (w_i / h) d_i^2, trapezoid weights w, plus u's elastic energy."""
+        np.subtract(u[1:], u[:-1], out=du)
+        elastic = 0.0
+        for rho, seg in du_edges:
+            elastic += rho * float(np.dot(seg, seg))
+        d_ends = d.item(0) ** 2 + d.item(-1) ** 2
+        return kin_scale * (float(np.dot(d, d)) - 0.5 * d_ends) + (0.5 / h) * elastic
 
     # Taylor start: u^1 = u^0 + dt v^0 + dt^2/2 rho u_xx, boundary via ghost
     u_cur = u_prev.copy()
@@ -166,62 +189,80 @@ def simulate_wave(cfg: ChainConfig, init: WaveState, opts: SimOptions,
         ghost = u_prev[1] - 2.0 * h * float(forcing(0.0)) / rho0
     u_cur[0] = u_prev[0] + dt * v0[0] + 0.5 * r0 * (u_prev[1] - 2.0 * u_prev[0] + ghost)
     u_cur[-1] = 0.0
-    _set_joints(u_cur, joints, rho_l, rho_r)
+    close_joints(u_cur)
 
-    times = [0.0]
-    energies = [kinetic(v0) + elastic(u_prev)]
-    flux = [0.0]
-    flux_cum = 0.0
-    bv_prev = v0[0]
     stride = opts.record_stride
+    times, energies, flux = _record_arrays(steps, stride)
+    energies[0] = energy(v0, u_prev, 0.5 * h)
+    rec = 1
+    next_rec = min(stride, steps)
+    kin_scale = 0.5 * h / (4.0 * dt * dt)  # for the central difference u^{k+1} - u^{k-1}
 
-    u_next = np.empty_like(u_cur)
+    damped = mode == "damped"
+    forced = mode == "forced"
+    keep = 1.0 - damp
+    denom = 1.0 + damp
+    two_r0 = 2.0 * r0
+    two_h = 2.0 * h
+    two_dt = 2.0 * dt
+    b_prev, b_cur = u_prev.item(0), u_cur.item(0)
+    bv_prev = v0.item(0)
+    flux_cum = 0.0
+
+    # interior in place, in the operation order of 2 u - u_prev + coef (u_{i+1} - 2 u + u_{i-1})
+    # so it equals that expression bit for bit; the clamped node stays 0
+    coef_in = coef[1:-1]
+    tmp = np.empty(n - 2)
+    d_rec = np.empty(n)
+
+    def views(u):
+        return u, u[1:-1], u[2:], u[:-2]
+
+    prev, cur, nxt = views(u_prev), views(u_cur), views(np.zeros(n))
     for k in range(1, steps + 1):
-        # u_next holds t_{k+1}; the record at t_k uses the central velocity
-        u_next[1:-1] = (
-            2.0 * u_cur[1:-1]
-            - u_prev[1:-1]
-            + coef[1:-1] * (u_cur[2:] - 2.0 * u_cur[1:-1] + u_cur[:-2])
-        )
-        if mode == "damped":
-            u_next[0] = (
-                2.0 * u_cur[0] - (1.0 - damp) * u_prev[0] + 2.0 * r0 * (u_cur[1] - u_cur[0])
-            ) / (1.0 + damp)
-        elif mode == "conservative":
-            u_next[0] = 2.0 * u_cur[0] - u_prev[0] + 2.0 * r0 * (u_cur[1] - u_cur[0])
-        else:
+        # nxt receives t_{k+1}; the record at t_k uses the central velocity
+        u_p, p_in, _, _ = prev
+        u_c, c_in, c_right, c_left = cur
+        u_n, n_in, _, _ = nxt
+        np.multiply(c_in, 2.0, out=tmp)
+        np.subtract(c_right, tmp, out=n_in)
+        n_in += c_left
+        n_in *= coef_in
+        tmp -= p_in
+        n_in += tmp
+        u1 = u_c.item(1)
+        if damped:
+            b_next = (2.0 * b_cur - keep * b_prev + two_r0 * (u1 - b_cur)) / denom
+        elif forced:
             vn = float(forcing(k * dt))
-            u_next[0] = (
-                2.0 * u_cur[0]
-                - u_prev[0]
-                + r0 * (2.0 * u_cur[1] - 2.0 * u_cur[0] - 2.0 * h * vn / rho0)
-            )
-        u_next[-1] = 0.0
-        _set_joints(u_next, joints, rho_l, rho_r)
+            b_next = 2.0 * b_cur - b_prev + r0 * (2.0 * u1 - 2.0 * b_cur - two_h * vn / rho0)
+        else:
+            b_next = 2.0 * b_cur - b_prev + two_r0 * (u1 - b_cur)
+        u_n[0] = b_next
+        close_joints(u_n)
 
-        bv = (u_next[0] - u_prev[0]) / (2.0 * dt)
-        flux_cum += 0.5 * (bv_prev**2 + bv**2) * dt
+        bv = (b_next - b_prev) / two_dt
+        flux_cum += 0.5 * (bv_prev * bv_prev + bv * bv) * dt
         bv_prev = bv
-        if k % stride == 0 or k == steps:
-            v_mid = (u_next - u_prev) / (2.0 * dt)
-            times.append(k * dt)
-            energies.append(kinetic(v_mid) + elastic(u_cur))
-            flux.append(flux_cum)
-        u_prev, u_cur, u_next = u_cur, u_next, u_prev
+        if k == next_rec:
+            np.subtract(u_n, u_p, out=d_rec)
+            times[rec] = k * dt
+            energies[rec] = energy(d_rec, u_c, kin_scale)
+            flux[rec] = flux_cum
+            rec += 1
+            next_rec = min(next_rec + stride, steps)
+        prev, cur, nxt = cur, nxt, prev
+        b_prev, b_cur = b_cur, b_next
 
-    # buffers after the swap: u_prev = u^M, u_cur = u^{M+1}, u_next = u^{M-1}
-    v_final = (u_cur - u_next) / (2.0 * dt)
+    # buffers after the rotation: prev = u^M, cur = u^{M+1}, nxt = u^{M-1}
+    u_final = prev[0]
+    v_final = (cur[0] - nxt[0]) / two_dt
     grids = [np.linspace(j, j + 1, p) for j in range(cfg.n_edges)]
     final = WaveState(
-        u=ChainFunction(grids, [a.astype(complex) for a in _scatter(cfg, p, u_prev)]),
+        u=ChainFunction(grids, [a.astype(complex) for a in _scatter(cfg, p, u_final)]),
         v=ChainFunction(grids, [a.astype(complex) for a in _scatter(cfg, p, v_final)]),
     )
-    trace = EnergyTrace(
-        times=np.array(times),
-        energies=np.array(energies),
-        boundary_flux=np.array(flux),
-    )
-    return trace, final
+    return EnergyTrace(times=times, energies=energies, boundary_flux=flux), final
 
 
 def _schrodinger_tridiag(cfg: ChainConfig, p: int):
@@ -229,25 +270,19 @@ def _schrodinger_tridiag(cfg: ChainConfig, p: int):
 
     Returns (n_active, h, weights, lower, diag, upper) with the clamped
     node eliminated; weights are the lumped masses of the inner product
-    in which the operator is exactly dissipative.
+    in which the operator is exactly dissipative.  Cell k couples the
+    nodes k and k+1 with conductance rho_k / h.
     """
-    n, h, rho_node, joints, cell_rho = _global_layout(cfg, p)
+    n, h, _, _, cell_rho = _global_layout(cfg, p)
     na = n - 1
     w = np.full(na, h)
     w[0] = 0.5 * h
-    lower = np.zeros(na, dtype=complex)
-    diag = np.zeros(na, dtype=complex)
+    g = cell_rho / h
+    diag = -(g + np.concatenate(([0.0], g[:-1]))).astype(complex)
     upper = np.zeros(na, dtype=complex)
-    for k in range(n - 1):
-        rho = cell_rho[k]
-        a, b = k, k + 1
-        if a < na:
-            diag[a] -= rho / h
-            if b < na:
-                upper[a] += rho / h
-        if b < na:
-            diag[b] -= rho / h
-            lower[b] += rho / h
+    lower = np.zeros(na, dtype=complex)
+    upper[:-1] = g[:-1]
+    lower[1:] = g[:-1]
     diag[0] += -1j  # feedback rho_0 u'(0) = i u(0) folded into the flux
     lower = -1j * lower / w
     diag = -1j * diag / w
@@ -268,9 +303,8 @@ def simulate_schrodinger(cfg: ChainConfig, u0: ChainFunction, opts: SimOptions):
     if opts.dt is None:
         raise ValueError("Schrodinger simulation needs opts.dt")
     p = opts.points_per_edge
-    n, h, _, _, _ = _global_layout(cfg, p)
     na, h, w, lower, diag, upper = _schrodinger_tridiag(cfg, p)
-    u_full = np.empty(n, dtype=complex)
+    u_full = np.empty(na + 1, dtype=complex)
     for j in range(cfg.n_edges):
         g = u0.grids[j]
         if g.size != p:
@@ -280,52 +314,62 @@ def simulate_schrodinger(cfg: ChainConfig, u0: ChainFunction, opts: SimOptions):
         u_full[j * (p - 1) : (j + 1) * (p - 1) + 1] = u0.values[j]
     if abs(u_full[-1]) > 1e-9 * (np.max(np.abs(u_full)) + 1.0):
         raise GridMismatch("initial state must vanish at the clamped end")
+    if not np.all(np.isfinite(u_full)):
+        raise LinearSolveFailure("initial state must not contain infs or NaNs")
     u = u_full[:-1].copy()
 
     dt = opts.dt
     steps = max(1, int(np.ceil(opts.T / dt)))
     dt = opts.T / steps
-    # (I - dt/2 A) u^{n+1} = (I + dt/2 A) u^n, banded storage for the solver
-    ab = np.zeros((3, na), dtype=complex)
-    ab[0, 1:] = -0.5 * dt * upper[:-1]
-    ab[1, :] = 1.0 - 0.5 * dt * diag
-    ab[2, :-1] = -0.5 * dt * lower[1:]
+    half = 0.5 * dt
+    # (I - dt/2 A) u^{n+1} = (I + dt/2 A) u^n; the left matrix is factored once
+    dl, d, du, du2, ipiv, info = zgttrf(-half * lower[1:], 1.0 - half * diag, -half * upper[:-1])
+    if info != 0:
+        raise LinearSolveFailure(f"Crank-Nicolson matrix is singular (zgttrf info = {info})")
+    plus_diag = 1.0 + half * diag
+    plus_upper = half * upper[:-1]
+    plus_lower = half * lower[1:]
 
-    def apply_plus(x):
-        y = (1.0 + 0.5 * dt * diag) * x
-        y[:-1] += 0.5 * dt * upper[:-1] * x[1:]
-        y[1:] += 0.5 * dt * lower[1:] * x[:-1]
-        return y
+    sqrt_w = np.sqrt(w)
+    scaled = np.empty(na, dtype=complex)
 
     def energy(x):
-        return 0.5 * float(np.real(np.dot(w * x, np.conj(x))))
+        np.multiply(sqrt_w, x, out=scaled)
+        return 0.5 * np.vdot(scaled, scaled).real
 
-    times = [0.0]
-    energies = [energy(u)]
-    flux = [0.0]
-    flux_cum = 0.0
     stride = opts.record_stride
+    times, energies, flux = _record_arrays(steps, stride)
+    energies[0] = energy(u)
+    rec = 1
+    next_rec = min(stride, steps)
+    flux_cum = 0.0
+    b_old = u.item(0)
+    rhs = np.empty(na, dtype=complex)
+    off = np.empty(na - 1, dtype=complex)
     for k in range(1, steps + 1):
-        rhs = apply_plus(u)
-        try:
-            u_new = sla.solve_banded((1, 1), ab, rhs)
-        except (np.linalg.LinAlgError, ValueError) as exc:
-            raise LinearSolveFailure(str(exc)) from exc
-        u_mid0 = 0.5 * (u[0] + u_new[0])
-        flux_cum += dt * float(np.abs(u_mid0) ** 2)
-        u = u_new
-        if k % stride == 0 or k == steps:
-            times.append(k * dt)
-            energies.append(energy(u))
-            flux.append(flux_cum)
+        np.multiply(plus_diag, u, out=rhs)
+        np.multiply(plus_upper, u[1:], out=off)
+        rhs[:-1] += off
+        np.multiply(plus_lower, u[:-1], out=off)
+        rhs[1:] += off
+        u_new, info = zgttrs(dl, d, du, du2, ipiv, rhs, overwrite_b=1)
+        if info != 0:
+            raise LinearSolveFailure(f"Crank-Nicolson solve failed (zgttrs info = {info})")
+        b_new = u_new.item(0)
+        mid = 0.5 * (b_old + b_new)
+        flux_cum += dt * (mid.real * mid.real + mid.imag * mid.imag)
+        b_old = b_new
+        u, rhs = u_new, u
+        if k == next_rec:
+            times[rec] = k * dt
+            energies[rec] = energy(u)
+            flux[rec] = flux_cum
+            rec += 1
+            next_rec = min(next_rec + stride, steps)
     full = np.concatenate([u, [0.0]])
     grids = [np.linspace(j, j + 1, p) for j in range(cfg.n_edges)]
     values = [full[j * (p - 1) : (j + 1) * (p - 1) + 1].copy() for j in range(cfg.n_edges)]
-    trace = EnergyTrace(
-        times=np.array(times),
-        energies=np.array(energies),
-        boundary_flux=np.array(flux),
-    )
+    trace = EnergyTrace(times=times, energies=energies, boundary_flux=flux)
     return trace, ChainFunction(grids, values)
 
 

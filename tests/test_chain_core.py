@@ -181,3 +181,45 @@ def test_smooth_bump_support_and_peak():
     assert np.all(b[(x <= 0.1) | (x >= 0.9)] == 0)
     assert abs(b[np.argmin(abs(x - 0.5))] - 1.0) < 1e-6
     assert l2_norm(ChainFunction([np.linspace(0, 1, 101)], [smooth_bump(np.linspace(0, 1, 101))])) > 0
+
+
+def test_config_json_rejects_non_list_densities():
+    for text in ('{"densities": "14"}', '{"densities": 3}', '{"densities": [1.0, "4"]}',
+                 '{"densities": [true]}'):
+        with pytest.raises(ValueError):
+            sc.ChainConfig.from_json(text)
+
+
+@pytest.mark.parametrize("n", [3, 5, 17, 801])
+def test_integrate_edge_matches_scipy_simpson(n):
+    from scipy.integrate import simpson
+
+    rng = np.random.default_rng(n)
+    uniform = np.linspace(0.0, 1.0, n)
+    nonuniform = np.sort(np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, n - 2)]))
+    for x in (uniform, nonuniform):
+        y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        ref = simpson(y, x=x)
+        assert abs(integrate_edge(x, y) - ref) <= 1e-13 * abs(ref)
+        assert integrate_edge(x, y.real) == pytest.approx(simpson(y.real, x=x), rel=1e-13)
+
+
+def test_energy_trace_csv_bytes_match_csv_writer(tmp_path):
+    import csv
+
+    rng = np.random.default_rng(5)
+    rows = 20001  # spans several write chunks
+    times = np.linspace(0.0, 20.0, rows)
+    energies = np.exp(-times) * rng.uniform(0.5, 2.0, rows)
+    energies[:4] = [0.0, -0.0, 1e-300, 123456789.0]
+    flux = np.cumsum(rng.uniform(0.0, 1e-3, rows))
+    trace = sc.EnergyTrace(times=times, energies=energies, boundary_flux=flux)
+    path = tmp_path / "trace.csv"
+    trace.to_csv(path)
+    ref = tmp_path / "ref.csv"
+    with open(ref, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "E", "boundary_flux_cum"])
+        for t, e, f in zip(times, energies, flux):
+            writer.writerow([f"{t:.17g}", f"{e:.17g}", f"{f:.17g}"])
+    assert path.read_bytes() == ref.read_bytes()

@@ -143,3 +143,41 @@ def test_jobs_env_override(mono_json, tmp_path, monkeypatch):
                 "--probes", "1", "--out", str(out), "--jobs", "4"]) == 0
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["options"]["jobs"] == 4  # flag recorded; env controlled the pool
+
+
+@pytest.mark.parametrize("densities", ["14", 3])
+def test_non_list_densities_are_config_errors(tmp_path, densities, capsys):
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({"densities": densities}))
+    assert run(["det-bound", "--config", str(path), "--beta-min", "-5", "--beta-max", "5",
+                "--step", "0.1", "--out", str(tmp_path / "out")]) == 65
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grid", [["--count", "0"], ["--count", "-3"], ["--betas", "5,x"]])
+def test_resolvent_scan_bad_beta_grid_is_usage_error(mono_json, tmp_path, grid, capsys):
+    assert run(["resolvent-scan", "--config", mono_json, *grid,
+                "--out", str(tmp_path / "out"), "--jobs", "1"]) == 64
+    assert "usage error" in capsys.readouterr().err
+
+
+def test_jobs_env_not_an_integer_is_usage_error(mono_json, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("STRINGCHAIN_JOBS", "abc")
+    assert run(["resolvent-scan", "--config", mono_json, "--betas", "5,20",
+                "--probes", "1", "--out", str(tmp_path / "out")]) == 64
+    assert "usage error" in capsys.readouterr().err
+
+
+def test_manifest_bytes_repeat_and_timing_apart(mono_json, tmp_path):
+    out = tmp_path / "ts"
+    args = ["transfer-scan", "--config", mono_json, "--beta-min", "-5", "--beta-max", "5",
+            "--step", "0.01", "--out", str(out)]
+    assert run(args) == 0
+    first = (out / "manifest.json").read_bytes()
+    assert run(args) == 0
+    assert (out / "manifest.json").read_bytes() == first
+    manifest = json.loads(first)
+    assert "wall_time_s" not in manifest
+    keys = {"command", "config", "options", "outputs", "seed", "version", "sup_abs"}
+    assert keys <= set(manifest)
+    assert json.loads((out / "timing.json").read_text())["wall_time_s"] >= 0.0

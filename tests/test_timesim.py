@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 import stringchain as sc
 from stringchain.chain_core import EnergyTrace, sample_function, sample_state, smooth_bump
-from stringchain.errors import CflViolation, GridMismatch, InsufficientDecay
+from stringchain.errors import CflViolation, GridMismatch, InsufficientDecay, LinearSolveFailure
+from stringchain.timesim import _schrodinger_tridiag
 
 
 def _bump_state(cfg, points):
@@ -177,3 +179,252 @@ def test_energy_trace_csv(tmp_path):
     rows = path.read_text().strip().splitlines()
     assert rows[0] == "t,E,boundary_flux_cum"
     assert len(rows) == 12
+
+
+# ---------------------------------------------------------------- reference loops
+# Straightforward versions of both schemes: per-step temporaries, fancy-indexed
+# joints, list records and a banded solve per step.  The production steppers
+# must reproduce them.
+
+def _reference_layout(densities, p):
+    n = len(densities) * (p - 1) + 1
+    rho_node = np.empty(n)
+    cell_rho = np.empty(n - 1)
+    for j, rho in enumerate(densities):
+        rho_node[j * (p - 1) : (j + 1) * (p - 1) + 1] = rho
+        cell_rho[j * (p - 1) : (j + 1) * (p - 1)] = rho
+    joints = np.array([j * (p - 1) for j in range(1, len(densities))], dtype=int)
+    return n, 1.0 / (p - 1), rho_node, joints, cell_rho
+
+
+def _reference_leapfrog(densities, p, T, cfl, stride, mode, forcing, u_prev, v0):
+    n, h, rho_node, joints, cell_rho = _reference_layout(densities, p)
+    rho_l, rho_r = rho_node[joints - 1], rho_node[joints + 1]
+
+    def set_joints(u):
+        if joints.size:
+            num = rho_l * (4.0 * u[joints - 1] - u[joints - 2]) + rho_r * (
+                4.0 * u[joints + 1] - u[joints + 2]
+            )
+            u[joints] = num / (3.0 * (rho_l + rho_r))
+
+    w_kin = np.full(n, h)
+    w_kin[0] = w_kin[-1] = 0.5 * h
+
+    def energy(v, u):
+        du = np.diff(u)
+        return 0.5 * float(np.dot(w_kin * v, v)) + 0.5 * float(np.dot(cell_rho * du, du)) / h
+
+    dt = cfl * h / float(np.max(np.sqrt(densities)))
+    steps = max(2, int(np.ceil(T / dt)))
+    dt = T / steps
+    coef = (dt * dt / (h * h)) * rho_node
+    rho0 = densities[0]
+    r0 = rho0 * dt * dt / (h * h)
+    damp = dt / h
+    u_prev = u_prev.copy()
+    u_prev[-1] = 0.0
+    u_cur = u_prev.copy()
+    u_cur[1:-1] += dt * v0[1:-1] + 0.5 * coef[1:-1] * (
+        u_prev[2:] - 2.0 * u_prev[1:-1] + u_prev[:-2]
+    )
+    if mode == "damped":
+        ghost = u_prev[1] - 2.0 * h * v0[0] / rho0
+    elif mode == "conservative":
+        ghost = u_prev[1]
+    else:
+        ghost = u_prev[1] - 2.0 * h * float(forcing(0.0)) / rho0
+    u_cur[0] = u_prev[0] + dt * v0[0] + 0.5 * r0 * (u_prev[1] - 2.0 * u_prev[0] + ghost)
+    u_cur[-1] = 0.0
+    set_joints(u_cur)
+    times, energies, flux = [0.0], [energy(v0, u_prev)], [0.0]
+    flux_cum, bv_prev = 0.0, v0[0]
+    u_next = np.empty(n)
+    for k in range(1, steps + 1):
+        u_next[1:-1] = (
+            2.0 * u_cur[1:-1] - u_prev[1:-1]
+            + coef[1:-1] * (u_cur[2:] - 2.0 * u_cur[1:-1] + u_cur[:-2])
+        )
+        if mode == "damped":
+            u_next[0] = (
+                2.0 * u_cur[0] - (1.0 - damp) * u_prev[0] + 2.0 * r0 * (u_cur[1] - u_cur[0])
+            ) / (1.0 + damp)
+        elif mode == "conservative":
+            u_next[0] = 2.0 * u_cur[0] - u_prev[0] + 2.0 * r0 * (u_cur[1] - u_cur[0])
+        else:
+            vn = float(forcing(k * dt))
+            u_next[0] = 2.0 * u_cur[0] - u_prev[0] + r0 * (
+                2.0 * u_cur[1] - 2.0 * u_cur[0] - 2.0 * h * vn / rho0
+            )
+        u_next[-1] = 0.0
+        set_joints(u_next)
+        bv = (u_next[0] - u_prev[0]) / (2.0 * dt)
+        flux_cum += 0.5 * (bv_prev**2 + bv**2) * dt
+        bv_prev = bv
+        if k % stride == 0 or k == steps:
+            times.append(k * dt)
+            energies.append(energy((u_next - u_prev) / (2.0 * dt), u_cur))
+            flux.append(flux_cum)
+        u_prev, u_cur, u_next = u_cur, u_next, u_prev
+    # u_prev = u^M, u_cur = u^{M+1}, u_next = u^{M-1}
+    v_final = (u_cur - u_next) / (2.0 * dt)
+    return steps, np.array(times), np.array(energies), np.array(flux), u_prev, v_final
+
+
+def _reference_tridiag(densities, p):
+    n, h, _, _, cell_rho = _reference_layout(densities, p)
+    na = n - 1
+    w = np.full(na, h)
+    w[0] = 0.5 * h
+    lower, diag, upper = (np.zeros(na, dtype=complex) for _ in range(3))
+    for k in range(n - 1):
+        g = cell_rho[k] / h
+        diag[k] -= g
+        if k + 1 < na:
+            upper[k] += g
+            diag[k + 1] -= g
+            lower[k + 1] += g
+    diag[0] += -1j
+    return w, -1j * lower / w, -1j * diag / w, -1j * upper / w
+
+
+def _reference_crank_nicolson(densities, p, T, dt, stride, u):
+    w, lower, diag, upper = _reference_tridiag(densities, p)
+    steps = max(1, int(np.ceil(T / dt)))
+    dt = T / steps
+    ab = np.zeros((3, u.size), dtype=complex)
+    ab[0, 1:] = -0.5 * dt * upper[:-1]
+    ab[1, :] = 1.0 - 0.5 * dt * diag
+    ab[2, :-1] = -0.5 * dt * lower[1:]
+
+    def energy(x):
+        return 0.5 * float(np.real(np.dot(w * x, np.conj(x))))
+
+    times, energies, flux, flux_cum = [0.0], [energy(u)], [0.0], 0.0
+    for k in range(1, steps + 1):
+        rhs = (1.0 + 0.5 * dt * diag) * u
+        rhs[:-1] += 0.5 * dt * upper[:-1] * u[1:]
+        rhs[1:] += 0.5 * dt * lower[1:] * u[:-1]
+        u_new = sla.solve_banded((1, 1), ab, rhs)
+        flux_cum += dt * float(np.abs(0.5 * (u[0] + u_new[0])) ** 2)
+        u = u_new
+        if k % stride == 0 or k == steps:
+            times.append(k * dt)
+            energies.append(energy(u))
+            flux.append(flux_cum)
+    return steps, np.array(times), np.array(energies), np.array(flux), u
+
+
+_CHAIN3 = (1.0, 4.0, 2.0)
+
+
+def _global(fn):
+    return np.concatenate([fn.values[0]] + [v[1:] for v in fn.values[1:]])
+
+
+@pytest.mark.parametrize("mode", ["damped", "conservative", "forced"])
+@pytest.mark.parametrize("stride", [1, 7])
+def test_leapfrog_matches_reference_loop(mode, stride):
+    cfg = sc.ChainConfig(densities=_CHAIN3)
+    p, T = 40, 2.0
+    n_edges = cfg.n_edges
+    state = sample_state(
+        cfg, p,
+        lambda x: (x * (n_edges - x) / n_edges**2).astype(complex),
+        lambda x: smooth_bump(x, 1.2, 1.8),
+    )
+    forcing = (lambda t: np.sin(3.0 * t)) if mode == "forced" else None
+    opts = sc.SimOptions(points_per_edge=p, T=T, cfl=0.5, record_stride=stride)
+    trace, final = sc.simulate_wave(cfg, state, opts, mode=mode, forcing=forcing)
+    steps, times, energies, flux, u_end, v_end = _reference_leapfrog(
+        _CHAIN3, p, T, 0.5, stride, mode, forcing,
+        _global(state.u).real, _global(state.v).real,
+    )
+    assert stride == 1 or steps % stride != 0  # the last record falls off the stride
+    e0 = energies[0]
+    assert trace.times.shape == times.shape
+    assert np.max(np.abs(trace.times - times)) <= 1e-12 * T
+    assert np.max(np.abs(trace.energies - energies)) <= 1e-12 * e0
+    assert np.max(np.abs(trace.boundary_flux - flux)) <= 1e-12 * e0
+    assert np.max(np.abs(_global(final.u) - u_end)) <= 1e-12 * np.max(np.abs(u_end))
+    assert np.max(np.abs(_global(final.v) - v_end)) <= 1e-12 * np.max(np.abs(v_end))
+
+
+@pytest.mark.parametrize("stride", [1, 7])
+def test_crank_nicolson_matches_reference_loop(stride):
+    cfg = sc.ChainConfig(densities=_CHAIN3)
+    p, T, dt = 60, 1.0, 4e-3
+    u0 = sample_function(
+        cfg, p, lambda x: smooth_bump(x, 0.1, 0.9) + 0.5j * smooth_bump(x, 1.3, 2.6)
+    )
+    trace, final = sc.simulate_schrodinger(
+        cfg, u0, sc.SimOptions(points_per_edge=p, T=T, dt=dt, record_stride=stride)
+    )
+    steps, times, energies, flux, u_end = _reference_crank_nicolson(
+        _CHAIN3, p, T, dt, stride, _global(u0)[:-1].copy()
+    )
+    assert stride == 1 or steps % stride != 0
+    e0 = energies[0]
+    assert trace.times.shape == times.shape
+    assert np.max(np.abs(trace.times - times)) <= 1e-12 * T
+    assert np.max(np.abs(trace.energies - energies)) <= 1e-12 * e0
+    assert np.max(np.abs(trace.boundary_flux - flux)) <= 1e-12 * e0
+    u_final = _global(final)
+    assert u_final[-1] == 0.0
+    assert np.max(np.abs(u_final[:-1] - u_end)) <= 1e-12 * np.max(np.abs(u_end))
+
+
+def test_crank_nicolson_flux_balance_at_every_record():
+    cfg = sc.ChainConfig(densities=(1.0, 4.0))
+    u0 = sample_function(cfg, 300, smooth_bump)
+    trace, _ = sc.simulate_schrodinger(
+        cfg, u0, sc.SimOptions(points_per_edge=300, T=3.0, dt=2e-3, record_stride=3)
+    )
+    e0 = trace.energies[0]
+    defect = np.abs(e0 - trace.energies - trace.boundary_flux)
+    assert np.max(defect) <= 1e-10 * e0
+    assert np.all(np.diff(trace.energies) < 0)
+
+
+@pytest.mark.parametrize("densities", [(1.0,), (1.0, 4.0), (0.3, 2.0, 1.1, 5.0)])
+def test_schrodinger_operator_is_exactly_dissipative(densities):
+    cfg = sc.ChainConfig(densities=densities)
+    na, _, w, lower, diag, upper = _schrodinger_tridiag(cfg, 50)
+    w_ref, lower_ref, diag_ref, upper_ref = _reference_tridiag(densities, 50)
+    assert np.array_equal(w, w_ref)
+    assert np.array_equal(lower, lower_ref)
+    assert np.array_equal(diag, diag_ref)
+    assert np.array_equal(upper, upper_ref)
+    rng = np.random.default_rng(len(densities))
+    for _ in range(20):
+        u = rng.standard_normal(na) + 1j * rng.standard_normal(na)
+        au = diag * u
+        au[:-1] += upper[:-1] * u[1:]
+        au[1:] += lower[1:] * u[:-1]
+        terms = w * au * np.conj(u)
+        defect = abs(np.sum(terms).real + abs(u[0]) ** 2)
+        assert defect <= 1e-12 * np.sum(np.abs(terms))
+
+
+def test_crank_nicolson_rejects_non_finite_state():
+    cfg = sc.ChainConfig(densities=(1.0,))
+    u0 = sample_function(cfg, 100, smooth_bump)
+    values = u0.values[0].copy()
+    values[10] = np.nan
+    bad = sc.ChainFunction(u0.grids, [values])
+    with pytest.raises(LinearSolveFailure):
+        sc.simulate_schrodinger(cfg, bad, sc.SimOptions(points_per_edge=100, T=0.1, dt=1e-2))
+
+
+def test_wave_rejects_complex_data():
+    cfg = sc.ChainConfig(densities=(1.0, 2.0))
+    st = sample_state(cfg, 50, lambda x: 1j * (2.0 - x) * x)
+    with pytest.raises(GridMismatch):
+        sc.simulate_wave(cfg, st, sc.SimOptions(points_per_edge=50, T=0.5))
+
+
+def test_schrodinger_rejects_nonzero_clamped_end():
+    cfg = sc.ChainConfig(densities=(1.0,))
+    u0 = sample_function(cfg, 50, lambda x: np.ones_like(x, dtype=complex))
+    with pytest.raises(GridMismatch):
+        sc.simulate_schrodinger(cfg, u0, sc.SimOptions(points_per_edge=50, T=0.5, dt=1e-2))
