@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -32,6 +32,7 @@ __all__ = [
     "zeros_function",
     "sample_state",
     "integrate_edge",
+    "quadrature_weights",
     "edge_derivative",
     "energy_wave",
     "energy_first_order",
@@ -128,9 +129,6 @@ class ChainFunction:
 
     def scaled(self, c: complex) -> "ChainFunction":
         return ChainFunction(self.grids, tuple(c * v for v in self.values))
-
-    def map_values(self, fn: Callable[[int, np.ndarray], np.ndarray]) -> "ChainFunction":
-        return ChainFunction(self.grids, tuple(fn(j, v) for j, v in enumerate(self.values)))
 
     def to_csv(self, path) -> None:
         """Write as rows edge, x, re, im (and re2, im2 for 2-vectors)."""
@@ -261,31 +259,35 @@ class EnergyTrace:
                 fh.writelines(f"{ti:.17g},{ei:.17g},{fi:.17g}\r\n" for ti, ei, fi in zip(t, e, f))
 
 
-def _simpson_odd(x: np.ndarray, y: np.ndarray):
-    """Composite Simpson on an odd number of points, any spacing.
+def quadrature_weights(x: np.ndarray) -> np.ndarray:
+    """Weights w of integrate_edge's rule on the grid x: the integral of y is w @ y.
 
-    Per panel [x_{2i}, x_{2i+2}] with widths h0, h1 it is the quadratic
-    interpolant's integral, in the form scipy.integrate.simpson uses:
+    Odd point counts use composite Simpson, any spacing: per panel
+    [x_{2i}, x_{2i+2}] with widths h0, h1 the quadratic interpolant's
+    integral, in the form scipy.integrate.simpson uses,
     (h0 + h1)/6 * (y0 (2 - h1/h0) + y1 (h0 + h1)^2 / (h0 h1) + y2 (2 - h0/h1)).
+    Even counts use the trapezoid rule.  Repeated integrals over one grid
+    can reuse the weights.
     """
     h = np.diff(x)
-    h0 = h[0::2]
-    h1 = h[1::2]
-    hsum = h0 + h1
-    ratio = h0 / h1
-    panels = hsum / 6.0 * (
-        y[:-2:2] * (2.0 - 1.0 / ratio)
-        + y[1::2] * (hsum * (hsum / (h0 * h1)))
-        + y[2::2] * (2.0 - ratio)
-    )
-    return np.sum(panels)
+    w = np.zeros(x.size)
+    if x.size % 2 == 1:
+        h0 = h[0::2]
+        h1 = h[1::2]
+        hsum = h0 + h1
+        ratio = h0 / h1
+        w[:-2:2] += hsum / 6.0 * (2.0 - 1.0 / ratio)
+        w[1::2] += hsum / 6.0 * (hsum * (hsum / (h0 * h1)))
+        w[2::2] += hsum / 6.0 * (2.0 - ratio)
+    else:
+        w[:-1] += 0.5 * h
+        w[1:] += 0.5 * h
+    return w
 
 
 def integrate_edge(x: np.ndarray, y: np.ndarray) -> complex:
     """Composite Simpson for an odd number of points, trapezoid otherwise."""
-    if x.size % 2 == 1:
-        return _simpson_odd(x, y)
-    return np.trapezoid(y, x)
+    return quadrature_weights(x) @ y
 
 
 def edge_derivative(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -26,6 +26,7 @@ from .chain_core import (
     ChainConfig,
     sample_function,
     sample_state,
+    smooth_bump,
     uniform_grids,
     validate_config,
 )
@@ -139,6 +140,33 @@ def _parse_floats(text: str, count: int, what: str):
     return [float(p) for p in parts]
 
 
+def _require_positive(args, *names) -> None:
+    """Usage error unless each named option is > 0 (a NaN fails too)."""
+    for name in names:
+        value = getattr(args, name)
+        if not value > 0:
+            raise UsageError(f"--{name.replace('_', '-')} must be positive, got {value}")
+
+
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
+
+
+def _check_beta_range(args) -> None:
+    _require_positive(args, "step")
+    if not args.beta_max >= args.beta_min:
+        raise UsageError(f"--beta-max {args.beta_max} is below --beta-min {args.beta_min}")
+
+
+def _beta_range(args) -> np.ndarray:
+    """--beta-min to --beta-max in --step increments; never empty."""
+    _check_beta_range(args)
+    return np.arange(args.beta_min, args.beta_max + 0.5 * args.step, args.step)
+
+
 def _beta_grid(args) -> np.ndarray:
     if args.betas:
         try:
@@ -182,6 +210,8 @@ def _cmd_spectrum(args) -> int:
     cfg = _load_config(args.config)
     rect = tuple(_parse_floats(args.rect, 4, "--rect"))
     grid = tuple(int(v) for v in _parse_floats(args.grid, 2, "--grid"))
+    if min(grid) < 16:
+        raise UsageError(f"--grid needs at least 16 x 16 points, got {args.grid}")
     eig = find_eigenvalues(cfg, rect, args.which, grid=grid, tol=args.tol)
     out = Path(args.out)
     roots_csv = out / "roots.csv"
@@ -229,10 +259,12 @@ def _det_scan_rows(cfg, betas, stride):
 def _cmd_gap(args) -> int:
     started = time.perf_counter()
     cfg = _load_config(args.config)
+    _check_beta_range(args)
+    _require_positive(args, "csv_stride")
     gap = imaginary_axis_gap(cfg, args.which, (args.beta_min, args.beta_max), args.step)
     out = Path(args.out)
     outputs = []
-    betas = np.arange(args.beta_min, args.beta_max + 0.5 * args.step, args.step)
+    betas = _beta_range(args)  # after the scan: held through it, it raises the peak memory
     if args.which == "wave":
         scan_csv = out / "det_scan.csv"
         _write_csv(
@@ -262,7 +294,8 @@ def _cmd_gap(args) -> int:
 def _cmd_det_bound(args) -> int:
     started = time.perf_counter()
     cfg = _load_config(args.config)
-    betas = np.arange(args.beta_min, args.beta_max + 0.5 * args.step, args.step)
+    betas = _beta_range(args)
+    _require_positive(args, "csv_stride")
     gamma_analytic, gamma_numeric = det_lower_bound(cfg, betas)
     out = Path(args.out)
     scan_csv = out / "det_scan.csv"
@@ -282,6 +315,7 @@ def _cmd_det_bound(args) -> int:
 def _cmd_resolvent_scan(args) -> int:
     started = time.perf_counter()
     cfg = _load_config(args.config)
+    _require_positive(args, "probes")
     betas = _beta_grid(args)
     points = _run_scan(_scan_chunk_wave, cfg, betas, args.probes, args.points, args.seed, _jobs(args))
     out = Path(args.out)
@@ -301,6 +335,7 @@ def _cmd_resolvent_scan(args) -> int:
 def _cmd_schrodinger_scan(args) -> int:
     started = time.perf_counter()
     cfg = _load_config(args.config)
+    _require_positive(args, "probes")
     betas = _beta_grid(args)
     points = _run_scan(_scan_chunk_schrodinger, cfg, betas, args.probes, args.points,
                        args.seed, _jobs(args))
@@ -321,7 +356,8 @@ def _cmd_schrodinger_scan(args) -> int:
 def _cmd_transfer_scan(args) -> int:
     started = time.perf_counter()
     cfg = _load_config(args.config)
-    betas = np.arange(args.beta_min, args.beta_max + 0.5 * args.step, args.step)
+    _require_positive(args, "gamma")
+    betas = _beta_range(args)
     vals = transfer_values(cfg, args.gamma + 1j * betas)
     out = Path(args.out)
     scan_csv = out / "transfer_scan.csv"
@@ -339,19 +375,13 @@ def _cmd_transfer_scan(args) -> int:
     return 0
 
 
-def _default_bump(cfg: ChainConfig):
-    """Smooth bump supported inside edge 0, zero elsewhere."""
-    from .chain_core import smooth_bump
-
-    return smooth_bump
-
-
 def _cmd_decay(args) -> int:
     started = time.perf_counter()
     cfg = _load_config(args.config)
+    _require_positive(args, "T", "stride")
     opts = SimOptions(points_per_edge=args.points, T=args.T, cfl=args.cfl,
                       record_stride=args.stride)
-    init = sample_state(cfg, args.points, _default_bump(cfg))
+    init = sample_state(cfg, args.points, smooth_bump)
     trace, _ = simulate_wave(cfg, init, opts, mode="damped")
     try:
         omega = fit_decay_rate(trace)
@@ -391,8 +421,9 @@ def _cmd_decay(args) -> int:
 def _cmd_schrodinger_decay(args) -> int:
     started = time.perf_counter()
     cfg = _load_config(args.config)
+    _require_positive(args, "T", "dt")
     opts = SimOptions(points_per_edge=args.points, T=args.T, dt=args.dt)
-    init = sample_function(cfg, args.points, _default_bump(cfg))
+    init = sample_function(cfg, args.points, smooth_bump)
     trace, _ = simulate_schrodinger(cfg, init, opts)
     try:
         omega = fit_decay_rate(trace)
@@ -428,6 +459,7 @@ def _cmd_schrodinger_decay(args) -> int:
 def _cmd_io_ratios(args) -> int:
     started = time.perf_counter()
     cfg = _load_config(args.config)
+    _require_positive(args, "T")
     opts = SimOptions(points_per_edge=args.points, T=args.T, cfl=args.cfl)
     adm = admissibility_ratio(cfg, lambda t: np.sin(2.0 * np.pi * t), args.T, opts)
 
@@ -565,7 +597,7 @@ def _cmd_verify(args) -> int:
 def _add_common(p):
     p.add_argument("--config", required=True, help="JSON file {\"densities\": [...]}")
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonnegative_int, default=0)
     p.add_argument("--jobs", type=int, default=None,
                    help="worker pool size (env STRINGCHAIN_JOBS overrides)")
 

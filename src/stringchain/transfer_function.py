@@ -11,7 +11,6 @@ line Re lam = gamma > 0, with the certified bound
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -22,7 +21,6 @@ from .timesim import SimOptions, simulate_wave
 from .transfer_matrix import DetPair
 
 __all__ = [
-    "TransferSample",
     "transfer_value",
     "transfer_values",
     "transfer_det_pair",
@@ -32,15 +30,6 @@ __all__ = [
     "admissibility_ratio",
     "observability_ratio",
 ]
-
-
-@dataclass
-class TransferSample:
-    """One evaluated transfer value; scales linearly with the input gain."""
-
-    lam: complex
-    value: complex
-    input_gain: complex
 
 
 def _require_right_half_plane(lam: complex) -> complex:

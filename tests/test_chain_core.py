@@ -223,3 +223,14 @@ def test_energy_trace_csv_bytes_match_csv_writer(tmp_path):
         for t, e, f in zip(times, energies, flux):
             writer.writerow([f"{t:.17g}", f"{e:.17g}", f"{f:.17g}"])
     assert path.read_bytes() == ref.read_bytes()
+
+
+@pytest.mark.parametrize("n", [2, 4, 800])
+def test_integrate_edge_even_counts_use_trapezoid(n):
+    rng = np.random.default_rng(100 + n)
+    uniform = np.linspace(1.0, 2.0, n)
+    nonuniform = np.sort(np.concatenate([[1.0, 2.0], rng.uniform(1.0, 2.0, n - 2)]))
+    for x in (uniform, nonuniform):
+        y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        ref = np.trapezoid(y, x)
+        assert abs(integrate_edge(x, y) - ref) <= 1e-13 * abs(ref)

@@ -181,3 +181,25 @@ def test_manifest_bytes_repeat_and_timing_apart(mono_json, tmp_path):
     keys = {"command", "config", "options", "outputs", "seed", "version", "sup_abs"}
     assert keys <= set(manifest)
     assert json.loads((out / "timing.json").read_text())["wall_time_s"] >= 0.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["resolvent-scan", "--betas", "5", "--probes", "0"],
+    ["schrodinger-scan", "--betas", "100", "--probes", "0"],
+    ["decay", "--stride", "0"],
+    ["schrodinger-decay", "--dt", "0"],
+    ["transfer-scan", "--step", "-1"],
+    ["transfer-scan", "--beta-min", "5", "--beta-max", "1"],
+    ["transfer-scan", "--gamma", "0"],
+    ["det-bound", "--step", "0"],
+    ["gap", "--step", "0"],
+    ["gap", "--csv-stride", "0"],
+    ["decay", "--T", "0"],
+    ["io-ratios", "--T", "nan"],
+    ["spectrum", "--rect", "-1,0,0,1", "--grid", "8,8"],
+    ["resolvent-scan", "--betas", "5", "--seed", "-1"],
+])
+def test_rejected_option_values_are_usage_errors(chain_json, tmp_path, argv, capsys):
+    # option values the library rejects or cannot use are caught before any work starts
+    assert run([*argv, "--config", chain_json, "--out", str(tmp_path / "out"), "--jobs", "1"]) == 64
+    assert capsys.readouterr().err.startswith("usage error:")

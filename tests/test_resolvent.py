@@ -2,7 +2,13 @@ import numpy as np
 import pytest
 
 import stringchain as sc
-from stringchain.chain_core import l2_norm, sample_function, uniform_grids
+from stringchain.chain_core import (
+    h_norm,
+    l2_norm,
+    quadrature_weights,
+    sample_function,
+    uniform_grids,
+)
 from stringchain.errors import (
     QuadratureTooCoarse,
     SignConventionMismatch,
@@ -202,3 +208,304 @@ def test_schrodinger_scan_monotone_in_probes():
         for k in (1, 4, 16)
     ]
     assert est[0] <= est[1] <= est[2]
+
+
+# ----------------------------------------------------------------------------
+# Reference copy of the per-probe algorithm the solve plans replaced: probes
+# summed mode by mode, the load interpolated to 8 Gauss-Legendre nodes per
+# cell and the 8-node sums taken per probe, norms by h_norm / l2_norm.
+
+_REF_NODES, _REF_WEIGHTS = np.polynomial.legendre.leggauss(8)
+
+
+def _ref_random_probe(cfg, grids, seed, arity, modes=8, center=0.0):
+    rng = np.random.default_rng(seed)
+    values = []
+    for j, g in enumerate(grids):
+        xt = g - float(j)
+        v = np.zeros((g.size, arity), dtype=complex)
+        if center == 0.0:
+            mode_idx = np.arange(1, modes + 1)
+        else:
+            mc = max(1, int(np.rint(abs(center) / (np.pi * cfg.wave_speeds[j]))))
+            lo = max(1, mc - modes // 2 + 1)
+            mode_idx = np.arange(lo, lo + modes)
+        coefs = rng.standard_normal((modes, arity, 2, 2))
+        for i, m in enumerate(mode_idx):
+            amp_c = coefs[i, :, 0, 0] + 1j * coefs[i, :, 0, 1]
+            amp_s = coefs[i, :, 1, 0] + 1j * coefs[i, :, 1, 1]
+            v += amp_c[None, :] * np.cos(m * np.pi * xt)[:, None]
+            v += amp_s[None, :] * np.sin(m * np.pi * xt)[:, None]
+        values.append(v[:, 0] if arity == 1 else v)
+    return sc.ChainFunction(list(grids), values)
+
+
+def _ref_gl(x, vals):
+    """GL nodes per cell and the load linearly interpolated to them."""
+    h = np.diff(x)
+    tau = 0.5 * (_REF_NODES + 1.0)
+    s = x[:-1, None] + tau[None, :] * h[:, None]
+    lo, hi = vals[:-1], vals[1:]
+    if vals.ndim == 1:
+        return s, h, lo[:, None] * (1.0 - tau) + hi[:, None] * tau
+    return s, h, lo[:, None, :] * (1.0 - tau)[None, :, None] + hi[:, None, :] * tau[None, :, None]
+
+
+def _ref_cells(integrand, h):
+    if integrand.ndim == 2:
+        return (integrand * _REF_WEIGHTS).sum(axis=1) * (0.5 * h)
+    return (integrand * _REF_WEIGHTS[None, :, None]).sum(axis=1) * (0.5 * h[:, None])
+
+
+def _ref_wave(cfg, beta, G):
+    """(W, F, Y, Gamma, residual) of the wave solve."""
+    speeds = cfg.wave_speeds
+    n_edges = cfg.n_edges
+    anchors = [1.0] + [float(j) for j in range(1, n_edges)]
+    p_parts = []
+    for j in range(n_edges):
+        rho, c, x = cfg.densities[j], speeds[j], G.grids[j]
+        s, h, gv = _ref_gl(x, G.values[j])
+        theta = beta * (anchors[j] - s) / c
+        ct, st = np.cos(theta), np.sin(theta)
+        b1, b2 = gv[:, :, 1] / rho, gv[:, :, 0]
+        q = np.stack([ct * b1 + 1j * st / c * b2, 1j * c * st * b1 + ct * b2], axis=2)
+        cells = _ref_cells(q, h)
+        p = np.zeros((x.size, 2), dtype=complex)
+        if j == 0:
+            p[:-1] = -np.cumsum(cells[::-1], axis=0)[::-1]
+        else:
+            p[1:] = np.cumsum(cells, axis=0)
+        p_parts.append(p)
+    h_mat, _ = sc.boundary_matrices(cfg, 1j * beta)
+    exps = [sc.exp_osc(rho, beta, 1.0) for rho in cfg.densities]
+    gamma = []
+    if n_edges >= 2:
+        gamma.append(np.zeros(2, dtype=complex))
+        for j in range(2, n_edges):
+            gamma.append(exps[j - 1] @ (gamma[-1] + p_parts[j - 1][-1]))
+    y2 = 0.0j if n_edges == 1 else (exps[-1] @ (gamma[-1] + p_parts[-1][-1]))[0]
+    y = np.array([h_mat[0, :] @ p_parts[0][0], y2], dtype=complex)
+    f_list = [np.linalg.solve(h_mat, y)]
+    if n_edges >= 2:
+        f_list.append(f_list[0].copy())
+        for j in range(2, n_edges):
+            f_list.append(exps[j - 1] @ (f_list[j - 1] - p_parts[j - 1][-1]))
+    values, num = [], 0.0
+    for j in range(n_edges):
+        rho, c, x = cfg.densities[j], speeds[j], G.grids[j]
+        phi = beta * (x - anchors[j]) / c
+        ct, st = np.cos(phi), np.sin(phi)
+        d = f_list[j][None, :] - p_parts[j]
+        w = np.stack([ct * d[:, 0] + 1j * st / c * d[:, 1], 1j * c * st * d[:, 0] + ct * d[:, 1]],
+                     axis=1)
+        values.append(w)
+        r1 = 1j * beta * w[:, 0] - np.gradient(w[:, 1], x, edge_order=2) - G.values[j][:, 0]
+        r2 = 1j * beta * w[:, 1] - rho * np.gradient(w[:, 0], x, edge_order=2) - G.values[j][:, 1]
+        num += np.trapezoid(rho * np.abs(r1) ** 2 + np.abs(r2) ** 2, x).real
+    W = sc.ChainFunction(G.grids, values)
+    return W, f_list, y, gamma, float(np.sqrt(num) / h_norm(G, cfg))
+
+
+def _ref_schrodinger(cfg, beta, g):
+    """(u, flux, residual) of the Schrodinger solve on either branch."""
+    speeds = cfg.wave_speeds
+    n_edges = cfg.n_edges
+    values, flux = [], []
+    if beta > 0:
+        sb = np.sqrt(beta)
+        gp, dgp, wv = [], [], []
+        for j in range(n_edges):
+            rho, c, x = cfg.densities[j], speeds[j], g.grids[j]
+            a = sb / c
+            s, h, gv = _ref_gl(x, g.values[j])
+            ic = np.concatenate([[0.0], np.cumsum(_ref_cells(np.cos(a * (s - j)) * gv, h))])
+            is_ = np.concatenate([[0.0], np.cumsum(_ref_cells(np.sin(a * (s - j)) * gv, h))])
+            ct, st = np.cos(a * (x - j)), np.sin(a * (x - j))
+            gp.append((st * ic - ct * is_) / (1j * sb * c))
+            dgp.append((ct * ic + st * is_) / (1j * rho))
+            wv.append(np.array([gp[j][-1], rho * dgp[j][-1]], dtype=complex))
+        steps = [sc.schrodinger_step(rho, beta) for rho in cfg.densities]
+        prod, acc = np.eye(2, dtype=complex), np.zeros(2, dtype=complex)
+        for j in range(n_edges):
+            acc = steps[j] @ acc + wv[j]
+            prod = steps[j] @ prod
+        c01 = -acc[0] / (prod[0, 0] + 1j * prod[0, 1])
+        f = np.array([c01, 1j * c01], dtype=complex)
+        for j in range(n_edges):
+            rho, c, x = cfg.densities[j], speeds[j], g.grids[j]
+            a = sb / c
+            ct, st = np.cos(a * (x - j)), np.sin(a * (x - j))
+            values.append(gp[j] + f[0] * ct + f[1] * st / (sb * c))
+            flux.append(rho * (dgp[j] - a * f[0] * st + (f[1] / rho) * ct))
+            f = steps[j] @ f + wv[j]
+    else:
+        ms = [np.sqrt(-beta) / c for c in speeds]
+        up, dup = [], []
+        for j in range(n_edges):
+            m, x = ms[j], g.grids[j]
+            s, h, fv = _ref_gl(x, g.values[j] / (1j * cfg.densities[j]))
+            fwd = _ref_cells(np.exp(-m * (x[1:, None] - s)) * fv, h)
+            bwd = _ref_cells(np.exp(-m * (s - x[:-1, None])) * fv, h)
+            decay = np.exp(-m * h)
+            a_cum = np.zeros(x.size, dtype=complex)
+            b_cum = np.zeros(x.size, dtype=complex)
+            for k in range(x.size - 1):
+                a_cum[k + 1] = decay[k] * a_cum[k] + fwd[k]
+            for k in range(x.size - 2, -1, -1):
+                b_cum[k] = decay[k] * b_cum[k + 1] + bwd[k]
+            up.append(-(a_cum + b_cum) / (2.0 * m))
+            dup.append((a_cum - b_cum) / 2.0)
+        size = 2 * n_edges
+        mat = np.zeros((size, size), dtype=complex)
+        rhs = np.zeros(size, dtype=complex)
+        e = [np.exp(-m) for m in ms]
+        rho0 = cfg.densities[0]
+        mat[0, :2] = [-rho0 * ms[0] - 1j, (rho0 * ms[0] - 1j) * e[0]]
+        rhs[0] = 1j * up[0][0] - rho0 * dup[0][0]
+        for j in range(1, n_edges):
+            rl, rr = cfg.densities[j - 1], cfg.densities[j]
+            mat[2 * j - 1, 2 * j - 2:2 * j + 2] = [e[j - 1], 1.0, -1.0, -e[j]]
+            rhs[2 * j - 1] = up[j][0] - up[j - 1][-1]
+            mat[2 * j, 2 * j - 2:2 * j + 2] = [-rl * ms[j - 1] * e[j - 1], rl * ms[j - 1],
+                                               rr * ms[j], -rr * ms[j] * e[j]]
+            rhs[2 * j] = rr * dup[j][0] - rl * dup[j - 1][-1]
+        mat[-1, -2:] = [e[-1], 1.0]
+        rhs[-1] = -up[-1][-1]
+        ab = np.linalg.solve(mat, rhs)
+        for j in range(n_edges):
+            m, xt = ms[j], g.grids[j] - j
+            ea, eb = np.exp(-m * xt), np.exp(-m * (1.0 - xt))
+            values.append(up[j] + ab[2 * j] * ea + ab[2 * j + 1] * eb)
+            flux.append(cfg.densities[j] * (dup[j] - m * ab[2 * j] * ea + m * ab[2 * j + 1] * eb))
+    num = 0.0
+    for j in range(n_edges):
+        x = g.grids[j]
+        dflux = np.gradient(flux[j], x, edge_order=2)
+        num += np.trapezoid(np.abs(dflux + 1j * g.values[j] + beta * values[j]) ** 2, x).real
+    return sc.ChainFunction(g.grids, values), flux, float(np.sqrt(num) / l2_norm(g))
+
+
+def _beta_key(beta):
+    return int(np.float64(beta).view(np.uint64))
+
+
+def _ref_wave_scan(cfg, beta, probes, seed):
+    grids = uniform_grids(cfg, max(257, int(np.ceil(1.75 * beta / np.min(cfg.wave_speeds))) + 2))
+    best = worst = 0.0
+    for k in range(probes):
+        g = _ref_random_probe(cfg, grids, [seed, _beta_key(beta), k], 2, center=beta)
+        W, _, _, _, residual = _ref_wave(cfg, beta, g)
+        best = max(best, h_norm(W, cfg) / h_norm(g, cfg))
+        worst = max(worst, residual)
+    return best, worst
+
+
+def _ref_schrodinger_scan(cfg, beta, probes, seed):
+    c_min = float(np.min(cfg.wave_speeds))
+    if beta > 0:
+        pts = max(257, int(np.ceil(1.75 * np.sqrt(beta) / c_min)) + 2)
+    else:
+        pts = max(257, int(np.ceil(np.sqrt(-beta) / (2.0 * c_min))) + 2)
+    grids = uniform_grids(cfg, pts)
+    best = worst = 0.0
+    for k in range(probes):
+        g = _ref_random_probe(cfg, grids, [seed, _beta_key(beta), k], 1,
+                              center=np.sqrt(beta) if beta > 0 else 0.0)
+        u, _, residual = _ref_schrodinger(cfg, beta, g)
+        best = max(best, l2_norm(u) / l2_norm(g))
+        worst = max(worst, residual)
+    return best, worst
+
+
+_REF_CHAINS = [(1.0,), (1.0, 4.0), (2.0, 1.0, 3.0, 1.5)]
+
+
+def _rel(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
+@pytest.mark.parametrize("densities", _REF_CHAINS)
+def test_wave_scan_matches_reference(densities):
+    cfg = sc.ChainConfig(densities)
+    betas = [10.0, 316.0, 1e4]
+    for pt in wave_resolvent_norm_scan(cfg, betas, probes=8, seed=4):
+        est, residual = _ref_wave_scan(cfg, pt.beta, 8, 4)
+        assert pt.norm_estimate == pytest.approx(est, rel=1e-12, abs=0)
+        assert pt.residual_max == pytest.approx(residual, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("densities", _REF_CHAINS)
+def test_schrodinger_scan_matches_reference(densities):
+    cfg = sc.ChainConfig(densities)
+    betas = [100.0, -100.0, 1e4, -1e4]
+    for pt in schrodinger_norm_scan(cfg, betas, probes=8, seed=4):
+        est, residual = _ref_schrodinger_scan(cfg, pt.beta, 8, 4)
+        assert pt.norm_estimate == pytest.approx(est, rel=1e-12, abs=0)
+        assert pt.residual_max == pytest.approx(residual, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("arity, center", [(1, 0.0), (2, 0.0), (1, 300.0), (2, 1e4)])
+def test_random_probe_matches_mode_loop(arity, center):
+    cfg = sc.ChainConfig((1.0, 4.0, 2.0))
+    rng = np.random.default_rng(1)
+    grids = [uniform_grids(cfg, 601)[0], uniform_grids(cfg, 257)[1],
+             np.sort(np.concatenate([[2.0, 3.0], rng.uniform(2.0, 3.0, 400)]))]
+    got = random_probe(cfg, grids, seed=[7, 3], arity=arity, center=center)
+    ref = _ref_random_probe(cfg, grids, [7, 3], arity, center=center)
+    assert got.arity == arity
+    for a, b in zip(got.values, ref.values):
+        assert a.shape == b.shape
+        assert _rel(a, b) <= 1e-13
+
+
+@pytest.mark.parametrize("densities", _REF_CHAINS)
+def test_wave_resolvent_matches_reference(densities):
+    cfg = sc.ChainConfig(densities)
+    g = random_probe(cfg, uniform_grids(cfg, 1201), seed=21, arity=2, center=40.0)
+    sol = sc.wave_resolvent(cfg, 40.0, g)
+    W, F, Y, Gamma, residual = _ref_wave(cfg, 40.0, g)
+    assert _rel(np.concatenate(sol.W.values), np.concatenate(W.values)) <= 1e-12
+    assert _rel(sol.F, F) <= 1e-12
+    assert _rel(sol.Y, Y) <= 1e-12
+    if Gamma:
+        scale = max(np.max(np.abs(Gamma)), np.max(np.abs(F)))
+        assert np.max(np.abs(np.asarray(sol.Gamma) - Gamma)) <= 1e-12 * scale
+    assert sol.residual == pytest.approx(residual, rel=1e-9)
+
+
+@pytest.mark.parametrize("beta", [30.0, -30.0])
+def test_schrodinger_resolvent_matches_reference(beta):
+    cfg = sc.ChainConfig((2.0, 1.0, 3.0, 1.5))
+    g = random_probe(cfg, uniform_grids(cfg, 801), seed=22, arity=1)
+    sol = sc.schrodinger_resolvent(cfg, beta, g)
+    u, flux, residual = _ref_schrodinger(cfg, beta, g)
+    assert _rel(np.concatenate(sol.u.values), np.concatenate(u.values)) <= 1e-12
+    assert _rel(np.concatenate(sol.flux), np.concatenate(flux)) <= 1e-12
+    assert sol.residual == pytest.approx(residual, rel=1e-9)
+
+
+def test_scan_probes_are_evaluated_one_at_a_time():
+    # the k-probe estimate is the running max over probes evaluated on their own,
+    # so the 1-probe scan is the first probe of the 8-probe scan, bit for bit
+    from stringchain import resolvent
+
+    cfg = sc.ChainConfig((1.0, 4.0))
+    beta, seed = 316.0, 9
+    grids = uniform_grids(cfg, resolvent.scan_grid_points(cfg, beta))
+    plan = resolvent._WavePlan(cfg, beta, grids)
+    bases = resolvent._probe_bases(cfg, grids, 8, beta)
+    weights = [quadrature_weights(x) for x in grids]
+    ratios, residuals = [], []
+    for k in range(8):
+        g = resolvent._probe_values(bases, [seed, _beta_key(beta), k], 2)
+        w = plan.apply(g)[0]
+        g_norm = resolvent._h_norm(weights, cfg.densities, g)
+        ratios.append(resolvent._h_norm(weights, cfg.densities, w) / g_norm)
+        residuals.append(resolvent._relative(
+            resolvent._wave_defect(cfg.densities, beta, grids, g, w), g_norm))
+    one = wave_resolvent_norm_scan(cfg, [beta], probes=1, seed=seed)[0]
+    eight = wave_resolvent_norm_scan(cfg, [beta], probes=8, seed=seed)[0]
+    assert (one.norm_estimate, one.residual_max) == (ratios[0], residuals[0])
+    assert (eight.norm_estimate, eight.residual_max) == (max(ratios), max(residuals))
