@@ -148,6 +148,17 @@ def _require_positive(args, *names) -> None:
             raise UsageError(f"--{name.replace('_', '-')} must be positive, got {value}")
 
 
+def _require_points(args, least: int) -> None:
+    """Usage error unless --points, when given, is at least `least`."""
+    if args.points is not None and args.points < least:
+        raise UsageError(f"--points must be at least {least}, got {args.points}")
+
+
+def _require_cfl(args) -> None:
+    if not 0.0 < args.cfl <= 1.0:
+        raise UsageError(f"--cfl must be in (0, 1], got {args.cfl}")
+
+
 def _nonnegative_int(text: str) -> int:
     value = int(text)
     if value < 0:
@@ -316,6 +327,7 @@ def _cmd_resolvent_scan(args) -> int:
     started = time.perf_counter()
     cfg = _load_config(args.config)
     _require_positive(args, "probes")
+    _require_points(args, 2)
     betas = _beta_grid(args)
     points = _run_scan(_scan_chunk_wave, cfg, betas, args.probes, args.points, args.seed, _jobs(args))
     out = Path(args.out)
@@ -336,6 +348,7 @@ def _cmd_schrodinger_scan(args) -> int:
     started = time.perf_counter()
     cfg = _load_config(args.config)
     _require_positive(args, "probes")
+    _require_points(args, 2)
     betas = _beta_grid(args)
     points = _run_scan(_scan_chunk_schrodinger, cfg, betas, args.probes, args.points,
                        args.seed, _jobs(args))
@@ -379,6 +392,8 @@ def _cmd_decay(args) -> int:
     started = time.perf_counter()
     cfg = _load_config(args.config)
     _require_positive(args, "T", "stride")
+    _require_points(args, 8)
+    _require_cfl(args)
     opts = SimOptions(points_per_edge=args.points, T=args.T, cfl=args.cfl,
                       record_stride=args.stride)
     init = sample_state(cfg, args.points, smooth_bump)
@@ -403,7 +418,6 @@ def _cmd_decay(args) -> int:
                             "stride": args.stride},
                 "fitted_rate": omega,
                 "extinction_time": extinction,
-                "wall_time_s": time.perf_counter() - started,
             },
             fh,
             indent=2,
@@ -422,6 +436,7 @@ def _cmd_schrodinger_decay(args) -> int:
     started = time.perf_counter()
     cfg = _load_config(args.config)
     _require_positive(args, "T", "dt")
+    _require_points(args, 8)
     opts = SimOptions(points_per_edge=args.points, T=args.T, dt=args.dt)
     init = sample_function(cfg, args.points, smooth_bump)
     trace, _ = simulate_schrodinger(cfg, init, opts)
@@ -442,7 +457,6 @@ def _cmd_schrodinger_decay(args) -> int:
                 "options": {"points": args.points, "T": args.T, "dt": args.dt},
                 "fitted_rate": omega,
                 "flux_balance_defect": balance,
-                "wall_time_s": time.perf_counter() - started,
             },
             fh,
             indent=2,
@@ -460,6 +474,8 @@ def _cmd_io_ratios(args) -> int:
     started = time.perf_counter()
     cfg = _load_config(args.config)
     _require_positive(args, "T")
+    _require_points(args, 8)
+    _require_cfl(args)
     opts = SimOptions(points_per_edge=args.points, T=args.T, cfl=args.cfl)
     adm = admissibility_ratio(cfg, lambda t: np.sin(2.0 * np.pi * t), args.T, opts)
 

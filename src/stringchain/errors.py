@@ -49,6 +49,10 @@ class QuadratureTooCoarse(ChainError):
     """Grid does not resolve the oscillation of a quadrature integrand."""
 
 
+class DeterminantOverflow(ChainError):
+    """A characteristic function overflowed to a non-finite value."""
+
+
 class NoConvergence(ChainError):
     """Root refinement failed to converge."""
 

@@ -17,8 +17,8 @@ from typing import Optional
 import numpy as np
 
 from .chain_core import ChainConfig, validate_config
-from .errors import EmptyScan, NoConvergence
-from .transfer_matrix import det_pair
+from .errors import DeterminantOverflow, EmptyScan, NoConvergence
+from .transfer_matrix import det_pair, propagate
 
 __all__ = [
     "EigenSet",
@@ -54,50 +54,18 @@ def char_det_wave(cfg: ChainConfig, lam) -> complex | np.ndarray:
     return det_pair(cfg, lam).d
 
 
-def _sinhc(z: np.ndarray) -> np.ndarray:
-    """sinh(z)/z, stable through z = 0."""
-    z = np.asarray(z, dtype=complex)
-    small = np.abs(z) < 1e-8
-    safe = np.where(small, 1.0, z)
-    out = np.sinh(safe) / safe
-    return np.where(small, 1.0 + z * z / 6.0, out)
-
-
-def _schrodinger_closure(cfg: ChainConfig, lam) -> np.ndarray:
-    """First component of the propagated start vector (1, i) at x = N.
-
-    Propagates the fundamental system of rho u'' = -i lam u (written as
-    u'' = (i lam / rho) u) across the edges acting on (u, rho u'); the
-    start vector encodes the damped condition rho_0 u'(0) = i u(0).
-    Entire in lam: all entries are even or odd-over-sqrt functions.
-    """
-    lam = np.asarray(lam, dtype=complex)
-    t11 = np.ones_like(lam)
-    t12 = 1j * np.ones_like(lam)
-    for j in range(cfg.n_edges):
-        rho = cfg.densities[j]
-        m = np.sqrt(1j * lam / rho)
-        ch = np.cosh(m)
-        shc = _sinhc(m)
-        s11 = ch
-        s12 = shc / rho
-        s21 = rho * m * m * shc
-        s22 = ch
-        t11, t12 = s11 * t11 + s12 * t12, s21 * t11 + s22 * t12
-    return t11
-
-
 def char_det_schrodinger(cfg: ChainConfig, lam) -> complex | np.ndarray:
     """Analytic function vanishing exactly at Schrodinger eigenvalues.
 
+    The first component of the start vector (1, i), which encodes the
+    damped condition rho_0 u'(0) = i u(0), propagated to x = N.
     Normalized to 1 at the reference point lam = 1, so values are
     comparable across runs; on the positive imaginary axis it matches
     the closed-form resolvent denominator up to that fixed constant.
     """
     validate_config(cfg)
-    ref = complex(_schrodinger_closure(cfg, np.asarray(1.0 + 0.0j)))
-    raw = _schrodinger_closure(cfg, lam)
-    out = raw / ref
+    ref = complex(propagate(cfg, 1.0, "schrodinger", (1, 1j))[0])
+    out = propagate(cfg, lam, "schrodinger", (1, 1j))[0] / ref
     if out.ndim == 0:
         return complex(out)
     return out
@@ -145,6 +113,19 @@ def _refine_newton(fn, z0: complex, tol: float, max_iter: int = 80,
     return z, abs(f), abs(f) <= tol
 
 
+def _finite_values(fn, lam: np.ndarray) -> np.ndarray:
+    """fn(lam), raising DeterminantOverflow unless every value is finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = fn(lam)
+    bad = int(np.count_nonzero(~np.isfinite(vals)))
+    if bad:
+        worst = float(np.max(np.abs(lam.real)))
+        raise DeterminantOverflow(
+            f"characteristic function is not finite at {bad} of {vals.size} points "
+            f"(|Re lam| up to {worst:.4g})")
+    return vals
+
+
 def count_roots_contour(cfg: ChainConfig, rect: tuple[float, float, float, float],
                         which: str, samples_per_side: int = 4096) -> int:
     """Winding number of the characteristic function around the rectangle."""
@@ -154,7 +135,7 @@ def count_roots_contour(cfg: ChainConfig, rect: tuple[float, float, float, float
     total = 0.0
     for a, b in zip(corners[:-1], corners[1:]):
         t = np.linspace(0.0, 1.0, samples_per_side)
-        vals = fn(a + (b - a) * t)
+        vals = _finite_values(fn, a + (b - a) * t)
         ratios = vals[1:] / vals[:-1]
         total += float(np.sum(np.angle(ratios)))
     return int(np.rint(total / (2.0 * np.pi)))
@@ -187,7 +168,7 @@ def find_eigenvalues(cfg: ChainConfig, rect: tuple[float, float, float, float], 
     ims = np.linspace(im0 - dy, im1 + dy, ny + 2)
     res = np.minimum(res, -_AXIS_MARGIN)
     lam = res[None, :] + 1j * ims[:, None]
-    mag = np.abs(fn(lam))
+    mag = np.abs(_finite_values(fn, lam))
     interior = mag[1:-1, 1:-1]
     neighbors = np.stack([
         mag[:-2, 1:-1], mag[2:, 1:-1], mag[1:-1, :-2], mag[1:-1, 2:],

@@ -18,7 +18,7 @@ import numpy as np
 from .chain_core import ChainConfig, WaveState, validate_config
 from .errors import DegenerateData, EmptyScan, SingularBoundaryMatrix
 from .timesim import SimOptions, simulate_wave
-from .transfer_matrix import DetPair
+from .transfer_matrix import DetPair, propagate
 
 __all__ = [
     "transfer_value",
@@ -39,51 +39,21 @@ def _require_right_half_plane(lam: complex) -> complex:
     return lam
 
 
-def _closure_entries(cfg: ChainConfig, lam):
-    """Rows of the transfer closure, vectorized over lam.
-
-    Row 1 is (0, 1) applied to the backward edge-0 exponential (Neumann
-    input row); row 2 is (1, 0) applied to the forward product over
-    edges N-1 .. 1 (identity for a single edge).
-    """
-    lam = np.asarray(lam, dtype=complex)
-    c = cfg.wave_speeds
-    z0 = lam / c[0]
-    r1a = -c[0] * np.sinh(z0)
-    r1b = np.cosh(z0)
-    q00 = np.ones_like(lam)
-    q01 = np.zeros_like(lam)
-    q10 = np.zeros_like(lam)
-    q11 = np.ones_like(lam)
-    for k in range(cfg.n_edges - 1, 0, -1):
-        zk = lam / c[k]
-        ch, sh = np.cosh(zk), np.sinh(zk)
-        e00, e01, e10, e11 = ch, sh / c[k], c[k] * sh, ch
-        q00, q01, q10, q11 = (
-            q00 * e00 + q01 * e10,
-            q00 * e01 + q01 * e11,
-            q10 * e00 + q11 * e10,
-            q10 * e01 + q11 * e11,
-        )
-    return r1a, r1b, q00, q01, q10, q11
-
-
 def transfer_values(cfg: ChainConfig, lam, z: complex = 1.0):
-    """Vectorized transfer values over an array of lam with Re lam > 0."""
+    """Vectorized transfer values over an array of lam with Re lam > 0.
+
+    The value is -z P01 / P00 for the full wave product P; (1, 0) and
+    (0, 1) are propagated together for the two entries of its first row.
+    """
     validate_config(cfg)
     lam = np.asarray(lam, dtype=complex)
     if np.any(lam.real <= 0.0):
         raise ValueError("transfer function is evaluated on Re lam > 0")
-    r1a, r1b, q00, q01, _, _ = _closure_entries(cfg, lam)
-    det = r1a * q01 - r1b * q00
-    if np.any(np.abs(det) < 1e-14):
+    starts = np.eye(2).reshape((2, 2) + (1,) * lam.ndim)
+    (p00, p01), _ = propagate(cfg, lam, "wave", starts)
+    if np.any(np.abs(p00) < 1e-14):
         raise SingularBoundaryMatrix("transfer closure numerically singular")
-    f0_1 = q01 * z / det
-    f0_2 = -q00 * z / det
-    c0 = cfg.wave_speeds[0]
-    z0 = lam / c0
-    w00 = np.cosh(z0) * f0_1 - np.sinh(z0) / c0 * f0_2
-    return w00
+    return -z * p01 / p00
 
 
 def transfer_value(cfg: ChainConfig, lam: complex, z: complex = 1.0) -> complex:
@@ -95,15 +65,13 @@ def transfer_value(cfg: ChainConfig, lam: complex, z: complex = 1.0) -> complex:
 
 
 def transfer_det_pair(cfg: ChainConfig, lam) -> DetPair:
-    """Determinants of the transfer closure and its companion row swap."""
+    """Determinants of the transfer closure and its companion row swap.
+
+    They are (-P00, -P10) for the full wave product P: the start vector
+    (-1, 0) propagated over the chain.
+    """
     validate_config(cfg)
-    lam = np.asarray(lam, dtype=complex)
-    r1a, r1b, q00, q01, q10, q11 = _closure_entries(cfg, lam)
-    d = r1a * q01 - r1b * q00
-    dt = r1a * q11 - r1b * q10
-    if d.ndim == 0:
-        return DetPair(complex(d), complex(dt))
-    return DetPair(d, dt)
+    return DetPair(*propagate(cfg, lam, "wave", (-1, 0)))
 
 
 def transfer_gap_bound(cfg: ChainConfig, gamma: float) -> float:

@@ -1,15 +1,22 @@
-"""2x2 transfer-matrix machinery for the damped chain.
+"""The edge-propagator kernel of the damped chain.
 
-An edge of density rho propagates boundary data (value, flux) by the
-matrix exponential of lam * x * B^{-1}, where B = [[0, 1], [rho, 0]].
-Products of these exponentials, closed with the damped row at x = 0 and
-the clamped row at x = N, give the characteristic 2x2 matrix whose
-determinant controls invertibility of the whole boundary-value problem.
+Edge j carries boundary data (a, b) across its unit length by the
+unimodular matrix [[ch, s12], [s21, ch]] of `edge_entries`: for the wave
+chain exp(lam B^{-1}) with B = [[0, 1], [rho, 0]] acting on (value,
+flux), for the Schrodinger chain the fundamental system of
+rho u'' = i lam u acting on (u, rho u').  `propagate` pushes a start
+vector through edges 0..N-1, so the product P = E_{N-1} ... E_0 gives
+every characteristic function; the start vector picks which:
 
-All determinants here use the damped/clamped boundary rows.  The chain
-with one edge is closed directly at its two ends (no extra propagation
-factor), so the N = 1 determinant is cos(beta/c0) + i sin(beta/c0)/c0 on
-the imaginary axis; longer chains follow by the two-term recursion.
+* (1, 1), wave: the damped/clamped determinant pair (D, D~) of
+  `det_pair`, with Re(D conj(D~)) = 1 on the imaginary axis;
+* (1, i), Schrodinger: the closure whose first component vanishes at the
+  Schrodinger eigenvalues (`spectrum.char_det_schrodinger`);
+* (-1, 0), wave: the transfer-closure pair (-P00, -P10), and (1, 0) with
+  (0, 1) stacked: the transfer value -z P01 / P00 (`transfer_function`).
+
+`exp_hyp` and `boundary_matrices` use the same entries; `exp_osc` and
+`schrodinger_step` are the real-frequency trig forms of the resolvents.
 """
 
 from __future__ import annotations
@@ -25,6 +32,8 @@ from .errors import EmptyScan, NonPositiveBeta, NonPositiveDensity
 __all__ = [
     "Mat2C",
     "DetPair",
+    "edge_entries",
+    "propagate",
     "exp_osc",
     "exp_hyp",
     "boundary_matrices",
@@ -60,31 +69,53 @@ def exp_hyp(rho: float, lam: complex, x: float) -> Mat2C:
 
     Restricting lam to i*beta reproduces exp_osc entrywise.
     """
-    rho = _check_rho(rho)
-    c = np.sqrt(rho)
-    z = lam * x / c
-    ch, sh = np.cosh(z), np.sinh(z)
-    return np.array([[ch, sh / c], [c * sh, ch]], dtype=complex)
+    ch, s12, s21 = edge_entries(_check_rho(rho), lam * x, "wave")
+    return np.array([[ch, s12], [s21, ch]], dtype=complex)
 
 
-def _edge_exp(rho: float, lam: complex, x: float) -> Mat2C:
-    # exact trig path on the imaginary axis, hyperbolic otherwise
-    lam = complex(lam)
-    if lam.real == 0.0:
-        return exp_osc(rho, lam.imag, x)
-    return exp_hyp(rho, lam, x)
+def _sinhc(z: np.ndarray) -> np.ndarray:
+    """sinh(z)/z, stable through z = 0."""
+    z = np.asarray(z, dtype=complex)
+    small = np.abs(z) < 1e-8
+    safe = np.where(small, 1.0, z)
+    out = np.sinh(safe) / safe
+    return np.where(small, 1.0 + z * z / 6.0, out)
 
 
-def _interior_product(cfg: ChainConfig, lam: complex) -> Mat2C:
-    """Descending product of edge exponentials, edges N-1 down to 1.
+def edge_entries(rho: float, lam, kind: str):
+    """(ch, s12, s21) of one unit edge's propagator [[ch, s12], [s21, ch]] at lam.
 
-    Propagates data anchored at the right end of edge 0 to the clamped
-    end x = N.  Empty (identity) for a single edge.
+    kind "wave" propagates (value, flux) of the first-order wave system,
+    kind "schrodinger" propagates (u, rho u') of rho u'' = i lam u.  Both
+    matrices are unimodular and entire in lam.
     """
-    q = np.eye(2, dtype=complex)
-    for k in range(cfg.n_edges - 1, 0, -1):
-        q = q @ _edge_exp(cfg.densities[k], lam, 1.0)
-    return q
+    if kind == "wave":
+        c = np.sqrt(rho)
+        z = lam / c
+        ch, sh = np.cosh(z), np.sinh(z)
+        del z  # the products below reuse its buffer: one lam-sized array less at peak
+        return ch, sh / c, c * sh
+    if kind == "schrodinger":
+        m = np.sqrt(1j * lam / rho)
+        shc = _sinhc(m)
+        return np.cosh(m), shc / rho, rho * m * m * shc
+    raise ValueError(f"unknown kind {kind!r}")
+
+
+def propagate(cfg: ChainConfig, lam, kind: str, start):
+    """Push the start vector (a, b) through edges 0..N-1 at lam.
+
+    Returns (a, b) at x = N, broadcast over lam.  The components of
+    start may be arrays that broadcast against lam, so several start
+    vectors share one cosh/sinh evaluation per edge.  The caller
+    validates cfg.
+    """
+    lam = np.asarray(lam, dtype=complex)[()]  # a 0-d lam becomes a cheaper scalar
+    a, b = start
+    for rho in cfg.densities:
+        ch, s12, s21 = edge_entries(rho, lam, kind)
+        a, b = ch * a + s12 * b, s21 * a + ch * b
+    return a, b
 
 
 def boundary_matrices(cfg: ChainConfig, lam: complex) -> tuple[Mat2C, Mat2C]:
@@ -92,17 +123,16 @@ def boundary_matrices(cfg: ChainConfig, lam: complex) -> tuple[Mat2C, Mat2C]:
 
     Row 1 applies (1, -1) to the backward exponential on edge 0 (the
     damped condition v(0) = rho_0 u_x(0) transported to the anchor at
-    x = 1).  Row 2 applies (1, 0), respectively (0, 1) for H_tilde, to
-    the product of forward exponentials over edges 1..N-1, closing the
-    clamped condition at x = N.  For a single edge row 2 is (1, 0)
-    itself: the anchor already sits at the clamped end.
+    x = 1).  Row 2 is the first row, for H_tilde the second row, of the
+    product Q of forward exponentials over edges 1..N-1, closing the
+    clamped condition at x = N.  For a single edge Q is the identity:
+    the anchor already sits at the clamped end.
     """
     validate_config(cfg)
-    row1 = np.array([1.0, -1.0], dtype=complex) @ _edge_exp(cfg.densities[0], lam, -1.0)
-    q = _interior_product(cfg, lam)
-    h = np.array([row1, q[0, :]])
-    h_tilde = np.array([row1, q[1, :]])
-    return h, h_tilde
+    row1 = np.array([1.0, -1.0], dtype=complex) @ exp_hyp(cfg.densities[0], lam, -1.0)
+    # propagating both unit vectors gives Q's rows as the stacked components
+    q0, q1 = propagate(ChainConfig(cfg.densities[1:]), lam, "wave", np.eye(2))
+    return np.array([row1, q0]), np.array([row1, q1])
 
 
 @dataclass
@@ -121,28 +151,19 @@ class DetPair:
         """Re(D * conj(D_tilde)); equals 1 on the imaginary axis."""
         return (self.d * np.conj(self.d_tilde)).real
 
+    def __post_init__(self):
+        if np.ndim(self.d) == 0:
+            self.d, self.d_tilde = complex(self.d), complex(self.d_tilde)
+
 
 def det_pair(cfg: ChainConfig, lam) -> DetPair:
-    """(D_{N-1}, D~_{N-1}) by the two-term recursion over the edges.
+    """(D_{N-1}, D~_{N-1}): the start vector (1, 1) propagated over the chain.
 
-    lam may be a scalar or an ndarray of complex frequencies; the
-    recursion broadcasts.  Agrees with the determinants of
-    boundary_matrices for every lam.
+    lam may be a scalar or an ndarray of complex frequencies.  Agrees
+    with the determinants of boundary_matrices for every lam.
     """
     validate_config(cfg)
-    lam = np.asarray(lam, dtype=complex)
-    c = cfg.wave_speeds
-    z0 = lam / c[0]
-    ch, sh = np.cosh(z0), np.sinh(z0)
-    d = ch + sh / c[0]
-    dt = ch + c[0] * sh
-    for n in range(1, cfg.n_edges):
-        zn = lam / c[n]
-        ch, sh = np.cosh(zn), np.sinh(zn)
-        d, dt = ch * d + (sh / c[n]) * dt, c[n] * sh * d + ch * dt
-    if d.ndim == 0:
-        return DetPair(complex(d), complex(dt))
-    return DetPair(d, dt)
+    return DetPair(*propagate(cfg, lam, "wave", (1, 1)))
 
 
 def analytic_gap_bound(cfg: ChainConfig) -> float:

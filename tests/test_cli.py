@@ -161,6 +161,12 @@ def test_resolvent_scan_bad_beta_grid_is_usage_error(mono_json, tmp_path, grid, 
     assert "usage error" in capsys.readouterr().err
 
 
+def test_far_left_spectrum_overflow_is_a_numerical_failure(chain_json, tmp_path, capsys):
+    assert run(["spectrum", "--config", chain_json, "--rect", "-820,-780,0,10",
+                "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("numerical failure: DeterminantOverflow")
+
+
 def test_jobs_env_not_an_integer_is_usage_error(mono_json, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("STRINGCHAIN_JOBS", "abc")
     assert run(["resolvent-scan", "--config", mono_json, "--betas", "5,20",
@@ -181,6 +187,12 @@ def test_manifest_bytes_repeat_and_timing_apart(mono_json, tmp_path):
     keys = {"command", "config", "options", "outputs", "seed", "version", "sup_abs"}
     assert keys <= set(manifest)
     assert json.loads((out / "timing.json").read_text())["wall_time_s"] >= 0.0
+    out = tmp_path / "decay"
+    args = ["decay", "--config", mono_json, "--T", "0.5", "--points", "40", "--out", str(out)]
+    assert run(args) == 0
+    first = (out / "run.json").read_bytes()
+    assert run(args) == 0
+    assert (out / "run.json").read_bytes() == first
 
 
 @pytest.mark.parametrize("argv", [
@@ -198,6 +210,12 @@ def test_manifest_bytes_repeat_and_timing_apart(mono_json, tmp_path):
     ["io-ratios", "--T", "nan"],
     ["spectrum", "--rect", "-1,0,0,1", "--grid", "8,8"],
     ["resolvent-scan", "--betas", "5", "--seed", "-1"],
+    ["decay", "--points", "1"],
+    ["decay", "--cfl", "0"],
+    ["io-ratios", "--cfl", "1.5"],
+    ["schrodinger-decay", "--points", "7"],
+    ["resolvent-scan", "--betas", "5", "--points", "1"],
+    ["schrodinger-scan", "--betas", "100", "--points", "1"],
 ])
 def test_rejected_option_values_are_usage_errors(chain_json, tmp_path, argv, capsys):
     # option values the library rejects or cannot use are caught before any work starts

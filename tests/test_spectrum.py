@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import stringchain as sc
-from stringchain.errors import EmptyScan, NoConvergence
+from stringchain.errors import DeterminantOverflow, EmptyScan, NoConvergence
 from stringchain.spectrum import count_roots_contour
 
 
@@ -141,6 +141,16 @@ def test_winding_number_counts_roots():
     assert count_roots_contour(cfg, (-0.5, -0.05, 0.3, 3.5), "wave") == 2
     eig = sc.find_eigenvalues(cfg, (-0.5, -0.05, 0.3, 3.5), "wave", grid=(32, 64), audit=True)
     assert eig.audit_count == len(eig.eigenvalues) == 2
+
+
+def test_far_left_overflow_is_flagged():
+    # cosh(lam / c_0) overflows for Re lam below about -710 c_0
+    cfg = sc.ChainConfig(densities=(1.0, 4.0))
+    rect = (-820.0, -780.0, 0.0, 10.0)
+    with pytest.raises(DeterminantOverflow):
+        count_roots_contour(cfg, rect, "wave")
+    with pytest.raises(DeterminantOverflow):
+        sc.find_eigenvalues(cfg, rect, "wave")
 
 
 def test_find_eigenvalues_grid_validation():

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 import stringchain as sc
 from stringchain.errors import EmptyScan, NonPositiveBeta, NonPositiveDensity
-from stringchain.transfer_matrix import analytic_gap_bound
+from stringchain.transfer_function import transfer_det_pair, transfer_values
+from stringchain.transfer_matrix import analytic_gap_bound, propagate
 
 
 def _det2(m):
@@ -191,3 +193,42 @@ def test_schrodinger_step_rejects_bad_beta():
         sc.schrodinger_step(1.0, 0.0)
     with pytest.raises(NonPositiveBeta):
         sc.schrodinger_step(1.0, -1.0)
+
+
+def _expm_product(densities, generator):
+    """E_{N-1} ... E_0 with each edge's propagator taken by scipy's expm."""
+    prod = np.eye(2, dtype=complex)
+    for rho in densities:
+        prod = expm(generator(rho)) @ prod
+    return prod
+
+
+def test_kernel_matches_expm_products():
+    # wave: exp(lam B^{-1}) with B = [[0, 1], [rho, 0]]; Schrodinger: the
+    # first-order form (u, rho u')' = [[0, 1/rho], [i lam, 0]] (u, rho u')
+    rng = np.random.default_rng(17)
+    worst = 0.0
+    for _ in range(300):
+        cfg = sc.ChainConfig(densities=tuple(rng.uniform(0.25, 4.0, int(rng.integers(1, 7)))))
+        lam = complex(rng.uniform(-3, 3), rng.uniform(-40, 40))
+        wave = _expm_product(cfg.densities, lambda r: lam * np.array([[0, 1 / r], [1, 0]]))
+        schr = _expm_product(cfg.densities, lambda r: np.array([[0, 1 / r], [1j * lam, 0]]))
+        pair = sc.det_pair(cfg, lam)
+        checks = [
+            (pair.d, wave[0, 0] + wave[0, 1]),
+            (pair.d_tilde, wave[1, 0] + wave[1, 1]),
+            (propagate(cfg, lam, "schrodinger", (1, 1j))[0], schr[0, 0] + 1j * schr[0, 1]),
+        ]
+        # the transfer closure lives on Re lam > 0
+        lam_r = complex(abs(lam.real) + 1e-3, lam.imag)
+        wave = _expm_product(cfg.densities, lambda r: lam_r * np.array([[0, 1 / r], [1, 0]]))
+        tpair = transfer_det_pair(cfg, lam_r)
+        checks += [
+            (tpair.d, -wave[0, 0]),
+            (tpair.d_tilde, -wave[1, 0]),
+            (complex(transfer_values(cfg, np.array([lam_r]), 0.5 - 2j)[0]),
+             -(0.5 - 2j) * wave[0, 1] / wave[0, 0]),
+        ]
+        for got, ref in checks:
+            worst = max(worst, abs(got - ref) / max(1.0, abs(ref)))
+    assert worst <= 1e-11
