@@ -12,6 +12,7 @@ import numpy as np
 
 import stringchain as sc
 from stringchain.chain_core import uniform_grids
+from stringchain.oracle import rel_l2_diff
 from stringchain.resolvent import random_probe, wave_resolvent_norm_scan
 
 cfg = sc.ChainConfig(densities=(1.0, 4.0, 9.0))
@@ -23,13 +24,7 @@ print(f"closed-form solve at beta = {beta}: residual {sol.residual:.2e}")
 ref = sc.fd_bvp_solve(cfg, 1j * beta,
                       random_probe(cfg, uniform_grids(cfg, 3001), seed=1, arity=2),
                       "wave", 3000)
-num = den = 0.0
-for j in range(cfg.n_edges):
-    xa = sol.W.grids[j]
-    vb = np.stack([np.interp(xa, ref.grids[j], ref.values[j][:, c]) for c in range(2)], axis=1)
-    num += np.trapezoid(np.sum(np.abs(sol.W.values[j] - vb) ** 2, axis=1), xa).real
-    den += np.trapezoid(np.sum(np.abs(sol.W.values[j]) ** 2, axis=1), xa).real
-print(f"relative L2 distance to the box-scheme oracle: {np.sqrt(num / den):.2e}")
+print(f"relative L2 distance to the box-scheme oracle: {rel_l2_diff(sol.W, ref):.2e}")
 
 print()
 print("norm estimates across three decades (probe lower bounds)")

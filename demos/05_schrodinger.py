@@ -13,6 +13,7 @@ import numpy as np
 
 import stringchain as sc
 from stringchain.chain_core import sample_function, smooth_bump, uniform_grids
+from stringchain.oracle import rel_l2_diff
 from stringchain.resolvent import random_probe, schrodinger_norm_scan
 from stringchain.timesim import SimOptions
 
@@ -49,10 +50,4 @@ cfg2 = sc.ChainConfig(densities=(1.0, 4.0))
 g = random_probe(cfg2, uniform_grids(cfg2, 1601), seed=2, arity=1)
 sol = sc.schrodinger_resolvent(cfg2, 100.0, g)
 ref = sc.fd_bvp_solve(cfg2, 100.0j, g, "schrodinger", 1600)
-num = den = 0.0
-for j in range(2):
-    xa = sol.u.grids[j]
-    vb = np.interp(xa, ref.grids[j], ref.values[j])
-    num += np.trapezoid(np.abs(sol.u.values[j] - vb) ** 2, xa).real
-    den += np.trapezoid(np.abs(sol.u.values[j]) ** 2, xa).real
-print(f"  relative L2 difference: {np.sqrt(num / den):.2e}")
+print(f"  relative L2 difference: {rel_l2_diff(sol.u, ref):.2e}")

@@ -17,6 +17,7 @@ import numpy as np
 from .errors import (
     ArityMismatch,
     EmptyChain,
+    EmptyScan,
     GridMismatch,
     NonPositiveDensity,
 )
@@ -28,6 +29,7 @@ __all__ = [
     "EnergyTrace",
     "validate_config",
     "uniform_grids",
+    "uniform_betas",
     "sample_function",
     "zeros_function",
     "sample_state",
@@ -181,6 +183,17 @@ def uniform_grids(cfg: ChainConfig, points_per_edge: int) -> list[np.ndarray]:
     if points_per_edge < 2:
         raise GridMismatch("need at least 2 points per edge")
     return [np.linspace(j, j + 1, points_per_edge) for j in range(cfg.n_edges)]
+
+
+def uniform_betas(beta_range: tuple[float, float], step: float) -> np.ndarray:
+    """lo to hi in step increments, hi included up to half a step; never empty."""
+    if step <= 0:
+        raise EmptyScan("step must be positive")
+    lo, hi = beta_range
+    betas = np.arange(lo, hi + 0.5 * step, step)
+    if betas.size == 0:
+        raise EmptyScan("empty beta range")
+    return betas
 
 
 def sample_function(cfg: ChainConfig, points_per_edge: int, fn, arity: int = 1) -> ChainFunction:

@@ -2,9 +2,12 @@
 
 Every subcommand reads the chain from a JSON config {"densities": [...]},
 writes its results as CSV next to a manifest.json that pins the exact
-inputs (command, options, seed) and a timing.json with the wall time,
-and prints a one-line summary.  Exit codes: 0 success, 1 validation
-failure, 2 numerical failure, 64 usage error, 65 config error.
+inputs (command, options with --out, seed) and a timing.json with the
+wall time, and prints a one-line summary; one runner, `run`, does this
+for all of them.  Option values are checked where they are declared,
+before any work.  Exit codes: 0 success, 1 validation failure, 2
+numerical failure (e.g. an overflowing determinant or transfer value),
+64 usage error, 65 config error.
 """
 
 from __future__ import annotations
@@ -18,20 +21,23 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import __version__
 from .chain_core import (
     ChainConfig,
+    l2_norm,
     sample_function,
     sample_state,
     smooth_bump,
+    uniform_betas,
     uniform_grids,
     validate_config,
 )
-from .errors import ChainError, ConfigError, UsageError
-from .oracle import fd_bvp_solve, oracle_transfer_value
+from .errors import ChainError, ConfigError, InsufficientDecay, UsageError
+from .oracle import fd_bvp_solve, oracle_transfer_value, rel_l2_diff, resample_load
 from .resolvent import (
     random_probe,
     schrodinger_norm_scan,
@@ -56,10 +62,6 @@ from .transfer_matrix import (
     exp_hyp,
     exp_osc,
 )
-from .chain_core import l2_norm
-from .errors import InsufficientDecay
-
-_G = "%.17g"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -67,27 +69,51 @@ class _Parser(argparse.ArgumentParser):
         super().__init__(*args, **kwargs)
         # values like "-2,0,0,30" (rectangles, beta lists) must parse as values
         self._negative_number_matcher = re.compile(r"^-\d[\d.,eE+\-]*$")
+        # (ok, message) checks that span several options, run once parsing is done;
+        # the message is formatted with the parsed options
+        self.checks = []
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        for ok, message in self.checks:
+            if not ok(namespace):
+                raise UsageError(message.format(**vars(namespace)))
+        return namespace, extras
 
     def error(self, message):
         raise UsageError(message)
 
 
-def _fmt(x) -> str:
-    return _G % x
+class _Done(NamedTuple):
+    """What a handler hands back to the runner."""
+
+    summary: str  # printed once manifest.json is written
+    outputs: tuple = ()  # the files the handler wrote, in manifest order
+    extra: Optional[dict] = None  # result fields the manifest records after the inputs
+    code: int = 0
 
 
-def _write_csv(path: Path, header, rows):
+def _write_table(path: Path, header, *columns) -> Path:
+    """CSV of the columns side by side, each number written as %.17g.
+
+    Moduli come as [abs(v) for v in z]: np.abs(z) may differ in the last bit.
+    """
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows(rows)
+        writer.writerows(["%.17g" % v for v in row] for row in zip(*columns))
+    return path
+
+
+def _write_json(path: Path, data) -> Path:
+    with open(path, "w") as fh:
+        json.dump(data, fh, indent=2, default=str)
+    return path
 
 
 def _load_config(path: str) -> ChainConfig:
     try:
-        with open(path) as fh:
-            cfg = ChainConfig.from_json(fh.read())
-        return validate_config(cfg)
+        return validate_config(ChainConfig.from_json(Path(path).read_text()))
     except (OSError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"cannot load config {path}: {exc}") from exc
     except ChainError as exc:
@@ -106,399 +132,247 @@ def _jobs(args) -> int:
     return os.cpu_count() or 1
 
 
-def _manifest(args, cfg: ChainConfig, outputs, started, extra=None):
+def _manifest(args, cfg: ChainConfig, out: Path, done: _Done, started: float) -> None:
     """Write manifest.json (inputs and results only, so equal runs give equal
     bytes) and timing.json (the wall time) into the output directory."""
     options = {
         k: v
         for k, v in sorted(vars(args).items())
-        if k not in ("func", "config") and not callable(v)
+        if k != "config" and not callable(v)  # the handler in "func" is callable
     }
     data = {
         "command": args.command,
         "config": {"densities": list(cfg.densities)},
         "options": options,
-        "outputs": [str(p) for p in outputs],
+        "outputs": [str(p) for p in done.outputs],
         "seed": getattr(args, "seed", 0),
         "version": __version__,
     }
-    if extra:
-        data.update(extra)
-    out = Path(args.out)
-    with open(out / "timing.json", "w") as fh:
-        json.dump({"wall_time_s": time.perf_counter() - started}, fh, indent=2)
-    path = out / "manifest.json"
-    with open(path, "w") as fh:
-        json.dump(data, fh, indent=2, default=str)
-    return path
+    data.update(done.extra or {})
+    _write_json(out / "timing.json", {"wall_time_s": time.perf_counter() - started})
+    _write_json(out / "manifest.json", data)
 
 
-def _parse_floats(text: str, count: int, what: str):
-    parts = [p for p in text.split(",") if p != ""]
-    if len(parts) != count:
-        raise UsageError(f"{what} needs {count} comma-separated numbers")
-    return [float(p) for p in parts]
+def _typed(parse, ok, need: str):
+    """argparse type: parse(text), a usage error unless it succeeds and ok(value)."""
+
+    def typed(text: str):
+        try:
+            value = parse(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be {need}, got {text!r}")
+
+    return typed
 
 
-def _require_positive(args, *names) -> None:
-    """Usage error unless each named option is > 0 (a NaN fails too)."""
-    for name in names:
-        value = getattr(args, name)
-        if not value > 0:
-            raise UsageError(f"--{name.replace('_', '-')} must be positive, got {value}")
+def _at_least(least: int):
+    return _typed(int, lambda v: v >= least, f"an integer >= {least}")
 
 
-def _require_points(args, least: int) -> None:
-    """Usage error unless --points, when given, is at least `least`."""
-    if args.points is not None and args.points < least:
-        raise UsageError(f"--points must be at least {least}, got {args.points}")
+class _Numbers(str):
+    """Comma-separated finite numbers: the text, which the manifest records, and `values`."""
+
+    def __new__(cls, text: str):
+        self = super().__new__(cls, text)
+        self.values = tuple(float(p) for p in text.split(",") if p != "")
+        if not self.values or not np.all(np.isfinite(self.values)):
+            raise ValueError(f"{text!r} is not a list of finite numbers")
+        return self
 
 
-def _require_cfl(args) -> None:
-    if not 0.0 < args.cfl <= 1.0:
-        raise UsageError(f"--cfl must be in (0, 1], got {args.cfl}")
+def _is_rect(values) -> bool:
+    re0, re1, im0, im1 = values  # a ValueError unless there are four
+    return re0 < re1 and im0 < im1
 
 
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
-    return value
-
-
-def _check_beta_range(args) -> None:
-    _require_positive(args, "step")
-    if not args.beta_max >= args.beta_min:
-        raise UsageError(f"--beta-max {args.beta_max} is below --beta-min {args.beta_min}")
-
-
-def _beta_range(args) -> np.ndarray:
-    """--beta-min to --beta-max in --step increments; never empty."""
-    _check_beta_range(args)
-    return np.arange(args.beta_min, args.beta_max + 0.5 * args.step, args.step)
+_positive = _typed(float, lambda v: v > 0, "a positive number")
+_finite = _typed(float, np.isfinite, "a finite number")
+_cfl = _typed(float, lambda v: 0 < v <= 1, "a number in (0, 1]")
+_betas = _typed(_Numbers, lambda v: True, "a comma-separated list of finite numbers")
+_rect = _typed(_Numbers, lambda v: _is_rect(v.values),
+               "re_min,re_max,im_min,im_max with re_min < re_max and im_min < im_max")
+_grid = _typed(_Numbers, lambda v: len(v.values) == 2 and min(v.values) >= 16,
+               "nx,ny with at least 16 x 16 points")
 
 
 def _beta_grid(args) -> np.ndarray:
-    if args.betas:
-        try:
-            return np.array([float(b) for b in args.betas.split(",")])
-        except ValueError:
-            raise UsageError(f"--betas {args.betas!r} is not a comma-separated list") from None
-    lo, hi, cnt = args.beta_min, args.beta_max, args.count
-    if cnt < 1:
-        raise UsageError(f"--count must be at least 1, got {cnt}")
-    if lo == 0 or hi == 0 or (lo < 0) != (hi < 0):
-        raise UsageError("log beta grid needs endpoints of one sign, away from 0")
+    """--betas if given, else --count log-spaced betas from --beta-min to --beta-max."""
+    if args.betas is not None:
+        return np.array(args.betas.values)
+    lo, hi = args.beta_min, args.beta_max
     sgn = 1.0 if lo > 0 else -1.0
-    return sgn * np.logspace(np.log10(abs(lo)), np.log10(abs(hi)), cnt)
+    return sgn * np.logspace(np.log10(abs(lo)), np.log10(abs(hi)), args.count)
 
 
-def _scan_chunk_wave(payload):
-    densities, betas, probes, points, seed = payload
-    cfg = ChainConfig(densities=tuple(densities))
-    return wave_resolvent_norm_scan(cfg, betas, probes, points_per_edge=points, seed=seed)
+def _scan_chunk(payload):
+    command, cfg, probes, points, seed, betas = payload
+    scan = wave_resolvent_norm_scan if command == "resolvent-scan" else schrodinger_norm_scan
+    return scan(cfg, betas, probes, points_per_edge=points, seed=seed)
 
 
-def _scan_chunk_schrodinger(payload):
-    densities, betas, probes, points, seed = payload
-    cfg = ChainConfig(densities=tuple(densities))
-    return schrodinger_norm_scan(cfg, betas, probes, points_per_edge=points, seed=seed)
-
-
-def _run_scan(worker, cfg, betas, probes, points, seed, jobs):
+def _run_scan(args, cfg):
+    """The norm scan of args.command over its betas, in chunks on a worker pool."""
+    betas = _beta_grid(args)
+    jobs = _jobs(args)
+    payload = (args.command, cfg, args.probes, args.points, args.seed)
     if jobs <= 1 or len(betas) < 2:
-        return worker((cfg.densities, list(betas), probes, points, seed))
+        return _scan_chunk((*payload, list(betas)))
     chunks = [list(c) for c in np.array_split(np.asarray(betas), min(jobs, len(betas)))]
-    payloads = [(cfg.densities, c, probes, points, seed) for c in chunks if c]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        results = list(pool.map(worker, payloads))
-    flat = [pt for chunk in results for pt in chunk]
-    return sorted(flat, key=lambda pt: pt.beta)
+        results = list(pool.map(_scan_chunk, [(*payload, c) for c in chunks if c]))
+    return sorted((pt for chunk in results for pt in chunk), key=lambda pt: pt.beta)
 
 
-def _cmd_spectrum(args) -> int:
-    started = time.perf_counter()
-    cfg = _load_config(args.config)
-    rect = tuple(_parse_floats(args.rect, 4, "--rect"))
-    grid = tuple(int(v) for v in _parse_floats(args.grid, 2, "--grid"))
-    if min(grid) < 16:
-        raise UsageError(f"--grid needs at least 16 x 16 points, got {args.grid}")
-    eig = find_eigenvalues(cfg, rect, args.which, grid=grid, tol=args.tol)
-    out = Path(args.out)
-    roots_csv = out / "roots.csv"
-    _write_csv(
-        roots_csv,
-        ["re", "im", "residual"],
-        [[_fmt(z.real), _fmt(z.imag), _fmt(r)] for z, r in zip(eig.eigenvalues, eig.residuals)],
-    )
-    summary = {
+def _cmd_spectrum(args, cfg, out) -> _Done:
+    grid = tuple(int(v) for v in args.grid.values)
+    eig = find_eigenvalues(cfg, args.rect.values, args.which, grid=grid, tol=args.tol)
+    roots_csv = _write_table(out / "roots.csv", ["re", "im", "residual"],
+                             eig.eigenvalues.real, eig.eigenvalues.imag, eig.residuals)
+    summary_json = _write_json(out / "spectrum_summary.json", {
         "abscissa": eig.abscissa,
         "count": int(eig.eigenvalues.size),
         "rect": list(eig.search_rect),
         "tol": args.tol,
         "failures": len(eig.failures),
-    }
-    summary_path = out / "spectrum_summary.json"
-    with open(summary_path, "w") as fh:
-        json.dump(summary, fh, indent=2)
-    _manifest(args, cfg, [roots_csv, summary_path], started)
-    print(
-        f"spectrum: {eig.eigenvalues.size} roots in rect {eig.search_rect}, "
-        f"abscissa = {eig.abscissa}, failures = {len(eig.failures)}"
-    )
-    if eig.failures:
-        for f in eig.failures:
-            print(f"  unrefined candidate near {f['start']}: residual {f['residual']:.3g}")
-        return 2
-    return 0
+    })
+    lines = [f"spectrum: {eig.eigenvalues.size} roots in rect {eig.search_rect}, "
+             f"abscissa = {eig.abscissa}, failures = {len(eig.failures)}"]
+    lines += [f"  unrefined candidate near {f['start']}: residual {f['residual']:.3g}"
+              for f in eig.failures]
+    return _Done("\n".join(lines), (roots_csv, summary_json), code=2 if eig.failures else 0)
 
 
-def _det_scan_rows(cfg, betas, stride):
-    betas = betas[::stride]
+def _write_det_scan(out: Path, cfg, which: str, betas) -> Path:
+    """det_scan.csv: D(i beta), and for the wave chain D~ and Re(D conj D~)."""
+    path = out / "det_scan.csv"
+    if which == "schrodinger":
+        d = char_det_schrodinger(cfg, 1j * betas)
+        return _write_table(path, ["beta", "re_D", "im_D", "abs_D"],
+                            betas, d.real, d.imag, [abs(v) for v in d])
     pair = det_pair(cfg, 1j * betas)
-    ident = pair.identity_value
-    rows = []
-    for i, b in enumerate(betas):
-        d, dt_ = pair.d[i], pair.d_tilde[i]
-        rows.append(
-            [_fmt(b), _fmt(d.real), _fmt(d.imag), _fmt(abs(d)),
-             _fmt(dt_.real), _fmt(dt_.imag), _fmt(ident[i])]
-        )
-    return rows
+    return _write_table(path, ["beta", "re_D", "im_D", "abs_D", "re_Dt", "im_Dt", "re_DDbar"],
+                        betas, pair.d.real, pair.d.imag, [abs(v) for v in pair.d],
+                        pair.d_tilde.real, pair.d_tilde.imag, pair.identity_value)
 
 
-def _cmd_gap(args) -> int:
-    started = time.perf_counter()
-    cfg = _load_config(args.config)
-    _check_beta_range(args)
-    _require_positive(args, "csv_stride")
+def _cmd_gap(args, cfg, out) -> _Done:
     gap = imaginary_axis_gap(cfg, args.which, (args.beta_min, args.beta_max), args.step)
-    out = Path(args.out)
-    outputs = []
-    betas = _beta_range(args)  # after the scan: held through it, it raises the peak memory
+    # the beta array is built after the scan: held through it, it raises the peak memory
+    betas = uniform_betas((args.beta_min, args.beta_max), args.step)
+    scan_csv = _write_det_scan(out, cfg, args.which, betas[:: args.csv_stride])
+    summary = f"gap: min |det| = {gap:.6g} over [{args.beta_min}, {args.beta_max}]"
     if args.which == "wave":
-        scan_csv = out / "det_scan.csv"
-        _write_csv(
-            scan_csv,
-            ["beta", "re_D", "im_D", "abs_D", "re_Dt", "im_Dt", "re_DDbar"],
-            _det_scan_rows(cfg, betas, args.csv_stride),
-        )
-        outputs.append(scan_csv)
-        bound = analytic_gap_bound(cfg)
-        print(f"gap: min |det| = {gap:.6g} over [{args.beta_min}, {args.beta_max}], "
-              f"analytic bound {bound:.6g}")
-    else:
-        scan_csv = out / "det_scan.csv"
-        vals = char_det_schrodinger(cfg, 1j * betas[:: args.csv_stride])
-        _write_csv(
-            scan_csv,
-            ["beta", "re_D", "im_D", "abs_D"],
-            [[_fmt(b), _fmt(v.real), _fmt(v.imag), _fmt(abs(v))]
-             for b, v in zip(betas[:: args.csv_stride], np.atleast_1d(vals))],
-        )
-        outputs.append(scan_csv)
-        print(f"gap: min |det| = {gap:.6g} over [{args.beta_min}, {args.beta_max}]")
-    _manifest(args, cfg, outputs, started, extra={"gap": gap})
-    return 0
+        summary += f", analytic bound {analytic_gap_bound(cfg):.6g}"
+    return _Done(summary, (scan_csv,), {"gap": gap})
 
 
-def _cmd_det_bound(args) -> int:
-    started = time.perf_counter()
-    cfg = _load_config(args.config)
-    betas = _beta_range(args)
-    _require_positive(args, "csv_stride")
+def _cmd_det_bound(args, cfg, out) -> _Done:
+    betas = uniform_betas((args.beta_min, args.beta_max), args.step)
     gamma_analytic, gamma_numeric = det_lower_bound(cfg, betas)
-    out = Path(args.out)
-    scan_csv = out / "det_scan.csv"
-    _write_csv(
-        scan_csv,
-        ["beta", "re_D", "im_D", "abs_D", "re_Dt", "im_Dt", "re_DDbar"],
-        _det_scan_rows(cfg, betas, args.csv_stride),
-    )
-    _manifest(args, cfg, [scan_csv], started,
-              extra={"gamma_analytic": gamma_analytic, "gamma_numeric": gamma_numeric})
+    scan_csv = _write_det_scan(out, cfg, "wave", betas[:: args.csv_stride])
     ok = gamma_numeric >= gamma_analytic - 1e-9
-    print(f"det-bound: gamma_numeric = {gamma_numeric:.6g}, gamma_analytic = {gamma_analytic:.6g} "
-          f"({'ok' if ok else 'VIOLATED'})")
-    return 0 if ok else 1
-
-
-def _cmd_resolvent_scan(args) -> int:
-    started = time.perf_counter()
-    cfg = _load_config(args.config)
-    _require_positive(args, "probes")
-    _require_points(args, 2)
-    betas = _beta_grid(args)
-    points = _run_scan(_scan_chunk_wave, cfg, betas, args.probes, args.points, args.seed, _jobs(args))
-    out = Path(args.out)
-    scan_csv = out / "resolvent_scan.csv"
-    _write_csv(
-        scan_csv,
-        ["beta", "norm_estimate", "probes", "residual_max"],
-        [[_fmt(p.beta), _fmt(p.norm_estimate), p.probes, _fmt(p.residual_max)] for p in points],
+    return _Done(
+        f"det-bound: gamma_numeric = {gamma_numeric:.6g}, gamma_analytic = {gamma_analytic:.6g} "
+        f"({'ok' if ok else 'VIOLATED'})",
+        (scan_csv,),
+        {"gamma_analytic": gamma_analytic, "gamma_numeric": gamma_numeric},
+        0 if ok else 1,
     )
-    _manifest(args, cfg, [scan_csv], started)
+
+
+def _cmd_scan(args, cfg, out) -> _Done:
+    """resolvent-scan (wave) and schrodinger-scan: norm estimates over beta."""
+    points = _run_scan(args, cfg)
+    rows = [(p.beta, p.norm_estimate, p.probes, p.residual_max) for p in points]
+    scan_csv = _write_table(out / (args.command.replace("-", "_") + ".csv"),
+                            ["beta", "norm_estimate", "probes", "residual_max"], *zip(*rows))
     ests = [p.norm_estimate for p in points]
-    print(f"resolvent-scan: {len(points)} frequencies, estimates in "
-          f"[{min(ests):.4g}, {max(ests):.4g}]")
-    return 0
+    return _Done(f"{args.command}: {len(points)} frequencies, estimates in "
+                 f"[{min(ests):.4g}, {max(ests):.4g}]", (scan_csv,))
 
 
-def _cmd_schrodinger_scan(args) -> int:
-    started = time.perf_counter()
-    cfg = _load_config(args.config)
-    _require_positive(args, "probes")
-    _require_points(args, 2)
-    betas = _beta_grid(args)
-    points = _run_scan(_scan_chunk_schrodinger, cfg, betas, args.probes, args.points,
-                       args.seed, _jobs(args))
-    out = Path(args.out)
-    scan_csv = out / "schrodinger_scan.csv"
-    _write_csv(
-        scan_csv,
-        ["beta", "norm_estimate", "probes", "residual_max"],
-        [[_fmt(p.beta), _fmt(p.norm_estimate), p.probes, _fmt(p.residual_max)] for p in points],
-    )
-    _manifest(args, cfg, [scan_csv], started)
-    ests = [p.norm_estimate for p in points]
-    print(f"schrodinger-scan: {len(points)} frequencies, estimates in "
-          f"[{min(ests):.4g}, {max(ests):.4g}]")
-    return 0
-
-
-def _cmd_transfer_scan(args) -> int:
-    started = time.perf_counter()
-    cfg = _load_config(args.config)
-    _require_positive(args, "gamma")
-    betas = _beta_range(args)
+def _cmd_transfer_scan(args, cfg, out) -> _Done:
+    betas = uniform_betas((args.beta_min, args.beta_max), args.step)
     vals = transfer_values(cfg, args.gamma + 1j * betas)
-    out = Path(args.out)
-    scan_csv = out / "transfer_scan.csv"
-    _write_csv(
-        scan_csv,
-        ["gamma", "beta", "re_H", "im_H", "abs_H"],
-        [[_fmt(args.gamma), _fmt(b), _fmt(v.real), _fmt(v.imag), _fmt(abs(v))]
-         for b, v in zip(betas, vals)],
-    )
+    scan_csv = _write_table(out / "transfer_scan.csv", ["gamma", "beta", "re_H", "im_H", "abs_H"],
+                            np.full(betas.size, args.gamma), betas, vals.real, vals.imag,
+                            [abs(v) for v in vals])
     k = int(np.argmax(np.abs(vals)))
-    _manifest(args, cfg, [scan_csv], started,
-              extra={"sup_abs": float(abs(vals[k])), "argmax_beta": float(betas[k])})
-    print(f"transfer-scan: sup |H| = {abs(vals[k]):.6g} at beta = {betas[k]:.6g} "
-          f"on Re lam = {args.gamma}")
-    return 0
+    return _Done(
+        f"transfer-scan: sup |H| = {abs(vals[k]):.6g} at beta = {betas[k]:.6g} "
+        f"on Re lam = {args.gamma}",
+        (scan_csv,),
+        {"sup_abs": float(abs(vals[k])), "argmax_beta": float(betas[k])},
+    )
 
 
-def _cmd_decay(args) -> int:
-    started = time.perf_counter()
-    cfg = _load_config(args.config)
-    _require_positive(args, "T", "stride")
-    _require_points(args, 8)
-    _require_cfl(args)
+def _write_decay(args, cfg, out, trace, option_names, **results):
+    """Fit the decay rate, write energy.csv and run.json; returns (rate note, outputs)."""
+    try:
+        omega = fit_decay_rate(trace)
+    except InsufficientDecay:
+        omega = None
+    energy_csv = out / "energy.csv"
+    trace.to_csv(energy_csv)
+    run_json = _write_json(out / "run.json", {
+        "config": {"densities": list(cfg.densities)},
+        "options": {name: getattr(args, name) for name in option_names},
+        "fitted_rate": omega,
+        **results,
+    })
+    note = "" if omega is None else f", fitted rate = {omega:.4g}"
+    return note, (energy_csv, run_json)
+
+
+def _cmd_decay(args, cfg, out) -> _Done:
     opts = SimOptions(points_per_edge=args.points, T=args.T, cfl=args.cfl,
                       record_stride=args.stride)
     init = sample_state(cfg, args.points, smooth_bump)
     trace, _ = simulate_wave(cfg, init, opts, mode="damped")
-    try:
-        omega = fit_decay_rate(trace)
-        trace.fitted_rate = omega
-    except InsufficientDecay:
-        omega = None
-    out = Path(args.out)
-    energy_csv = out / "energy.csv"
-    trace.to_csv(energy_csv)
     e0 = trace.energies[0]
     below = trace.times[trace.energies <= 1e-6 * e0]
     extinction = float(below[0]) if below.size else None
-    run_json = out / "run.json"
-    with open(run_json, "w") as fh:
-        json.dump(
-            {
-                "config": {"densities": list(cfg.densities)},
-                "options": {"points": args.points, "T": args.T, "cfl": args.cfl,
-                            "stride": args.stride},
-                "fitted_rate": omega,
-                "extinction_time": extinction,
-            },
-            fh,
-            indent=2,
-        )
-    _manifest(args, cfg, [energy_csv, run_json], started)
-    msg = f"decay: E(0) = {e0:.6g}, E(T)/E(0) = {trace.energies[-1] / e0:.3e}"
-    if omega is not None:
-        msg += f", fitted rate = {omega:.4g}"
+    note, outputs = _write_decay(args, cfg, out, trace, ("points", "T", "cfl", "stride"),
+                                 extinction_time=extinction)
+    msg = f"decay: E(0) = {e0:.6g}, E(T)/E(0) = {trace.energies[-1] / e0:.3e}{note}"
     if extinction is not None:
         msg += f", extinction by t = {extinction:.3g}"
-    print(msg)
-    return 0
+    return _Done(msg, outputs)
 
 
-def _cmd_schrodinger_decay(args) -> int:
-    started = time.perf_counter()
-    cfg = _load_config(args.config)
-    _require_positive(args, "T", "dt")
-    _require_points(args, 8)
+def _cmd_schrodinger_decay(args, cfg, out) -> _Done:
     opts = SimOptions(points_per_edge=args.points, T=args.T, dt=args.dt)
     init = sample_function(cfg, args.points, smooth_bump)
     trace, _ = simulate_schrodinger(cfg, init, opts)
-    try:
-        omega = fit_decay_rate(trace)
-        trace.fitted_rate = omega
-    except InsufficientDecay:
-        omega = None
-    out = Path(args.out)
-    energy_csv = out / "energy.csv"
-    trace.to_csv(energy_csv)
-    run_json = out / "run.json"
     balance = abs(trace.energies[0] - trace.energies[-1] - trace.boundary_flux[-1])
-    with open(run_json, "w") as fh:
-        json.dump(
-            {
-                "config": {"densities": list(cfg.densities)},
-                "options": {"points": args.points, "T": args.T, "dt": args.dt},
-                "fitted_rate": omega,
-                "flux_balance_defect": balance,
-            },
-            fh,
-            indent=2,
-        )
-    _manifest(args, cfg, [energy_csv, run_json], started)
-    msg = (f"schrodinger-decay: E(T)/E(0) = {trace.energies[-1] / trace.energies[0]:.3e}, "
-           f"flux balance defect = {balance:.3e}")
-    if omega is not None:
-        msg += f", fitted rate = {omega:.4g}"
-    print(msg)
-    return 0
+    note, outputs = _write_decay(args, cfg, out, trace, ("points", "T", "dt"),
+                                 flux_balance_defect=balance)
+    return _Done(f"schrodinger-decay: E(T)/E(0) = {trace.energies[-1] / trace.energies[0]:.3e}, "
+                 f"flux balance defect = {balance:.3e}{note}", outputs)
 
 
-def _cmd_io_ratios(args) -> int:
-    started = time.perf_counter()
-    cfg = _load_config(args.config)
-    _require_positive(args, "T")
-    _require_points(args, 8)
-    _require_cfl(args)
+def _cmd_io_ratios(args, cfg, out) -> _Done:
     opts = SimOptions(points_per_edge=args.points, T=args.T, cfl=args.cfl)
     adm = admissibility_ratio(cfg, lambda t: np.sin(2.0 * np.pi * t), args.T, opts)
 
     def mode0(x):
-        out = np.where(x <= 1.0, np.cos(0.5 * np.pi * np.clip(x, 0.0, 1.0)), 0.0)
-        return out.astype(complex)
+        y = np.where(x <= 1.0, np.cos(0.5 * np.pi * np.clip(x, 0.0, 1.0)), 0.0)
+        return y.astype(complex)
 
     state = sample_state(cfg, args.points, mode0)
     obs = observability_ratio(cfg, state, args.T, opts)
-    out = Path(args.out)
-    ratios_json = out / "io_ratios.json"
     payload = {
         "admissibility_ratio": adm,
         "observability_ratio": obs,
         "round_trip_time": round_trip_time(cfg),
         "T": args.T,
     }
-    with open(ratios_json, "w") as fh:
-        json.dump(payload, fh, indent=2)
-    _manifest(args, cfg, [ratios_json], started)
-    print(f"io-ratios: admissibility = {adm:.6g}, observability = {obs:.6g}, "
-          f"round trip = {payload['round_trip_time']:.4g}")
-    return 0
+    ratios_json = _write_json(out / "io_ratios.json", payload)
+    return _Done(f"io-ratios: admissibility = {adm:.6g}, observability = {obs:.6g}, "
+                 f"round trip = {payload['round_trip_time']:.4g}", (ratios_json,))
 
 
 def _verify_checks(cfg: ChainConfig, seed: int):
@@ -526,23 +400,22 @@ def _verify_checks(cfg: ChainConfig, seed: int):
         worst = max(worst, float(np.max(np.abs(exp_hyp(rho, 1j * beta, x) - exp_osc(rho, beta, x)))))
     yield "hyperbolic/oscillatory continuation", worst <= 1e-13, f"max |err| = {worst:.2e}"
 
-    betas_scan = np.arange(-50.0, 50.0 + 5e-4, 1e-3)
-    ga, gn = det_lower_bound(cfg, betas_scan)
+    ga, gn = det_lower_bound(cfg, uniform_betas((-50.0, 50.0), 1e-3))
     yield "axis gap above analytic bound", gn >= ga - 1e-9 and gn > 0, \
         f"numeric {gn:.4g} vs analytic {ga:.4g}"
 
     grids = uniform_grids(cfg, 801)
     g = random_probe(cfg, grids, seed=[seed, 1], arity=2)
     sol = wave_resolvent(cfg, 3.0, g)
-    ref = fd_bvp_solve(cfg, 3.0j, _resample_vector(cfg, g, 1200), "wave", 1200)
-    diff = _vector_rel_diff(cfg, sol.W, ref)
+    ref = fd_bvp_solve(cfg, 3.0j, resample_load(cfg, g, 1200), "wave", 1200)
+    diff = rel_l2_diff(sol.W, ref)
     yield "wave resolvent vs box oracle", diff <= 0.02 and sol.residual <= 1e-3, \
         f"rel diff = {diff:.2e}, residual = {sol.residual:.2e}"
 
     gs = random_probe(cfg, uniform_grids(cfg, 1601), seed=[seed, 2], arity=1)
     sol_s = schrodinger_resolvent(cfg, 17.0, gs)
     ref_s = fd_bvp_solve(cfg, 17.0j, gs, "schrodinger", 1600)
-    diff_s = _scalar_rel_diff(sol_s.u, ref_s)
+    diff_s = rel_l2_diff(sol_s.u, ref_s)
     yield "schrodinger resolvent vs fd oracle", diff_s <= 0.02, f"rel diff = {diff_s:.2e}"
 
     gneg = random_probe(cfg, uniform_grids(cfg, 801), seed=[seed, 3], arity=1)
@@ -558,64 +431,32 @@ def _verify_checks(cfg: ChainConfig, seed: int):
     yield "transfer value vs fd oracle", rel <= 0.01, f"rel diff = {rel:.2e}"
 
 
-def _resample_vector(cfg, g, m):
-    """Linear resample of a 2-vector load onto the oracle's m-cell grid."""
-    grids = [np.linspace(j, j + 1, m + 1) for j in range(cfg.n_edges)]
-    values = []
-    for j in range(cfg.n_edges):
-        x_old = g.grids[j]
-        comp = [np.interp(grids[j], x_old, g.values[j][:, c]) for c in range(2)]
-        values.append(np.stack(comp, axis=1))
-    from .chain_core import ChainFunction
-
-    return ChainFunction(grids, values)
-
-
-def _vector_rel_diff(cfg, a, b):
-    num = 0.0
-    den = 0.0
-    for j in range(cfg.n_edges):
-        xa = a.grids[j]
-        va = a.values[j]
-        vb = np.stack(
-            [np.interp(xa, b.grids[j], b.values[j][:, c]) for c in range(2)], axis=1
-        )
-        num += float(np.trapezoid(np.sum(np.abs(va - vb) ** 2, axis=1), xa))
-        den += float(np.trapezoid(np.sum(np.abs(va) ** 2, axis=1), xa))
-    return np.sqrt(num / den)
-
-
-def _scalar_rel_diff(a, b):
-    num = 0.0
-    den = 0.0
-    for j in range(len(a.grids)):
-        xa = a.grids[j]
-        vb = np.interp(xa, b.grids[j], b.values[j])
-        num += float(np.trapezoid(np.abs(a.values[j] - vb) ** 2, xa))
-        den += float(np.trapezoid(np.abs(a.values[j]) ** 2, xa))
-    return np.sqrt(num / den)
-
-
-def _cmd_verify(args) -> int:
-    started = time.perf_counter()
-    cfg = _load_config(args.config)
-    all_ok = True
+def _cmd_verify(args, cfg, out) -> _Done:
     results = []
     for name, ok, detail in _verify_checks(cfg, args.seed):
         print(f"{'PASS' if ok else 'FAIL'}  {name} ({detail})")
         results.append({"name": name, "ok": bool(ok), "detail": detail})
-        all_ok &= bool(ok)
-    _manifest(args, cfg, [], started, extra={"checks": results, "all_ok": bool(all_ok)})
-    print(f"verify: {'all checks passed' if all_ok else 'FAILURES present'}")
-    return 0 if all_ok else 1
+    all_ok = all(r["ok"] for r in results)
+    return _Done(f"verify: {'all checks passed' if all_ok else 'FAILURES present'}", (),
+                 {"checks": results, "all_ok": all_ok}, 0 if all_ok else 1)
 
 
-def _add_common(p):
+def _subcommand(sub, name: str, help_: str, handler) -> _Parser:
+    p = sub.add_parser(name, help=help_)
     p.add_argument("--config", required=True, help="JSON file {\"densities\": [...]}")
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--seed", type=_nonnegative_int, default=0)
-    p.add_argument("--jobs", type=int, default=None,
-                   help="worker pool size (env STRINGCHAIN_JOBS overrides)")
+    p.add_argument("--seed", type=_at_least(0), default=0)
+    p.add_argument("--jobs", type=int, help="worker pool size (env STRINGCHAIN_JOBS overrides)")
+    p.set_defaults(func=handler)
+    return p
+
+
+def _add_beta_range(p, beta_min: float, beta_max: float, step: float) -> None:
+    p.add_argument("--beta-min", type=_finite, default=beta_min)
+    p.add_argument("--beta-max", type=_finite, default=beta_max)
+    p.add_argument("--step", type=_positive, default=step)
+    p.checks.append((lambda a: a.beta_max >= a.beta_min,
+                     "--beta-max {beta_max} is below --beta-min {beta_min}"))
 
 
 def _build_parser() -> _Parser:
@@ -623,99 +464,74 @@ def _build_parser() -> _Parser:
                      description="Spectral and time-domain analysis of a damped chain of strings")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("spectrum", help="locate eigenvalues in a rectangle")
-    _add_common(p)
-    p.add_argument("--rect", required=True, help="re_min,re_max,im_min,im_max")
-    p.add_argument("--which", choices=("wave", "schrodinger"), default="wave")
-    p.add_argument("--grid", default="64,64", help="nx,ny scan resolution")
+    p = _subcommand(sub, "spectrum", "locate eigenvalues in a rectangle", _cmd_spectrum)
+    p.add_argument("--rect", type=_rect, required=True, help="re_min,re_max,im_min,im_max")
+    p.add_argument("--grid", type=_grid, default="64,64", help="nx,ny scan resolution")
     p.add_argument("--tol", type=float, default=1e-10)
-    p.set_defaults(func=_cmd_spectrum)
 
-    p = sub.add_parser("gap", help="minimum |det| on the imaginary axis")
-    _add_common(p)
-    p.add_argument("--which", choices=("wave", "schrodinger"), default="wave")
-    p.add_argument("--beta-min", type=float, default=-200.0)
-    p.add_argument("--beta-max", type=float, default=200.0)
-    p.add_argument("--step", type=float, default=1e-3)
-    p.add_argument("--csv-stride", type=int, default=100)
-    p.set_defaults(func=_cmd_gap)
+    for name, help_, handler in (
+        ("gap", "minimum |det| on the imaginary axis", _cmd_gap),
+        ("det-bound", "analytic vs numeric determinant lower bound", _cmd_det_bound),
+    ):
+        p = _subcommand(sub, name, help_, handler)
+        _add_beta_range(p, -200.0, 200.0, 1e-3)
+        p.add_argument("--csv-stride", type=_at_least(1), default=100)
+    for name in ("spectrum", "gap"):
+        sub.choices[name].add_argument("--which", choices=("wave", "schrodinger"), default="wave")
 
-    p = sub.add_parser("det-bound", help="analytic vs numeric determinant lower bound")
-    _add_common(p)
-    p.add_argument("--beta-min", type=float, default=-200.0)
-    p.add_argument("--beta-max", type=float, default=200.0)
-    p.add_argument("--step", type=float, default=1e-3)
-    p.add_argument("--csv-stride", type=int, default=100)
-    p.set_defaults(func=_cmd_det_bound)
+    for name, help_, beta_min, count in (
+        ("resolvent-scan", "wave resolvent norm estimates over beta", 10.0, 40),
+        ("schrodinger-scan", "Schrodinger resolvent estimates over beta", 100.0, 20),
+    ):
+        p = _subcommand(sub, name, help_, _cmd_scan)
+        p.add_argument("--betas", type=_betas, help="explicit comma-separated betas")
+        p.add_argument("--beta-min", type=_finite, default=beta_min)
+        p.add_argument("--beta-max", type=_finite, default=1e4)
+        p.add_argument("--count", type=_at_least(1), default=count)
+        p.add_argument("--probes", type=_at_least(1), default=8)
+        p.add_argument("--points", type=_at_least(2), help="points per edge (default: auto)")
+        p.checks.append((lambda a: a.betas is not None or min(a.beta_min, a.beta_max) > 0
+                         or max(a.beta_min, a.beta_max) < 0,
+                         "log beta grid needs endpoints of one sign, away from 0"))
 
-    p = sub.add_parser("resolvent-scan", help="wave resolvent norm estimates over beta")
-    _add_common(p)
-    p.add_argument("--betas", default=None, help="explicit comma-separated betas")
-    p.add_argument("--beta-min", type=float, default=10.0)
-    p.add_argument("--beta-max", type=float, default=1e4)
-    p.add_argument("--count", type=int, default=40)
-    p.add_argument("--probes", type=int, default=8)
-    p.add_argument("--points", type=int, default=None, help="points per edge (default: auto)")
-    p.set_defaults(func=_cmd_resolvent_scan)
+    p = _subcommand(sub, "transfer-scan", "|H| on a vertical line Re lam = gamma",
+                    _cmd_transfer_scan)
+    p.add_argument("--gamma", type=_positive, default=1.0)
+    _add_beta_range(p, -50.0, 50.0, 0.01)
 
-    p = sub.add_parser("schrodinger-scan", help="Schrodinger resolvent estimates over beta")
-    _add_common(p)
-    p.add_argument("--betas", default=None)
-    p.add_argument("--beta-min", type=float, default=100.0)
-    p.add_argument("--beta-max", type=float, default=1e4)
-    p.add_argument("--count", type=int, default=20)
-    p.add_argument("--probes", type=int, default=8)
-    p.add_argument("--points", type=int, default=None)
-    p.set_defaults(func=_cmd_schrodinger_scan)
+    p = _subcommand(sub, "decay", "damped wave run with decay fit", _cmd_decay)
+    p.add_argument("--T", type=_positive, default=20.0)
+    p.add_argument("--points", type=_at_least(8), default=2000)
+    p.add_argument("--cfl", type=_cfl, default=0.5)
+    p.add_argument("--stride", type=_at_least(1), default=1)
 
-    p = sub.add_parser("transfer-scan", help="|H| on a vertical line Re lam = gamma")
-    _add_common(p)
-    p.add_argument("--gamma", type=float, default=1.0)
-    p.add_argument("--beta-min", type=float, default=-50.0)
-    p.add_argument("--beta-max", type=float, default=50.0)
-    p.add_argument("--step", type=float, default=0.01)
-    p.set_defaults(func=_cmd_transfer_scan)
+    p = _subcommand(sub, "schrodinger-decay", "Crank-Nicolson run with decay fit",
+                    _cmd_schrodinger_decay)
+    p.add_argument("--T", type=_positive, default=5.0)
+    p.add_argument("--points", type=_at_least(8), default=600)
+    p.add_argument("--dt", type=_positive, default=1e-3)
 
-    p = sub.add_parser("decay", help="damped wave run with decay fit")
-    _add_common(p)
-    p.add_argument("--T", type=float, default=20.0)
-    p.add_argument("--points", type=int, default=2000)
-    p.add_argument("--cfl", type=float, default=0.5)
-    p.add_argument("--stride", type=int, default=1)
-    p.set_defaults(func=_cmd_decay)
+    p = _subcommand(sub, "io-ratios", "admissibility and observability ratios", _cmd_io_ratios)
+    p.add_argument("--T", type=_positive, default=4.0)
+    p.add_argument("--points", type=_at_least(8), default=800)
+    p.add_argument("--cfl", type=_cfl, default=0.5)
 
-    p = sub.add_parser("schrodinger-decay", help="Crank-Nicolson run with decay fit")
-    _add_common(p)
-    p.add_argument("--T", type=float, default=5.0)
-    p.add_argument("--points", type=int, default=600)
-    p.add_argument("--dt", type=float, default=1e-3)
-    p.set_defaults(func=_cmd_schrodinger_decay)
-
-    p = sub.add_parser("io-ratios", help="admissibility and observability ratios")
-    _add_common(p)
-    p.add_argument("--T", type=float, default=4.0)
-    p.add_argument("--points", type=int, default=800)
-    p.add_argument("--cfl", type=float, default=0.5)
-    p.set_defaults(func=_cmd_io_ratios)
-
-    p = sub.add_parser("verify", help="one-shot invariant and oracle suite")
-    _add_common(p)
-    p.set_defaults(func=_cmd_verify)
-
+    _subcommand(sub, "verify", "one-shot invariant and oracle suite", _cmd_verify)
     return parser
 
 
-def run(argv) -> int:
-    """Parse and execute one command line; returns the process exit code."""
-    parser = _build_parser()
+def run(argv=None) -> int:
+    """Parse and execute one command line (default sys.argv[1:]); returns the exit code."""
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 64
-    try:
-        Path(args.out).mkdir(parents=True, exist_ok=True)
-        return args.func(args)
+        args = _PARSER.parse_args(argv)
+        started = time.perf_counter()
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        cfg = _load_config(args.config)
+        done = args.func(args, cfg, out)
+        _manifest(args, cfg, out, done, started)
+        print(done.summary)
+        return done.code
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 64
@@ -727,9 +543,8 @@ def run(argv) -> int:
         return 2
 
 
-def main(argv=None) -> int:
-    return run(sys.argv[1:] if argv is None else argv)
-
+_PARSER = _build_parser()  # one per process: a parser is ~900 objects in reference cycles
+main = run  # the console-script entry point
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

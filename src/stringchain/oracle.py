@@ -3,7 +3,7 @@
 Everything here is deliberately boring: lumped second-order stencils,
 dense eigensolves and SVDs, direct (banded or sparse LU) eliminations.
 These discretizations share no code with the closed-form solvers they
-cross-check.
+cross-check, and neither do `resample_load` and `rel_l2_diff`.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .chain_core import ChainConfig, ChainFunction, validate_config
+from .chain_core import ChainConfig, ChainFunction, uniform_grids, validate_config
 from .errors import SingularShift, SingularSystem, TooCoarse
 
 __all__ = [
@@ -26,6 +26,8 @@ __all__ = [
     "fd_resolvent_norm",
     "fd_bvp_solve",
     "oracle_transfer_value",
+    "resample_load",
+    "rel_l2_diff",
 ]
 
 
@@ -286,3 +288,30 @@ def oracle_transfer_value(cfg: ChainConfig, lam: complex, z: complex, m: int) ->
     """Boundary output lam * y(0) of the discretized time-harmonic solve."""
     y = fd_bvp_solve(cfg, lam, z, "transfer", m)
     return complex(lam * y.values[0][0])
+
+
+def _interp(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
+    """Linear interpolation at x of scalar (n,) or vector (n, k) samples fp on xp."""
+    if fp.ndim == 1:
+        return np.interp(x, xp, fp)
+    return np.stack([np.interp(x, xp, fp[:, c]) for c in range(fp.shape[1])], axis=1)
+
+
+def resample_load(cfg: ChainConfig, g: ChainFunction, m: int) -> ChainFunction:
+    """g linearly interpolated onto the m-cell grid that `fd_bvp_solve` expects."""
+    grids = uniform_grids(cfg, m + 1)
+    return ChainFunction(grids, [_interp(x, xp, v) for x, xp, v in zip(grids, g.grids, g.values)])
+
+
+def rel_l2_diff(a: ChainFunction, b: ChainFunction) -> float:
+    """Relative L2 distance |a - b| / |a| of two chain functions of one arity.
+
+    b is interpolated linearly onto a's grids and each edge integrated by
+    the trapezoid rule; the pointwise |.|^2 sums over the components.
+    """
+    num = den = 0.0
+    for xa, va, xb, vb in zip(a.grids, a.values, b.grids, b.values):
+        diff = (va - _interp(xa, xb, vb)).reshape(xa.size, -1)
+        num += float(np.trapezoid(np.sum(np.abs(diff) ** 2, axis=1), xa))
+        den += float(np.trapezoid(np.sum(np.abs(va.reshape(xa.size, -1)) ** 2, axis=1), xa))
+    return float(np.sqrt(num / den))

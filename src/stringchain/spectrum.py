@@ -16,9 +16,9 @@ from typing import Optional
 
 import numpy as np
 
-from .chain_core import ChainConfig, validate_config
-from .errors import DeterminantOverflow, EmptyScan, NoConvergence
-from .transfer_matrix import det_pair, propagate
+from .chain_core import ChainConfig, uniform_betas, validate_config
+from .errors import EmptyScan, NoConvergence
+from .transfer_matrix import _finite_values, det_pair, propagate
 
 __all__ = [
     "EigenSet",
@@ -82,12 +82,7 @@ def _char_fn(cfg: ChainConfig, which: str):
 def imaginary_axis_gap(cfg: ChainConfig, which: str, beta_range: tuple[float, float],
                        step: float) -> float:
     """Minimum of |char det(i beta)| over a uniform beta grid."""
-    if step <= 0:
-        raise EmptyScan("step must be positive")
-    lo, hi = beta_range
-    betas = np.arange(lo, hi + 0.5 * step, step)
-    if betas.size == 0:
-        raise EmptyScan("empty beta range")
+    betas = uniform_betas(beta_range, step)
     vals = _char_fn(cfg, which)(1j * betas)
     return float(np.min(np.abs(vals)))
 
@@ -111,19 +106,6 @@ def _refine_newton(fn, z0: complex, tol: float, max_iter: int = 80,
         z = z_new
     f = complex(fn(z))
     return z, abs(f), abs(f) <= tol
-
-
-def _finite_values(fn, lam: np.ndarray) -> np.ndarray:
-    """fn(lam), raising DeterminantOverflow unless every value is finite."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = fn(lam)
-    bad = int(np.count_nonzero(~np.isfinite(vals)))
-    if bad:
-        worst = float(np.max(np.abs(lam.real)))
-        raise DeterminantOverflow(
-            f"characteristic function is not finite at {bad} of {vals.size} points "
-            f"(|Re lam| up to {worst:.4g})")
-    return vals
 
 
 def count_roots_contour(cfg: ChainConfig, rect: tuple[float, float, float, float],

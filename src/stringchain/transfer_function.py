@@ -11,14 +11,15 @@ line Re lam = gamma > 0, with the certified bound
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Callable, Optional
 
 import numpy as np
 
-from .chain_core import ChainConfig, WaveState, validate_config
-from .errors import DegenerateData, EmptyScan, SingularBoundaryMatrix
+from .chain_core import ChainConfig, WaveState, sample_state, uniform_betas, validate_config
+from .errors import DegenerateData, SingularBoundaryMatrix
 from .timesim import SimOptions, simulate_wave
-from .transfer_matrix import DetPair, propagate
+from .transfer_matrix import DetPair, _finite_values, propagate
 
 __all__ = [
     "transfer_value",
@@ -44,16 +45,21 @@ def transfer_values(cfg: ChainConfig, lam, z: complex = 1.0):
 
     The value is -z P01 / P00 for the full wave product P; (1, 0) and
     (0, 1) are propagated together for the two entries of its first row.
+    Raises DeterminantOverflow where P overflows (Re lam / c beyond ~710).
     """
     validate_config(cfg)
     lam = np.asarray(lam, dtype=complex)
     if np.any(lam.real <= 0.0):
         raise ValueError("transfer function is evaluated on Re lam > 0")
     starts = np.eye(2).reshape((2, 2) + (1,) * lam.ndim)
-    (p00, p01), _ = propagate(cfg, lam, "wave", starts)
-    if np.any(np.abs(p00) < 1e-14):
-        raise SingularBoundaryMatrix("transfer closure numerically singular")
-    return -z * p01 / p00
+
+    def closure(lam):
+        (p00, p01), _ = propagate(cfg, lam, "wave", starts)
+        if np.any(np.abs(p00) < 1e-14):
+            raise SingularBoundaryMatrix("transfer closure numerically singular")
+        return -z * p01 / p00
+
+    return _finite_values(closure, lam)
 
 
 def transfer_value(cfg: ChainConfig, lam: complex, z: complex = 1.0) -> complex:
@@ -91,12 +97,7 @@ def transfer_sup_scan(cfg: ChainConfig, gamma: float, beta_range: tuple[float, f
     """(sup |H|, argmax beta) over the grid on the line Re lam = gamma."""
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    if step <= 0:
-        raise EmptyScan("step must be positive")
-    lo, hi = beta_range
-    betas = np.arange(lo, hi + 0.5 * step, step)
-    if betas.size == 0:
-        raise EmptyScan("empty beta range")
+    betas = uniform_betas(beta_range, step)
     vals = np.abs(transfer_values(cfg, gamma + 1j * betas))
     k = int(np.argmax(vals))
     return float(vals[k]), float(betas[k])
@@ -115,12 +116,7 @@ def admissibility_ratio(cfg: ChainConfig, v: Callable[[float], float], T: float,
     damped end and returns int |d/dt psi(t, 0)|^2 dt / |v|^2_{L2(0,T)}.
     """
     validate_config(cfg)
-    opts = opts or SimOptions(points_per_edge=800, cfl=0.5, T=T)
-    if opts.T != T:
-        opts = SimOptions(points_per_edge=opts.points_per_edge, cfl=opts.cfl, T=T,
-                          record_stride=opts.record_stride)
-    from .chain_core import sample_state
-
+    opts = dataclasses.replace(opts, T=T) if opts else SimOptions(points_per_edge=800, cfl=0.5, T=T)
     init = sample_state(cfg, opts.points_per_edge, lambda x: np.zeros_like(x))
     trace, _ = simulate_wave(cfg, init, opts, mode="forced", forcing=v)
     times = trace.times
@@ -140,10 +136,7 @@ def observability_ratio(cfg: ChainConfig, state: WaveState, T: float,
     end produce (numerically) zero output until the first arrival.
     """
     validate_config(cfg)
-    opts = opts or SimOptions(points_per_edge=800, cfl=0.5, T=T)
-    if opts.T != T:
-        opts = SimOptions(points_per_edge=opts.points_per_edge, cfl=opts.cfl, T=T,
-                          record_stride=opts.record_stride)
+    opts = dataclasses.replace(opts, T=T) if opts else SimOptions(points_per_edge=800, cfl=0.5, T=T)
     trace, _ = simulate_wave(cfg, state, opts, mode="conservative")
     denom = 2.0 * trace.energies[0]
     if denom <= 0.0:

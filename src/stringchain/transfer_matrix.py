@@ -27,7 +27,7 @@ from typing import Union
 import numpy as np
 
 from .chain_core import ChainConfig, validate_config
-from .errors import EmptyScan, NonPositiveBeta, NonPositiveDensity
+from .errors import DeterminantOverflow, EmptyScan, NonPositiveBeta, NonPositiveDensity
 
 __all__ = [
     "Mat2C",
@@ -116,6 +116,20 @@ def propagate(cfg: ChainConfig, lam, kind: str, start):
         ch, s12, s21 = edge_entries(rho, lam, kind)
         a, b = ch * a + s12 * b, s21 * a + ch * b
     return a, b
+
+
+def _finite_values(fn, lam: np.ndarray) -> np.ndarray:
+    """fn(lam), raising DeterminantOverflow unless every value is finite
+    (`propagate` overflows once |Re lam| / c exceeds about 710)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = fn(lam)
+    bad = int(np.count_nonzero(~np.isfinite(vals)))
+    if bad:
+        worst = float(np.max(np.abs(lam.real)))
+        raise DeterminantOverflow(
+            f"propagated values are not finite at {bad} of {vals.size} points "
+            f"(|Re lam| up to {worst:.4g})")
+    return vals
 
 
 def boundary_matrices(cfg: ChainConfig, lam: complex) -> tuple[Mat2C, Mat2C]:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -167,6 +168,12 @@ def test_far_left_spectrum_overflow_is_a_numerical_failure(chain_json, tmp_path,
     assert capsys.readouterr().err.startswith("numerical failure: DeterminantOverflow")
 
 
+def test_transfer_scan_overflow_is_a_numerical_failure(chain_json, tmp_path, capsys):
+    assert run(["transfer-scan", "--config", chain_json, "--gamma", "800",
+                "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("numerical failure: DeterminantOverflow")
+
+
 def test_jobs_env_not_an_integer_is_usage_error(mono_json, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("STRINGCHAIN_JOBS", "abc")
     assert run(["resolvent-scan", "--config", mono_json, "--betas", "5,20",
@@ -216,8 +223,46 @@ def test_manifest_bytes_repeat_and_timing_apart(mono_json, tmp_path):
     ["schrodinger-decay", "--points", "7"],
     ["resolvent-scan", "--betas", "5", "--points", "1"],
     ["schrodinger-scan", "--betas", "100", "--points", "1"],
+    ["spectrum", "--rect", "a,0,0,1"],
+    ["spectrum", "--rect", "-1,0,0,1", "--grid", "nan,64"],
+    ["resolvent-scan", "--betas", "nan"],
+    ["spectrum", "--rect", "0,-1,0,1"],
 ])
 def test_rejected_option_values_are_usage_errors(chain_json, tmp_path, argv, capsys):
     # option values the library rejects or cannot use are caught before any work starts
     assert run([*argv, "--config", chain_json, "--out", str(tmp_path / "out"), "--jobs", "1"]) == 64
     assert capsys.readouterr().err.startswith("usage error:")
+
+
+TINY_RUNS = [
+    ["spectrum", "--rect", "-2,0,0,10", "--grid", "16,16"],
+    ["gap", "--beta-min", "-1", "--beta-max", "1"],
+    ["det-bound", "--beta-min", "-1", "--beta-max", "1"],
+    ["resolvent-scan", "--betas", "10", "--probes", "1"],
+    ["schrodinger-scan", "--betas", "100,-100", "--probes", "1"],
+    ["transfer-scan", "--beta-min", "-1", "--beta-max", "1"],
+    ["decay", "--T", "0.2", "--points", "40"],
+    ["schrodinger-decay", "--T", "0.01", "--points", "40"],
+    ["io-ratios", "--T", "0.2", "--points", "40"],
+    ["verify"],
+]
+
+
+@pytest.mark.parametrize("argv", TINY_RUNS, ids=lambda argv: argv[0])
+def test_runner_writes_manifest_timing_and_only_listed_outputs(chain_json, tmp_path, argv):
+    manifests = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        assert run([*argv, "--config", chain_json, "--out", str(out), "--jobs", "1"]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert json.loads((out / "timing.json").read_text())["wall_time_s"] >= 0.0
+        outputs = [Path(p) for p in manifest["outputs"]]
+        assert all(p.parent == out and p.is_file() for p in outputs)
+        written = {p.name for p in out.iterdir()}
+        assert written == {"manifest.json", "timing.json"} | {p.name for p in outputs}
+        # --out is an input the manifest pins; apart from it and the outputs
+        # under it, runs into different directories record the same manifest
+        assert manifest["options"].pop("out") == str(out)
+        del manifest["outputs"]
+        manifests.append(manifest)
+    assert manifests[0] == manifests[1]

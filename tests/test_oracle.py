@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 import stringchain as sc
+from stringchain.chain_core import sample_function
 from stringchain.errors import TooCoarse
-from stringchain.oracle import oracle_transfer_value
+from stringchain.oracle import oracle_transfer_value, rel_l2_diff, resample_load
 from stringchain.resolvent import random_probe
 
 
@@ -132,3 +133,23 @@ def test_fd_too_coarse():
         sc.fd_wave_matrix(cfg, 4)
     with pytest.raises(TooCoarse):
         sc.fd_bvp_solve(cfg, 1.0j, None, "transfer", 4)
+
+
+@pytest.mark.parametrize("arity", [1, 2])
+def test_rel_l2_diff_and_resample_load_on_linear_data(arity):
+    # linear interpolation is exact on linear data, so both helpers must be too
+    cfg = sc.ChainConfig(densities=(1.0, 2.0))
+
+    def fn(x):
+        f = (1.0 + 2.0j) * x + 3.0
+        return f if arity == 1 else np.stack([f, -2.0 * f], axis=1)
+
+    a = sample_function(cfg, 101, fn, arity)
+    b = sample_function(cfg, 37, lambda x: 1.1 * fn(x), arity)
+    assert rel_l2_diff(a, b) == pytest.approx(0.1, rel=1e-12)
+    assert rel_l2_diff(a, a) == 0.0
+    r = resample_load(cfg, a, 16)
+    assert r.arity == arity
+    for x, v in zip(r.grids, r.values):
+        assert np.array_equal(x, np.linspace(x[0], x[-1], 17))
+        assert np.allclose(v, fn(x), rtol=0, atol=1e-13)

@@ -3,7 +3,7 @@ import pytest
 
 import stringchain as sc
 from stringchain.chain_core import sample_state, smooth_bump
-from stringchain.errors import DegenerateData, EmptyScan
+from stringchain.errors import DegenerateData, DeterminantOverflow, EmptyScan
 from stringchain.oracle import oracle_transfer_value
 from stringchain.timesim import SimOptions
 from stringchain.transfer_function import transfer_det_pair, transfer_gap_bound
@@ -53,6 +53,15 @@ def test_transfer_sup_scan_empty():
     cfg = sc.ChainConfig(densities=(1.0,))
     with pytest.raises(EmptyScan):
         sc.transfer_sup_scan(cfg, 1.0, (0, 1), -0.1)
+
+
+def test_transfer_overflow_is_flagged():
+    # cosh(lam / c) overflows for Re lam beyond about 710 c
+    cfg = sc.ChainConfig(densities=(1.0, 4.0))
+    with pytest.raises(DeterminantOverflow):
+        sc.transfer_sup_scan(cfg, 800.0, (-50.0, 50.0), 0.01)
+    with pytest.raises(DeterminantOverflow):
+        sc.transfer_value(cfg, 800.0 + 3j, 1.0)
 
 
 def test_transfer_pair_certified_bound():
