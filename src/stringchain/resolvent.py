@@ -53,7 +53,7 @@ from .errors import (
     SingularDenominator,
     ZeroBeta,
 )
-from .transfer_matrix import boundary_matrices, exp_osc, schrodinger_step
+from .transfer_matrix import boundary_matrices, exp_osc, propagate, schrodinger_step
 
 __all__ = [
     "WaveResolventSolution",
@@ -406,15 +406,13 @@ class _SchrodingerPositivePlan:
             self.trig.append((np.cos(a * xt), np.sin(a * xt)))
 
         self.steps = [schrodinger_step(rho, beta) for rho in cfg.densities]
-        prod = np.eye(2, dtype=complex)
-        for step in self.steps:
-            prod = step @ prod
-        den = prod[0, 0] + 1j * prod[0, 1]
+        # rows of the product P = E_{N-1} ... E_0, from both unit start vectors
+        (p00, p01), (p10, p11) = propagate(cfg, 1j * beta, "schrodinger", np.eye(2))
+        den = p00 + 1j * p01
         if abs(den) < 1e-14:
             raise SingularDenominator(f"closed-form denominator {abs(den):.3g} at beta = {beta}")
         self.den = den
-        self.alpha_gamma = (complex(prod[0, 0]), complex(prod[0, 1]),
-                            complex(prod[1, 0]), complex(prod[1, 1]))
+        self.alpha_gamma = (complex(p00), complex(p01), complex(p10), complex(p11))
 
     def apply(self, g_values):
         """(u values, coeffs, omega, flux) for one scalar load."""

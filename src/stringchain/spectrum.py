@@ -3,9 +3,10 @@
 Eigenvalues of the damped generators are exactly the zeros of the
 characteristic determinants assembled from the transfer matrices: a
 nontrivial homogeneous solution of the boundary-value problem exists iff
-the 2x2 boundary closure is singular.  Roots are located by a coarse
-modulus scan over a rectangle followed by Newton refinement with a
-central-difference derivative; an optional winding-number count along
+the 2x2 boundary closure is singular.  Roots are located by the argument
+principle on a grid over a rectangle: every grid cell around which the
+phase of the determinant winds starts a Newton refinement with a
+central-difference derivative.  An optional winding-number count along
 the rectangle boundary audits for missed roots.
 """
 
@@ -128,12 +129,16 @@ def find_eigenvalues(cfg: ChainConfig, rect: tuple[float, float, float, float], 
                      audit: bool = False, strict: bool = False) -> EigenSet:
     """Locate zeros of the characteristic determinant inside a rectangle.
 
-    A |det| scan on the grid promotes strict interior local minima below
-    a quarter of the median level; each candidate is polished by Newton
-    and kept if it lands inside the rectangle with |det| <= tol.  The
-    scan grid is padded by one cell so roots sitting exactly on the
-    rectangle boundary are still seen.  Candidates that fail to refine
-    are reported in `failures` (or raised, with strict=True).
+    The determinant's phase is sampled on the grid, and the wrapped phase
+    steps around each cell add up to 2 pi times the number of roots in
+    it (the argument principle).  Newton starts at the centre of every
+    cell that winds and its result is kept if it lands inside the
+    rectangle with |det| <= tol.  The scan grid is padded by one cell so
+    roots sitting exactly on the rectangle boundary are still seen.  A
+    cell holding several roots starts one Newton run only, and a grid too
+    coarse for the phase (steps beyond pi) can miss a root; `audit`
+    counts the roots on the boundary to show either.  Starts that fail
+    to refine are reported in `failures` (or raised, with strict=True).
     """
     validate_config(cfg)
     re0, re1, im0, im1 = (float(v) for v in rect)
@@ -149,22 +154,21 @@ def find_eigenvalues(cfg: ChainConfig, rect: tuple[float, float, float, float], 
     res = np.linspace(re0 - dx, re1 + dx, nx + 2)
     ims = np.linspace(im0 - dy, im1 + dy, ny + 2)
     res = np.minimum(res, -_AXIS_MARGIN)
-    lam = res[None, :] + 1j * ims[:, None]
-    mag = np.abs(_finite_values(fn, lam))
-    interior = mag[1:-1, 1:-1]
-    neighbors = np.stack([
-        mag[:-2, 1:-1], mag[2:, 1:-1], mag[1:-1, :-2], mag[1:-1, 2:],
-        mag[:-2, :-2], mag[:-2, 2:], mag[2:, :-2], mag[2:, 2:],
-    ])
-    is_min = np.all(interior[None, :, :] < neighbors, axis=0)
-    threshold = 0.25 * float(np.median(mag))
-    cand_idx = np.argwhere(is_min & (interior < threshold))
+    phase = np.angle(_finite_values(fn, res[None, :] + 1j * ims[:, None]))
+    dh = np.diff(phase, axis=1)
+    dv = np.diff(phase, axis=0)
+    del phase
+    for d in (dh, dv):
+        d -= 2.0 * np.pi * np.rint(d / (2.0 * np.pi))  # principal steps in [-pi, pi]
+    # counterclockwise phase change around each cell: 2 pi times its root count
+    turn = dh[:-1] - dh[1:] + dv[:, 1:] - dv[:, :-1]
+    cand_idx = np.argwhere(np.abs(turn) > np.pi)
     diag = abs(complex(re1 - re0, im1 - im0))
     roots: list[complex] = []
     residuals: list[float] = []
     failures: list[dict] = []
     for iy, ix in cand_idx:
-        z0 = complex(lam[iy + 1, ix + 1])
+        z0 = complex(0.5 * (res[ix] + res[ix + 1]), 0.5 * (ims[iy] + ims[iy + 1]))
         z, resid, ok = _refine_newton(fn, z0, tol, max_travel=2.0 * diag)
         if ok:
             inside = (re0 - 1e-9 <= z.real <= re1 + 1e-9) and (im0 - 1e-9 <= z.imag <= im1 + 1e-9)

@@ -15,8 +15,9 @@ every characteristic function; the start vector picks which:
 * (-1, 0), wave: the transfer-closure pair (-P00, -P10), and (1, 0) with
   (0, 1) stacked: the transfer value -z P01 / P00 (`transfer_function`).
 
-`exp_hyp` and `boundary_matrices` use the same entries; `exp_osc` and
-`schrodinger_step` are the real-frequency trig forms of the resolvents.
+`exp_hyp` and `boundary_matrices` use the same entries, and so do the
+real-frequency forms of the resolvents, `exp_osc` and `schrodinger_step`:
+at lam = i beta, cosh and sinh are cos and i sin.
 """
 
 from __future__ import annotations
@@ -52,25 +53,22 @@ def _check_rho(rho: float) -> float:
     return float(rho)
 
 
+def _edge_matrix(rho: float, lam, kind: str) -> Mat2C:
+    ch, s12, s21 = edge_entries(rho, lam, kind)
+    return np.array([[ch, s12], [s21, ch]], dtype=complex)
+
+
 def exp_osc(rho: float, beta: float, x: float) -> Mat2C:
-    """exp(i*beta*x*B^{-1}) for real beta, written with cos and sin.
+    """exp(i*beta*x*B^{-1}) for real beta: `exp_hyp` at lam = i*beta.
 
     Unimodular for every argument: the determinant is cos^2 + sin^2 = 1.
     """
-    rho = _check_rho(rho)
-    c = np.sqrt(rho)
-    th = beta * x / c
-    ct, st = np.cos(th), np.sin(th)
-    return np.array([[ct, 1j * st / c], [1j * c * st, ct]], dtype=complex)
+    return exp_hyp(rho, 1j * beta, x)
 
 
 def exp_hyp(rho: float, lam: complex, x: float) -> Mat2C:
-    """exp(lam*x*B^{-1}) for general complex lam, written with cosh and sinh.
-
-    Restricting lam to i*beta reproduces exp_osc entrywise.
-    """
-    ch, s12, s21 = edge_entries(_check_rho(rho), lam * x, "wave")
-    return np.array([[ch, s12], [s21, ch]], dtype=complex)
+    """exp(lam*x*B^{-1}) for general complex lam, written with cosh and sinh."""
+    return _edge_matrix(_check_rho(rho), lam * x, "wave")
 
 
 def _sinhc(z: np.ndarray) -> np.ndarray:
@@ -181,27 +179,23 @@ def det_pair(cfg: ChainConfig, lam) -> DetPair:
 
 
 def analytic_gap_bound(cfg: ChainConfig) -> float:
-    """Lower bound for |D_{N-1}| on the imaginary axis.
+    """Lower bound for |D_{N-1}| on the imaginary axis, in closed form.
 
-    For one edge |D_0|^2 = cos^2 + sin^2/rho_0 >= min(1, 1/rho_0).  For
-    longer chains the recursion step is a quadratic form in
-    (cos, sin) whose Gram matrix has determinant 1/rho_{N-1} (by the
-    Re(D conj(D~)) = 1 identity), so its smallest eigenvalue is at
-    least det/trace; the trace is bounded through the recursion using
-    |cos|, |sin| <= 1.
+    In characteristic coordinates p = a + b/c, q = a - b/c the ratio
+    R = q/p starts at (c_0 - 1)/(c_0 + 1), each edge rotates it, and each
+    joint moves it by a disk automorphism with g = (c_{j+1} - c_j) /
+    (c_{j+1} + c_j).  On the axis |D|^2 = |1 + R|^2 / (c_{N-1} (1 - |R|^2)),
+    and the hyperbolic distances add, so
+    inf |D(i beta)|^2 >= 1 / (c_{N-1} max(c_0, 1/c_0)
+    prod_j max(c_{j+1}/c_j, c_j/c_{j+1})).
+    The bound is the infimum when the travel times 1/c_j are rationally
+    independent (Kronecker), and may lie below it otherwise.
     """
     validate_config(cfg)
-    rho = cfg.densities
     c = cfg.wave_speeds
-    if cfg.n_edges == 1:
-        return float(np.sqrt(min(1.0, 1.0 / rho[0])))
-    # running envelopes for |D_n|, |D~_n| along the recursion
-    a = max(1.0, 1.0 / c[0])
-    b = max(1.0, c[0])
-    for n in range(1, cfg.n_edges - 1):
-        a, b = a + b / c[n], c[n] * a + b
-    trace_bound = a * a + (b * b) / rho[-1]
-    return float(np.sqrt(1.0 / (rho[-1] * trace_bound)))
+    ratios = c[1:] / c[:-1]
+    spread = c[-1] * max(c[0], 1.0 / c[0]) * float(np.prod(np.maximum(ratios, 1.0 / ratios)))
+    return float(1.0 / np.sqrt(spread))
 
 
 def det_lower_bound(cfg: ChainConfig, beta_scan: np.ndarray) -> tuple[float, float]:
@@ -227,8 +221,4 @@ def schrodinger_step(rho: float, beta: float) -> Mat2C:
     rho = _check_rho(rho)
     if not np.isfinite(beta) or beta <= 0.0:
         raise NonPositiveBeta(f"beta = {beta} must be positive")
-    sb = np.sqrt(beta)
-    sr = np.sqrt(rho)
-    q = sb / sr
-    cq, sq = np.cos(q), np.sin(q)
-    return np.array([[cq, sq / (sb * sr)], [-sb * sr * sq, cq]], dtype=complex)
+    return _edge_matrix(rho, 1j * beta, "schrodinger")

@@ -227,6 +227,7 @@ def test_manifest_bytes_repeat_and_timing_apart(mono_json, tmp_path):
     ["spectrum", "--rect", "-1,0,0,1", "--grid", "nan,64"],
     ["resolvent-scan", "--betas", "nan"],
     ["spectrum", "--rect", "0,-1,0,1"],
+    ["spectrum", "--rect", "0,1,0,1"],
 ])
 def test_rejected_option_values_are_usage_errors(chain_json, tmp_path, argv, capsys):
     # option values the library rejects or cannot use are caught before any work starts

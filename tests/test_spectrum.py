@@ -143,6 +143,17 @@ def test_winding_number_counts_roots():
     assert eig.audit_count == len(eig.eigenvalues) == 2
 
 
+@pytest.mark.parametrize("grid", [(64, 64), (128, 384)])
+def test_near_matched_roots_are_found(grid):
+    # a nearly matched damped end (rho_0 = 0.996) puts roots far left, where
+    # |D| is large even close to them: only its phase shows where they are
+    cfg = sc.ChainConfig(densities=(0.996, 2.996, 1.445, 2.361, 2.847, 3.837, 1.495))
+    rect = (-3.0, 0.0, -0.158, 7.722)
+    eig = sc.find_eigenvalues(cfg, rect, "wave", grid=grid)
+    assert not eig.failures
+    assert eig.eigenvalues.size == count_roots_contour(cfg, eig.search_rect, "wave") == 13
+
+
 def test_far_left_overflow_is_flagged():
     # cosh(lam / c_0) overflows for Re lam below about -710 c_0
     cfg = sc.ChainConfig(densities=(1.0, 4.0))

@@ -229,6 +229,13 @@ def test_kernel_matches_expm_products():
             (complex(transfer_values(cfg, np.array([lam_r]), 0.5 - 2j)[0]),
              -(0.5 - 2j) * wave[0, 1] / wave[0, 0]),
         ]
+        # the real-frequency forms, one edge at lam = i beta
+        beta = lam.imag
+        for r in cfg.densities:
+            checks += [
+                (sc.exp_osc(r, beta, 1.0), expm(1j * beta * np.array([[0, 1 / r], [1, 0]]))),
+                (sc.schrodinger_step(r, abs(beta)), expm(np.array([[0, 1 / r], [-abs(beta), 0]]))),
+            ]
         for got, ref in checks:
-            worst = max(worst, abs(got - ref) / max(1.0, abs(ref)))
+            worst = max(worst, float(np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref)))))
     assert worst <= 1e-11
