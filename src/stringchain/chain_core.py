@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -42,9 +42,10 @@ __all__ = [
     "first_order_state",
     "h_norm",
     "l2_norm",
+    "write_table",
 ]
 
-_CSV_CHUNK = 8192  # EnergyTrace rows formatted per write
+_CSV_CHUNK = 8192  # table rows formatted per write
 
 
 @dataclass(frozen=True)
@@ -134,48 +135,22 @@ class ChainFunction:
 
     def to_csv(self, path) -> None:
         """Write as rows edge, x, re, im (and re2, im2 for 2-vectors)."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            header = ["edge", "x", "re", "im"]
-            if self.arity == 2:
-                header += ["re2", "im2"]
-            writer.writerow(header)
-            for j, (g, v) in enumerate(zip(self.grids, self.values)):
-                for k in range(g.size):
-                    if self.arity == 1:
-                        row = [j, f"{g[k]:.17g}", f"{v[k].real:.17g}", f"{v[k].imag:.17g}"]
-                    else:
-                        row = [
-                            j,
-                            f"{g[k]:.17g}",
-                            f"{v[k, 0].real:.17g}",
-                            f"{v[k, 0].imag:.17g}",
-                            f"{v[k, 1].real:.17g}",
-                            f"{v[k, 1].imag:.17g}",
-                        ]
-                    writer.writerow(row)
+        parts = np.concatenate(self.values).reshape(-1, self.arity).view(float).T  # re, im, ...
+        write_table(path, ["edge", "x", "re", "im", "re2", "im2"][: 2 + 2 * self.arity],
+                    np.repeat(np.arange(self.n_edges), [g.size for g in self.grids]),
+                    np.concatenate(self.grids), *parts)
 
     @classmethod
     def from_csv(cls, path) -> "ChainFunction":
-        by_edge: dict[int, list] = {}
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             header = next(reader)
-            vector = len(header) == 6
-            for row in reader:
-                j = int(row[0])
-                x = float(row[1])
-                if vector:
-                    val = [complex(float(row[2]), float(row[3])), complex(float(row[4]), float(row[5]))]
-                else:
-                    val = complex(float(row[2]), float(row[3]))
-                by_edge.setdefault(j, []).append((x, val))
-        grids, values = [], []
-        for j in sorted(by_edge):
-            pts = by_edge[j]
-            grids.append(np.array([p[0] for p in pts]))
-            values.append(np.array([p[1] for p in pts]))
-        return cls(grids, values)
+            table = np.array(list(reader), dtype=float).reshape(-1, len(header))
+        edges = table[:, 0].astype(int)
+        values = np.ascontiguousarray(table[:, 2:]).view(complex)  # (re, im) pairs
+        values = values if len(header) == 6 else values[:, 0]
+        rows = [edges == j for j in np.unique(edges)]
+        return cls([table[r, 1] for r in rows], [values[r] for r in rows])
 
 
 def uniform_grids(cfg: ChainConfig, points_per_edge: int) -> list[np.ndarray]:
@@ -255,21 +230,28 @@ class EnergyTrace:
     times: np.ndarray
     energies: np.ndarray
     boundary_flux: np.ndarray
-    fitted_rate: Optional[float] = None
 
     def to_csv(self, path) -> None:
-        """Rows t, E, boundary_flux_cum with .17g fields and csv's \\r\\n line ends.
+        """Rows t, E, boundary_flux_cum."""
+        write_table(path, ["t", "E", "boundary_flux_cum"],
+                    self.times, self.energies, self.boundary_flux)
 
-        Rows are formatted in chunks, so no Python list of the whole
-        trace is ever built.
-        """
-        cols = [np.asarray(c) for c in (self.times, self.energies, self.boundary_flux)]
-        rows = min(c.shape[0] for c in cols)
-        with open(path, "w", newline="") as fh:
-            fh.write("t,E,boundary_flux_cum\r\n")
-            for lo in range(0, rows, _CSV_CHUNK):
-                t, e, f = (c[lo : lo + _CSV_CHUNK].tolist() for c in cols)
-                fh.writelines(f"{ti:.17g},{ei:.17g},{fi:.17g}\r\n" for ti, ei, fi in zip(t, e, f))
+
+def write_table(path, header, *columns):
+    """Write the columns side by side as CSV, each number as %.17g; returns path.
+
+    Bytes as csv.writer's, \\r\\n line ends included.  Rows are formatted
+    _CSV_CHUNK at a time with one format string: no list of the whole table.
+    """
+    cols = [np.asarray(c) for c in columns]
+    rows = min(c.shape[0] for c in cols)
+    fmt = ",".join(["%.17g"] * len(cols)) + "\r\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for lo in range(0, rows, _CSV_CHUNK):
+            chunk = [c[lo : lo + _CSV_CHUNK].tolist() for c in cols]
+            fh.writelines(fmt % row for row in zip(*chunk))
+    return path
 
 
 def quadrature_weights(x: np.ndarray) -> np.ndarray:

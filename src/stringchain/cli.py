@@ -13,7 +13,6 @@ numerical failure (e.g. an overflowing determinant or transfer value),
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import re
@@ -36,6 +35,7 @@ from .chain_core import (
     uniform_betas,
     uniform_grids,
     validate_config,
+    write_table,
 )
 from .errors import ChainError, ConfigError, InsufficientDecay, UsageError
 from .oracle import fd_bvp_solve, oracle_transfer_value, rel_l2_diff, resample_load
@@ -91,18 +91,6 @@ class _Done(NamedTuple):
     outputs: tuple = ()  # the files the handler wrote, in manifest order
     extra: Optional[dict] = None  # result fields the manifest records after the inputs
     code: int = 0
-
-
-def _write_table(path: Path, header, *columns) -> Path:
-    """CSV of the columns side by side, each number written as %.17g.
-
-    Moduli come as [abs(v) for v in z]: np.abs(z) may differ in the last bit.
-    """
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(["%.17g" % v for v in row] for row in zip(*columns))
-    return path
 
 
 def _write_json(path: Path, data) -> Path:
@@ -230,8 +218,8 @@ def _run_scan(args, cfg):
 def _cmd_spectrum(args, cfg, out) -> _Done:
     grid = tuple(int(v) for v in args.grid.values)
     eig = find_eigenvalues(cfg, args.rect.values, args.which, grid=grid, tol=args.tol)
-    roots_csv = _write_table(out / "roots.csv", ["re", "im", "residual"],
-                             eig.eigenvalues.real, eig.eigenvalues.imag, eig.residuals)
+    roots_csv = write_table(out / "roots.csv", ["re", "im", "residual"],
+                            eig.eigenvalues.real, eig.eigenvalues.imag, eig.residuals)
     summary_json = _write_json(out / "spectrum_summary.json", {
         "abscissa": eig.abscissa,
         "count": int(eig.eigenvalues.size),
@@ -247,16 +235,20 @@ def _cmd_spectrum(args, cfg, out) -> _Done:
 
 
 def _write_det_scan(out: Path, cfg, which: str, betas) -> Path:
-    """det_scan.csv: D(i beta), and for the wave chain D~ and Re(D conj D~)."""
+    """det_scan.csv: D(i beta), and for the wave chain D~ and Re(D conj D~).
+
+    Moduli here and in transfer-scan come as [abs(v) for v in z]: np.abs(z)
+    may differ in the last bit.
+    """
     path = out / "det_scan.csv"
     if which == "schrodinger":
         d = char_det_schrodinger(cfg, 1j * betas)
-        return _write_table(path, ["beta", "re_D", "im_D", "abs_D"],
-                            betas, d.real, d.imag, [abs(v) for v in d])
+        return write_table(path, ["beta", "re_D", "im_D", "abs_D"],
+                           betas, d.real, d.imag, [abs(v) for v in d])
     pair = det_pair(cfg, 1j * betas)
-    return _write_table(path, ["beta", "re_D", "im_D", "abs_D", "re_Dt", "im_Dt", "re_DDbar"],
-                        betas, pair.d.real, pair.d.imag, [abs(v) for v in pair.d],
-                        pair.d_tilde.real, pair.d_tilde.imag, pair.identity_value)
+    return write_table(path, ["beta", "re_D", "im_D", "abs_D", "re_Dt", "im_Dt", "re_DDbar"],
+                       betas, pair.d.real, pair.d.imag, [abs(v) for v in pair.d],
+                       pair.d_tilde.real, pair.d_tilde.imag, pair.identity_value)
 
 
 def _cmd_gap(args, cfg, out) -> _Done:
@@ -288,8 +280,8 @@ def _cmd_scan(args, cfg, out) -> _Done:
     """resolvent-scan (wave) and schrodinger-scan: norm estimates over beta."""
     points = _run_scan(args, cfg)
     rows = [(p.beta, p.norm_estimate, p.probes, p.residual_max) for p in points]
-    scan_csv = _write_table(out / (args.command.replace("-", "_") + ".csv"),
-                            ["beta", "norm_estimate", "probes", "residual_max"], *zip(*rows))
+    scan_csv = write_table(out / (args.command.replace("-", "_") + ".csv"),
+                           ["beta", "norm_estimate", "probes", "residual_max"], *zip(*rows))
     ests = [p.norm_estimate for p in points]
     return _Done(f"{args.command}: {len(points)} frequencies, estimates in "
                  f"[{min(ests):.4g}, {max(ests):.4g}]", (scan_csv,))
@@ -298,9 +290,9 @@ def _cmd_scan(args, cfg, out) -> _Done:
 def _cmd_transfer_scan(args, cfg, out) -> _Done:
     betas = uniform_betas((args.beta_min, args.beta_max), args.step)
     vals = transfer_values(cfg, args.gamma + 1j * betas)
-    scan_csv = _write_table(out / "transfer_scan.csv", ["gamma", "beta", "re_H", "im_H", "abs_H"],
-                            np.full(betas.size, args.gamma), betas, vals.real, vals.imag,
-                            [abs(v) for v in vals])
+    scan_csv = write_table(out / "transfer_scan.csv", ["gamma", "beta", "re_H", "im_H", "abs_H"],
+                           np.full(betas.size, args.gamma), betas, vals.real, vals.imag,
+                           [abs(v) for v in vals])
     k = int(np.argmax(np.abs(vals)))
     return _Done(
         f"transfer-scan: sup |H| = {abs(vals[k]):.6g} at beta = {betas[k]:.6g} "

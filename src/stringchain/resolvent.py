@@ -17,7 +17,9 @@ sums of the kernel against the cell's two hat functions 1 - tau and
 tau, so that the linearly interpolated load integrates to a weighted
 sum of its grid values), the kernel at the grid points, and the
 boundary and propagation matrices.  Applying a plan to one load is
-O(n) arithmetic per edge.
+O(n) arithmetic per edge.  Each solve reports its residual, the
+relative defect of its equation with the solution differentiated
+numerically once.
 
 The norm scans build one plan, one probe mode basis and the
 integrate_edge weights of the norms once per beta.  Per probe they
@@ -60,10 +62,8 @@ __all__ = [
     "SchrodingerResolventSolution",
     "ScanPoint",
     "wave_resolvent",
-    "wave_residual",
     "wave_resolvent_norm_scan",
     "schrodinger_resolvent",
-    "schrodinger_residual",
     "schrodinger_norm_scan",
     "random_probe",
     "scan_grid_points",
@@ -74,6 +74,8 @@ _GL_TAU = 0.5 * (_GL_NODES + 1.0)
 _GL_LEFT = _GL_WEIGHTS * (1.0 - _GL_TAU)  # GL weights times the left hat function
 _GL_RIGHT = _GL_WEIGHTS * _GL_TAU
 _MIN_CELLS_PER_PERIOD = 10
+_PROBE_MODES = 8  # Fourier modes per edge in a probe band
+_MIN_SCAN_POINTS = 257  # points per edge of a scan grid at low frequency
 
 
 @dataclass
@@ -265,19 +267,15 @@ def wave_resolvent(cfg: ChainConfig, beta: float, G: ChainFunction,
         raise ArityMismatch("wave resolvent needs a 2-vector load")
     values, f_list, y, gamma = _WavePlan(cfg, beta, G.grids).apply(G.values)
     w_fn = ChainFunction(G.grids, values)
-    sol = WaveResolventSolution(W=w_fn, F=f_list, Y=y, Gamma=gamma, beta=beta)
-    sol.residual = wave_residual(cfg, beta, G, w_fn)
+    # relative defect of i*beta*W - B dW/dx - G, differentiated numerically
+    residual = _relative(_wave_defect(cfg.densities, beta, G.grids, G.values, values),
+                         h_norm(G, cfg))
+    sol = WaveResolventSolution(W=w_fn, F=f_list, Y=y, Gamma=gamma, beta=beta, residual=residual)
     if residual_tol is not None and sol.residual > residual_tol:
         raise SignConventionMismatch(
             f"wave resolvent residual {sol.residual:.3g} exceeds {residual_tol:.3g}"
         )
     return sol
-
-
-def wave_residual(cfg: ChainConfig, beta: float, G: ChainFunction, W: ChainFunction) -> float:
-    """Relative defect of i*beta*W - B dW/dx - G, differentiated numerically."""
-    num = _wave_defect(cfg.densities, beta, G.grids, G.values, W.values)
-    return _relative(num, h_norm(G, cfg))
 
 
 def _probe_bases(cfg: ChainConfig, grids: Sequence[np.ndarray], modes: int, center: float):
@@ -323,24 +321,24 @@ def _probe_values(bases, seed, arity: int):
 
 
 def random_probe(cfg: ChainConfig, grids: Sequence[np.ndarray], seed, arity: int = 2,
-                 modes: int = 8, center: float = 0.0) -> ChainFunction:
+                 center: float = 0.0) -> ChainFunction:
     """Band-limited random load: seeded Fourier modes in a narrow band.
 
-    With center = 0 the band is the lowest `modes` Fourier modes of each
-    edge.  A nonzero center places the band around the spatial frequency
+    With center = 0 the band is the lowest _PROBE_MODES Fourier modes of
+    each edge.  A nonzero center places the band around the spatial frequency
     center / c_j, which is where the resolvent at that temporal
     frequency actually responds; low-frequency probes would underreport
     the norm by a factor ~ center.
     """
-    values = _probe_values(_probe_bases(cfg, grids, modes, center), seed, arity)
+    values = _probe_values(_probe_bases(cfg, grids, _PROBE_MODES, center), seed, arity)
     return ChainFunction(list(grids), values)
 
 
-def scan_grid_points(cfg: ChainConfig, freq: float, base: int = 257) -> int:
+def scan_grid_points(cfg: ChainConfig, freq: float) -> int:
     """Points per edge that satisfy the oscillation guard at this frequency."""
     c_min = float(np.min(cfg.wave_speeds))
     osc = int(np.ceil(1.75 * abs(freq) / c_min)) + 2
-    return max(base, osc)
+    return max(_MIN_SCAN_POINTS, osc)
 
 
 def _beta_key(beta: float) -> int:
@@ -367,7 +365,7 @@ def wave_resolvent_norm_scan(cfg: ChainConfig, betas: Sequence[float], probes: i
         grids = uniform_grids(cfg, pts)
         plan = _WavePlan(cfg, beta, grids)
         weights = [quadrature_weights(x) for x in grids]
-        bases = _probe_bases(cfg, grids, 8, beta)
+        bases = _probe_bases(cfg, grids, _PROBE_MODES, beta)
         key = _beta_key(beta)
         best = 0.0
         worst_residual = 0.0
@@ -480,17 +478,11 @@ class _SchrodingerNegativePlan:
         mat[0, 0] = -rho0 * m0 - 1j
         mat[0, 1] = (rho0 * m0 - 1j) * e0
         for j in range(1, n_edges):
-            al, bl = 2 * (j - 1), 2 * (j - 1) + 1
-            ar, br = 2 * j, 2 * j + 1
-            mat[2 * j - 1, al] = e[j - 1]
-            mat[2 * j - 1, bl] = 1.0
-            mat[2 * j - 1, ar] = -1.0
-            mat[2 * j - 1, br] = -e[j]
-            rl, rr = cfg.densities[j - 1], cfg.densities[j]
-            mat[2 * j, al] = -rl * ms[j - 1] * e[j - 1]
-            mat[2 * j, bl] = rl * ms[j - 1]
-            mat[2 * j, ar] = rr * ms[j]
-            mat[2 * j, br] = -rr * ms[j] * e[j]
+            # joint j: continuity, then flux balance, over (a, b) of edges j-1 and j
+            el, er = e[j - 1], e[j]
+            fl, fr = cfg.densities[j - 1] * ms[j - 1], cfg.densities[j] * ms[j]
+            mat[2 * j - 1 : 2 * j + 1, 2 * j - 2 : 2 * j + 2] = [[el, 1.0, -1.0, -er],
+                                                                 [-fl * el, fl, fr, -fr * er]]
         mat[size - 1, size - 2] = e[-1]
         mat[size - 1, size - 1] = 1.0
         self.lu, self.piv, info = zgetrf(mat)
@@ -572,28 +564,19 @@ def schrodinger_resolvent(cfg: ChainConfig, beta: float, g: ChainFunction,
         raise ArityMismatch("load has wrong number of edges")
     plan = _schrodinger_plan(cfg, beta, g.grids)
     values, coeffs, omega, flux = plan.apply(g.values)
+    # relative defect of d/dx(rho u') - (-i g - beta u): the flux rho u' comes
+    # from the closed form, so only one numerical derivative enters and the
+    # check does not merely re-run the construction
+    residual = _relative(_schrodinger_defect(beta, g.grids, g.values, values, flux), l2_norm(g))
     sol = SchrodingerResolventSolution(
         u=ChainFunction(g.grids, values), coeffs=coeffs, omega=omega,
-        alpha_gamma=plan.alpha_gamma, beta=beta, flux=flux,
+        alpha_gamma=plan.alpha_gamma, beta=beta, residual=residual, flux=flux,
     )
-    sol.residual = schrodinger_residual(cfg, beta, g, sol)
     if residual_tol is not None and sol.residual > residual_tol:
         raise SignConventionMismatch(
             f"Schrodinger residual {sol.residual:.3g} exceeds {residual_tol:.3g} at beta = {beta}"
         )
     return sol
-
-
-def schrodinger_residual(cfg: ChainConfig, beta: float, g: ChainFunction,
-                         sol: SchrodingerResolventSolution) -> float:
-    """Relative defect of d/dx(rho u') - (-i g - beta u).
-
-    The flux rho u' comes from the closed form; only one numerical
-    derivative enters, so the check does not merely re-run the
-    construction.
-    """
-    num = _schrodinger_defect(beta, g.grids, g.values, sol.u.values, sol.flux)
-    return _relative(num, l2_norm(g))
 
 
 def schrodinger_norm_scan(cfg: ChainConfig, betas: Sequence[float], probes: int,
@@ -613,11 +596,12 @@ def schrodinger_norm_scan(cfg: ChainConfig, betas: Sequence[float], probes: int,
             pts = points_per_edge or scan_grid_points(cfg, np.sqrt(beta))
         else:
             c_min = float(np.min(cfg.wave_speeds))
-            pts = points_per_edge or max(257, int(np.ceil(np.sqrt(-beta) / (2.0 * c_min))) + 2)
+            pts = points_per_edge or max(_MIN_SCAN_POINTS,
+                                         int(np.ceil(np.sqrt(-beta) / (2.0 * c_min))) + 2)
         grids = uniform_grids(cfg, pts)
         plan = _schrodinger_plan(cfg, beta, grids)
         weights = [quadrature_weights(x) for x in grids]
-        bases = _probe_bases(cfg, grids, 8, np.sqrt(beta) if beta > 0 else 0.0)
+        bases = _probe_bases(cfg, grids, _PROBE_MODES, np.sqrt(beta) if beta > 0 else 0.0)
         key = _beta_key(beta)
         best = 0.0
         worst_residual = 0.0

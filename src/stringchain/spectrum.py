@@ -31,6 +31,8 @@ __all__ = [
 ]
 
 _AXIS_MARGIN = 1e-6  # scan rectangles never touch the imaginary axis
+_NEWTON_MAX_ITER = 80
+_CONTOUR_SAMPLES = 4096  # per side of the counting contour
 
 
 @dataclass
@@ -88,36 +90,39 @@ def imaginary_axis_gap(cfg: ChainConfig, which: str, beta_range: tuple[float, fl
     return float(np.min(np.abs(vals)))
 
 
-def _refine_newton(fn, z0: complex, tol: float, max_iter: int = 80,
-                   max_travel: float = np.inf):
-    """Newton with a central-difference derivative; returns (z, |f|, ok)."""
+def _refine_newton(fn, z0: complex, tol: float, max_travel: float = np.inf):
+    """Newton with a central-difference derivative; returns (z, |f|, ok).
+
+    Once |f| <= tol it takes one more step, kept unless |f| grows: tol
+    alone pins a root only to about tol / |f'|.
+    """
     z = complex(z0)
-    for _ in range(max_iter):
-        f = complex(fn(z))
-        if abs(f) <= tol:
-            return z, abs(f), True
+    f = complex(fn(z))
+    for _ in range(_NEWTON_MAX_ITER):
+        converged = abs(f) <= tol
         h = 1e-7 * (1.0 + abs(z))
         d = (complex(fn(z + h)) - complex(fn(z - h))) / (2.0 * h)
         if d == 0.0 or not np.isfinite(d):
             break
         z_new = z - f / d
-        if abs(z_new - z0) > max_travel:
-            z = z_new
+        f_new = complex(fn(z_new))
+        if converged and not abs(f_new) <= abs(f):
             break
-        z = z_new
-    f = complex(fn(z))
+        z, f = z_new, f_new
+        if converged or abs(z - z0) > max_travel:
+            break
     return z, abs(f), abs(f) <= tol
 
 
 def count_roots_contour(cfg: ChainConfig, rect: tuple[float, float, float, float],
-                        which: str, samples_per_side: int = 4096) -> int:
+                        which: str) -> int:
     """Winding number of the characteristic function around the rectangle."""
     re0, re1, im0, im1 = rect
     fn = _char_fn(cfg, which)
     corners = [re0 + 1j * im0, re1 + 1j * im0, re1 + 1j * im1, re0 + 1j * im1, re0 + 1j * im0]
     total = 0.0
     for a, b in zip(corners[:-1], corners[1:]):
-        t = np.linspace(0.0, 1.0, samples_per_side)
+        t = np.linspace(0.0, 1.0, _CONTOUR_SAMPLES)
         vals = _finite_values(fn, a + (b - a) * t)
         ratios = vals[1:] / vals[:-1]
         total += float(np.sum(np.angle(ratios)))

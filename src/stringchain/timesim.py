@@ -1,15 +1,16 @@
 """Time-domain integrators for the damped chain and decay-rate fitting.
 
-The wave chain runs leapfrog (central time, central space) on a single
-uniform global grid with shared joint nodes.  The damped condition at
-x = 0 couples the new boundary value linearly and is solved in closed
-form each step; interior joints are algebraic nodes set from the
-discrete flux balance with second-order one-sided derivatives.  The
-Schrodinger chain runs Crank-Nicolson with the boundary feedback and
-joint coupling folded into a tridiagonal system; in the lumped product
-the discrete energy then decreases by exactly dt * |u(t+dt/2, 0)|^2 per
-step, so the recorded flux balances the energy drop to machine
-precision.
+Both steppers run on one shared-node global grid, `_Layout`, which also
+gathers their data from the per-edge grids and scatters it back.  The
+wave chain runs leapfrog (central time, central space).  The damped
+condition at x = 0 couples the new boundary value linearly and is solved
+in closed form each step (a conservative end is the same update without
+damping); interior joints are algebraic nodes set from the discrete
+flux balance with second-order one-sided derivatives.  The Schrodinger
+chain runs Crank-Nicolson with the boundary feedback and joint coupling
+folded into a tridiagonal system; in the lumped product the discrete
+energy then decreases by exactly dt * |u(t+dt/2, 0)|^2 per step, so the
+recorded flux balances the energy drop to machine precision.
 
 Neither step loop repeats set-up work: the leapfrog step updates three
 preallocated buffers in place and closes the boundary and joint rows in
@@ -72,37 +73,42 @@ class SimOptions:
             raise ValueError("dt must be positive")
 
 
-def _global_layout(cfg: ChainConfig, p: int):
-    """Shared-node global grid: p points per edge, spacing h = 1/(p-1).
+class _Layout:
+    """Shared-node global grid of both steppers: p points per edge, spacing h = 1/(p-1).
 
-    Returns (n, h, rho_node, joints, cell_rho); a joint node carries the
-    density of the edge to its right.
+    Edge j holds the nodes spans[j] of the global arrays; a joint node
+    carries the density of the edge to its right, and cell k of density
+    cell_rho[k] joins the nodes k and k+1.
     """
-    rho = np.asarray(cfg.densities, dtype=float)
-    h = 1.0 / (p - 1)
-    cell_rho = np.repeat(rho, p - 1)
-    rho_node = np.append(cell_rho, rho[-1])
-    joints = np.arange(1, cfg.n_edges) * (p - 1)
-    return rho_node.size, h, rho_node, joints, cell_rho
 
+    def __init__(self, cfg: ChainConfig, p: int):
+        rho = np.asarray(cfg.densities, dtype=float)
+        self.h = 1.0 / (p - 1)
+        self.cell_rho = np.repeat(rho, p - 1)
+        self.rho_node = np.append(self.cell_rho, rho[-1])
+        self.n = self.rho_node.size
+        self.joints = np.arange(1, cfg.n_edges) * (p - 1)
+        self.grids = [np.linspace(j, j + 1, p) for j in range(cfg.n_edges)]
+        self.spans = [slice(j * (p - 1), (j + 1) * (p - 1) + 1) for j in range(cfg.n_edges)]
 
-def _gather_real(cfg: ChainConfig, fn: ChainFunction, p: int, n: int, what: str) -> np.ndarray:
-    out = np.empty(n)
-    for j in range(cfg.n_edges):
-        g = fn.grids[j]
-        if g.size != p:
-            raise GridMismatch(f"edge {j}: {what} sampled on {g.size} points, expected {p}")
-        if np.max(np.abs(g - np.linspace(j, j + 1, p))) > 1e-12:
-            raise GridMismatch(f"edge {j}: {what} grid is not the uniform simulation grid")
-        vals = fn.values[j]
-        if np.max(np.abs(vals.imag)) > 1e-12 * (np.max(np.abs(vals)) + 1.0):
-            raise GridMismatch("wave simulation needs real data")
-        out[j * (p - 1) : (j + 1) * (p - 1) + 1] = vals.real
-    return out
+    def gather(self, fn: ChainFunction, what: str, real: bool) -> np.ndarray:
+        """fn's values on the global grid; fn must be sampled on the edge grids."""
+        out = np.empty(self.n, dtype=float if real else complex)
+        for j, (grid, span) in enumerate(zip(self.grids, self.spans)):
+            g, vals = fn.grids[j], fn.values[j]
+            if g.size != grid.size:
+                raise GridMismatch(
+                    f"edge {j}: {what} sampled on {g.size} points, expected {grid.size}")
+            if np.max(np.abs(g - grid)) > 1e-12:
+                raise GridMismatch(f"edge {j}: {what} grid is not the uniform simulation grid")
+            if real and np.max(np.abs(vals.imag)) > 1e-12 * (np.max(np.abs(vals)) + 1.0):
+                raise GridMismatch("wave simulation needs real data")
+            out[span] = vals.real if real else vals
+        return out
 
-
-def _scatter(cfg: ChainConfig, p: int, arr: np.ndarray) -> list[np.ndarray]:
-    return [arr[j * (p - 1) : (j + 1) * (p - 1) + 1].copy() for j in range(cfg.n_edges)]
+    def chain(self, arr: np.ndarray) -> ChainFunction:
+        """The global node values arr as a complex ChainFunction on the edge grids."""
+        return ChainFunction(self.grids, [arr[span].astype(complex) for span in self.spans])
 
 
 def _joint_stencil(cfg: ChainConfig, joints: np.ndarray):
@@ -140,20 +146,21 @@ def simulate_wave(cfg: ChainConfig, init: WaveState, opts: SimOptions,
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "forced" and forcing is None:
         raise ValueError("forced mode needs a forcing callable")
-    p = opts.points_per_edge
-    n, h, rho_node, joints, _ = _global_layout(cfg, p)
-    stencil = _joint_stencil(cfg, joints)
+    layout = _Layout(cfg, opts.points_per_edge)
+    n, h = layout.n, layout.h
+    stencil = _joint_stencil(cfg, layout.joints)
     c_max = float(np.max(cfg.wave_speeds))
     dt = opts.cfl * h / c_max
     steps = max(2, int(np.ceil(opts.T / dt)))
     dt = opts.T / steps
-    coef = (dt * dt / (h * h)) * rho_node
+    coef = (dt * dt / (h * h)) * layout.rho_node
     rho0 = cfg.densities[0]
     r0 = rho0 * dt * dt / (h * h)
-    damp = dt / h
+    # a conservative end is a damped one without damping: keep = denom = 1
+    damp = dt / h if mode == "damped" else 0.0
 
-    u_prev = _gather_real(cfg, init.u, p, n, "displacement")
-    v0 = _gather_real(cfg, init.v, p, n, "velocity")
+    u_prev = layout.gather(init.u, "displacement", real=True)
+    v0 = layout.gather(init.v, "velocity", real=True)
     u_prev[-1] = 0.0
 
     def close_joints(u):
@@ -165,7 +172,7 @@ def simulate_wave(cfg: ChainConfig, init: WaveState, opts: SimOptions,
 
     # elastic term: rho_j |du|^2 / h summed edge by edge over the cell differences
     du = np.empty(n - 1)
-    du_edges = [(rho, du[j * (p - 1) : (j + 1) * (p - 1)]) for j, rho in enumerate(cfg.densities)]
+    du_edges = [(rho, du[s.start : s.stop - 1]) for rho, s in zip(cfg.densities, layout.spans)]
 
     def energy(d, u, kin_scale):
         """kin_scale * sum_i (w_i / h) d_i^2, trapezoid weights w, plus u's elastic energy."""
@@ -181,12 +188,8 @@ def simulate_wave(cfg: ChainConfig, init: WaveState, opts: SimOptions,
     u_cur[1:-1] += dt * v0[1:-1] + 0.5 * coef[1:-1] * (
         u_prev[2:] - 2.0 * u_prev[1:-1] + u_prev[:-2]
     )
-    if mode == "damped":
-        ghost = u_prev[1] - 2.0 * h * v0[0] / rho0
-    elif mode == "conservative":
-        ghost = u_prev[1]
-    else:
-        ghost = u_prev[1] - 2.0 * h * float(forcing(0.0)) / rho0
+    s0 = v0[0] if mode == "damped" else float(forcing(0.0)) if mode == "forced" else 0.0
+    ghost = u_prev[1] - 2.0 * h * s0 / rho0
     u_cur[0] = u_prev[0] + dt * v0[0] + 0.5 * r0 * (u_prev[1] - 2.0 * u_prev[0] + ghost)
     u_cur[-1] = 0.0
     close_joints(u_cur)
@@ -198,7 +201,6 @@ def simulate_wave(cfg: ChainConfig, init: WaveState, opts: SimOptions,
     next_rec = min(stride, steps)
     kin_scale = 0.5 * h / (4.0 * dt * dt)  # for the central difference u^{k+1} - u^{k-1}
 
-    damped = mode == "damped"
     forced = mode == "forced"
     keep = 1.0 - damp
     denom = 1.0 + damp
@@ -231,13 +233,11 @@ def simulate_wave(cfg: ChainConfig, init: WaveState, opts: SimOptions,
         tmp -= p_in
         n_in += tmp
         u1 = u_c.item(1)
-        if damped:
-            b_next = (2.0 * b_cur - keep * b_prev + two_r0 * (u1 - b_cur)) / denom
-        elif forced:
+        if forced:
             vn = float(forcing(k * dt))
             b_next = 2.0 * b_cur - b_prev + r0 * (2.0 * u1 - 2.0 * b_cur - two_h * vn / rho0)
         else:
-            b_next = 2.0 * b_cur - b_prev + two_r0 * (u1 - b_cur)
+            b_next = (2.0 * b_cur - keep * b_prev + two_r0 * (u1 - b_cur)) / denom
         u_n[0] = b_next
         close_joints(u_n)
 
@@ -255,13 +255,7 @@ def simulate_wave(cfg: ChainConfig, init: WaveState, opts: SimOptions,
         b_prev, b_cur = b_cur, b_next
 
     # buffers after the rotation: prev = u^M, cur = u^{M+1}, nxt = u^{M-1}
-    u_final = prev[0]
-    v_final = (cur[0] - nxt[0]) / two_dt
-    grids = [np.linspace(j, j + 1, p) for j in range(cfg.n_edges)]
-    final = WaveState(
-        u=ChainFunction(grids, [a.astype(complex) for a in _scatter(cfg, p, u_final)]),
-        v=ChainFunction(grids, [a.astype(complex) for a in _scatter(cfg, p, v_final)]),
-    )
+    final = WaveState(u=layout.chain(prev[0]), v=layout.chain((cur[0] - nxt[0]) / two_dt))
     return EnergyTrace(times=times, energies=energies, boundary_flux=flux), final
 
 
@@ -273,11 +267,12 @@ def _schrodinger_tridiag(cfg: ChainConfig, p: int):
     in which the operator is exactly dissipative.  Cell k couples the
     nodes k and k+1 with conductance rho_k / h.
     """
-    n, h, _, _, cell_rho = _global_layout(cfg, p)
-    na = n - 1
+    layout = _Layout(cfg, p)
+    h = layout.h
+    na = layout.n - 1
     w = np.full(na, h)
     w[0] = 0.5 * h
-    g = cell_rho / h
+    g = layout.cell_rho / h
     diag = -(g + np.concatenate(([0.0], g[:-1]))).astype(complex)
     upper = np.zeros(na, dtype=complex)
     lower = np.zeros(na, dtype=complex)
@@ -302,16 +297,9 @@ def simulate_schrodinger(cfg: ChainConfig, u0: ChainFunction, opts: SimOptions):
         raise GridMismatch("Schrodinger simulation needs a scalar initial state")
     if opts.dt is None:
         raise ValueError("Schrodinger simulation needs opts.dt")
-    p = opts.points_per_edge
-    na, h, w, lower, diag, upper = _schrodinger_tridiag(cfg, p)
-    u_full = np.empty(na + 1, dtype=complex)
-    for j in range(cfg.n_edges):
-        g = u0.grids[j]
-        if g.size != p:
-            raise GridMismatch(f"edge {j}: initial state on {g.size} points, expected {p}")
-        if np.max(np.abs(g - np.linspace(j, j + 1, p))) > 1e-12:
-            raise GridMismatch(f"edge {j}: initial grid is not the uniform simulation grid")
-        u_full[j * (p - 1) : (j + 1) * (p - 1) + 1] = u0.values[j]
+    layout = _Layout(cfg, opts.points_per_edge)
+    na, h, w, lower, diag, upper = _schrodinger_tridiag(cfg, opts.points_per_edge)
+    u_full = layout.gather(u0, "initial state", real=False)
     if abs(u_full[-1]) > 1e-9 * (np.max(np.abs(u_full)) + 1.0):
         raise GridMismatch("initial state must vanish at the clamped end")
     if not np.all(np.isfinite(u_full)):
@@ -366,11 +354,8 @@ def simulate_schrodinger(cfg: ChainConfig, u0: ChainFunction, opts: SimOptions):
             flux[rec] = flux_cum
             rec += 1
             next_rec = min(next_rec + stride, steps)
-    full = np.concatenate([u, [0.0]])
-    grids = [np.linspace(j, j + 1, p) for j in range(cfg.n_edges)]
-    values = [full[j * (p - 1) : (j + 1) * (p - 1) + 1].copy() for j in range(cfg.n_edges)]
     trace = EnergyTrace(times=times, energies=energies, boundary_flux=flux)
-    return trace, ChainFunction(grids, values)
+    return trace, layout.chain(np.append(u, 0.0))
 
 
 def fit_decay_rate(trace: EnergyTrace) -> float:

@@ -33,13 +33,6 @@ __all__ = [
 ]
 
 
-def _require_right_half_plane(lam: complex) -> complex:
-    lam = complex(lam)
-    if lam.real <= 0.0:
-        raise ValueError(f"transfer function is evaluated on Re lam > 0, got {lam}")
-    return lam
-
-
 def transfer_values(cfg: ChainConfig, lam, z: complex = 1.0):
     """Vectorized transfer values over an array of lam with Re lam > 0.
 
@@ -64,10 +57,7 @@ def transfer_values(cfg: ChainConfig, lam, z: complex = 1.0):
 
 def transfer_value(cfg: ChainConfig, lam: complex, z: complex = 1.0) -> complex:
     """Boundary output (1,0) W(0) for input gain z at one lam, Re lam > 0."""
-    lam = _require_right_half_plane(lam)
-    if z == 0.0:
-        return 0.0 + 0.0j
-    return complex(transfer_values(cfg, np.asarray(lam), z))
+    return complex(transfer_values(cfg, lam, z))
 
 
 def transfer_det_pair(cfg: ChainConfig, lam) -> DetPair:

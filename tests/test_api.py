@@ -1,0 +1,37 @@
+"""Every exported name, and every name the benchmark's tracer wraps, exists."""
+
+import ast
+import functools
+import importlib
+import pkgutil
+from pathlib import Path
+
+import stringchain
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _resolve(module: str, path: str):
+    return functools.reduce(getattr, path.split("."), importlib.import_module(module))
+
+
+def test_every_all_name_resolves():
+    modules = ["stringchain"] + [f"stringchain.{m.name}"
+                                 for m in pkgutil.iter_modules(stringchain.__path__)]
+    exported = 0
+    for module in modules:
+        for name in getattr(importlib.import_module(module), "__all__", ()):
+            _resolve(module, name)
+            exported += 1
+    assert exported > 0
+
+
+def test_every_traced_name_resolves():
+    # read TRACED from the source, without importing or installing the tracer
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    traced = next(node.value for node in tree.body
+                  if isinstance(node, ast.Assign) and node.targets[0].id == "TRACED")
+    entries = [(entry.elts[0].value, entry.elts[1].value) for entry in traced.elts]
+    assert entries
+    for module, path in entries:
+        _resolve(module, path)

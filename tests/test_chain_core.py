@@ -234,3 +234,53 @@ def test_integrate_edge_even_counts_use_trapezoid(n):
         y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         ref = np.trapezoid(y, x)
         assert abs(integrate_edge(x, y) - ref) <= 1e-13 * abs(ref)
+
+
+def test_write_table_bytes_match_csv_writer(tmp_path):
+    import csv
+
+    from stringchain.chain_core import write_table
+
+    rng = np.random.default_rng(8)
+    rows = 20001  # spans several write chunks
+    ints = np.arange(rows) % 7
+    floats = rng.standard_normal(rows).tolist()  # a list of Python floats
+    arr = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
+    arr[:6] = [-0.0, 1e-300, np.nan, np.inf, -np.inf, 0.0]
+    floats[:3] = [-0.0, float("nan"), 1e-300]
+    columns = (ints, floats, arr, [7] * rows)
+    path = write_table(tmp_path / "t.csv", ["i", "f", "a", "k"], *columns)
+    ref = tmp_path / "ref.csv"
+    with open(ref, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["i", "f", "a", "k"])
+        writer.writerows(["%.17g" % v for v in row] for row in zip(*columns))
+    assert path.read_bytes() == ref.read_bytes()
+
+
+@pytest.mark.parametrize("arity", [1, 2])
+def test_chain_function_csv_bytes_match_row_loop(tmp_path, arity):
+    import csv
+
+    rng = np.random.default_rng(arity)
+    grids = [np.sort(np.concatenate([[j, j + 1.0], rng.uniform(j, j + 1.0, n)]))
+             for j, n in enumerate((5, 12, 1))]
+    shape = (lambda n: (n,)) if arity == 1 else (lambda n: (n, 2))
+    values = [rng.standard_normal(shape(g.size)) + 1j * rng.standard_normal(shape(g.size))
+              for g in grids]
+    values[0][0] = complex(-0.0, 1e-300)
+    fn = ChainFunction(grids, values)
+    fn.to_csv(tmp_path / "fn.csv")
+    ref = tmp_path / "ref.csv"
+    with open(ref, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["edge", "x", "re", "im"] + (["re2", "im2"] if arity == 2 else []))
+        for j, (g, v) in enumerate(zip(fn.grids, fn.values)):
+            for k in range(g.size):
+                z = [v[k]] if arity == 1 else [v[k, 0], v[k, 1]]
+                parts = [p for c in z for p in (c.real, c.imag)]
+                writer.writerow([j, f"{g[k]:.17g}"] + [f"{p:.17g}" for p in parts])
+    assert (tmp_path / "fn.csv").read_bytes() == ref.read_bytes()
+    back = ChainFunction.from_csv(tmp_path / "fn.csv")
+    for a, b in zip(fn.values, back.values):
+        assert a.tobytes() == b.tobytes()  # -0.0 and 1e-300 survive

@@ -182,3 +182,21 @@ def test_sorted_output_and_determinism():
     b = sc.find_eigenvalues(cfg, (-1, 0, 0, 10), "wave", grid=(40, 120))
     assert np.array_equal(a.eigenvalues, b.eigenvalues)
     assert np.all(np.diff(a.eigenvalues.imag) > 0)
+
+
+def test_returned_roots_are_polished():
+    # |D'| ~ 2.5e-3 at some of these roots, so stopping at |D| <= tol = 1e-10
+    # would leave them ~4e-8 off; one more Newton step pins them to rounding
+    cfg = sc.ChainConfig(densities=(0.26089984506670477, 0.28204839091628886, 2.567994512784701,
+                                    1.4871171423842806, 1.212499322468965, 1.9725201289819176,
+                                    2.6142540536888212))
+    eig = sc.find_eigenvalues(cfg, (-3.0, 0.0, -0.5, 4.8060374193031086), "schrodinger",
+                              grid=(160, 768))
+    assert eig.eigenvalues.size > 0 and not eig.failures
+    f = sc.char_det_schrodinger
+    for z0 in eig.eigenvalues:
+        z = z0
+        for _ in range(6):  # further central-difference Newton steps
+            h = 1e-7 * (1.0 + abs(z))
+            z = z - f(cfg, z) * (2 * h) / (f(cfg, z + h) - f(cfg, z - h))
+        assert abs(z - z0) <= 1e-12
