@@ -1,38 +1,32 @@
 """Closed-form resolvent solves on the chain, plus norm scans.
 
-The wave solve integrates (i*beta - B d/dx) W = G edge by edge with
-matrix exponentials: edge 0 is anchored at its right end (F_0 = W_0(1)),
-the other edges at their left ends, and the two boundary rows close a
-2x2 system for F_0.  The Schrodinger solve propagates (u, rho u') with
-the unimodular trigonometric step for beta > 0; for beta < 0 no
-oscillatory representation exists, so the solution is rebuilt from
-decaying exponentials on each edge, which keeps every matrix entry
-below 1 regardless of |beta|.
+At a real frequency both chains reduce on each edge to a 2x2 system
+Y' = M_j Y + S, closed by the damped row at x = 0 and the clamped row at
+x = N.  One plan, `_OscillatoryPlan`, solves it for the wave chain at
+every beta and the Schrodinger chain at beta > 0 by marching from the
+damped end, with no anchoring at x = 1 and no 2x2 boundary system.  At
+beta < 0 the Schrodinger solution is rebuilt from decaying exponentials
+on each edge, which keeps every matrix entry below 1 whatever |beta|.
 
-Every solve is a plan plus an apply step.  The plan is built once per
-(chain, beta, grids): it runs the oscillation guard and the
-singularity checks and holds all that does not depend on the load,
-namely per-cell product-integration weights (the 8-node Gauss-Legendre
-sums of the kernel against the cell's two hat functions 1 - tau and
-tau, so that the linearly interpolated load integrates to a weighted
-sum of its grid values), the kernel at the grid points, and the
-boundary and propagation matrices.  Applying a plan to one load is
-O(n) arithmetic per edge.  Each solve reports its residual, the
-relative defect of its equation with the solution differentiated
-numerically once.
+A plan is built once per (chain, beta, grids): it runs the oscillation
+guard and the singularity checks and holds all that does not depend on
+the load, namely per-cell product-integration weights (the 8-node
+Gauss-Legendre sums of the kernel against the cell's two hat functions
+1 - tau and tau, so that the linearly interpolated load integrates to a
+weighted sum of its grid values), the kernel at the grid points and the
+propagation matrices.  Applying it to one load is O(n) arithmetic per
+edge.  Each solve reports its residual, the relative defect of its
+equation with the solution differentiated numerically once.
 
-The norm scans build one plan, one probe mode basis and the
-integrate_edge weights of the norms once per beta.  Per probe they
-draw the seeded coefficients, form the load with one matrix product
-per edge, apply the plan, and take the residual and the norms of that
-probe alone, so an estimate over k probes is the running max over the
-first k.
+Both norm scans run one probe loop: per beta one plan, one probe basis
+and the norm weights; per probe one seeded load and one apply, so an
+estimate over k probes is the running max over the first k.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 from scipy.linalg.lapack import zgetrf, zgetrs
@@ -55,7 +49,7 @@ from .errors import (
     SingularDenominator,
     ZeroBeta,
 )
-from .transfer_matrix import boundary_matrices, exp_osc, propagate, schrodinger_step
+from .transfer_matrix import propagate
 
 __all__ = [
     "WaveResolventSolution",
@@ -80,12 +74,13 @@ _MIN_SCAN_POINTS = 257  # points per edge of a scan grid at low frequency
 
 @dataclass
 class WaveResolventSolution:
-    """Solution record of one wave resolvent solve."""
+    """Solution record of one wave resolvent solve.
+
+    F holds W_0(1), then W_j(j) for the edges j >= 1.
+    """
 
     W: ChainFunction
     F: list[np.ndarray]
-    Y: np.ndarray
-    Gamma: list[np.ndarray]
     beta: float
     residual: Optional[float] = None
 
@@ -116,17 +111,6 @@ class ScanPoint:
     residual_max: float
 
 
-def _check_oscillation(grids, periods) -> None:
-    """Require at least _MIN_CELLS_PER_PERIOD grid cells per oscillation period."""
-    for j, g in enumerate(grids):
-        h_max = float(np.max(np.diff(g)))
-        if h_max > periods[j] / _MIN_CELLS_PER_PERIOD:
-            raise QuadratureTooCoarse(
-                f"edge {j}: cell width {h_max:.3g} exceeds {periods[j] / _MIN_CELLS_PER_PERIOD:.3g} "
-                f"(need {_MIN_CELLS_PER_PERIOD} cells per oscillation period)"
-            )
-
-
 def _gl_nodes(x: np.ndarray):
     """Gauss-Legendre nodes per grid cell, shape (n-1, 8), plus the cell widths."""
     h = np.diff(x)
@@ -154,82 +138,83 @@ def _relative(num: float, den: float) -> float:
     return float(np.sqrt(num) / den)
 
 
-class _WavePlan:
-    """The load-independent part of the wave solve at one beta on fixed grids."""
+class _OscillatoryPlan:
+    """Real-frequency solve of Y' = M_j Y + S, marched from the damped end.
 
-    def __init__(self, cfg: ChainConfig, beta: float, grids: Sequence[np.ndarray]):
-        speeds = cfg.wave_speeds
-        if beta != 0.0:
-            _check_oscillation(grids, [2.0 * np.pi * c / abs(beta) for c in speeds])
-        self.densities = cfg.densities
-        self.speeds = speeds
-        # P_j(x) = int_{anchor}^x exp(i*beta*(anchor - s)*B^{-1}) B^{-1} G ds
-        anchors = [1.0] + [float(j) for j in range(1, cfg.n_edges)]
-        self.cells, self.phase = [], []
+    The edge propagator is E_j(t) = [[cos w_j t, p_j sin w_j t],
+    [q_j sin w_j t, cos w_j t]] and the source is S = L_j g:
+
+    * kind "wave", any beta: Y = W, w_j = beta / c_j, p_j = i / c_j,
+      q_j = i c_j, S = -B^{-1} G = -(G_2 / rho_j, G_1), start (1, 1);
+    * kind "schrodinger", beta > 0: Y = (u, rho u'), w_j = sqrt(beta) / c_j,
+      p_j = 1 / (sqrt(beta) c_j), q_j = -sqrt(beta) c_j, S = (0, -i g),
+      start (1, i).
+
+    The damped row holds for Y(0) = t * start, and the clamped row
+    Y_0(N) = 0 fixes t through the first component of P * start, P being
+    the propagator product over the chain.
+    """
+
+    def __init__(self, cfg: ChainConfig, beta: float, grids: Sequence[np.ndarray], kind: str):
+        c = cfg.wave_speeds
+        if kind == "wave":
+            omega, p, q = beta / c, 1j / c, 1j * c
+            sources = [np.array([[0.0, -1.0 / rho], [-1.0, 0.0]]) for rho in cfg.densities]
+            self.start, singular, what = (1.0, 1.0), SingularBoundaryMatrix, "|det H|"
+        else:
+            sb = np.sqrt(beta)
+            omega, p, q = sb / c, 1.0 / (sb * c), -sb * c
+            sources = [np.array([[0.0], [-1j]])] * cfg.n_edges
+            self.start, singular, what = (1.0, 1j), SingularDenominator, "closed-form denominator"
+        self.cells, self.kernels, self.tables, self.edges = [], [], [], []
         for j, x in enumerate(grids):
-            c = speeds[j]
             s, h = _gl_nodes(x)
-            theta = beta * (anchors[j] - s) / c
-            self.cells.append(_hat_weights(np.cos(theta), h) + _hat_weights(np.sin(theta), h))
-            phi = beta * (x - anchors[j]) / c
-            ct, st = np.cos(phi), np.sin(phi)
-            self.phase.append((ct, 1j * st / c, 1j * c * st))
-
-        h_mat, _ = boundary_matrices(cfg, 1j * beta)
-        det = h_mat[0, 0] * h_mat[1, 1] - h_mat[0, 1] * h_mat[1, 0]
-        if abs(det) < 1e-14:
-            raise SingularBoundaryMatrix(f"|det H| = {abs(det):.3g} at beta = {beta}")
-        self.h_mat = h_mat
-        self.edge_exps = [exp_osc(rho, beta, 1.0) for rho in cfg.densities]
+            h_max = float(np.max(h))
+            if _MIN_CELLS_PER_PERIOD * h_max * abs(omega[j]) > 2.0 * np.pi:
+                limit = 2.0 * np.pi / abs(omega[j]) / _MIN_CELLS_PER_PERIOD
+                raise QuadratureTooCoarse(
+                    f"edge {j}: cell width {h_max:.3g} exceeds {limit:.3g} "
+                    f"(need {_MIN_CELLS_PER_PERIOD} cells per oscillation period)")
+            phase = omega[j] * (s - float(j))
+            weights = _hat_weights(np.cos(phase), h) + _hat_weights(np.sin(phase), h)
+            self.cells.append([w[:, None] for w in weights])
+            # E(-tau) S = cos(w tau) L g + sin(w tau) rot L g, applied to rows of loads
+            rot = np.array([[0.0, -p[j]], [-q[j], 0.0]])
+            self.kernels.append((sources[j].T, (rot @ sources[j]).T))
+            phase = omega[j] * (x - float(j))
+            ct, st = np.cos(phase), np.sin(phase)
+            self.tables.append((ct, p[j] * st, q[j] * st))
+            self.edges.append(np.array([[ct[-1], p[j] * st[-1]], [q[j] * st[-1], ct[-1]]]))  # E_j(1)
+        (p00, p01), (p10, p11) = propagate(cfg, 1j * beta, kind, np.eye(2))
+        self.den = p00 * self.start[0] + p01 * self.start[1]
+        if abs(self.den) < 1e-14:
+            raise singular(f"{what} = {abs(self.den):.3g} at beta = {beta}")
+        self.alpha_gamma = (complex(p00), complex(p01), complex(p10), complex(p11))
 
     def apply(self, g_values):
-        """(W values, F, Y, Gamma) for one 2-vector load on the plan's grids."""
-        n_edges = len(self.cells)
-        p_parts = []
+        """(Y values, -acc) for one load, acc being the zero-start particular part at x = N."""
+        parts = []
+        acc = np.zeros(2, dtype=complex)
         for j, g in enumerate(g_values):
-            rho, c = self.densities[j], self.speeds[j]
             cos_lo, cos_hi, sin_lo, sin_hi = self.cells[j]
-            lo, hi = g[:-1], g[1:]
-            cg = cos_lo[:, None] * lo + cos_hi[:, None] * hi  # int cos(theta) G per cell
-            sg = sin_lo[:, None] * lo + sin_hi[:, None] * hi
-            # B^{-1} G = (G2 / rho, G1) carried by the exponential
-            cells = np.stack([cg[:, 1] / rho + (1j / c) * sg[:, 0],
-                              (1j * c / rho) * sg[:, 1] + cg[:, 0]], axis=1)
-            p = np.zeros((g.shape[0], 2), dtype=complex)
-            if j == 0:
-                p[:-1] = -np.cumsum(cells[::-1], axis=0)[::-1]
-            else:
-                p[1:] = np.cumsum(cells, axis=0)
-            p_parts.append(p)
-
-        exps = self.edge_exps
-        gamma: list[np.ndarray] = []
-        if n_edges >= 2:
-            gamma.append(np.zeros(2, dtype=complex))  # at the first joint
-            for j in range(2, n_edges):
-                gamma.append(exps[j - 1] @ (gamma[-1] + p_parts[j - 1][-1]))
-
-        y1 = self.h_mat[0, :] @ p_parts[0][0]
-        if n_edges == 1:
-            y2 = 0.0 + 0.0j
-        else:
-            y2 = (exps[-1] @ (gamma[-1] + p_parts[-1][-1]))[0]
-        y = np.array([y1, y2], dtype=complex)
-        f0 = np.linalg.solve(self.h_mat, y)
-
-        f_list = [f0]
-        if n_edges >= 2:
-            f_list.append(f0.copy())  # continuity at the first joint
-            for j in range(2, n_edges):
-                f_list.append(exps[j - 1] @ (f_list[j - 1] - p_parts[j - 1][-1]))
-
+            kc, ks = self.kernels[j]
+            v = g.reshape(g.shape[0], -1)
+            lo, hi = v[:-1], v[1:]
+            part = np.zeros((v.shape[0], 2), dtype=complex)
+            # part(x) = int_j^x E(j - s) S(s) ds, cell by cell
+            np.cumsum((cos_lo * lo + cos_hi * hi) @ kc + (sin_lo * lo + sin_hi * hi) @ ks,
+                      axis=0, out=part[1:])
+            parts.append(part)
+            acc = self.edges[j] @ (acc + part[-1])
+        f = (-acc[0] / self.den) * np.array(self.start)
         values = []
-        for j, p in enumerate(p_parts):
-            ct, ist_c, icst = self.phase[j]
-            delta = f_list[j][None, :] - p
-            values.append(np.stack([ct * delta[:, 0] + ist_c * delta[:, 1],
-                                    icst * delta[:, 0] + ct * delta[:, 1]], axis=1))
-        return values, f_list, y, gamma
+        for j, part in enumerate(parts):
+            ct, pst, qst = self.tables[j]
+            d = f + part
+            values.append(np.stack([ct * d[:, 0] + pst * d[:, 1], qst * d[:, 0] + ct * d[:, 1]],
+                                   axis=1))
+            f = self.edges[j] @ d[-1]
+        return values, -acc
 
 
 def _h_norm(weights, densities, values) -> float:
@@ -265,12 +250,13 @@ def wave_resolvent(cfg: ChainConfig, beta: float, G: ChainFunction,
         raise ArityMismatch("load has wrong number of edges")
     if G.arity != 2:
         raise ArityMismatch("wave resolvent needs a 2-vector load")
-    values, f_list, y, gamma = _WavePlan(cfg, beta, G.grids).apply(G.values)
-    w_fn = ChainFunction(G.grids, values)
+    values = _plan(cfg, beta, G.grids, "wave").apply(G.values)[0]
     # relative defect of i*beta*W - B dW/dx - G, differentiated numerically
     residual = _relative(_wave_defect(cfg.densities, beta, G.grids, G.values, values),
                          h_norm(G, cfg))
-    sol = WaveResolventSolution(W=w_fn, F=f_list, Y=y, Gamma=gamma, beta=beta, residual=residual)
+    f_list = [values[0][-1]] + [w[0] for w in values[1:]]
+    sol = WaveResolventSolution(W=ChainFunction(G.grids, values), F=f_list, beta=beta,
+                                residual=residual)
     if residual_tol is not None and sol.residual > residual_tol:
         raise SignConventionMismatch(
             f"wave resolvent residual {sol.residual:.3g} exceeds {residual_tol:.3g}"
@@ -294,10 +280,7 @@ def _probe_bases(cfg: ChainConfig, grids: Sequence[np.ndarray], modes: int, cent
             lo = max(1, mc - modes // 2 + 1)
             mode_idx = np.arange(lo, lo + modes)
         arg = (g - float(j))[:, None] * (mode_idx * np.pi)[None, :]
-        table = np.empty((g.size, modes, 2))
-        table[:, :, 0] = np.cos(arg)
-        table[:, :, 1] = np.sin(arg)
-        bases.append(table.reshape(g.size, 2 * modes))
+        bases.append(np.stack([np.cos(arg), np.sin(arg)], axis=2).reshape(g.size, 2 * modes))
     return bases
 
 
@@ -337,109 +320,12 @@ def random_probe(cfg: ChainConfig, grids: Sequence[np.ndarray], seed, arity: int
 def scan_grid_points(cfg: ChainConfig, freq: float) -> int:
     """Points per edge that satisfy the oscillation guard at this frequency."""
     c_min = float(np.min(cfg.wave_speeds))
-    osc = int(np.ceil(1.75 * abs(freq) / c_min)) + 2
-    return max(_MIN_SCAN_POINTS, osc)
+    return max(_MIN_SCAN_POINTS, int(np.ceil(1.75 * abs(freq) / c_min)) + 2)
 
 
 def _beta_key(beta: float) -> int:
     """Stable seed component from the bit pattern; chunk-order independent."""
     return int(np.float64(beta).view(np.uint64))
-
-
-def wave_resolvent_norm_scan(cfg: ChainConfig, betas: Sequence[float], probes: int,
-                             points_per_edge: Optional[int] = None, seed: int = 0) -> list[ScanPoint]:
-    """Probe-based lower estimates of the wave resolvent norm at each beta.
-
-    For each frequency the estimate is the max of |W|_H / |G|_H over
-    seeded band-limited random loads centered at the responding spatial
-    frequency; it is nondecreasing in the number of probes because the
-    probe sequence is nested.  One plan and one probe basis serve all
-    probes of a frequency.
-    """
-    if probes < 1:
-        raise ValueError("probes must be >= 1")
-    validate_config(cfg)
-    out = []
-    for beta in betas:
-        pts = points_per_edge or scan_grid_points(cfg, beta)
-        grids = uniform_grids(cfg, pts)
-        plan = _WavePlan(cfg, beta, grids)
-        weights = [quadrature_weights(x) for x in grids]
-        bases = _probe_bases(cfg, grids, _PROBE_MODES, beta)
-        key = _beta_key(beta)
-        best = 0.0
-        worst_residual = 0.0
-        for k in range(probes):
-            g = _probe_values(bases, [seed, key, k], 2)
-            w = plan.apply(g)[0]
-            g_norm = _h_norm(weights, cfg.densities, g)
-            best = max(best, _h_norm(weights, cfg.densities, w) / g_norm)
-            residual = _relative(_wave_defect(cfg.densities, beta, grids, g, w), g_norm)
-            worst_residual = max(worst_residual, residual)
-        out.append(ScanPoint(beta=float(beta), norm_estimate=best, probes=probes,
-                             residual_max=worst_residual))
-    return out
-
-
-class _SchrodingerPositivePlan:
-    """Oscillatory branch beta > 0: trigonometric particular parts plus the 2x2 march."""
-
-    def __init__(self, cfg: ChainConfig, beta: float, grids: Sequence[np.ndarray]):
-        speeds = cfg.wave_speeds
-        sb = np.sqrt(beta)
-        freqs = [sb / c for c in speeds]
-        _check_oscillation(grids, [2.0 * np.pi / a for a in freqs])
-        self.densities = cfg.densities
-        self.speeds = speeds
-        self.sb = sb
-        self.freqs = freqs
-        self.cells, self.trig = [], []
-        for j, x in enumerate(grids):
-            a = freqs[j]
-            s, h = _gl_nodes(x)
-            s_local = s - float(j)
-            self.cells.append(_hat_weights(np.cos(a * s_local), h)
-                              + _hat_weights(np.sin(a * s_local), h))
-            xt = x - float(j)
-            self.trig.append((np.cos(a * xt), np.sin(a * xt)))
-
-        self.steps = [schrodinger_step(rho, beta) for rho in cfg.densities]
-        # rows of the product P = E_{N-1} ... E_0, from both unit start vectors
-        (p00, p01), (p10, p11) = propagate(cfg, 1j * beta, "schrodinger", np.eye(2))
-        den = p00 + 1j * p01
-        if abs(den) < 1e-14:
-            raise SingularDenominator(f"closed-form denominator {abs(den):.3g} at beta = {beta}")
-        self.den = den
-        self.alpha_gamma = (complex(p00), complex(p01), complex(p10), complex(p11))
-
-    def apply(self, g_values):
-        """(u values, coeffs, omega, flux) for one scalar load."""
-        sb = self.sb
-        g_parts, dg_parts, w_vecs = [], [], []
-        acc = np.zeros(2, dtype=complex)
-        for j, g in enumerate(g_values):
-            rho, c = self.densities[j], self.speeds[j]
-            cos_lo, cos_hi, sin_lo, sin_hi = self.cells[j]
-            lo, hi = g[:-1], g[1:]
-            ic = np.concatenate([[0.0], np.cumsum(cos_lo * lo + cos_hi * hi)])
-            is_ = np.concatenate([[0.0], np.cumsum(sin_lo * lo + sin_hi * hi)])
-            ct, st = self.trig[j]
-            g_parts.append((st * ic - ct * is_) / (1j * sb * c))
-            dg_parts.append((ct * ic + st * is_) / (1j * rho))
-            w_vecs.append(np.array([g_parts[j][-1], rho * dg_parts[j][-1]], dtype=complex))
-            acc = self.steps[j] @ acc + w_vecs[j]
-        omega = -acc
-        c01 = omega[0] / self.den
-        f = np.array([c01, 1j * c01], dtype=complex)
-        coeffs, values, flux = [], [], []
-        for j in range(len(g_parts)):
-            rho, c, a = self.densities[j], self.speeds[j], self.freqs[j]
-            ct, st = self.trig[j]
-            coeffs.append((complex(f[0]), complex(f[1])))
-            values.append(g_parts[j] + f[0] * ct + f[1] * st / (sb * c))
-            flux.append(rho * (dg_parts[j] - a * f[0] * st + (f[1] / rho) * ct))
-            f = self.steps[j] @ f + w_vecs[j]
-        return values, coeffs, omega, flux
 
 
 class _SchrodingerNegativePlan:
@@ -471,26 +357,23 @@ class _SchrodingerNegativePlan:
 
         # unknowns (a_j, b_j): u_j = u_p + a_j e^{-m (x-j)} + b_j e^{-m (j+1-x)}
         n_edges = cfg.n_edges
-        size = 2 * n_edges
-        mat = np.zeros((size, size), dtype=complex)
+        mat = np.zeros((2 * n_edges, 2 * n_edges), dtype=complex)
         e = [np.exp(-m) for m in ms]
-        rho0, m0, e0 = cfg.densities[0], ms[0], e[0]
-        mat[0, 0] = -rho0 * m0 - 1j
-        mat[0, 1] = (rho0 * m0 - 1j) * e0
+        f0 = cfg.densities[0] * ms[0]
+        mat[0, :2] = [-f0 - 1j, (f0 - 1j) * e[0]]
         for j in range(1, n_edges):
             # joint j: continuity, then flux balance, over (a, b) of edges j-1 and j
             el, er = e[j - 1], e[j]
             fl, fr = cfg.densities[j - 1] * ms[j - 1], cfg.densities[j] * ms[j]
             mat[2 * j - 1 : 2 * j + 1, 2 * j - 2 : 2 * j + 2] = [[el, 1.0, -1.0, -er],
                                                                  [-fl * el, fl, fr, -fr * er]]
-        mat[size - 1, size - 2] = e[-1]
-        mat[size - 1, size - 1] = 1.0
+        mat[-1, -2:] = [e[-1], 1.0]
         self.lu, self.piv, info = zgetrf(mat)
         if info != 0:
             raise SingularDenominator(f"singular coefficient system at beta = {beta}")
 
     def apply(self, g_values):
-        """(u values, coeffs, None, flux) for one scalar load."""
+        """(values of Y = (u, rho u'), None) for one scalar load."""
         up_parts, dup_parts = [], []
         for j, g in enumerate(g_values):
             m = self.ms[j]
@@ -520,21 +403,21 @@ class _SchrodingerNegativePlan:
         rhs[-1] = -up_parts[-1][-1]
         ab, _ = zgetrs(self.lu, self.piv, rhs)
 
-        coeffs, values, flux = [], [], []
+        values = []
         for j in range(n_edges):
             m, rho = self.ms[j], self.densities[j]
             ea, eb = self.exps[j]
             aj, bj = ab[2 * j], ab[2 * j + 1]
-            values.append(up_parts[j] + aj * ea + bj * eb)
-            flux.append(rho * (dup_parts[j] - m * aj * ea + m * bj * eb))
-            coeffs.append((complex(values[j][0]), complex(flux[j][0])))
-        return values, coeffs, None, flux
+            values.append(np.stack([up_parts[j] + aj * ea + bj * eb,
+                                    rho * (dup_parts[j] - m * aj * ea + m * bj * eb)], axis=1))
+        return values, None
 
 
-def _schrodinger_plan(cfg: ChainConfig, beta: float, grids: Sequence[np.ndarray]):
-    if beta > 0:
-        return _SchrodingerPositivePlan(cfg, beta, grids)
-    return _SchrodingerNegativePlan(cfg, beta, grids)
+def _plan(cfg: ChainConfig, beta: float, grids: Sequence[np.ndarray], kind: str):
+    """The solve plan of the wave or Schrodinger resolvent at beta on these grids."""
+    if kind == "schrodinger" and beta < 0:
+        return _SchrodingerNegativePlan(cfg, beta, grids)
+    return _OscillatoryPlan(cfg, beta, grids, kind)
 
 
 def _l2_norm(weights, values) -> float:
@@ -542,12 +425,12 @@ def _l2_norm(weights, values) -> float:
     return float(np.sqrt(sum(w @ _abs2(v) for w, v in zip(weights, values))))
 
 
-def _schrodinger_defect(beta: float, grids, g_values, u_values, flux) -> float:
-    """sum_j int |d/dx(rho u') + i g + beta u|^2 dx."""
+def _schrodinger_defect(beta: float, grids, g_values, y_values) -> float:
+    """sum_j int |d/dx(rho u') + i g + beta u|^2 dx for y = (u, rho u')."""
     num = 0.0
-    for x, g, u, fl in zip(grids, g_values, u_values, flux):
-        dflux = edge_derivative(x, fl)
-        target = -1j * g - beta * u
+    for x, g, y in zip(grids, g_values, y_values):
+        dflux = edge_derivative(x, y[:, 1])
+        target = -1j * g - beta * y[:, 0]
         num += np.trapezoid(np.abs(dflux - target) ** 2, x).real
     return num
 
@@ -562,15 +445,17 @@ def schrodinger_resolvent(cfg: ChainConfig, beta: float, g: ChainFunction,
         raise ArityMismatch("Schrodinger resolvent needs a scalar load")
     if g.n_edges != cfg.n_edges:
         raise ArityMismatch("load has wrong number of edges")
-    plan = _schrodinger_plan(cfg, beta, g.grids)
-    values, coeffs, omega, flux = plan.apply(g.values)
+    plan = _plan(cfg, beta, g.grids, "schrodinger")
+    values, omega = plan.apply(g.values)
     # relative defect of d/dx(rho u') - (-i g - beta u): the flux rho u' comes
     # from the closed form, so only one numerical derivative enters and the
     # check does not merely re-run the construction
-    residual = _relative(_schrodinger_defect(beta, g.grids, g.values, values, flux), l2_norm(g))
+    residual = _relative(_schrodinger_defect(beta, g.grids, g.values, values), l2_norm(g))
     sol = SchrodingerResolventSolution(
-        u=ChainFunction(g.grids, values), coeffs=coeffs, omega=omega,
-        alpha_gamma=plan.alpha_gamma, beta=beta, residual=residual, flux=flux,
+        u=ChainFunction(g.grids, [y[:, 0] for y in values]),
+        coeffs=[(complex(y[0, 0]), complex(y[0, 1])) for y in values], omega=omega,
+        alpha_gamma=plan.alpha_gamma, beta=beta, residual=residual,
+        flux=[y[:, 1] for y in values],
     )
     if residual_tol is not None and sol.residual > residual_tol:
         raise SignConventionMismatch(
@@ -579,39 +464,82 @@ def schrodinger_resolvent(cfg: ChainConfig, beta: float, g: ChainFunction,
     return sol
 
 
-def schrodinger_norm_scan(cfg: ChainConfig, betas: Sequence[float], probes: int,
-                          points_per_edge: Optional[int] = None, seed: int = 0) -> list[ScanPoint]:
-    """Probe-based estimates of |u| / |g| for the Schrodinger resolvent.
+class _Scan(NamedTuple):
+    """What the probe loop needs of one resolvent."""
 
-    One plan and one probe basis serve all probes of a frequency.
-    """
+    kind: str  # of the plan
+    arity: int
+    grid: Callable  # (cfg, beta) -> (points per edge, probe centre)
+    measure: Callable  # (cfg, beta, grids, weights, load, solution) -> (norm ratio, residual)
+
+
+def _wave_measure(cfg, beta, grids, weights, g, w):
+    g_norm = _h_norm(weights, cfg.densities, g)
+    return (_h_norm(weights, cfg.densities, w) / g_norm,
+            _relative(_wave_defect(cfg.densities, beta, grids, g, w), g_norm))
+
+
+def _schrodinger_grid(cfg: ChainConfig, beta: float):
+    if beta == 0.0:
+        raise ZeroBeta("beta grid must avoid 0")
+    if beta > 0:
+        return scan_grid_points(cfg, np.sqrt(beta)), np.sqrt(beta)
+    c_min = float(np.min(cfg.wave_speeds))
+    return max(_MIN_SCAN_POINTS, int(np.ceil(np.sqrt(-beta) / (2.0 * c_min))) + 2), 0.0
+
+
+def _schrodinger_measure(cfg, beta, grids, weights, g, y):
+    g_norm = _l2_norm(weights, g)
+    return (_l2_norm(weights, [v[:, 0] for v in y]) / g_norm,
+            _relative(_schrodinger_defect(beta, grids, g, y), g_norm))
+
+
+_WAVE_SCAN = _Scan("wave", 2, lambda cfg, beta: (scan_grid_points(cfg, beta), beta), _wave_measure)
+_SCHRODINGER_SCAN = _Scan("schrodinger", 1, _schrodinger_grid, _schrodinger_measure)
+
+
+def _norm_scan(scan: _Scan, cfg: ChainConfig, betas: Sequence[float], probes: int,
+               points_per_edge: Optional[int], seed: int) -> list[ScanPoint]:
+    """The probe loop of both norm scans: one plan and one probe basis per beta."""
     if probes < 1:
         raise ValueError("probes must be >= 1")
     validate_config(cfg)
     out = []
     for beta in betas:
-        if beta == 0.0:
-            raise ZeroBeta("beta grid must avoid 0")
-        if beta > 0:
-            pts = points_per_edge or scan_grid_points(cfg, np.sqrt(beta))
-        else:
-            c_min = float(np.min(cfg.wave_speeds))
-            pts = points_per_edge or max(_MIN_SCAN_POINTS,
-                                         int(np.ceil(np.sqrt(-beta) / (2.0 * c_min))) + 2)
-        grids = uniform_grids(cfg, pts)
-        plan = _schrodinger_plan(cfg, beta, grids)
+        points, center = scan.grid(cfg, beta)
+        grids = uniform_grids(cfg, points_per_edge or points)
+        plan = _plan(cfg, beta, grids, scan.kind)
         weights = [quadrature_weights(x) for x in grids]
-        bases = _probe_bases(cfg, grids, _PROBE_MODES, np.sqrt(beta) if beta > 0 else 0.0)
+        bases = _probe_bases(cfg, grids, _PROBE_MODES, center)
         key = _beta_key(beta)
-        best = 0.0
-        worst_residual = 0.0
+        best = worst_residual = 0.0
         for k in range(probes):
-            g = _probe_values(bases, [seed, key, k], 1)
-            u, _, _, flux = plan.apply(g)
-            g_norm = _l2_norm(weights, g)
-            best = max(best, _l2_norm(weights, u) / g_norm)
-            residual = _relative(_schrodinger_defect(beta, grids, g, u, flux), g_norm)
+            g = _probe_values(bases, [seed, key, k], scan.arity)
+            ratio, residual = scan.measure(cfg, beta, grids, weights, g, plan.apply(g)[0])
+            best = max(best, ratio)
             worst_residual = max(worst_residual, residual)
         out.append(ScanPoint(beta=float(beta), norm_estimate=best, probes=probes,
                              residual_max=worst_residual))
     return out
+
+
+def wave_resolvent_norm_scan(cfg: ChainConfig, betas: Sequence[float], probes: int,
+                             points_per_edge: Optional[int] = None, seed: int = 0) -> list[ScanPoint]:
+    """Probe-based lower estimates of the wave resolvent norm at each beta.
+
+    For each frequency the estimate is the max of |W|_H / |G|_H over
+    seeded band-limited random loads centered at the responding spatial
+    frequency; it is nondecreasing in the number of probes because the
+    probe sequence is nested.
+    """
+    return _norm_scan(_WAVE_SCAN, cfg, betas, probes, points_per_edge, seed)
+
+
+def schrodinger_norm_scan(cfg: ChainConfig, betas: Sequence[float], probes: int,
+                          points_per_edge: Optional[int] = None, seed: int = 0) -> list[ScanPoint]:
+    """Probe-based estimates of |u| / |g| for the Schrodinger resolvent.
+
+    For beta > 0 the probes are centered at the spatial frequency
+    sqrt(beta) / c_j; for beta < 0 they are the lowest modes.
+    """
+    return _norm_scan(_SCHRODINGER_SCAN, cfg, betas, probes, points_per_edge, seed)

@@ -93,6 +93,8 @@ class _Layout:
 
     def gather(self, fn: ChainFunction, what: str, real: bool) -> np.ndarray:
         """fn's values on the global grid; fn must be sampled on the edge grids."""
+        if fn.n_edges != len(self.grids):
+            raise GridMismatch(f"{what} has {fn.n_edges} edges, the chain has {len(self.grids)}")
         out = np.empty(self.n, dtype=float if real else complex)
         for j, (grid, span) in enumerate(zip(self.grids, self.spans)):
             g, vals = fn.grids[j], fn.values[j]
@@ -259,15 +261,14 @@ def simulate_wave(cfg: ChainConfig, init: WaveState, opts: SimOptions,
     return EnergyTrace(times=times, energies=energies, boundary_flux=flux), final
 
 
-def _schrodinger_tridiag(cfg: ChainConfig, p: int):
+def _schrodinger_tridiag(layout: _Layout):
     """Tridiagonal generator -i rho d_xx with feedback and joints folded in.
 
-    Returns (n_active, h, weights, lower, diag, upper) with the clamped
-    node eliminated; weights are the lumped masses of the inner product
-    in which the operator is exactly dissipative.  Cell k couples the
-    nodes k and k+1 with conductance rho_k / h.
+    Returns (weights, lower, diag, upper) on the layout's nodes with the
+    clamped node eliminated; weights are the lumped masses of the inner
+    product in which the operator is exactly dissipative.  Cell k couples
+    the nodes k and k+1 with conductance rho_k / h.
     """
-    layout = _Layout(cfg, p)
     h = layout.h
     na = layout.n - 1
     w = np.full(na, h)
@@ -282,7 +283,7 @@ def _schrodinger_tridiag(cfg: ChainConfig, p: int):
     lower = -1j * lower / w
     diag = -1j * diag / w
     upper = -1j * upper / w
-    return na, h, w, lower, diag, upper
+    return w, lower, diag, upper
 
 
 def simulate_schrodinger(cfg: ChainConfig, u0: ChainFunction, opts: SimOptions):
@@ -298,7 +299,8 @@ def simulate_schrodinger(cfg: ChainConfig, u0: ChainFunction, opts: SimOptions):
     if opts.dt is None:
         raise ValueError("Schrodinger simulation needs opts.dt")
     layout = _Layout(cfg, opts.points_per_edge)
-    na, h, w, lower, diag, upper = _schrodinger_tridiag(cfg, opts.points_per_edge)
+    w, lower, diag, upper = _schrodinger_tridiag(layout)
+    na = w.size
     u_full = layout.gather(u0, "initial state", real=False)
     if abs(u_full[-1]) > 1e-9 * (np.max(np.abs(u_full)) + 1.0):
         raise GridMismatch("initial state must vanish at the clamped end")

@@ -35,3 +35,17 @@ def test_every_traced_name_resolves():
     assert entries
     for module, path in entries:
         _resolve(module, path)
+
+
+def test_oracle_shares_no_code_with_the_solvers():
+    # the finite-difference oracle checks the closed-form solvers, so it may
+    # use the package's data types and errors but none of their code
+    tree = ast.parse((ROOT / "src" / "stringchain" / "oracle.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add("stringchain." + (node.module or "") if node.level else node.module)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    package = {name for name in imported if name.startswith("stringchain")}
+    assert package and package <= {"stringchain.chain_core", "stringchain.errors"}

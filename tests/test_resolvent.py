@@ -75,16 +75,14 @@ def test_wave_resolvent_boundary_rows_and_joints():
 
 
 def test_wave_resolvent_affine_bookkeeping():
-    # F_j equals the propagated product minus the accumulated load part
+    # where the load vanishes, the joint values propagate by the edge exponential
     cfg = sc.ChainConfig(densities=(1.0, 2.0, 3.0, 4.0))
     g = random_probe(cfg, uniform_grids(cfg, 801), seed=11, arity=2)
+    g = sc.ChainFunction(g.grids, [g.values[0]] + [np.zeros_like(v) for v in g.values[1:]])
     beta = 4.0
     sol = sc.wave_resolvent(cfg, beta, g)
-    prod = np.eye(2, dtype=complex)
-    for j in range(1, cfg.n_edges):
-        if j >= 2:
-            prod = sc.exp_osc(cfg.densities[j - 1], beta, 1.0) @ prod
-        expect = prod @ sol.F[0] - sol.Gamma[j - 1]
+    for j in range(2, cfg.n_edges):
+        expect = sc.exp_osc(cfg.densities[j - 1], beta, 1.0) @ sol.F[j - 1]
         assert np.max(np.abs(expect - sol.F[j])) <= 1e-10 * max(1.0, np.max(np.abs(sol.F[j])))
 
 
@@ -460,18 +458,20 @@ def test_random_probe_matches_mode_loop(arity, center):
         assert _rel(a, b) <= 1e-13
 
 
-@pytest.mark.parametrize("densities", _REF_CHAINS)
-def test_wave_resolvent_matches_reference(densities):
+_WAVE_REF_BETAS = (40.0, -40.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "densities, beta", [(d, b) for b in _WAVE_REF_BETAS for d in _REF_CHAINS],
+    ids=[f"densities{i}" + ("" if b == 40.0 else f"-beta{b:g}")
+         for b in _WAVE_REF_BETAS for i in range(len(_REF_CHAINS))])
+def test_wave_resolvent_matches_reference(densities, beta):
     cfg = sc.ChainConfig(densities)
     g = random_probe(cfg, uniform_grids(cfg, 1201), seed=21, arity=2, center=40.0)
-    sol = sc.wave_resolvent(cfg, 40.0, g)
-    W, F, Y, Gamma, residual = _ref_wave(cfg, 40.0, g)
+    sol = sc.wave_resolvent(cfg, beta, g)
+    W, F, _, _, residual = _ref_wave(cfg, beta, g)
     assert _rel(np.concatenate(sol.W.values), np.concatenate(W.values)) <= 1e-12
     assert _rel(sol.F, F) <= 1e-12
-    assert _rel(sol.Y, Y) <= 1e-12
-    if Gamma:
-        scale = max(np.max(np.abs(Gamma)), np.max(np.abs(F)))
-        assert np.max(np.abs(np.asarray(sol.Gamma) - Gamma)) <= 1e-12 * scale
     assert sol.residual == pytest.approx(residual, rel=1e-9)
 
 
@@ -494,7 +494,7 @@ def test_scan_probes_are_evaluated_one_at_a_time():
     cfg = sc.ChainConfig((1.0, 4.0))
     beta, seed = 316.0, 9
     grids = uniform_grids(cfg, resolvent.scan_grid_points(cfg, beta))
-    plan = resolvent._WavePlan(cfg, beta, grids)
+    plan = resolvent._OscillatoryPlan(cfg, beta, grids, "wave")
     bases = resolvent._probe_bases(cfg, grids, 8, beta)
     weights = [quadrature_weights(x) for x in grids]
     ratios, residuals = [], []

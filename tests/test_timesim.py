@@ -5,7 +5,7 @@ import scipy.linalg as sla
 import stringchain as sc
 from stringchain.chain_core import EnergyTrace, sample_function, sample_state, smooth_bump
 from stringchain.errors import CflViolation, GridMismatch, InsufficientDecay, LinearSolveFailure
-from stringchain.timesim import _schrodinger_tridiag
+from stringchain.timesim import _Layout, _schrodinger_tridiag
 
 
 def _bump_state(cfg, points):
@@ -78,6 +78,20 @@ def test_grid_mismatch_rejected():
     st = _bump_state(cfg, 150)
     with pytest.raises(GridMismatch):
         sc.simulate_wave(cfg, st, sc.SimOptions(points_per_edge=100, T=1.0))
+
+
+@pytest.mark.parametrize("data_edges", [1, 3])
+@pytest.mark.parametrize("stepper", ["wave", "schrodinger"])
+def test_initial_data_edge_count_mismatch_rejected(stepper, data_edges):
+    # the data vanish at x = 2, so a run that dropped the third edge would not fail later
+    cfg = sc.ChainConfig(densities=(1.0, 2.0))
+    st = _bump_state(sc.ChainConfig(densities=(1.0,) * data_edges), 50)
+    opts = sc.SimOptions(points_per_edge=50, T=0.1, dt=1e-2)
+    with pytest.raises(GridMismatch, match="edges"):
+        if stepper == "wave":
+            sc.simulate_wave(cfg, st, opts)
+        else:
+            sc.simulate_schrodinger(cfg, st.u, opts)
 
 
 def test_decay_rate_tracks_spectral_abscissa():
@@ -389,7 +403,7 @@ def test_crank_nicolson_flux_balance_at_every_record():
 @pytest.mark.parametrize("densities", [(1.0,), (1.0, 4.0), (0.3, 2.0, 1.1, 5.0)])
 def test_schrodinger_operator_is_exactly_dissipative(densities):
     cfg = sc.ChainConfig(densities=densities)
-    na, _, w, lower, diag, upper = _schrodinger_tridiag(cfg, 50)
+    w, lower, diag, upper = _schrodinger_tridiag(_Layout(cfg, 50))
     w_ref, lower_ref, diag_ref, upper_ref = _reference_tridiag(densities, 50)
     assert np.array_equal(w, w_ref)
     assert np.array_equal(lower, lower_ref)
@@ -397,7 +411,7 @@ def test_schrodinger_operator_is_exactly_dissipative(densities):
     assert np.array_equal(upper, upper_ref)
     rng = np.random.default_rng(len(densities))
     for _ in range(20):
-        u = rng.standard_normal(na) + 1j * rng.standard_normal(na)
+        u = rng.standard_normal(w.size) + 1j * rng.standard_normal(w.size)
         au = diag * u
         au[:-1] += upper[:-1] * u[1:]
         au[1:] += lower[1:] * u[:-1]
