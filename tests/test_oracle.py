@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 import stringchain as sc
 from stringchain.chain_core import sample_function
-from stringchain.errors import TooCoarse
+from stringchain.errors import SingularShift, TooCoarse
 from stringchain.oracle import oracle_transfer_value, rel_l2_diff, resample_load
 from stringchain.resolvent import random_probe
 
@@ -91,6 +92,66 @@ def test_fd_resolvent_norm_distance_band():
         nrm = sc.fd_resolvent_norm(op, beta)
         assert nrm <= 3.0 / dist
         assert nrm >= 1.0 / (3.0 * dist)
+
+
+def _dense_resolvent_norm(op, beta):
+    # reference: reciprocal smallest singular value of L^H r L^{-H}, L L^H = gram
+    r = 1j * beta * np.eye(op.dimension) - op.matrix
+    chol = np.linalg.cholesky(op.gram)
+    y = chol.conj().T @ r
+    z = sla.solve_triangular(chol, y.conj().T, lower=True).conj().T
+    return 1.0 / float(np.min(sla.svdvals(z)))
+
+
+def test_fd_resolvent_norm_matches_dense_svd():
+    # includes the smallest operator (1 edge, m = 8, dimension 16), where
+    # ARPACK's Krylov space is clamped to the whole space
+    cases = [
+        (sc.fd_wave_matrix(sc.ChainConfig(densities=dens), m), beta)
+        for dens in ((1.0,), (1.0, 4.0), (2.4871, 1.3332, 0.4111))
+        for m in (8, 40, 100)
+        for beta in (0.5, 10.0, 30.0, 100.0)
+    ]
+    schrodinger = sc.fd_schrodinger_matrix(sc.ChainConfig(densities=(1.0, 4.0)), 100)
+    cases += [(schrodinger, beta) for beta in (-20.0, 5.0, 50.0)]
+    assert min(op.dimension for op, _ in cases) == 16
+    for op, beta in cases:
+        ref = _dense_resolvent_norm(op, beta)
+        assert abs(sc.fd_resolvent_norm(op, beta) - ref) <= 1e-10 * ref
+
+
+def test_fd_resolvent_norm_small_operator_with_full_gram():
+    # below ARPACK's minimum size, and a Gram matrix that is not tridiagonal
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 3, 6):
+        b = rng.standard_normal((n, n))
+        op = sc.DenseOperator(
+            matrix=-np.eye(n) + 0.3 * rng.standard_normal((n, n)),
+            dof_map=[(0, k, "u") for k in range(n)],
+            gram=b @ b.T + n * np.eye(n),
+            kind="test",
+            cells_per_edge=8,
+        )
+        ref = _dense_resolvent_norm(op, 1.3)
+        assert abs(sc.fd_resolvent_norm(op, 1.3) - ref) <= 1e-10 * ref
+
+
+def test_fd_resolvent_norm_singular_shift():
+    op = sc.DenseOperator(
+        matrix=np.diag([2j, -1 + 3j]),
+        dof_map=[(0, 0, "u"), (0, 1, "u")],
+        gram=np.eye(2),
+        kind="test",
+        cells_per_edge=8,
+    )
+    with pytest.raises(SingularShift):
+        sc.fd_resolvent_norm(op, 2.0)
+
+
+def test_fd_resolvent_norm_repeatable():
+    op = sc.fd_wave_matrix(sc.ChainConfig(densities=(1.0, 4.0)), 40)
+    for beta in (0.5, 30.0):
+        assert sc.fd_resolvent_norm(op, beta) == sc.fd_resolvent_norm(op, beta)
 
 
 def test_fd_bvp_zero_data():

@@ -1,0 +1,82 @@
+"""Alternate perfbench runs between a base commit and the working tree.
+
+    python3 tools/bench_pairs.py --base HEAD --out BENCH_10.json
+
+Run from the root of a checkout.  The base commit is exported with
+``git archive`` into a temporary directory, so the repository itself is
+left as it is.  Each pair runs ``python3 perfbench/run.py`` in the base
+copy and in the working tree with the same seed; odd pairs run the
+working tree first.  Every workload in BENCHMARK.json gets ten untraced
+pairs (seeds 101-110) and one traced pair (seed 101), and every run lasts
+BENCHMARK.json's run_seconds.
+The output file holds every result line, both commits, the numpy and
+scipy versions and the CPU count.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+PAIRS = 10
+FIRST_SEED = 101
+
+
+def _git(*args: str) -> bytes:
+    return subprocess.run(["git", *args], check=True, capture_output=True).stdout
+
+
+def _run(root: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", str(trace)]
+    out = subprocess.run(cmd, cwd=root, check=True, capture_output=True, text=True).stdout
+    return json.loads(out.strip().splitlines()[-1])
+
+
+def main(argv=None) -> int:
+    spec = json.loads(Path("BENCHMARK.json").read_text())
+    workloads = [w["name"] for w in spec["workloads"]]
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--base", required=True, help="commit to compare against, e.g. HEAD")
+    ap.add_argument("--out", required=True, type=Path)
+    args = ap.parse_args(argv)
+
+    plan = [(w, FIRST_SEED + i, 0) for w in workloads for i in range(PAIRS)]
+    plan += [(w, FIRST_SEED, 1) for w in workloads]
+    versions = subprocess.run(
+        [sys.executable, "-c", "import numpy, scipy; print(numpy.__version__, scipy.__version__)"],
+        check=True, capture_output=True, text=True).stdout.split()
+    dirty = _git("status", "--porcelain", "--untracked-files=no").strip()
+    record = {
+        "base": _git("rev-parse", args.base).decode().strip(),
+        "change": _git("rev-parse", "HEAD").decode().strip()
+        + (" with uncommitted changes" if dirty else ""),
+        "numpy": versions[0],
+        "scipy": versions[1],
+        "nproc": os.cpu_count(),
+        "seconds": spec["run_seconds"],
+        "runs": [],
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        with tarfile.open(fileobj=io.BytesIO(_git("archive", args.base))) as tar:
+            tar.extractall(tmp, filter="data")
+        sides = [("base", Path(tmp)), ("change", Path.cwd())]
+        for i, (workload, seed, trace) in enumerate(plan):
+            for side, root in sides[::-1] if i % 2 else sides:
+                result = _run(root, workload, seed, spec["run_seconds"], trace)
+                record["runs"].append({"workload": workload, "seed": seed, "trace": trace,
+                                       "side": side, "result": result})
+                print(workload, seed, trace, side, json.dumps(result)[:100], flush=True)
+    args.out.write_text(json.dumps(record, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
