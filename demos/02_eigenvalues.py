@@ -38,7 +38,7 @@ print(f"  winding-number audit over the rectangle: {eig2.audit_count} roots")
 
 print()
 print("cross-check against a dense finite-difference discretization")
-ev = np.linalg.eigvals(sc.fd_wave_matrix(cfg2, 300).matrix)
+ev = np.linalg.eigvals(sc.fd_wave_matrix(cfg2, 300).matrix.toarray())
 for z in eig2.eigenvalues[:3]:
     d = np.min(np.abs(ev - z))
     print(f"  root {z:.6f}: nearest discrete eigenvalue within {d:.2e}")

@@ -2,10 +2,10 @@
 
 The closed-form solve propagates matrix exponentials across the edges
 and inverts one 2x2 system, so its cost is a few quadratures per edge
-at any frequency.  A dense box-scheme discretization provides an
-independent cross-check, and random near-resonant probes estimate the
-operator norm, which stays bounded as beta grows; that boundedness is
-exactly what exponential energy decay requires.
+at any frequency.  A finite-difference box-scheme discretization
+provides an independent cross-check, and random near-resonant probes
+estimate the operator norm, which stays bounded as beta grows; that
+boundedness is exactly what exponential energy decay requires.
 """
 
 import numpy as np
@@ -38,6 +38,6 @@ print(f"  spread max/min = {max(ests) / min(ests):.2f} (no blow-up)")
 
 op = sc.fd_wave_matrix(cfg1, 400)
 print()
-print("smallest-singular-value cross-check (dense oracle)")
+print("smallest-singular-value cross-check (finite-difference oracle)")
 for beta in (10.0, 100.0):
     print(f"  beta = {beta:6.1f}: oracle norm {sc.fd_resolvent_norm(op, beta):.4f}")

@@ -1,7 +1,7 @@
 """Brute-force finite-difference ground truth for both generators.
 
 Everything here is deliberately boring: lumped second-order stencils,
-dense generator matrices for eigensolves, direct (banded or sparse LU)
+sparse operators (`.toarray()` for a dense eigensolve), sparse LU
 eliminations, and ARPACK for the largest singular value of a resolvent.
 These discretizations share no code with the closed-form solvers they
 cross-check, and neither do `resample_load` and `rel_l2_diff`.
@@ -17,7 +17,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .chain_core import ChainConfig, ChainFunction, uniform_grids, validate_config
-from .errors import SingularShift, SingularSystem, TooCoarse
+from .errors import GridMismatch, SingularShift, SingularSystem, TooCoarse
 
 __all__ = [
     "DenseOperator",
@@ -33,18 +33,18 @@ __all__ = [
 
 @dataclass
 class DenseOperator:
-    """Dense discretization of a generator plus its energy inner product.
+    """Discretization of a generator plus its energy inner product.
 
-    dof_map lists (edge, local grid index, component) per matrix row;
-    gram is the SPD matrix of the discrete energy inner product, so
-    operator norms computed from this object live in the right space.
+    matrix and gram are scipy sparse matrices (call `.toarray()` for a
+    dense eigensolve).  dof_map lists (edge, local grid index, component)
+    per matrix row; gram is the SPD matrix of the discrete energy inner
+    product, so operator norms computed from this object live in the
+    right space.
     """
 
-    matrix: np.ndarray
+    matrix: sp.spmatrix
     dof_map: list[tuple[int, int, str]]
-    gram: np.ndarray
-    kind: str
-    cells_per_edge: int
+    gram: sp.spmatrix
 
     @property
     def dimension(self) -> int:
@@ -57,96 +57,71 @@ class DenseOperator:
 def _stencil(cfg: ChainConfig, m: int):
     """Lumped flux-difference stencil on the chain, clamped node removed.
 
-    Returns (n, h, w, lower, diag, upper): tridiagonal rows of the
-    stiffness-style operator sum_cells rho * (difference flux), plus the
-    lumped weights w (half cell at the damped end, full cell at joints).
+    Returns (stiff, w): the sparse tridiagonal operator sum over cells of
+    rho * (difference flux), with conductance rho / h on each cell, and
+    the lumped weights w (half cell at the damped end, full cell at joints).
     """
     if m < 8:
         raise TooCoarse("need at least 8 cells per edge")
-    n = cfg.n_edges * m  # nodes 0 .. N*m, last one clamped and removed
     h = 1.0 / m
-    w = np.full(n, h)
+    c = np.repeat(cfg.densities, m) / h  # cell k joins nodes k and k + 1; node N*m is clamped
+    w = np.full(c.size, h)
     w[0] = h / 2.0
-    lower = np.zeros(n)
-    diag = np.zeros(n)
-    upper = np.zeros(n)
-    for j in range(cfg.n_edges):
-        rho = cfg.densities[j]
-        for k in range(m):
-            a, b = j * m + k, j * m + k + 1
-            if a < n:
-                diag[a] -= rho / h
-                if b < n:
-                    upper[a] += rho / h
-            if b < n:
-                diag[b] -= rho / h
-                lower[b] += rho / h
-    return n, h, w, lower, diag, upper
+    diag = -c - np.concatenate([[0.0], c[:-1]])
+    return sp.diags([c[:-1], diag, c[:-1]], [-1, 0, 1], format="csr"), w
+
+
+def _rows_over(a, w: np.ndarray) -> sp.csr_matrix:
+    """a with row i divided by w[i], entry for entry as the dense a / w[:, None]."""
+    a = sp.csr_matrix(a)
+    return sp.csr_matrix((a.data / np.repeat(w, np.diff(a.indptr)), a.indices, a.indptr),
+                         shape=a.shape)
 
 
 def _dof_map(cfg: ChainConfig, m: int, comps: tuple[str, ...]):
-    out = []
-    for comp in comps:
-        for j in range(cfg.n_edges):
-            lo = 0 if j == 0 else 1
-            hi = m + 1 if j < cfg.n_edges - 1 else m
-            for k in range(lo, hi):
-                out.append((j, k, comp))
-    return out
-
-
-def _tridiag_to_dense(n, lower, diag, upper, dtype=float):
-    a = np.zeros((n, n), dtype=dtype)
-    idx = np.arange(n)
-    a[idx, idx] = diag
-    a[idx[1:], idx[:-1]] = lower[1:]
-    a[idx[:-1], idx[1:]] = upper[:-1]
-    return a
+    node = np.arange(cfg.n_edges * m)
+    edge = np.maximum(node - 1, 0) // m  # a joint belongs to the edge on its left
+    pairs = list(zip(edge.tolist(), (node - m * edge).tolist()))
+    return [(j, k, comp) for comp in comps for j, k in pairs]
 
 
 def fd_wave_matrix(cfg: ChainConfig, m: int) -> DenseOperator:
-    """Dense first-order generator of the damped wave chain, m cells per edge.
+    """First-order generator of the damped wave chain, m cells per edge.
 
     Block structure [[0, I], [K, D]] on stacked (u, v) unknowns, with the
     boundary damping folded into row 0 of the velocity block.  In the
     lumped energy product Re<A x, x> = -|v_0|^2 holds exactly.
     """
     validate_config(cfg)
-    n, h, w, lower, diag, upper = _stencil(cfg, m)
-    stiff = _tridiag_to_dense(n, lower, diag, upper)
-    a = np.zeros((2 * n, 2 * n))
-    a[:n, n:] = np.eye(n)
-    a[n:, :n] = stiff / w[:, None]
-    a[n + 0, n + 0] = -1.0 / w[0]  # damping: flux v_0 through the half cell
-    gram = np.zeros((2 * n, 2 * n))
-    gram[:n, :n] = -stiff  # SPD stiffness Gram for the displacement part
-    gram[n:, n:] = np.diag(w)
-    return DenseOperator(
-        matrix=a,
-        dof_map=_dof_map(cfg, m, ("u", "v")),
-        gram=gram,
-        kind="wave",
-        cells_per_edge=m,
-    )
+    stiff, w = _stencil(cfg, m)
+    n = w.size
+    # damping: flux v_0 through the half cell
+    damping = sp.csr_matrix(([-1.0 / w[0]], ([0], [0])), shape=(n, n))
+    a = sp.bmat([[None, sp.identity(n)], [_rows_over(stiff, w), damping]], format="csr")
+    gram = sp.block_diag([-stiff, sp.diags(w)], format="csr")  # SPD stiffness Gram for u
+    return DenseOperator(matrix=a, dof_map=_dof_map(cfg, m, ("u", "v")), gram=gram)
 
 
 def fd_schrodinger_matrix(cfg: ChainConfig, m: int) -> DenseOperator:
-    """Dense generator of the damped Schrodinger chain, m cells per edge."""
+    """Generator of the damped Schrodinger chain, m cells per edge."""
     validate_config(cfg)
-    n, h, w, lower, diag, upper = _stencil(cfg, m)
-    s = _tridiag_to_dense(n, lower, diag, upper, dtype=complex)
-    s[0, 0] += -1j  # boundary feedback rho_0 u'(0) = i u(0)
-    a = -1j * (s / w[:, None])
-    return DenseOperator(
-        matrix=a,
-        dof_map=_dof_map(cfg, m, ("u",)),
-        gram=np.diag(w).astype(complex),
-        kind="schrodinger",
-        cells_per_edge=m,
-    )
+    stiff, w = _stencil(cfg, m)
+    n = w.size
+    feedback = sp.csr_matrix(([-1j], ([0], [0])), shape=(n, n))  # rho_0 u'(0) = i u(0)
+    a = -1j * _rows_over(stiff + feedback, w)
+    return DenseOperator(matrix=a, dof_map=_dof_map(cfg, m, ("u",)),
+                         gram=sp.diags(w.astype(complex), format="csr"))
 
 
-def _gram_factor(gram: np.ndarray) -> sp.csc_matrix:
+def _splu(mat, error=SingularSystem, message=None):
+    """Sparse LU factor of mat; a singular matrix raises error(message)."""
+    try:
+        return spla.splu(sp.csc_matrix(mat))
+    except RuntimeError as exc:
+        raise error(message or str(exc)) from exc
+
+
+def _gram_factor(gram) -> sp.csc_matrix:
     """Banded upper Cholesky factor F of the Gram matrix, F^H F = gram, as CSC."""
     upper = sp.triu(gram, format="coo")
     band = int(np.max(upper.col - upper.row))
@@ -166,11 +141,8 @@ def fd_resolvent_norm(op: DenseOperator, beta: float) -> float:
     """
     n = op.dimension
     f = _gram_factor(op.gram)
-    shifted = f @ (1j * beta * sp.identity(n) - sp.csc_matrix(op.matrix))
-    try:
-        lu = spla.splu(shifted.tocsc())
-    except RuntimeError as exc:
-        raise SingularShift(f"i*{beta} is in the spectrum") from exc
+    lu = _splu(f @ (1j * beta * sp.identity(n) - op.matrix), SingularShift,
+               f"i*{beta} is in the spectrum")
     fh = f.conj().T
     resolvent = spla.LinearOperator((n, n), matvec=lambda x: f @ lu.solve(x),
                                     rmatvec=lambda x: lu.solve(fh @ x, trans="H"), dtype=complex)
@@ -184,63 +156,41 @@ def fd_resolvent_norm(op: DenseOperator, beta: float) -> float:
     return smax
 
 
+def _check_load(cfg: ChainConfig, g: ChainFunction, m: int) -> None:
+    """Raise GridMismatch unless g is sampled on the m-cell grid of every edge."""
+    ok = g.n_edges == cfg.n_edges and all(
+        x.size == m + 1 and np.max(np.abs(x - np.linspace(j, j + 1, m + 1))) <= 1e-12
+        for j, x in enumerate(g.grids))
+    if not ok:
+        raise GridMismatch(f"the load must hold the {m + 1} points of the {m}-cell grid "
+                           f"on each of the {cfg.n_edges} edges")
+
+
 def _box_scheme_wave(cfg: ChainConfig, beta: float, g: ChainFunction, m: int) -> ChainFunction:
-    """Midpoint (box) collocation of (i*beta - B d/dx) W = G, sparse LU solve."""
-    n_nodes = cfg.n_edges * m + 1
+    """Midpoint (box) collocation of (i*beta - B d/dx) W = G, sparse LU solve.
+
+    Unknowns W(node p) sit at 2p, 2p + 1.  Row 0 is the damped condition
+    (1, -1) W(0) = 0, rows 1 + 2q and 2 + 2q the two components on cell q,
+    and the last row the clamped condition (1, 0) W(N) = 0.
+    """
+    cells = cfg.n_edges * m
     h = 1.0 / m
-    size = 2 * n_nodes
-    rows, cols, vals = [], [], []
+    size = 2 * cells + 2
+    i0 = 2 * np.arange(cells)  # W_0 at the left node of each cell
+    r = i0 + 1  # first of the two rows of each cell
+    half = np.full(cells, 0.5j * beta)
+    flux = np.full(cells, 1.0 / h)
+    rho_h = np.repeat(cfg.densities, m) / h
+    # row r:     i*beta*mean(W_0) + (W_1(left) - W_1(right)) / h = mean(G_0)
+    # row r + 1: i*beta*mean(W_1) + rho (W_0(left) - W_0(right)) / h = mean(G_1)
+    rows = np.concatenate([[0, 0], np.tile(r, 4), np.tile(r + 1, 4), [size - 1]])
+    cols = np.concatenate([[0, 1], i0, i0 + 2, i0 + 1, i0 + 3, i0 + 1, i0 + 3, i0, i0 + 2,
+                           [size - 2]])
+    vals = np.concatenate([[1.0, -1.0], half, half, flux, -flux, half, half, rho_h, -rho_h, [1.0]])
     rhs = np.zeros(size, dtype=complex)
-
-    def put(r, c, v):
-        rows.append(r)
-        cols.append(c)
-        vals.append(v)
-
-    put(0, 0, 1.0)  # damped condition (1, -1) W(0) = 0
-    put(0, 1, -1.0)
-    r = 1
-    for j in range(cfg.n_edges):
-        rho = cfg.densities[j]
-        gj = g.values[j]
-        for k in range(m):
-            i0 = 2 * (j * m + k)
-            i1 = i0 + 2
-            put(r, i0, 0.5j * beta)
-            put(r, i1, 0.5j * beta)
-            put(r, i0 + 1, 1.0 / h)
-            put(r, i1 + 1, -1.0 / h)
-            rhs[r] = 0.5 * (gj[k, 0] + gj[k + 1, 0])
-            r += 1
-            put(r, i0 + 1, 0.5j * beta)
-            put(r, i1 + 1, 0.5j * beta)
-            put(r, i0, rho / h)
-            put(r, i1, -rho / h)
-            rhs[r] = 0.5 * (gj[k, 1] + gj[k + 1, 1])
-            r += 1
-    put(r, 2 * (n_nodes - 1), 1.0)  # clamped condition (1, 0) W(N) = 0
-    mat = sp.csc_matrix((vals, (rows, cols)), shape=(size, size))
-    try:
-        sol = spla.splu(mat).solve(rhs)
-    except RuntimeError as exc:
-        raise SingularSystem(str(exc)) from exc
-    grids = [np.linspace(j, j + 1, m + 1) for j in range(cfg.n_edges)]
-    values = []
-    for j in range(cfg.n_edges):
-        idx = np.arange(j * m, (j + 1) * m + 1)
-        values.append(np.stack([sol[2 * idx], sol[2 * idx + 1]], axis=1))
-    return ChainFunction(grids, values)
-
-
-def _banded_solve(n, lower, diag, upper, rhs):
-    ab = np.zeros((3, n), dtype=complex)
-    ab[0, 1:] = upper[:-1]
-    ab[1, :] = diag
-    ab[2, :-1] = lower[1:]
-    try:
-        return sla.solve_banded((1, 1), ab, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystem(str(exc)) from exc
+    rhs[1:-1] = np.concatenate([0.5 * (v[:-1] + v[1:]) for v in g.values]).ravel()
+    sol = _splu(sp.coo_matrix((vals, (rows, cols)), shape=(size, size))).solve(rhs)
+    return _nodes_to_chain(cfg, m, sol.reshape(-1, 2))
 
 
 def _nodes_to_chain(cfg: ChainConfig, m: int, full: np.ndarray) -> ChainFunction:
@@ -249,58 +199,40 @@ def _nodes_to_chain(cfg: ChainConfig, m: int, full: np.ndarray) -> ChainFunction
     return ChainFunction(grids, values)
 
 
-def _gather_rhs(cfg: ChainConfig, m: int, g: ChainFunction, n: int) -> np.ndarray:
-    rhs = np.zeros(n, dtype=complex)
-    for j in range(cfg.n_edges):
-        vals = g.values[j]
-        lo = 0 if j == 0 else 1
-        for k in range(lo, m + 1):
-            node = j * m + k
-            if node < n:
-                rhs[node] = vals[k]
-    return rhs
-
-
 def fd_bvp_solve(cfg: ChainConfig, lam: complex, data, which: str, m: int) -> ChainFunction:
     """Direct discretized solve of a two-point boundary-value problem.
 
     which = "wave":        data is a 2-vector ChainFunction G on the m-cell
                            grid; solves (i*beta - B d/dx) W = G with the box
                            scheme (lam = i*beta).
-    which = "schrodinger": data is a scalar ChainFunction g; solves
-                           (i*beta - A) u = g with the lumped stencil.
+    which = "schrodinger": data is a scalar ChainFunction g on the m-cell
+                           grid; solves (i*beta - A_h) u = g with the
+                           generator of `fd_schrodinger_matrix`.
     which = "transfer":    data is the scalar input gain z; solves the
                            time-harmonic chain rho y'' = lam^2 y with
                            rho_0 y'(0) = z and clamped far end, returning y.
+    A load off the m-cell grid raises GridMismatch.
     """
     validate_config(cfg)
     if m < 8:
         raise TooCoarse("need at least 8 cells per edge")
+    if which in ("wave", "schrodinger"):
+        _check_load(cfg, data, m)
     if which == "wave":
         return _box_scheme_wave(cfg, complex(lam).imag, data, m)
     if which == "schrodinger":
-        beta = complex(lam).imag
-        n, h, w, lower, diag, upper = _stencil(cfg, m)
-        dc = diag.astype(complex)
-        dc[0] += -1j  # feedback rho_0 u'(0) = i u(0)
-        # i*beta - A_h with A_h = -i * stencil / w
-        dd = 1j * beta + 1j * dc / w
-        uu = 1j * upper.astype(complex) / w
-        ll = 1j * lower.astype(complex) / w
-        rhs = _gather_rhs(cfg, m, data, n)
-        sol = _banded_solve(n, ll, dd, uu, rhs)
-        return _nodes_to_chain(cfg, m, np.concatenate([sol, [0.0]]))
+        op = fd_schrodinger_matrix(cfg, m)
+        # node values; a joint takes its left edge's last sample, the clamped node is dropped
+        rhs = np.concatenate([data.values[0]] + [v[1:] for v in data.values[1:]])[:-1]
+        shifted = 1j * complex(lam).imag * sp.identity(op.dimension) - op.matrix
+        return _nodes_to_chain(cfg, m, np.append(_splu(shifted).solve(rhs), 0.0))
     if which == "transfer":
-        z = complex(data)
-        n, h, w, lower, diag, upper = _stencil(cfg, m)
+        stiff, w = _stencil(cfg, m)
         # rho y'' - lam^2 y = 0 with Neumann input folded into node 0
-        dd = diag.astype(complex) / w - complex(lam) ** 2
-        uu = upper.astype(complex) / w
-        ll = lower.astype(complex) / w
-        rhs = np.zeros(n, dtype=complex)
-        rhs[0] = z / w[0]
-        sol = _banded_solve(n, ll, dd, uu, rhs)
-        return _nodes_to_chain(cfg, m, np.concatenate([sol, [0.0]]))
+        rhs = np.zeros(w.size, dtype=complex)
+        rhs[0] = complex(data) / w[0]
+        shifted = _rows_over(stiff, w) - complex(lam) ** 2 * sp.identity(w.size)
+        return _nodes_to_chain(cfg, m, np.append(_splu(shifted).solve(rhs), 0.0))
     raise ValueError(f"unknown problem kind {which!r}")
 
 

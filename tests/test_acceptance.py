@@ -109,8 +109,8 @@ def test_criterion_05_oracle_eigenvalue_agreement():
     t0 = time.perf_counter()
     cfg = sc.ChainConfig(densities=(1.0, 4.0))
     eig = sc.find_eigenvalues(cfg, (-2, 0, 0, 30), "wave", grid=(48, 160))
-    ev2 = np.linalg.eigvals(sc.fd_wave_matrix(cfg, 200).matrix)
-    ev4 = np.linalg.eigvals(sc.fd_wave_matrix(cfg, 400).matrix)
+    ev2 = np.linalg.eigvals(sc.fd_wave_matrix(cfg, 200).matrix.toarray())
+    ev4 = np.linalg.eigvals(sc.fd_wave_matrix(cfg, 400).matrix.toarray())
     worst = 0.0
     for z in eig.eigenvalues:
         m2 = ev2[np.argmin(np.abs(ev2 - z))]

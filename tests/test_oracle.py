@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 import stringchain as sc
 from stringchain.chain_core import sample_function
-from stringchain.errors import SingularShift, TooCoarse
+from stringchain.errors import GridMismatch, SingularShift, TooCoarse
 from stringchain.oracle import oracle_transfer_value, rel_l2_diff, resample_load
 from stringchain.resolvent import random_probe
 
@@ -16,7 +17,7 @@ def test_fd_wave_matched_case_spectrum_stays_left():
     cfg = sc.ChainConfig(densities=(1.0,))
     for m in (100, 200, 400):
         op = sc.fd_wave_matrix(cfg, m)
-        ev = np.linalg.eigvals(op.matrix)
+        ev = np.linalg.eigvals(op.matrix.toarray())
         assert ev.real.max() < 0
 
 
@@ -25,13 +26,13 @@ def test_fd_wave_eigenvalue_near_closed_form():
     cfg = sc.ChainConfig(densities=(0.25,))
     target = -np.log(3.0) / 4.0 + 0.5j * np.pi
     op = sc.fd_wave_matrix(cfg, 400)
-    ev = np.linalg.eigvals(op.matrix)
+    ev = np.linalg.eigvals(op.matrix.toarray())
     assert np.min(np.abs(ev - target)) <= 1e-2
 
 
 def test_fd_wave_spectrum_conjugation_symmetric():
     cfg = sc.ChainConfig(densities=(1.0, 2.0))
-    ev = np.linalg.eigvals(sc.fd_wave_matrix(cfg, 80).matrix)
+    ev = np.linalg.eigvals(sc.fd_wave_matrix(cfg, 80).matrix.toarray())
     sel = ev[np.abs(ev.imag) > 1e-8]
     for z in sel[:50]:
         assert np.min(np.abs(ev - np.conj(z))) <= 1e-8 * max(1.0, abs(z))
@@ -61,7 +62,7 @@ def test_fd_schrodinger_left_half_plane_and_convergence():
     cfg = sc.ChainConfig(densities=(1.0,))
     evs = {}
     for m in (100, 200, 400):
-        ev = np.linalg.eigvals(sc.fd_schrodinger_matrix(cfg, m).matrix)
+        ev = np.linalg.eigvals(sc.fd_schrodinger_matrix(cfg, m).matrix.toarray())
         assert ev.real.max() < 0
         evs[m] = ev
     # second-order convergence of the slowest mode
@@ -86,7 +87,7 @@ def test_fd_resolvent_norm_distance_band():
     # rough normal-operator heuristic: norm within x3 of 1/dist(i beta, spec)
     cfg = sc.ChainConfig(densities=(0.25,))
     op = sc.fd_wave_matrix(cfg, 300)
-    ev = np.linalg.eigvals(op.matrix)
+    ev = np.linalg.eigvals(op.matrix.toarray())
     for beta in (5.5, 20.0):
         dist = float(np.min(np.abs(1j * beta - ev)))
         nrm = sc.fd_resolvent_norm(op, beta)
@@ -96,8 +97,9 @@ def test_fd_resolvent_norm_distance_band():
 
 def _dense_resolvent_norm(op, beta):
     # reference: reciprocal smallest singular value of L^H r L^{-H}, L L^H = gram
-    r = 1j * beta * np.eye(op.dimension) - op.matrix
-    chol = np.linalg.cholesky(op.gram)
+    matrix, gram = (x.toarray() if sp.issparse(x) else x for x in (op.matrix, op.gram))
+    r = 1j * beta * np.eye(op.dimension) - matrix
+    chol = np.linalg.cholesky(gram)
     y = chol.conj().T @ r
     z = sla.solve_triangular(chol, y.conj().T, lower=True).conj().T
     return 1.0 / float(np.min(sla.svdvals(z)))
@@ -129,8 +131,6 @@ def test_fd_resolvent_norm_small_operator_with_full_gram():
             matrix=-np.eye(n) + 0.3 * rng.standard_normal((n, n)),
             dof_map=[(0, k, "u") for k in range(n)],
             gram=b @ b.T + n * np.eye(n),
-            kind="test",
-            cells_per_edge=8,
         )
         ref = _dense_resolvent_norm(op, 1.3)
         assert abs(sc.fd_resolvent_norm(op, 1.3) - ref) <= 1e-10 * ref
@@ -141,8 +141,6 @@ def test_fd_resolvent_norm_singular_shift():
         matrix=np.diag([2j, -1 + 3j]),
         dof_map=[(0, 0, "u"), (0, 1, "u")],
         gram=np.eye(2),
-        kind="test",
-        cells_per_edge=8,
     )
     with pytest.raises(SingularShift):
         sc.fd_resolvent_norm(op, 2.0)
@@ -171,7 +169,8 @@ def test_fd_bvp_transfer_closed_form():
 
 
 def test_fd_bvp_schrodinger_matches_matrix_solve():
-    # the banded path must agree with a dense solve of the same generator
+    # the sparse solve must gather the load onto the nodes and scatter the
+    # solution back along dof_map as a dense solve of the same generator does
     cfg = sc.ChainConfig(densities=(1.0, 4.0))
     m = 100
     g = random_probe(cfg, [np.linspace(j, j + 1, m + 1) for j in range(2)], seed=5, arity=1)
@@ -180,12 +179,50 @@ def test_fd_bvp_schrodinger_matches_matrix_solve():
     rhs = np.zeros(op.dimension, dtype=complex)
     for row, (edge, k, comp) in enumerate(op.dof_map):
         rhs[row] = g.values[edge][k]
-    dense = np.linalg.solve(1j * 9.0 * np.eye(op.dimension) - op.matrix, rhs)
-    flat = np.concatenate([u.values[0], u.values[1][1:-1]])
+    dense = np.linalg.solve(1j * 9.0 * np.eye(op.dimension) - op.matrix.toarray(), rhs)
     stacked = np.empty(op.dimension, dtype=complex)
     for row, (edge, k, comp) in enumerate(op.dof_map):
         stacked[row] = u.values[edge][k]
     assert np.max(np.abs(stacked - dense)) <= 1e-10 * np.max(np.abs(dense))
+
+
+# a (1, 2) load at m = 8 needs the 9 points of linspace(j, j + 1, 9) on each edge
+_EDGE0 = np.linspace(0, 1, 9)
+_UNEVEN = np.linspace(1, 2, 9)
+_UNEVEN[4] += 1e-6
+
+
+@pytest.mark.parametrize("which", ["wave", "schrodinger"])
+@pytest.mark.parametrize("grids", [
+    pytest.param([_EDGE0, np.linspace(1, 2, 13)], id="edge1-13-points"),
+    pytest.param([_EDGE0, np.linspace(1, 2, 5)], id="edge1-5-points"),
+    pytest.param([_EDGE0, _UNEVEN], id="edge1-uneven"),
+    pytest.param([_EDGE0], id="one-edge"),
+])
+def test_fd_bvp_rejects_load_off_the_grid(grids, which):
+    cfg = sc.ChainConfig(densities=(1.0, 2.0))
+    values = [np.ones((x.size, 2) if which == "wave" else x.size, complex) for x in grids]
+    with pytest.raises(GridMismatch):
+        sc.fd_bvp_solve(cfg, 3.0j, sc.ChainFunction(grids, values), which, 8)
+
+
+def test_fd_resolvent_norm_converges_at_second_order():
+    # successive differences of the norm shrink fourfold as m doubles; the
+    # largest operator (4 edges, m = 3200) has 25,600 unknowns
+    cases = [
+        (sc.fd_wave_matrix, (1.0, 2.0), 10.0, (200, 400, 800, 1600, 3200)),
+        (sc.fd_wave_matrix, (2.092, 1.0, 1.674, 3.416), 30.0, (200, 400, 800, 1600, 3200)),
+        (sc.fd_schrodinger_matrix, (1.0, 4.0), 50.0, (100, 200, 400, 800, 1600)),
+    ]
+    for build, dens, beta, ms in cases:
+        norms = []
+        for m in ms:
+            op = build(sc.ChainConfig(densities=dens), m)
+            assert op.matrix.nnz <= 4 * op.dimension
+            norms.append(sc.fd_resolvent_norm(op, beta))
+        diffs = np.diff(norms)
+        ratios = diffs[:-1] / diffs[1:]
+        assert np.all((ratios >= 3.5) & (ratios <= 4.5)), (dens, ratios)
 
 
 def test_fd_too_coarse():

@@ -120,8 +120,8 @@ def test_schrodinger_roots_match_fd_spectrum():
     cfg = sc.ChainConfig(densities=(1.0,))
     eig = sc.find_eigenvalues(cfg, (-3, 0, 0.5, 30), "schrodinger", grid=(48, 128))
     assert eig.eigenvalues.size >= 2
-    ev2 = np.linalg.eigvals(sc.fd_schrodinger_matrix(cfg, 200).matrix)
-    ev4 = np.linalg.eigvals(sc.fd_schrodinger_matrix(cfg, 400).matrix)
+    ev2 = np.linalg.eigvals(sc.fd_schrodinger_matrix(cfg, 200).matrix.toarray())
+    ev4 = np.linalg.eigvals(sc.fd_schrodinger_matrix(cfg, 400).matrix.toarray())
     for z in eig.eigenvalues:
         m2 = ev2[np.argmin(np.abs(ev2 - z))]
         m4 = ev4[np.argmin(np.abs(ev4 - z))]

@@ -9,13 +9,16 @@ copy and in the working tree with the same seed; odd pairs run the
 working tree first.  Every workload in BENCHMARK.json gets ten untraced
 pairs (seeds 101-110) and one traced pair (seed 101), and every run lasts
 BENCHMARK.json's run_seconds.
-The output file holds every result line, both commits, the numpy and
-scipy versions and the CPU count.  Standard library only.
+The output file holds every result line, both commits, the sha256 of
+``git diff --binary HEAD`` (so a file measured on uncommitted changes
+names the tree it measured), the numpy and scipy versions and the CPU
+count.  Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import io
 import json
 import os
@@ -58,6 +61,7 @@ def main(argv=None) -> int:
         "base": _git("rev-parse", args.base).decode().strip(),
         "change": _git("rev-parse", "HEAD").decode().strip()
         + (" with uncommitted changes" if dirty else ""),
+        "change_diff_sha256": hashlib.sha256(_git("diff", "--binary", "HEAD")).hexdigest(),
         "numpy": versions[0],
         "scipy": versions[1],
         "nproc": os.cpu_count(),
