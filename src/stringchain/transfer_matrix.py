@@ -18,10 +18,21 @@ every characteristic function; the start vector picks which:
 `exp_hyp` and `boundary_matrices` use the same entries, and so do the
 real-frequency forms of the resolvents, `exp_osc` and `schrodinger_step`:
 at lam = i beta, cosh and sinh are cos and i sin.
+
+One edge costs one cosh and sinh of its argument, z = lam / c for the
+wave chain and m = sqrt(i lam / rho) for the Schrodinger chain.  For an
+array of lam, `_cosh_sinh` evaluates cos and sin of Im z and cosh and
+sinh of Re z once each and forms cosh z = cosh x cos y + i sinh x sin y
+and sinh z = sinh x cos y + i cosh x sin y from them; on the imaginary
+axis this gives numpy's own complex cosh and sinh, bit for bit.  A
+scalar lam (Newton steps, the resolvents' single frequency) keeps
+np.cosh and np.sinh.  The products overflow once |Re z| passes about
+710.48, where cosh(Re z) does.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -71,32 +82,63 @@ def exp_hyp(rho: float, lam: complex, x: float) -> Mat2C:
     return _edge_matrix(_check_rho(rho), lam * x, "wave")
 
 
-def _sinhc(z: np.ndarray) -> np.ndarray:
-    """sinh(z)/z, stable through z = 0."""
-    z = np.asarray(z, dtype=complex)
-    small = np.abs(z) < 1e-8
-    safe = np.where(small, 1.0, z)
-    out = np.sinh(safe) / safe
-    return np.where(small, 1.0 + z * z / 6.0, out)
+def _cosh_sinh(z):
+    """(cosh z, sinh z) of a complex z, from cos/sin of Im z and cosh/sinh of Re z.
+
+    np.cosh and np.sinh of a complex array each evaluate all four real
+    functions; here each is evaluated once, into the real and imaginary
+    parts of the two outputs, and the products are formed there with one
+    real temporary, so peak memory stays at two complex arrays.  A scalar
+    or 0-d argument keeps np.cosh/np.sinh.
+    """
+    if not isinstance(z, np.ndarray) or z.ndim == 0:
+        return np.cosh(z), np.sinh(z)
+    ch, sh = np.empty(z.shape, dtype=complex), np.empty(z.shape, dtype=complex)
+    cx, cy, sx, sy = ch.real, ch.imag, sh.real, sh.imag  # views into the outputs
+    np.cosh(z.real, out=cx)
+    np.cos(z.imag, out=cy)
+    np.sinh(z.real, out=sx)
+    np.sin(z.imag, out=sy)
+    cx_sy = cx * sy
+    cx *= cy          # ch.real = cx cy
+    sy *= sx          # sh.imag = sx sy
+    sx *= cy          # sh.real = sx cy
+    cy[...] = sy      # ch.imag = sx sy
+    sy[...] = cx_sy   # sh.imag = cx sy
+    return ch, sh
 
 
 def edge_entries(rho: float, lam, kind: str):
     """(ch, s12, s21) of one unit edge's propagator [[ch, s12], [s21, ch]] at lam.
 
-    kind "wave" propagates (value, flux) of the first-order wave system,
-    kind "schrodinger" propagates (u, rho u') of rho u'' = i lam u.  Both
-    matrices are unimodular and entire in lam.
+    kind "wave" propagates (value, flux) of the first-order wave system:
+    with c = sqrt(rho) and z = lam / c the entries are cosh z,
+    sinh(z) / c and c sinh z.  kind "schrodinger" propagates (u, rho u')
+    of rho u'' = i lam u: with m = sqrt(i lam / rho) they are cosh m,
+    sinh(m) / (rho m) and rho m sinh m, where sinh(m) / m is taken as
+    1 + m^2 / 6 for |m| < 1e-8.  Both matrices are unimodular and entire
+    in lam; `_cosh_sinh` gives cosh and sinh of an array argument.
     """
     if kind == "wave":
-        c = np.sqrt(rho)
+        c = math.sqrt(rho)  # np.sqrt's value, without a scalar ufunc call per edge
         z = lam / c
-        ch, sh = np.cosh(z), np.sinh(z)
-        del z  # the products below reuse its buffer: one lam-sized array less at peak
-        return ch, sh / c, c * sh
+        ch, sh = _cosh_sinh(z)
+        del z  # s12 below reuses its buffer: one lam-sized array less at peak
+        s12 = sh / c
+        sh *= c  # s21 = c sinh z in place
+        return ch, s12, sh
     if kind == "schrodinger":
         m = np.sqrt(1j * lam / rho)
-        shc = _sinhc(m)
-        return np.cosh(m), shc / rho, rho * m * m * shc
+        ch, sh = _cosh_sinh(m)
+        small = np.abs(m) < 1e-8
+        if small.any():
+            s12 = np.where(small, 1.0 + m * m / 6.0, sh / np.where(small, 1.0, m))
+        else:
+            s12 = sh / m
+        s12 /= rho
+        s21 = rho * m
+        s21 *= sh
+        return ch, s12, s21
     raise ValueError(f"unknown kind {kind!r}")
 
 

@@ -162,6 +162,10 @@ def test_far_left_overflow_is_flagged():
         count_roots_contour(cfg, rect, "wave")
     with pytest.raises(DeterminantOverflow):
         sc.find_eigenvalues(cfg, rect, "wave")
+    # just past |Re lam| / c = 710.48 cosh(Re z) overflows, so the edge kernel's
+    # split products do, even where np.cosh of the complex z would still be finite
+    with pytest.raises(DeterminantOverflow):
+        sc.find_eigenvalues(sc.ChainConfig(densities=(100.0,)), (-7105.0, -7104.9, 7.6, 8.1), "wave")
 
 
 def test_find_eigenvalues_grid_validation():

@@ -5,7 +5,7 @@ from scipy.linalg import expm
 import stringchain as sc
 from stringchain.errors import EmptyScan, NonPositiveBeta, NonPositiveDensity
 from stringchain.transfer_function import transfer_det_pair, transfer_values
-from stringchain.transfer_matrix import analytic_gap_bound, propagate
+from stringchain.transfer_matrix import _cosh_sinh, analytic_gap_bound, edge_entries, propagate
 
 
 def _det2(m):
@@ -239,3 +239,45 @@ def test_kernel_matches_expm_products():
         for got, ref in checks:
             worst = max(worst, float(np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref)))))
     assert worst <= 1e-11
+
+
+def test_cosh_sinh_kernel_matches_numpy():
+    rng = np.random.default_rng(12)
+    beta = rng.uniform(-1e4, 1e4, 4000)
+    # on the imaginary axis, and for 0-d arguments, the values are numpy's own
+    for z in (1j * beta, -1j * beta / 1.7, 1j * beta.reshape(40, 100)):
+        ch, sh = _cosh_sinh(z)
+        assert np.array_equal(ch, np.cosh(z)) and np.array_equal(sh, np.sinh(z))
+    for z in (np.complex128(0.3 - 2j), np.array(-650.0 + 4e3j), np.complex128(1e4j)):
+        ch, sh = _cosh_sinh(z)
+        assert np.array_equal(ch, np.cosh(z)) and np.array_equal(sh, np.sinh(z))
+    # off the axis: agreement to a few ulps of max(1, |cosh z|)
+    z = rng.uniform(-700.0, 700.0, 20000) + 1j * rng.uniform(-1e4, 1e4, 20000)
+    z[:4000].real /= 1e3  # also near the axis
+    ch, sh = _cosh_sinh(z)
+    scale = np.maximum(1.0, np.abs(np.cosh(z)))
+    assert np.max(np.abs(ch - np.cosh(z)) / scale) <= 4e-15
+    assert np.max(np.abs(sh - np.sinh(z)) / scale) <= 4e-15
+
+
+def test_det_pair_array_equals_scalar_calls_on_axis():
+    # an array of lam runs the split kernel, a scalar lam runs np.cosh/np.sinh
+    cfg = sc.ChainConfig(densities=(0.7, 2.3, 1.1, 4.0))
+    lam = 1j * np.linspace(-300.0, 300.0, 257)
+    pair = sc.det_pair(cfg, lam)
+    singles = [sc.det_pair(cfg, v) for v in lam]
+    assert np.array_equal(pair.d, [p.d for p in singles])
+    assert np.array_equal(pair.d_tilde, [p.d_tilde for p in singles])
+
+
+def test_schrodinger_entries_finite_at_and_near_zero():
+    # sinh(m) / m -> 1 as m = sqrt(i lam / rho) -> 0: s12 -> 1 / rho, s21 -> 0
+    rho = 2.5
+    for lam in (np.array([0.0, 1e-20, -1e-20, 1e-20j, 1e-20 * (1 - 1j), 3.0 + 1j]),
+                np.complex128(0.0), np.complex128(1e-20j)):
+        ch, s12, s21 = edge_entries(rho, lam, "schrodinger")
+        assert all(np.all(np.isfinite(v)) for v in (ch, s12, s21))
+        tiny = np.abs(lam) < 1e-10
+        for got, limit in ((ch, 1.0), (s12 * rho, 1.0), (s21, 0.0)):
+            assert np.all(np.abs(np.where(tiny, got - limit, 0.0)) <= 1e-19)
+            assert np.all(np.where(lam == 0.0, got, limit) == limit)

@@ -12,7 +12,11 @@ BENCHMARK.json's run_seconds.
 The output file holds every result line, both commits, the sha256 of
 ``git diff --binary HEAD`` (so a file measured on uncommitted changes
 names the tree it measured), the numpy and scipy versions and the CPU
-count.  Standard library only.
+count.  Its ``"summary"`` gives, per workload and end-to-end metric of
+the untraced pairs, each side's median and quartiles
+(``statistics.quantiles``, exclusive method) and the number of pairs the
+change won (ties count for neither side); it is printed at the end too.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ import hashlib
 import io
 import json
 import os
+import statistics
 import subprocess
 import sys
 import tarfile
@@ -41,6 +46,27 @@ def _run(root: Path, workload: str, seed: int, seconds: int, trace: int) -> dict
            "--seconds", str(seconds), "--trace", str(trace)]
     out = subprocess.run(cmd, cwd=root, check=True, capture_output=True, text=True).stdout
     return json.loads(out.strip().splitlines()[-1])
+
+
+def summarize(record: dict, spec: dict) -> dict:
+    """Median, quartiles and pairs won per workload and end-to-end metric."""
+    summary: dict = {}
+    for workload in (w["name"] for w in spec["workloads"]):
+        runs = [r for r in record["runs"] if r["workload"] == workload and not r["trace"]]
+        for metric in spec["end_to_end"]:
+            name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
+            by_seed: dict = {}
+            for r in runs:
+                by_seed.setdefault(r["seed"], {})[r["side"]] = r["result"]["metrics"][name]["value"]
+            pairs = [(p["base"], p["change"]) for p in by_seed.values() if len(p) == 2]
+            entry = {"pairs": len(pairs),
+                     "change_won": sum(sign * (c - b) > 0 for b, c in pairs)}
+            for i, side in enumerate(("base", "change")):
+                values = [p[i] for p in pairs]
+                q1, median, q3 = statistics.quantiles(values, n=4)
+                entry[side] = {"median": median, "q1": q1, "q3": q3}
+            summary.setdefault(workload, {})[name] = entry
+    return summary
 
 
 def main(argv=None) -> int:
@@ -78,6 +104,13 @@ def main(argv=None) -> int:
                 record["runs"].append({"workload": workload, "seed": seed, "trace": trace,
                                        "side": side, "result": result})
                 print(workload, seed, trace, side, json.dumps(result)[:100], flush=True)
+    record["summary"] = summarize(record, spec)
+    for workload, metrics in record["summary"].items():
+        for name, e in metrics.items():
+            b, c = e["base"], e["change"]
+            print(f"{workload} {name}: base {b['median']:.4g} [{b['q1']:.4g}, {b['q3']:.4g}]"
+                  f" change {c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}]"
+                  f" change won {e['change_won']}/{e['pairs']}")
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 
