@@ -3,12 +3,15 @@
 A chain of N unit strings occupies the intervals [j, j+1], j = 0..N-1.
 Edge j carries a density rho_j > 0; the local wave speed is sqrt(rho_j).
 The left end x = 0 is the damped end, the right end x = N is clamped.
+A `ChainConfig` is valid by construction: it checks its densities once,
+when it is built, so no routine that takes one checks it again.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -50,12 +53,17 @@ _CSV_CHUNK = 8192  # table rows formatted per write
 
 @dataclass(frozen=True)
 class ChainConfig:
-    """Number of edges and their densities; the whole model parameterization."""
+    """Number of edges and their densities; the whole model parameterization.
+
+    Valid by construction: building one converts the densities to floats
+    and runs `validate_config`, so an invalid chain raises right there.
+    """
 
     densities: tuple[float, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "densities", tuple(float(r) for r in self.densities))
+        validate_config(self)
 
     @property
     def n_edges(self) -> int:
@@ -81,11 +89,15 @@ class ChainConfig:
 
 
 def validate_config(cfg: ChainConfig) -> ChainConfig:
-    """Return cfg unchanged if it is a valid chain, raise otherwise."""
+    """Return cfg unchanged if it is a valid chain, raise otherwise.
+
+    EmptyChain for no edges, NonPositiveDensity for a density that is not
+    positive and finite.  `ChainConfig` runs it when it is built.
+    """
     if cfg.n_edges < 1:
         raise EmptyChain("chain needs at least one edge")
     for j, rho in enumerate(cfg.densities):
-        if not np.isfinite(rho) or rho <= 0.0:
+        if not math.isfinite(rho) or rho <= 0.0:
             raise NonPositiveDensity(f"density rho_{j} = {rho} must be positive and finite")
     return cfg
 

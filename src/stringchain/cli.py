@@ -34,7 +34,6 @@ from .chain_core import (
     smooth_bump,
     uniform_betas,
     uniform_grids,
-    validate_config,
     write_table,
 )
 from .errors import ChainError, ConfigError, InsufficientDecay, UsageError
@@ -101,7 +100,7 @@ def _write_json(path: Path, data) -> Path:
 
 def _load_config(path: str) -> ChainConfig:
     try:
-        return validate_config(ChainConfig.from_json(Path(path).read_text()))
+        return ChainConfig.from_json(Path(path).read_text())
     except (OSError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"cannot load config {path}: {exc}") from exc
     except ChainError as exc:
@@ -176,7 +175,7 @@ def _is_rect(values) -> bool:
     return re0 < min(re1, -_AXIS_MARGIN) and im0 < im1  # searches stop short of the axis
 
 
-_positive = _typed(float, lambda v: v > 0, "a positive number")
+_positive = _typed(float, lambda v: 0 < v < np.inf, "a positive finite number")
 _finite = _typed(float, np.isfinite, "a finite number")
 _cfl = _typed(float, lambda v: 0 < v <= 1, "a number in (0, 1]")
 _betas = _typed(_Numbers, lambda v: True, "a comma-separated list of finite numbers")
@@ -463,7 +462,7 @@ def _build_parser() -> _Parser:
     p = _subcommand(sub, "spectrum", "locate eigenvalues in a rectangle", _cmd_spectrum)
     p.add_argument("--rect", type=_rect, required=True, help="re_min,re_max,im_min,im_max")
     p.add_argument("--grid", type=_grid, default="64,64", help="nx,ny scan resolution")
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--tol", type=_positive, default=1e-10)
 
     for name, help_, handler in (
         ("gap", "minimum |det| on the imaginary axis", _cmd_gap),

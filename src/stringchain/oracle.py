@@ -16,7 +16,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .chain_core import ChainConfig, ChainFunction, uniform_grids, validate_config
+from .chain_core import ChainConfig, ChainFunction, uniform_grids
 from .errors import GridMismatch, SingularShift, SingularSystem, TooCoarse
 
 __all__ = [
@@ -92,7 +92,6 @@ def fd_wave_matrix(cfg: ChainConfig, m: int) -> DenseOperator:
     boundary damping folded into row 0 of the velocity block.  In the
     lumped energy product Re<A x, x> = -|v_0|^2 holds exactly.
     """
-    validate_config(cfg)
     stiff, w = _stencil(cfg, m)
     n = w.size
     # damping: flux v_0 through the half cell
@@ -104,7 +103,6 @@ def fd_wave_matrix(cfg: ChainConfig, m: int) -> DenseOperator:
 
 def fd_schrodinger_matrix(cfg: ChainConfig, m: int) -> DenseOperator:
     """Generator of the damped Schrodinger chain, m cells per edge."""
-    validate_config(cfg)
     stiff, w = _stencil(cfg, m)
     n = w.size
     feedback = sp.csr_matrix(([-1j], ([0], [0])), shape=(n, n))  # rho_0 u'(0) = i u(0)
@@ -213,7 +211,6 @@ def fd_bvp_solve(cfg: ChainConfig, lam: complex, data, which: str, m: int) -> Ch
                            rho_0 y'(0) = z and clamped far end, returning y.
     A load off the m-cell grid raises GridMismatch.
     """
-    validate_config(cfg)
     if m < 8:
         raise TooCoarse("need at least 8 cells per edge")
     if which in ("wave", "schrodinger"):

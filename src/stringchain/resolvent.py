@@ -39,7 +39,6 @@ from .chain_core import (
     l2_norm,
     quadrature_weights,
     uniform_grids,
-    validate_config,
 )
 from .errors import (
     ArityMismatch,
@@ -245,7 +244,6 @@ def wave_resolvent(cfg: ChainConfig, beta: float, G: ChainFunction,
     must resolve the oscillation of the exponential or
     QuadratureTooCoarse is raised.
     """
-    validate_config(cfg)
     if G.n_edges != cfg.n_edges:
         raise ArityMismatch("load has wrong number of edges")
     if G.arity != 2:
@@ -438,7 +436,6 @@ def _schrodinger_defect(beta: float, grids, g_values, y_values) -> float:
 def schrodinger_resolvent(cfg: ChainConfig, beta: float, g: ChainFunction,
                           residual_tol: Optional[float] = None) -> SchrodingerResolventSolution:
     """Solve (i*beta - A) u = g for the damped Schrodinger chain, beta != 0."""
-    validate_config(cfg)
     if beta == 0.0:
         raise ZeroBeta("beta must be nonzero")
     if g.arity != 1:
@@ -503,7 +500,6 @@ def _norm_scan(scan: _Scan, cfg: ChainConfig, betas: Sequence[float], probes: in
     """The probe loop of both norm scans: one plan and one probe basis per beta."""
     if probes < 1:
         raise ValueError("probes must be >= 1")
-    validate_config(cfg)
     out = []
     for beta in betas:
         points, center = scan.grid(cfg, beta)

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .chain_core import ChainConfig, uniform_betas, validate_config
+from .chain_core import ChainConfig, uniform_betas
 from .errors import EmptyScan, NoConvergence
 from .transfer_matrix import _finite_values, det_pair, propagate
 
@@ -66,7 +66,6 @@ def char_det_schrodinger(cfg: ChainConfig, lam) -> complex | np.ndarray:
     comparable across runs; on the positive imaginary axis it matches
     the closed-form resolvent denominator up to that fixed constant.
     """
-    validate_config(cfg)
     ref = complex(propagate(cfg, 1.0, "schrodinger", (1, 1j))[0])
     out = propagate(cfg, lam, "schrodinger", (1, 1j))[0] / ref
     if out.ndim == 0:
@@ -114,9 +113,19 @@ def _refine_newton(fn, z0: complex, tol: float, max_travel: float = np.inf):
     return z, abs(f), abs(f) <= tol
 
 
+def _wrap_phase(d: np.ndarray) -> np.ndarray:
+    """Phase steps d wrapped in place to their principal values in [-pi, pi]."""
+    d -= 2.0 * np.pi * np.rint(d / (2.0 * np.pi))
+    return d
+
+
 def count_roots_contour(cfg: ChainConfig, rect: tuple[float, float, float, float],
                         which: str) -> int:
-    """Winding number of the characteristic function around the rectangle."""
+    """Winding number of the characteristic function around the rectangle.
+
+    Sums the wrapped phase steps along each side: no ratio of values,
+    which could overflow near the float maximum.
+    """
     re0, re1, im0, im1 = rect
     fn = _char_fn(cfg, which)
     corners = [re0 + 1j * im0, re1 + 1j * im0, re1 + 1j * im1, re0 + 1j * im1, re0 + 1j * im0]
@@ -124,8 +133,7 @@ def count_roots_contour(cfg: ChainConfig, rect: tuple[float, float, float, float
     for a, b in zip(corners[:-1], corners[1:]):
         t = np.linspace(0.0, 1.0, _CONTOUR_SAMPLES)
         vals = _finite_values(fn, a + (b - a) * t)
-        ratios = vals[1:] / vals[:-1]
-        total += float(np.sum(np.angle(ratios)))
+        total += float(np.sum(_wrap_phase(np.diff(np.angle(vals)))))
     return int(np.rint(total / (2.0 * np.pi)))
 
 
@@ -145,7 +153,6 @@ def find_eigenvalues(cfg: ChainConfig, rect: tuple[float, float, float, float], 
     counts the roots on the boundary to show either.  Starts that fail
     to refine are reported in `failures` (or raised, with strict=True).
     """
-    validate_config(cfg)
     re0, re1, im0, im1 = (float(v) for v in rect)
     re1 = min(re1, -_AXIS_MARGIN)  # keep the scan off the imaginary axis
     if re0 >= re1 or im0 >= im1:
@@ -164,7 +171,7 @@ def find_eigenvalues(cfg: ChainConfig, rect: tuple[float, float, float, float], 
     dv = np.diff(phase, axis=0)
     del phase
     for d in (dh, dv):
-        d -= 2.0 * np.pi * np.rint(d / (2.0 * np.pi))  # principal steps in [-pi, pi]
+        _wrap_phase(d)
     # counterclockwise phase change around each cell: 2 pi times its root count
     turn = dh[:-1] - dh[1:] + dv[:, 1:] - dv[:, :-1]
     cand_idx = np.argwhere(np.abs(turn) > np.pi)

@@ -27,13 +27,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.linalg.lapack import zgttrf, zgttrs
 
-from .chain_core import (
-    ChainConfig,
-    ChainFunction,
-    EnergyTrace,
-    WaveState,
-    validate_config,
-)
+from .chain_core import ChainConfig, ChainFunction, EnergyTrace, WaveState, uniform_grids
 from .errors import (
     CflViolation,
     GridMismatch,
@@ -88,7 +82,7 @@ class _Layout:
         self.rho_node = np.append(self.cell_rho, rho[-1])
         self.n = self.rho_node.size
         self.joints = np.arange(1, cfg.n_edges) * (p - 1)
-        self.grids = [np.linspace(j, j + 1, p) for j in range(cfg.n_edges)]
+        self.grids = uniform_grids(cfg, p)
         self.spans = [slice(j * (p - 1), (j + 1) * (p - 1) + 1) for j in range(cfg.n_edges)]
 
     def gather(self, fn: ChainFunction, what: str, real: bool) -> np.ndarray:
@@ -143,7 +137,6 @@ def simulate_wave(cfg: ChainConfig, init: WaveState, opts: SimOptions,
     time differences for the kinetic term; boundary flux accumulates
     int |u_t(t, 0)|^2 dt by the trapezoid rule.
     """
-    validate_config(cfg)
     if mode not in ("damped", "conservative", "forced"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "forced" and forcing is None:
@@ -293,7 +286,6 @@ def simulate_schrodinger(cfg: ChainConfig, u0: ChainFunction, opts: SimOptions):
     recorded from midpoint values, so energy drop and accumulated flux
     agree to machine precision step by step.
     """
-    validate_config(cfg)
     if u0.arity != 1:
         raise GridMismatch("Schrodinger simulation needs a scalar initial state")
     if opts.dt is None:

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .chain_core import ChainConfig, WaveState, sample_state, uniform_betas, validate_config
+from .chain_core import ChainConfig, WaveState, sample_state, uniform_betas
 from .errors import DegenerateData, SingularBoundaryMatrix
 from .timesim import SimOptions, simulate_wave
 from .transfer_matrix import DetPair, _finite_values, propagate
@@ -40,7 +40,6 @@ def transfer_values(cfg: ChainConfig, lam, z: complex = 1.0):
     (0, 1) are propagated together for the two entries of its first row.
     Raises DeterminantOverflow where P overflows (Re lam / c beyond ~710).
     """
-    validate_config(cfg)
     lam = np.asarray(lam, dtype=complex)
     if np.any(lam.real <= 0.0):
         raise ValueError("transfer function is evaluated on Re lam > 0")
@@ -66,13 +65,11 @@ def transfer_det_pair(cfg: ChainConfig, lam) -> DetPair:
     They are (-P00, -P10) for the full wave product P: the start vector
     (-1, 0) propagated over the chain.
     """
-    validate_config(cfg)
     return DetPair(*propagate(cfg, lam, "wave", (-1, 0)))
 
 
 def transfer_gap_bound(cfg: ChainConfig, gamma: float) -> float:
     """Certified lower bound for Re(D conj(D~)) on the line Re lam = gamma."""
-    validate_config(cfg)
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     c = cfg.wave_speeds
@@ -105,7 +102,6 @@ def admissibility_ratio(cfg: ChainConfig, v: Callable[[float], float], T: float,
     Runs the forced simulation from rest with Neumann input v(t) at the
     damped end and returns int |d/dt psi(t, 0)|^2 dt / |v|^2_{L2(0,T)}.
     """
-    validate_config(cfg)
     opts = dataclasses.replace(opts, T=T) if opts else SimOptions(points_per_edge=800, cfl=0.5, T=T)
     init = sample_state(cfg, opts.points_per_edge, lambda x: np.zeros_like(x))
     trace, _ = simulate_wave(cfg, init, opts, mode="forced", forcing=v)
@@ -125,7 +121,6 @@ def observability_ratio(cfg: ChainConfig, state: WaveState, T: float,
     time on nondegenerate data; data supported away from the observed
     end produce (numerically) zero output until the first arrival.
     """
-    validate_config(cfg)
     opts = dataclasses.replace(opts, T=T) if opts else SimOptions(points_per_edge=800, cfl=0.5, T=T)
     trace, _ = simulate_wave(cfg, state, opts, mode="conservative")
     denom = 2.0 * trace.energies[0]

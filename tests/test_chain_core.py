@@ -35,6 +35,23 @@ def test_validate_config_rejects_bad_densities():
         sc.validate_config(sc.ChainConfig(densities=()))
 
 
+@pytest.mark.parametrize("densities, error", [
+    ((), EmptyChain),
+    ((1.0, -1.0), NonPositiveDensity),
+    ((0.0,), NonPositiveDensity),
+    ((np.inf,), NonPositiveDensity),
+    ((np.nan,), NonPositiveDensity),
+])
+def test_invalid_chain_is_rejected_when_built(densities, error):
+    with pytest.raises(error):
+        sc.ChainConfig(densities=densities)
+
+
+def test_invalid_chain_is_rejected_when_loaded():
+    with pytest.raises(NonPositiveDensity):
+        sc.ChainConfig.from_json('{"densities": [1, 0]}')
+
+
 def test_config_json_round_trip():
     cfg = sc.ChainConfig(densities=(1.0, 2.5))
     again = sc.ChainConfig.from_json(cfg.to_json())

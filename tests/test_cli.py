@@ -228,6 +228,11 @@ def test_manifest_bytes_repeat_and_timing_apart(mono_json, tmp_path):
     ["resolvent-scan", "--betas", "nan"],
     ["spectrum", "--rect", "0,-1,0,1"],
     ["spectrum", "--rect", "0,1,0,1"],
+    ["decay", "--T", "inf"],
+    ["gap", "--step", "inf"],
+    ["schrodinger-decay", "--dt", "inf"],
+    ["spectrum", "--rect", "-2,-1,0,10", "--tol", "nan"],
+    ["spectrum", "--rect", "-2,-1,0,10", "--tol", "-1"],
 ])
 def test_rejected_option_values_are_usage_errors(chain_json, tmp_path, argv, capsys):
     # option values the library rejects or cannot use are caught before any work starts

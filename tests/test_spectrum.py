@@ -168,6 +168,16 @@ def test_far_left_overflow_is_flagged():
         sc.find_eigenvalues(sc.ChainConfig(densities=(100.0,)), (-7105.0, -7104.9, 7.6, 8.1), "wave")
 
 
+def test_contour_count_near_float_max_is_finite():
+    # the determinant is finite but near the float maximum on this contour;
+    # a ratio of neighbouring values overflows there (a RuntimeWarning, which
+    # the suite turns into an error), the wrapped phase steps do not
+    cfg = sc.ChainConfig(densities=(100.0,))
+    rect = (-7104.5, -7104.0, 7.6, 8.1)
+    assert count_roots_contour(cfg, rect, "wave") == 0
+    assert sc.find_eigenvalues(cfg, rect, "wave").eigenvalues.size == 0
+
+
 def test_find_eigenvalues_grid_validation():
     cfg = sc.ChainConfig(densities=(1.0,))
     with pytest.raises(ValueError):

@@ -12,10 +12,13 @@ BENCHMARK.json's run_seconds.
 The output file holds every result line, both commits, the sha256 of
 ``git diff --binary HEAD`` (so a file measured on uncommitted changes
 names the tree it measured), the numpy and scipy versions and the CPU
-count.  Its ``"summary"`` gives, per workload and end-to-end metric of
-the untraced pairs, each side's median and quartiles
-(``statistics.quantiles``, exclusive method) and the number of pairs the
-change won (ties count for neither side); it is printed at the end too.
+count.  Its ``"summary"`` gives, per workload of the untraced pairs,
+each side's total attempted and failed jobs (under ``"jobs"``) and, per
+end-to-end metric, each side's median and quartiles
+(``statistics.quantiles``, exclusive method), the number of pairs the
+change won (ties count for neither side), the signed relative change of
+the medians (positive means worse) and whether that change is worse than
+the metric's ``bound`` in BENCHMARK.json; it is printed at the end too.
 Standard library only.
 """
 
@@ -49,10 +52,15 @@ def _run(root: Path, workload: str, seed: int, seconds: int, trace: int) -> dict
 
 
 def summarize(record: dict, spec: dict) -> dict:
-    """Median, quartiles and pairs won per workload and end-to-end metric."""
+    """Job totals per workload; median, quartiles, pairs won and the relative
+    change against its bound per workload and end-to-end metric."""
     summary: dict = {}
     for workload in (w["name"] for w in spec["workloads"]):
         runs = [r for r in record["runs"] if r["workload"] == workload and not r["trace"]]
+        summary[workload] = {"jobs": {
+            side: {key: sum(r["result"][key] for r in runs if r["side"] == side)
+                   for key in ("attempted", "failed")}
+            for side in ("base", "change")}}
         for metric in spec["end_to_end"]:
             name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
             by_seed: dict = {}
@@ -65,7 +73,10 @@ def summarize(record: dict, spec: dict) -> dict:
                 values = [p[i] for p in pairs]
                 q1, median, q3 = statistics.quantiles(values, n=4)
                 entry[side] = {"median": median, "q1": q1, "q3": q3}
-            summary.setdefault(workload, {})[name] = entry
+            base = entry["base"]["median"]
+            entry["relative_change"] = -sign * (entry["change"]["median"] - base) / base
+            entry["worse_than_bound"] = entry["relative_change"] > metric["bound"]
+            summary[workload][name] = entry
     return summary
 
 
@@ -105,12 +116,17 @@ def main(argv=None) -> int:
                                        "side": side, "result": result})
                 print(workload, seed, trace, side, json.dumps(result)[:100], flush=True)
     record["summary"] = summarize(record, spec)
-    for workload, metrics in record["summary"].items():
-        for name, e in metrics.items():
+    for workload, entries in record["summary"].items():
+        print(f"{workload} jobs failed: " + ", ".join(
+            f"{side} {j['failed']} of {j['attempted']}" for side, j in entries["jobs"].items()))
+        for name in (m["name"] for m in spec["end_to_end"]):
+            e = entries[name]
             b, c = e["base"], e["change"]
             print(f"{workload} {name}: base {b['median']:.4g} [{b['q1']:.4g}, {b['q3']:.4g}]"
                   f" change {c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}]"
-                  f" change won {e['change_won']}/{e['pairs']}")
+                  f" change won {e['change_won']}/{e['pairs']}"
+                  f" worse by {e['relative_change']:+.1%}"
+                  + (" BEYOND BOUND" if e["worse_than_bound"] else ""))
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 
