@@ -174,9 +174,9 @@ def uniform_grids(cfg: ChainConfig, points_per_edge: int) -> list[np.ndarray]:
 
 def uniform_betas(beta_range: tuple[float, float], step: float) -> np.ndarray:
     """lo to hi in step increments, hi included up to half a step; never empty."""
-    if step <= 0:
-        raise EmptyScan("step must be positive")
     lo, hi = beta_range
+    if not (0 < step < math.inf and math.isfinite(lo) and math.isfinite(hi)):
+        raise EmptyScan(f"need finite ends and a positive finite step, got {beta_range}, {step}")
     betas = np.arange(lo, hi + 0.5 * step, step)
     if betas.size == 0:
         raise EmptyScan("empty beta range")
@@ -319,17 +319,38 @@ def energy_wave(state: WaveState, cfg: ChainConfig) -> float:
     return 0.5 * total
 
 
+def _abs2(v: np.ndarray) -> np.ndarray:
+    """|v|^2 elementwise, as re^2 + im^2."""
+    return v.real * v.real + v.imag * v.imag
+
+
+def _h_sum(weights, densities, values) -> float:
+    """sum_j int rho_j |V_1|^2 + |V_2|^2 dx of 2-vector values, w @ y per edge."""
+    return float(sum(w @ (rho * _abs2(v[:, 0]) + _abs2(v[:, 1]))
+                     for w, rho, v in zip(weights, densities, values)))
+
+
+def _l2_sum(weights, values):
+    """sum_j int |v_j|^2 dx, per component for 2-vector values."""
+    return sum(w @ _abs2(v) for w, v in zip(weights, values))
+
+
+def _h_norm(weights, densities, values) -> float:
+    """h_norm of 2-vector values, given the quadrature_weights of their grids."""
+    return float(np.sqrt(_h_sum(weights, densities, values)))
+
+
+def _l2_norm(weights, values) -> float:
+    """l2_norm of scalar values, given the quadrature_weights of their grids."""
+    return float(np.sqrt(_l2_sum(weights, values)))
+
+
 def energy_first_order(V: ChainFunction, cfg: ChainConfig) -> float:
     """e = 1/2 sum_j (rho_j-weighted first component plus plain second component)."""
     _check_cfg(V, cfg)
     if V.arity != 2:
         raise ArityMismatch("first-order energy needs a 2-vector function")
-    total = 0.0
-    for j, rho in enumerate(cfg.densities):
-        g = V.grids[j]
-        v = V.values[j]
-        total += integrate_edge(g, rho * np.abs(v[:, 0]) ** 2 + np.abs(v[:, 1]) ** 2).real
-    return 0.5 * total
+    return 0.5 * _h_sum([quadrature_weights(x) for x in V.grids], cfg.densities, V.values)
 
 
 def energy_schrodinger(u: ChainFunction, cfg: ChainConfig) -> float:
@@ -337,10 +358,7 @@ def energy_schrodinger(u: ChainFunction, cfg: ChainConfig) -> float:
     _check_cfg(u, cfg)
     if u.arity != 1:
         raise ArityMismatch("expected a scalar function")
-    total = 0.0
-    for j in range(cfg.n_edges):
-        total += integrate_edge(u.grids[j], np.abs(u.values[j]) ** 2).real
-    return 0.5 * total
+    return 0.5 * _l2_sum([quadrature_weights(x) for x in u.grids], u.values)
 
 
 def first_order_state(state: WaveState, cfg: ChainConfig) -> ChainFunction:
@@ -360,13 +378,8 @@ def h_norm(V: ChainFunction, cfg: ChainConfig) -> float:
 
 
 def l2_norm(u: ChainFunction) -> float:
-    total = 0.0
-    for g, v in zip(u.grids, u.values):
-        if u.arity == 1:
-            total += integrate_edge(g, np.abs(v) ** 2).real
-        else:
-            total += integrate_edge(g, np.sum(np.abs(v) ** 2, axis=1)).real
-    return float(np.sqrt(total))
+    """sqrt(sum_j int |u_j|^2 dx), over both components of a 2-vector function."""
+    return float(np.sqrt(np.sum(_l2_sum([quadrature_weights(x) for x in u.grids], u.values))))
 
 
 def smooth_bump(x, lo: float = 0.1, hi: float = 0.9) -> np.ndarray:

@@ -18,15 +18,16 @@ propagation matrices.  Applying it to one load is O(n) arithmetic per
 edge.  Each solve reports its residual, the relative defect of its
 equation with the solution differentiated numerically once.
 
-Both norm scans run one probe loop: per beta one plan, one probe basis
-and the norm weights; per probe one seeded load and one apply, so an
-estimate over k probes is the running max over the first k.
+Both norm scans run one probe loop, keyed by the kind: per beta one
+plan, one probe basis and the norm weights; per probe one seeded load,
+one apply and chain_core's norms, so an estimate over k probes is the
+running max over the first k.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from scipy.linalg.lapack import zgetrf, zgetrs
@@ -34,6 +35,8 @@ from scipy.linalg.lapack import zgetrf, zgetrs
 from .chain_core import (
     ChainConfig,
     ChainFunction,
+    _h_norm,
+    _l2_norm,
     edge_derivative,
     h_norm,
     l2_norm,
@@ -127,10 +130,6 @@ def _hat_weights(kernel: np.ndarray, h: np.ndarray):
     return (kernel @ _GL_LEFT) * half, (kernel @ _GL_RIGHT) * half
 
 
-def _abs2(v: np.ndarray) -> np.ndarray:
-    return v.real * v.real + v.imag * v.imag
-
-
 def _relative(num: float, den: float) -> float:
     if den == 0.0:
         return float(np.sqrt(num))
@@ -216,13 +215,6 @@ class _OscillatoryPlan:
         return values, -acc
 
 
-def _h_norm(weights, densities, values) -> float:
-    """h_norm of 2-vector values, with the integrate_edge weights of their grids."""
-    total = sum(w @ (rho * _abs2(v[:, 0]) + _abs2(v[:, 1]))
-                for w, rho, v in zip(weights, densities, values))
-    return float(np.sqrt(total))
-
-
 def _wave_defect(densities, beta: float, grids, g_values, w_values) -> float:
     """sum_j int rho |r1|^2 + |r2|^2 dx for r = i*beta*W - B dW/dx - G."""
     num = 0.0
@@ -235,8 +227,7 @@ def _wave_defect(densities, beta: float, grids, g_values, w_values) -> float:
     return num
 
 
-def wave_resolvent(cfg: ChainConfig, beta: float, G: ChainFunction,
-                   residual_tol: Optional[float] = None) -> WaveResolventSolution:
+def wave_resolvent(cfg: ChainConfig, beta: float, G: ChainFunction) -> WaveResolventSolution:
     """Solve (i*beta - B d/dx) W = G on the chain in closed form.
 
     The particular part is the 8-node Gauss-Legendre quadrature per grid
@@ -253,13 +244,8 @@ def wave_resolvent(cfg: ChainConfig, beta: float, G: ChainFunction,
     residual = _relative(_wave_defect(cfg.densities, beta, G.grids, G.values, values),
                          h_norm(G, cfg))
     f_list = [values[0][-1]] + [w[0] for w in values[1:]]
-    sol = WaveResolventSolution(W=ChainFunction(G.grids, values), F=f_list, beta=beta,
-                                residual=residual)
-    if residual_tol is not None and sol.residual > residual_tol:
-        raise SignConventionMismatch(
-            f"wave resolvent residual {sol.residual:.3g} exceeds {residual_tol:.3g}"
-        )
-    return sol
+    return WaveResolventSolution(W=ChainFunction(G.grids, values), F=f_list, beta=beta,
+                                 residual=residual)
 
 
 def _probe_bases(cfg: ChainConfig, grids: Sequence[np.ndarray], modes: int, center: float):
@@ -331,9 +317,11 @@ class _SchrodingerNegativePlan:
 
     The particular part uses the bounded free-space kernel
     -exp(-m|x-t|)/(2m), accumulated by damped one-sided recurrences, so
-    nothing overflows however large |beta| gets.  The 2N x 2N system
-    for the homogeneous coefficients is factored here; only its
-    right-hand side depends on the load.
+    nothing overflows however large |beta| gets.  Both recurrences of an
+    edge, the backward one reversed, run together by recursive doubling,
+    with no loop over grid points.  The 2N x 2N system for the
+    homogeneous coefficients is factored here; only its right-hand side
+    depends on the load.
     """
 
     alpha_gamma = None
@@ -343,13 +331,21 @@ class _SchrodingerNegativePlan:
         ms = [kappa / c for c in cfg.wave_speeds]
         self.densities = cfg.densities
         self.ms = ms
-        self.cells, self.decay, self.exps = [], [], []
+        self.cells, self.scans, self.exps = [], [], []
         for j, x in enumerate(grids):
             m = ms[j]
             s, h = _gl_nodes(x)
             self.cells.append(_hat_weights(np.exp(-m * (x[1:, None] - s)), h)
                               + _hat_weights(np.exp(-m * (s - x[:-1, None])), h))
-            self.decay.append(np.exp(-m * h))
+            # apply's recurrences acc[i] = decay[i] acc[i - 1] + local[i] by recursive
+            # doubling: the pass of width step adds to acc[i] the product of the step
+            # decays that end at i (each <= 1) times acc[i - step]
+            prod, step, scan = np.exp(-m * np.stack([h, h[::-1]])), 1, []
+            while step < h.size:
+                scan.append((step, prod[:, step:].copy()))
+                prod[:, step:] *= prod[:, :-step]
+                step *= 2
+            self.scans.append(scan)
             xt = x - float(j)
             self.exps.append((np.exp(-m * xt), np.exp(-m * (1.0 - xt))))
 
@@ -378,16 +374,13 @@ class _SchrodingerNegativePlan:
             fwd_lo, fwd_hi, bwd_lo, bwd_hi = self.cells[j]
             fv = g / (1j * self.densities[j])
             lo, hi = fv[:-1], fv[1:]
-            local_fwd = fwd_lo * lo + fwd_hi * hi
-            local_bwd = bwd_lo * lo + bwd_hi * hi
-            decay = self.decay[j]
-            n = g.shape[0]
-            a_cum = np.zeros(n, dtype=complex)
-            for k in range(n - 1):
-                a_cum[k + 1] = decay[k] * a_cum[k] + local_fwd[k]
-            b_cum = np.zeros(n, dtype=complex)
-            for k in range(n - 2, -1, -1):
-                b_cum[k] = decay[k] * b_cum[k + 1] + local_bwd[k]
+            # rows: a_cum, forward from x_j, and b_cum, backward from x_{j+1}, reversed
+            acc = np.zeros((2, g.shape[0]), dtype=complex)
+            acc[0, 1:] = fwd_lo * lo + fwd_hi * hi
+            acc[1, 1:] = (bwd_lo * lo + bwd_hi * hi)[::-1]
+            for s, factor in self.scans[j]:
+                acc[:, s + 1:] += factor * acc[:, 1:-s]
+            a_cum, b_cum = acc[0], acc[1, ::-1]
             up_parts.append(-(a_cum + b_cum) / (2.0 * m))
             dup_parts.append((a_cum - b_cum) / 2.0)
 
@@ -416,11 +409,6 @@ def _plan(cfg: ChainConfig, beta: float, grids: Sequence[np.ndarray], kind: str)
     if kind == "schrodinger" and beta < 0:
         return _SchrodingerNegativePlan(cfg, beta, grids)
     return _OscillatoryPlan(cfg, beta, grids, kind)
-
-
-def _l2_norm(weights, values) -> float:
-    """l2_norm of scalar values, with the integrate_edge weights of their grids."""
-    return float(np.sqrt(sum(w @ _abs2(v) for w, v in zip(weights, values))))
 
 
 def _schrodinger_defect(beta: float, grids, g_values, y_values) -> float:
@@ -461,22 +449,10 @@ def schrodinger_resolvent(cfg: ChainConfig, beta: float, g: ChainFunction,
     return sol
 
 
-class _Scan(NamedTuple):
-    """What the probe loop needs of one resolvent."""
-
-    kind: str  # of the plan
-    arity: int
-    grid: Callable  # (cfg, beta) -> (points per edge, probe centre)
-    measure: Callable  # (cfg, beta, grids, weights, load, solution) -> (norm ratio, residual)
-
-
-def _wave_measure(cfg, beta, grids, weights, g, w):
-    g_norm = _h_norm(weights, cfg.densities, g)
-    return (_h_norm(weights, cfg.densities, w) / g_norm,
-            _relative(_wave_defect(cfg.densities, beta, grids, g, w), g_norm))
-
-
-def _schrodinger_grid(cfg: ChainConfig, beta: float):
+def _scan_grid(cfg: ChainConfig, beta: float, kind: str):
+    """(points per edge, probe centre) of the scan grid of this kind at beta."""
+    if kind == "wave":
+        return scan_grid_points(cfg, beta), beta
     if beta == 0.0:
         raise ZeroBeta("beta grid must avoid 0")
     if beta > 0:
@@ -485,33 +461,36 @@ def _schrodinger_grid(cfg: ChainConfig, beta: float):
     return max(_MIN_SCAN_POINTS, int(np.ceil(np.sqrt(-beta) / (2.0 * c_min))) + 2), 0.0
 
 
-def _schrodinger_measure(cfg, beta, grids, weights, g, y):
+def _measure(kind: str, cfg: ChainConfig, beta: float, grids, weights, g, y):
+    """(norm ratio, residual) of one probe g and its solution values y: the wave
+    chain in h_norm, the Schrodinger chain in the L2 norm of u, y being (u, rho u')."""
+    if kind == "wave":
+        g_norm = _h_norm(weights, cfg.densities, g)
+        return (_h_norm(weights, cfg.densities, y) / g_norm,
+                _relative(_wave_defect(cfg.densities, beta, grids, g, y), g_norm))
     g_norm = _l2_norm(weights, g)
     return (_l2_norm(weights, [v[:, 0] for v in y]) / g_norm,
             _relative(_schrodinger_defect(beta, grids, g, y), g_norm))
 
 
-_WAVE_SCAN = _Scan("wave", 2, lambda cfg, beta: (scan_grid_points(cfg, beta), beta), _wave_measure)
-_SCHRODINGER_SCAN = _Scan("schrodinger", 1, _schrodinger_grid, _schrodinger_measure)
-
-
-def _norm_scan(scan: _Scan, cfg: ChainConfig, betas: Sequence[float], probes: int,
+def _norm_scan(kind: str, cfg: ChainConfig, betas: Sequence[float], probes: int,
                points_per_edge: Optional[int], seed: int) -> list[ScanPoint]:
     """The probe loop of both norm scans: one plan and one probe basis per beta."""
     if probes < 1:
         raise ValueError("probes must be >= 1")
+    arity = 2 if kind == "wave" else 1
     out = []
     for beta in betas:
-        points, center = scan.grid(cfg, beta)
+        points, center = _scan_grid(cfg, beta, kind)
         grids = uniform_grids(cfg, points_per_edge or points)
-        plan = _plan(cfg, beta, grids, scan.kind)
+        plan = _plan(cfg, beta, grids, kind)
         weights = [quadrature_weights(x) for x in grids]
         bases = _probe_bases(cfg, grids, _PROBE_MODES, center)
         key = _beta_key(beta)
         best = worst_residual = 0.0
         for k in range(probes):
-            g = _probe_values(bases, [seed, key, k], scan.arity)
-            ratio, residual = scan.measure(cfg, beta, grids, weights, g, plan.apply(g)[0])
+            g = _probe_values(bases, [seed, key, k], arity)
+            ratio, residual = _measure(kind, cfg, beta, grids, weights, g, plan.apply(g)[0])
             best = max(best, ratio)
             worst_residual = max(worst_residual, residual)
         out.append(ScanPoint(beta=float(beta), norm_estimate=best, probes=probes,
@@ -528,7 +507,7 @@ def wave_resolvent_norm_scan(cfg: ChainConfig, betas: Sequence[float], probes: i
     frequency; it is nondecreasing in the number of probes because the
     probe sequence is nested.
     """
-    return _norm_scan(_WAVE_SCAN, cfg, betas, probes, points_per_edge, seed)
+    return _norm_scan("wave", cfg, betas, probes, points_per_edge, seed)
 
 
 def schrodinger_norm_scan(cfg: ChainConfig, betas: Sequence[float], probes: int,
@@ -538,4 +517,4 @@ def schrodinger_norm_scan(cfg: ChainConfig, betas: Sequence[float], probes: int,
     For beta > 0 the probes are centered at the spatial frequency
     sqrt(beta) / c_j; for beta < 0 they are the lowest modes.
     """
-    return _norm_scan(_SCHRODINGER_SCAN, cfg, betas, probes, points_per_edge, seed)
+    return _norm_scan("schrodinger", cfg, betas, probes, points_per_edge, seed)

@@ -57,14 +57,14 @@ class SimOptions:
     def __post_init__(self):
         if self.points_per_edge < 8:
             raise GridMismatch("need at least 8 points per edge")
-        if self.T <= 0:
-            raise ValueError("horizon T must be positive")
+        if not 0 < self.T < np.inf:  # also false for nan
+            raise ValueError(f"horizon T = {self.T} must be positive and finite")
         if not (0.0 < self.cfl <= 1.0):
             raise CflViolation(f"cfl = {self.cfl} outside (0, 1]")
         if self.record_stride < 1:
             raise ValueError("record_stride must be >= 1")
-        if self.dt is not None and self.dt <= 0:
-            raise ValueError("dt must be positive")
+        if self.dt is not None and not 0 < self.dt < np.inf:
+            raise ValueError(f"dt = {self.dt} must be positive and finite")
 
 
 class _Layout:

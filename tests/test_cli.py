@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stringchain
 from stringchain.cli import run
 
 
@@ -65,6 +69,9 @@ def test_gap_and_det_bound(chain_json, tmp_path):
                 "--step", "0.001", "--out", str(out2)]) == 0
     manifest = json.loads((out2 / "manifest.json").read_text())
     assert manifest["gamma_numeric"] >= manifest["gamma_analytic"] - 1e-9
+    # one scan serves both subcommands: the same minimum and the same table
+    assert manifest["gamma_numeric"] == json.loads((out / "manifest.json").read_text())["gap"]
+    assert (out2 / "det_scan.csv").read_bytes() == (out / "det_scan.csv").read_bytes()
 
 
 def test_resolvent_scan_deterministic_across_jobs(mono_json, tmp_path):
@@ -272,3 +279,17 @@ def test_runner_writes_manifest_timing_and_only_listed_outputs(chain_json, tmp_p
         del manifest["outputs"]
         manifests.append(manifest)
     assert manifests[0] == manifests[1]
+
+
+def test_cli_import_loads_only_light_scipy_subpackages():
+    # every CLI launch pays for its imports: scipy.signal alone adds about 1 s,
+    # and scipy.integrate once made up most of the import time
+    probe = ("import json, pkgutil, sys, stringchain.cli, scipy\n"
+             "loaded = {m.split('.')[1] for m in sys.modules if m.startswith('scipy.')}\n"
+             "public = {m.name for m in pkgutil.iter_modules(scipy.__path__)\n"
+             "          if m.ispkg and not m.name.startswith('_')}\n"
+             "print(json.dumps(sorted(loaded & public)))")
+    env = dict(os.environ, PYTHONPATH=str(Path(stringchain.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert set(json.loads(out)) <= {"linalg", "sparse"}

@@ -475,10 +475,16 @@ def test_wave_resolvent_matches_reference(densities, beta):
     assert sol.residual == pytest.approx(residual, rel=1e-9)
 
 
-@pytest.mark.parametrize("beta", [30.0, -30.0])
-def test_schrodinger_resolvent_matches_reference(beta):
+@pytest.mark.parametrize("beta, uneven", [(30.0, False), (-30.0, False), (-30.0, True),
+                                          (-1e4, True)],
+                         ids=["30.0", "-30.0", "-30.0-uneven", "-1e4-uneven"])
+def test_schrodinger_resolvent_matches_reference(beta, uneven):
+    # uneven: random interior nodes per edge, so no two cells share a decay factor
     cfg = sc.ChainConfig((2.0, 1.0, 3.0, 1.5))
-    g = random_probe(cfg, uniform_grids(cfg, 801), seed=22, arity=1)
+    rng = np.random.default_rng(5)
+    grids = ([np.sort(np.concatenate([[j, j + 1.0], rng.uniform(j, j + 1.0, 600)]))
+              for j in range(cfg.n_edges)] if uneven else uniform_grids(cfg, 801))
+    g = random_probe(cfg, grids, seed=22, arity=1)
     sol = sc.schrodinger_resolvent(cfg, beta, g)
     u, flux, residual = _ref_schrodinger(cfg, beta, g)
     assert _rel(np.concatenate(sol.u.values), np.concatenate(u.values)) <= 1e-12

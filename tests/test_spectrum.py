@@ -81,8 +81,11 @@ def test_imaginary_axis_gap_dominates_analytic_bound():
 
 
 def test_imaginary_axis_gap_empty_scan():
-    with pytest.raises(EmptyScan):
-        sc.imaginary_axis_gap(sc.ChainConfig(densities=(1.0,)), "wave", (0, 1), -1.0)
+    cfg = sc.ChainConfig(densities=(1.0,))
+    for beta_range, step in [((0, 1), -1.0), ((-1, 1), np.inf), ((-1, 1), np.nan),
+                             ((0, np.nan), 0.1), ((-np.inf, 1), 0.1), ((0, np.inf), 0.1)]:
+        with pytest.raises(EmptyScan):
+            sc.imaginary_axis_gap(cfg, "wave", beta_range, step)
 
 
 def test_schrodinger_det_normalization_and_axis():

@@ -22,6 +22,9 @@ def test_sim_options_validation():
         sc.SimOptions(points_per_edge=4, T=1.0)
     with pytest.raises(ValueError):
         sc.SimOptions(points_per_edge=100, T=-1.0)
+    for T, dt in [(np.inf, 1e-3), (np.nan, 1e-3), (1.0, np.inf), (1.0, np.nan)]:
+        with pytest.raises(ValueError):
+            sc.SimOptions(points_per_edge=8, T=T, dt=dt)
 
 
 def test_matched_damper_extinguishes_in_one_round_trip():
