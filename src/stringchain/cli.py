@@ -107,18 +107,6 @@ def _load_config(path: str) -> ChainConfig:
         raise ConfigError(f"invalid config {path}: {exc}") from exc
 
 
-def _jobs(args) -> int:
-    env = os.environ.get("STRINGCHAIN_JOBS")
-    if env is not None:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise UsageError(f"STRINGCHAIN_JOBS={env!r} is not an integer") from None
-    if args.jobs is not None:
-        return max(1, args.jobs)
-    return os.cpu_count() or 1
-
-
 def _manifest(args, cfg: ChainConfig, out: Path, done: _Done, started: float) -> None:
     """Write manifest.json (inputs and results only, so equal runs give equal
     bytes) and timing.json (the wall time) into the output directory."""
@@ -202,15 +190,18 @@ def _scan_chunk(payload):
 
 
 def _run_scan(args, cfg):
-    """The norm scan of args.command over its betas, in chunks on a worker pool."""
-    betas = _beta_grid(args)
-    jobs = _jobs(args)
+    """The norm scan of args.command over its betas on a pool of --jobs workers
+    (default: the CPU count).  Worker i of n takes betas[i::n]: the cost of a
+    beta grows with |beta|, so contiguous blocks would leave one worker the
+    high end.  Each beta seeds its own probes, so the pooled rows, sorted by
+    beta, do not depend on the split."""
+    betas = list(_beta_grid(args))
+    jobs = min(args.jobs or os.cpu_count() or 1, len(betas))
     payload = (args.command, cfg, args.probes, args.points, args.seed)
-    if jobs <= 1 or len(betas) < 2:
-        return _scan_chunk((*payload, list(betas)))
-    chunks = [list(c) for c in np.array_split(np.asarray(betas), min(jobs, len(betas)))]
+    if jobs <= 1:
+        return _scan_chunk((*payload, betas))
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        results = list(pool.map(_scan_chunk, [(*payload, c) for c in chunks if c]))
+        results = list(pool.map(_scan_chunk, [(*payload, betas[i::jobs]) for i in range(jobs)]))
     return sorted((pt for chunk in results for pt in chunk), key=lambda pt: pt.beta)
 
 
@@ -436,7 +427,7 @@ def _subcommand(sub, name: str, help_: str, handler) -> _Parser:
     p.add_argument("--config", required=True, help="JSON file {\"densities\": [...]}")
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--seed", type=_at_least(0), default=0)
-    p.add_argument("--jobs", type=int, help="worker pool size (env STRINGCHAIN_JOBS overrides)")
+    p.add_argument("--jobs", type=_at_least(1), help="norm-scan workers (default: CPU count)")
     p.set_defaults(func=handler)
     return p
 

@@ -41,20 +41,12 @@ class SingularDenominator(ChainError):
     """Closed-form coefficient denominator is numerically zero."""
 
 
-class SignConventionMismatch(ChainError):
-    """Closed-form solution failed its residual check."""
-
-
 class QuadratureTooCoarse(ChainError):
     """Grid does not resolve the oscillation of a quadrature integrand."""
 
 
 class DeterminantOverflow(ChainError):
     """A characteristic function overflowed to a non-finite value."""
-
-
-class NoConvergence(ChainError):
-    """Root refinement failed to converge."""
 
 
 class CflViolation(ChainError):

@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .chain_core import ChainConfig, uniform_betas
-from .errors import EmptyScan, NoConvergence
+from .errors import EmptyScan
 from .transfer_matrix import _finite_values, det_pair, propagate
 
 __all__ = [
@@ -43,7 +43,6 @@ class EigenSet:
     residuals: np.ndarray
     search_rect: tuple[float, float, float, float]
     abscissa: Optional[float]
-    which: str
     failures: list[dict] = field(default_factory=list)
     audit_count: Optional[int] = None
 
@@ -139,7 +138,7 @@ def count_roots_contour(cfg: ChainConfig, rect: tuple[float, float, float, float
 
 def find_eigenvalues(cfg: ChainConfig, rect: tuple[float, float, float, float], which: str,
                      grid: tuple[int, int] = (64, 64), tol: float = 1e-10,
-                     audit: bool = False, strict: bool = False) -> EigenSet:
+                     audit: bool = False) -> EigenSet:
     """Locate zeros of the characteristic determinant inside a rectangle.
 
     The determinant's phase is sampled on the grid, and the wrapped phase
@@ -151,7 +150,8 @@ def find_eigenvalues(cfg: ChainConfig, rect: tuple[float, float, float, float], 
     cell holding several roots starts one Newton run only, and a grid too
     coarse for the phase (steps beyond pi) can miss a root; `audit`
     counts the roots on the boundary to show either.  Starts that fail
-    to refine are reported in `failures` (or raised, with strict=True).
+    to refine are reported in `failures` (start, last iterate, |det|),
+    not raised; the `spectrum` subcommand exits 2 on any.
     """
     re0, re1, im0, im1 = (float(v) for v in rect)
     re1 = min(re1, -_AXIS_MARGIN)  # keep the scan off the imaginary axis
@@ -189,9 +189,6 @@ def find_eigenvalues(cfg: ChainConfig, rect: tuple[float, float, float, float], 
                 residuals.append(resid)
         else:
             failures.append({"start": z0, "last": z, "residual": resid})
-    if strict and failures:
-        worst = max(f["residual"] for f in failures)
-        raise NoConvergence(f"{len(failures)} candidates failed to refine (worst residual {worst:.3g})")
     order = np.lexsort((np.array([r.real for r in roots]), np.array([r.imag for r in roots]))) \
         if roots else np.array([], dtype=int)
     eig = np.array([roots[i] for i in order], dtype=complex)
@@ -206,7 +203,6 @@ def find_eigenvalues(cfg: ChainConfig, rect: tuple[float, float, float, float], 
         residuals=resid,
         search_rect=(re0, re1, im0, im1),
         abscissa=abscissa,
-        which=which,
         failures=failures,
         audit_count=audit_count,
     )

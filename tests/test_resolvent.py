@@ -8,10 +8,11 @@ from stringchain.chain_core import (
     quadrature_weights,
     sample_function,
     uniform_grids,
+    zeros_function,
 )
 from stringchain.errors import (
+    GridMismatch,
     QuadratureTooCoarse,
-    SignConventionMismatch,
     ZeroBeta,
 )
 from stringchain.resolvent import (
@@ -182,11 +183,12 @@ def test_schrodinger_rejects_zero_beta():
         sc.schrodinger_resolvent(cfg, 0.0, g)
 
 
-def test_schrodinger_residual_tolerance_enforced():
-    cfg = sc.ChainConfig(densities=(1.0,))
-    g = sample_function(cfg, 301, lambda x: np.ones_like(x, dtype=complex))
-    with pytest.raises(SignConventionMismatch):
-        sc.schrodinger_resolvent(cfg, 9.0, g, residual_tol=1e-30)
+@pytest.mark.parametrize("solve, arity", [(sc.wave_resolvent, 2), (sc.schrodinger_resolvent, 1)])
+def test_resolvent_load_on_wrong_number_of_edges(solve, arity):
+    # the same exception as the energies, the stepper and the oracle raise
+    load = zeros_function(sc.ChainConfig((1.0,)), 101, arity)
+    with pytest.raises(GridMismatch):
+        solve(sc.ChainConfig((1.0, 4.0)), 9.0, load)
 
 
 def test_schrodinger_scan_bounded_both_signs():
@@ -506,7 +508,7 @@ def test_scan_probes_are_evaluated_one_at_a_time():
     ratios, residuals = [], []
     for k in range(8):
         g = resolvent._probe_values(bases, [seed, _beta_key(beta), k], 2)
-        w = plan.apply(g)[0]
+        w = plan.apply(g)
         g_norm = resolvent._h_norm(weights, cfg.densities, g)
         ratios.append(resolvent._h_norm(weights, cfg.densities, w) / g_norm)
         residuals.append(resolvent._relative(

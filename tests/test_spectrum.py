@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import stringchain as sc
-from stringchain.errors import DeterminantOverflow, EmptyScan, NoConvergence
+from stringchain.errors import DeterminantOverflow, EmptyScan
 from stringchain.spectrum import count_roots_contour
 
 
@@ -187,10 +187,14 @@ def test_find_eigenvalues_grid_validation():
         sc.find_eigenvalues(cfg, (-1, 0, 0, 1), "wave", grid=(8, 8))
 
 
-def test_strict_mode_reports_unrefined_candidates():
+def test_unrefined_candidates_are_reported_in_failures():
+    # no root refines to |det| <= 1e-30: every winding cell is a reported failure
     cfg = sc.ChainConfig(densities=(0.25,))
-    with pytest.raises(NoConvergence):
-        sc.find_eigenvalues(cfg, (-1, 0, 0, 5), "wave", grid=(32, 64), tol=1e-30, strict=True)
+    eig = sc.find_eigenvalues(cfg, (-1, 0, 0, 5), "wave", grid=(32, 64), tol=1e-30)
+    assert len(eig.failures) == 3
+    for f in eig.failures:
+        assert set(f) == {"start", "last", "residual"}
+        assert f["residual"] > 1e-30
 
 
 def test_sorted_output_and_determinism():
