@@ -13,7 +13,6 @@ from .chain_core import (
     first_order_state,
     sample_function,
     sample_state,
-    validate_config,
 )
 from .oracle import (
     DenseOperator,
@@ -62,7 +61,6 @@ __all__ = [
     "EigenSet",
     "DenseOperator",
     "SimOptions",
-    "validate_config",
     "sample_function",
     "sample_state",
     "energy_wave",

@@ -30,7 +30,6 @@ __all__ = [
     "ChainFunction",
     "WaveState",
     "EnergyTrace",
-    "validate_config",
     "uniform_grids",
     "uniform_betas",
     "sample_function",
@@ -56,14 +55,19 @@ class ChainConfig:
     """Number of edges and their densities; the whole model parameterization.
 
     Valid by construction: building one converts the densities to floats
-    and runs `validate_config`, so an invalid chain raises right there.
+    and checks them, so an invalid chain raises right there: EmptyChain for
+    no edges, NonPositiveDensity for a density that is not positive and finite.
     """
 
     densities: tuple[float, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "densities", tuple(float(r) for r in self.densities))
-        validate_config(self)
+        if not self.densities:
+            raise EmptyChain("chain needs at least one edge")
+        for j, rho in enumerate(self.densities):
+            if not math.isfinite(rho) or rho <= 0.0:
+                raise NonPositiveDensity(f"density rho_{j} = {rho} must be positive and finite")
 
     @property
     def n_edges(self) -> int:
@@ -86,20 +90,6 @@ class ChainConfig:
         ):
             raise ValueError(f"densities must be a JSON list of numbers, got {densities!r}")
         return cls(densities=tuple(densities))
-
-
-def validate_config(cfg: ChainConfig) -> ChainConfig:
-    """Return cfg unchanged if it is a valid chain, raise otherwise.
-
-    EmptyChain for no edges, NonPositiveDensity for a density that is not
-    positive and finite.  `ChainConfig` runs it when it is built.
-    """
-    if cfg.n_edges < 1:
-        raise EmptyChain("chain needs at least one edge")
-    for j, rho in enumerate(cfg.densities):
-        if not math.isfinite(rho) or rho <= 0.0:
-            raise NonPositiveDensity(f"density rho_{j} = {rho} must be positive and finite")
-    return cfg
 
 
 class ChainFunction:
@@ -173,11 +163,16 @@ def uniform_grids(cfg: ChainConfig, points_per_edge: int) -> list[np.ndarray]:
 
 
 def uniform_betas(beta_range: tuple[float, float], step: float) -> np.ndarray:
-    """lo to hi in step increments, hi included up to half a step; never empty."""
+    """lo to hi in step increments, hi included up to half a step; never empty.
+
+    MemoryError if the range holds more steps than can be allocated."""
     lo, hi = beta_range
     if not (0 < step < math.inf and math.isfinite(lo) and math.isfinite(hi)):
         raise EmptyScan(f"need finite ends and a positive finite step, got {beta_range}, {step}")
-    betas = np.arange(lo, hi + 0.5 * step, step)
+    try:
+        betas = np.arange(lo, hi + 0.5 * step, step)
+    except ValueError as exc:  # numpy's "Maximum allowed size exceeded"
+        raise MemoryError(f"{(hi - lo) / step:.3g} betas: {exc}") from exc
     if betas.size == 0:
         raise EmptyScan("empty beta range")
     return betas

@@ -4,21 +4,20 @@ Every subcommand reads the chain from a JSON config {"densities": [...]},
 writes its results as CSV next to a manifest.json that pins the exact
 inputs (command, options with --out, seed) and a timing.json with the
 wall time, and prints a one-line summary; one runner, `run`, does this
-for all of them.  Option values are checked where they are declared,
+for all of them, in one process (`--jobs` is checked and recorded but
+selects nothing).  Option values are checked where they are declared,
 before any work.  Exit codes: 0 success, 1 validation failure, 2
 numerical failure (e.g. an overflowing determinant or transfer value),
-64 usage error, 65 config error.
+64 usage error (including a grid too large to allocate), 65 config error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import NamedTuple, Optional
 
@@ -180,29 +179,10 @@ def _beta_grid(args) -> np.ndarray:
         return np.array(args.betas.values)
     lo, hi = args.beta_min, args.beta_max
     sgn = 1.0 if lo > 0 else -1.0
-    return sgn * np.logspace(np.log10(abs(lo)), np.log10(abs(hi)), args.count)
-
-
-def _scan_chunk(payload):
-    command, cfg, probes, points, seed, betas = payload
-    scan = wave_resolvent_norm_scan if command == "resolvent-scan" else schrodinger_norm_scan
-    return scan(cfg, betas, probes, points_per_edge=points, seed=seed)
-
-
-def _run_scan(args, cfg):
-    """The norm scan of args.command over its betas on a pool of --jobs workers
-    (default: the CPU count).  Worker i of n takes betas[i::n]: the cost of a
-    beta grows with |beta|, so contiguous blocks would leave one worker the
-    high end.  Each beta seeds its own probes, so the pooled rows, sorted by
-    beta, do not depend on the split."""
-    betas = list(_beta_grid(args))
-    jobs = min(args.jobs or os.cpu_count() or 1, len(betas))
-    payload = (args.command, cfg, args.probes, args.points, args.seed)
-    if jobs <= 1:
-        return _scan_chunk((*payload, betas))
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        results = list(pool.map(_scan_chunk, [(*payload, betas[i::jobs]) for i in range(jobs)]))
-    return sorted((pt for chunk in results for pt in chunk), key=lambda pt: pt.beta)
+    try:
+        return sgn * np.logspace(np.log10(abs(lo)), np.log10(abs(hi)), args.count)
+    except ValueError as exc:  # numpy's "Maximum allowed size exceeded"
+        raise MemoryError(f"--count {args.count}: {exc}") from exc
 
 
 def _cmd_spectrum(args, cfg, out) -> _Done:
@@ -262,8 +242,10 @@ def _cmd_gap(args, cfg, out) -> _Done:
 
 
 def _cmd_scan(args, cfg, out) -> _Done:
-    """resolvent-scan (wave) and schrodinger-scan: norm estimates over beta."""
-    points = _run_scan(args, cfg)
+    """resolvent-scan (wave) and schrodinger-scan: norm estimates over beta, one
+    row per beta in the order of the grid."""
+    scan = wave_resolvent_norm_scan if args.command == "resolvent-scan" else schrodinger_norm_scan
+    points = scan(cfg, _beta_grid(args), args.probes, points_per_edge=args.points, seed=args.seed)
     rows = [(p.beta, p.norm_estimate, p.probes, p.residual_max) for p in points]
     scan_csv = write_table(out / (args.command.replace("-", "_") + ".csv"),
                            ["beta", "norm_estimate", "probes", "residual_max"], *zip(*rows))
@@ -427,7 +409,8 @@ def _subcommand(sub, name: str, help_: str, handler) -> _Parser:
     p.add_argument("--config", required=True, help="JSON file {\"densities\": [...]}")
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--seed", type=_at_least(0), default=0)
-    p.add_argument("--jobs", type=_at_least(1), help="norm-scan workers (default: CPU count)")
+    p.add_argument("--jobs", type=_at_least(1),
+                   help="accepted and recorded in the manifest; selects nothing (one process)")
     p.set_defaults(func=handler)
     return p
 
@@ -513,6 +496,9 @@ def run(argv=None) -> int:
         return done.code
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
+        return 64
+    except MemoryError as exc:  # a grid too large to allocate
+        print(f"usage error: grid too large: {exc}", file=sys.stderr)
         return 64
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

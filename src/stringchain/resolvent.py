@@ -306,7 +306,8 @@ def scan_grid_points(cfg: ChainConfig, freq: float) -> int:
 
 
 def _beta_key(beta: float) -> int:
-    """Stable seed component from the bit pattern; chunk-order independent."""
+    """Stable seed component from the bit pattern of beta, so that a beta's
+    probes do not depend on which other betas are scanned with it."""
     return int(np.float64(beta).view(np.uint64))
 
 

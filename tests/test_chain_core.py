@@ -18,23 +18,6 @@ from stringchain.chain_core import (
 from stringchain.errors import ArityMismatch, EmptyChain, GridMismatch, NonPositiveDensity
 
 
-def test_validate_config_accepts_valid_chains():
-    assert sc.validate_config(sc.ChainConfig(densities=(1.0,))).n_edges == 1
-    cfg = sc.validate_config(sc.ChainConfig(densities=(1.0, 4.0, 0.25)))
-    assert cfg.densities == (1.0, 4.0, 0.25)
-
-
-def test_validate_config_rejects_bad_densities():
-    with pytest.raises(NonPositiveDensity):
-        sc.validate_config(sc.ChainConfig(densities=(1.0, -1.0)))
-    with pytest.raises(NonPositiveDensity):
-        sc.validate_config(sc.ChainConfig(densities=(0.0,)))
-    with pytest.raises(NonPositiveDensity):
-        sc.validate_config(sc.ChainConfig(densities=(np.inf,)))
-    with pytest.raises(EmptyChain):
-        sc.validate_config(sc.ChainConfig(densities=()))
-
-
 @pytest.mark.parametrize("densities, error", [
     ((), EmptyChain),
     ((1.0, -1.0), NonPositiveDensity),
@@ -53,7 +36,9 @@ def test_invalid_chain_is_rejected_when_loaded():
 
 
 def test_config_json_round_trip():
-    cfg = sc.ChainConfig(densities=(1.0, 2.5))
+    cfg = sc.ChainConfig(densities=(1, 2.5))  # building converts the densities to floats
+    assert cfg.densities == (1.0, 2.5) and all(type(r) is float for r in cfg.densities)
+    assert cfg.n_edges == 2 and sc.ChainConfig(densities=(1.0,)).n_edges == 1
     again = sc.ChainConfig.from_json(cfg.to_json())
     assert again == cfg
     assert json.loads(cfg.to_json()) == {"densities": [1.0, 2.5]}

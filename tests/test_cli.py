@@ -85,14 +85,16 @@ def test_gap_and_det_bound(chain_json, tmp_path):
 def test_resolvent_scan_deterministic_across_jobs(mono_json, tmp_path):
     out1 = tmp_path / "scan1"
     out2 = tmp_path / "scan2"
-    # more betas than workers, so each worker's share holds several
-    args = ["resolvent-scan", "--config", mono_json, "--betas", "5,20,80,160,320",
+    # --jobs selects nothing: the rows are the same bytes, in the order of --betas
+    args = ["resolvent-scan", "--config", mono_json, "--betas", "80,5,20,320,160",
             "--probes", "2", "--seed", "3"]
     assert run(args + ["--out", str(out1), "--jobs", "1"]) == 0
     assert run(args + ["--out", str(out2), "--jobs", "2"]) == 0
     a = (out1 / "resolvent_scan.csv").read_bytes()
     b = (out2 / "resolvent_scan.csv").read_bytes()
     assert a == b
+    rows = a.decode().splitlines()[1:]
+    assert [float(row.split(",")[0]) for row in rows] == [80.0, 5.0, 20.0, 320.0, 160.0]
 
 
 def test_schrodinger_scan_negative_betas(mono_json, tmp_path):
@@ -242,6 +244,19 @@ def test_rejected_option_values_are_usage_errors(chain_json, tmp_path, argv, cap
     assert capsys.readouterr().err.startswith("usage error:")
 
 
+@pytest.mark.parametrize("argv", [
+    ["gap", "--step", "1e-15"],  # numpy's MemoryError: 2.78 EiB
+    ["gap", "--step", "1e-300"],  # numpy's "Maximum allowed size exceeded"
+    ["transfer-scan", "--step", "1e-300"],
+    ["resolvent-scan", "--count", "10000000000000000000"],
+])
+def test_oversized_grids_are_usage_errors(chain_json, tmp_path, argv, capsys):
+    # each grid is refused when it is allocated, before any memory is touched
+    assert run([*argv, "--config", chain_json, "--out", str(tmp_path / "out"), "--jobs", "1"]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("usage error:") and err.count("\n") == 1
+
+
 TINY_RUNS = [
     ["spectrum", "--rect", "-2,0,0,10", "--grid", "16,16"],
     ["gap", "--beta-min", "-1", "--beta-max", "1"],
@@ -278,13 +293,17 @@ def test_runner_writes_manifest_timing_and_only_listed_outputs(chain_json, tmp_p
 
 def test_cli_import_loads_only_light_scipy_subpackages():
     # every CLI launch pays for its imports: scipy.signal alone adds about 1 s,
-    # and scipy.integrate once made up most of the import time
+    # and scipy.integrate once made up most of the import time; a run is one
+    # process, so no process-pool module is loaded either
     probe = ("import json, pkgutil, sys, stringchain.cli, scipy\n"
              "loaded = {m.split('.')[1] for m in sys.modules if m.startswith('scipy.')}\n"
              "public = {m.name for m in pkgutil.iter_modules(scipy.__path__)\n"
              "          if m.ispkg and not m.name.startswith('_')}\n"
-             "print(json.dumps(sorted(loaded & public)))")
+             "pools = {'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)\n"
+             "print(json.dumps([sorted(loaded & public), sorted(pools)]))")
     env = dict(os.environ, PYTHONPATH=str(Path(stringchain.__file__).parents[1]))
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                          text=True, check=True).stdout
-    assert set(json.loads(out)) <= {"linalg", "sparse"}
+    scipy_loaded, pools = json.loads(out)
+    assert set(scipy_loaded) <= {"linalg", "sparse"}
+    assert pools == []
