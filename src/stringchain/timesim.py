@@ -1,20 +1,21 @@
 """Time-domain integrators for the damped chain and decay-rate fitting.
 
-Both steppers run on one shared-node global grid, `_Layout`, which also
-gathers their data from the per-edge grids and scatters it back.  The
-wave chain runs leapfrog (central time, central space).  The damped
-condition at x = 0 couples the new boundary value linearly and is solved
-in closed form each step (a conservative end is the same update without
-damping); interior joints are algebraic nodes set from the discrete
-flux balance with second-order one-sided derivatives.  The Schrodinger
-chain runs Crank-Nicolson with the boundary feedback and joint coupling
-folded into a tridiagonal system; in the lumped product the discrete
-energy then decreases by exactly dt * |u(t+dt/2, 0)|^2 per step, so the
-recorded flux balances the energy drop to machine precision.
+Both steppers discretise one lumped operator, built once by `_Layout` and
+equal to the oracle's: w_i u_i'' = (K u)_i on the free nodes, lumped
+masses w and cell conductances rho / h, joints ordinary nodes.  The wave
+chain runs leapfrog on it.  With the damped end's u_t(0) by central
+differences, the discrete energy
+E^{k+1/2} = sum_i w_i (u_i^{k+1} - u_i^k)^2 / (2 dt^2) + <D u^{k+1}, D u^k>_g / 2
+falls by exactly dt |u_t(t_k, 0)|^2 per step (conservative end: stays
+fixed), and it is positive for cfl < 1, so cfl <= 1 bounds the
+scheme's stability.  The Schrodinger chain runs Crank-Nicolson with the
+feedback folded into the tridiagonal -i (K + feedback) / w; in the
+lumped product its energy decreases by exactly dt * |u(t+dt/2, 0)|^2 per
+step, so the recorded flux balances the energy drop to machine precision.
 
-Neither step loop repeats set-up work: the leapfrog step updates three
-preallocated buffers in place and closes the boundary and joint rows in
-Python floats, the Crank-Nicolson matrix is factored once (LAPACK
+Neither step loop repeats set-up work: a leapfrog step, in increment
+form, is five in-place ufuncs on preallocated buffers plus the x = 0 row
+in Python floats, the Crank-Nicolson matrix is factored once (LAPACK
 zgttrf) and each step is one zgttrs solve, and both write their records
 into arrays preallocated from the step count and record_stride.
 """
@@ -29,6 +30,7 @@ from scipy.linalg.lapack import zgttrf, zgttrs
 
 from .chain_core import ChainConfig, ChainFunction, EnergyTrace, WaveState, uniform_grids
 from .errors import (
+    ArityMismatch,
     CflViolation,
     GridMismatch,
     InsufficientDecay,
@@ -68,20 +70,24 @@ class SimOptions:
 
 
 class _Layout:
-    """Shared-node global grid of both steppers: p points per edge, spacing h = 1/(p-1).
+    """Shared-node global grid and lumped operator of both steppers.
 
-    Edge j holds the nodes spans[j] of the global arrays; a joint node
-    carries the density of the edge to its right, and cell k of density
-    cell_rho[k] joins the nodes k and k+1.
+    p points per edge, spacing h = 1/(p-1); edge j holds the nodes
+    spans[j] of the global arrays, and the last node is clamped.  Cell k
+    joins the nodes k and k+1 with conductance g[k] = rho_k / h, and free
+    node i carries the lumped mass w[i] = h (h/2 at the damped end).  The
+    chain is then w_i u_i'' = (K u)_i with
+    (K u)_i = g_{i-1} (u_{i-1} - u_i) + g_i (u_{i+1} - u_i), g_{-1} = 0,
+    plus the boundary term -rho_0 u_x(0) in row 0; a joint is an ordinary
+    node whose two cells carry the two densities.
     """
 
     def __init__(self, cfg: ChainConfig, p: int):
-        rho = np.asarray(cfg.densities, dtype=float)
         self.h = 1.0 / (p - 1)
-        self.cell_rho = np.repeat(rho, p - 1)
-        self.rho_node = np.append(self.cell_rho, rho[-1])
-        self.n = self.rho_node.size
-        self.joints = np.arange(1, cfg.n_edges) * (p - 1)
+        self.g = np.repeat(np.asarray(cfg.densities, dtype=float), p - 1) / self.h
+        self.n = self.g.size + 1
+        self.w = np.full(self.g.size, self.h)
+        self.w[0] = 0.5 * self.h
         self.grids = uniform_grids(cfg, p)
         self.spans = [slice(j * (p - 1), (j + 1) * (p - 1) + 1) for j in range(cfg.n_edges)]
 
@@ -107,19 +113,6 @@ class _Layout:
         return ChainFunction(self.grids, [arr[span].astype(complex) for span in self.spans])
 
 
-def _joint_stencil(cfg: ChainConfig, joints: np.ndarray):
-    """Per joint J: (J, rho_l, rho_r, 3 (rho_l + rho_r)) as Python scalars.
-
-    The shared node closes the flux balance rho_l u_x(J-) = rho_r u_x(J+)
-    with second-order one-sided derivatives:
-    u_J = (rho_l (4 u_{J-1} - u_{J-2}) + rho_r (4 u_{J+1} - u_{J+2})) / (3 (rho_l + rho_r)).
-    """
-    rho = cfg.densities
-    return [
-        (int(J), rho[i], rho[i + 1], 3.0 * (rho[i] + rho[i + 1])) for i, J in enumerate(joints)
-    ]
-
-
 def _record_arrays(steps: int, stride: int):
     """(times, energies, flux) sized for t = 0, every stride-th step and the last step."""
     n_rec = 1 + -(-steps // stride)
@@ -132,7 +125,13 @@ def simulate_wave(cfg: ChainConfig, init: WaveState, opts: SimOptions,
 
     mode selects the x = 0 condition: "damped" (rho_0 u_x = u_t),
     "conservative" (rho_0 u_x = 0), or "forced" (rho_0 u_x = v(t), which
-    requires the forcing callable).  The far end stays clamped.  The
+    requires the forcing callable).  The far end stays clamped.  Every
+    free node, joints included, steps w (u+ - 2 u + u-) = dt^2 (K u - s)
+    with `_Layout`'s lumped operator, the one Crank-Nicolson uses and the
+    oracle's `fd_wave_matrix` builds; s is u_t(0) by central differences,
+    v(t) or 0 in row 0.  Hence the energy identity of the module
+    docstring: E^{k+1/2} - E^{k-1/2} = -dt s u_t(t_k, 0), and cfl <= 1
+    is the stability bound.  The loop runs in increment form.  The
     recorded energy uses the cell form of the elastic term and central
     time differences for the kinetic term; boundary flux accumulates
     int |u_t(t, 0)|^2 dt by the trapezoid rule.
@@ -142,141 +141,108 @@ def simulate_wave(cfg: ChainConfig, init: WaveState, opts: SimOptions,
     if mode == "forced" and forcing is None:
         raise ValueError("forced mode needs a forcing callable")
     layout = _Layout(cfg, opts.points_per_edge)
-    n, h = layout.n, layout.h
-    stencil = _joint_stencil(cfg, layout.joints)
+    n, h, w = layout.n, layout.h, layout.w
     c_max = float(np.max(cfg.wave_speeds))
     dt = opts.cfl * h / c_max
     steps = max(2, int(np.ceil(opts.T / dt)))
     dt = opts.T / steps
-    coef = (dt * dt / (h * h)) * layout.rho_node
-    rho0 = cfg.densities[0]
-    r0 = rho0 * dt * dt / (h * h)
-    # a conservative end is a damped one without damping: keep = denom = 1
-    damp = dt / h if mode == "damped" else 0.0
+    # increment form: d = u^{k+1} - u^k, d += dt^2 K u / w, u += d.  Off node 0
+    # w = h, so dt^2 (K u)_i / w_i = f_i - f_{i-1} with the scaled cell fluxes
+    # f_c = (dt^2 / h) g_c (u_{c+1} - u_c); node 0 adds (h / w_0) f_0 and its boundary term
+    g_scaled = (dt * dt / h) * layout.g
+    lift = h / w[0]
+    src = dt * dt / w[0]
+    damp = 0.5 * dt / w[0] if mode == "damped" else 0.0
+    keep, denom = 1.0 - damp, 1.0 + damp
+    forced = mode == "forced"
 
-    u_prev = layout.gather(init.u, "displacement", real=True)
+    u = layout.gather(init.u, "displacement", real=True)
     v0 = layout.gather(init.v, "velocity", real=True)
-    u_prev[-1] = 0.0
-
-    def close_joints(u):
-        for J, rho_l, rho_r, den in stencil:
-            u[J] = (
-                rho_l * (4.0 * u.item(J - 1) - u.item(J - 2))
-                + rho_r * (4.0 * u.item(J + 1) - u.item(J + 2))
-            ) / den
+    u[-1] = v0[-1] = 0.0  # the clamped node neither moves nor carries energy
 
     # elastic term: rho_j |du|^2 / h summed edge by edge over the cell differences
     du = np.empty(n - 1)
     du_edges = [(rho, du[s.start : s.stop - 1]) for rho, s in zip(cfg.densities, layout.spans)]
 
-    def energy(d, u, kin_scale):
-        """kin_scale * sum_i (w_i / h) d_i^2, trapezoid weights w, plus u's elastic energy."""
+    def energy(vel, u, kin_scale):
+        """kin_scale * sum_i (w_i / h) vel_i^2, trapezoid weights w, plus u's elastic energy."""
         np.subtract(u[1:], u[:-1], out=du)
         elastic = 0.0
         for rho, seg in du_edges:
             elastic += rho * float(np.dot(seg, seg))
-        d_ends = d.item(0) ** 2 + d.item(-1) ** 2
-        return kin_scale * (float(np.dot(d, d)) - 0.5 * d_ends) + (0.5 / h) * elastic
+        ends = vel.item(0) ** 2 + vel.item(-1) ** 2
+        return kin_scale * (float(np.dot(vel, vel)) - 0.5 * ends) + (0.5 / h) * elastic
 
-    # Taylor start: u^1 = u^0 + dt v^0 + dt^2/2 rho u_xx, boundary via ghost
-    u_cur = u_prev.copy()
-    u_cur[1:-1] += dt * v0[1:-1] + 0.5 * coef[1:-1] * (
-        u_prev[2:] - 2.0 * u_prev[1:-1] + u_prev[:-2]
-    )
-    s0 = v0[0] if mode == "damped" else float(forcing(0.0)) if mode == "forced" else 0.0
-    ghost = u_prev[1] - 2.0 * h * s0 / rho0
-    u_cur[0] = u_prev[0] + dt * v0[0] + 0.5 * r0 * (u_prev[1] - 2.0 * u_prev[0] + ghost)
-    u_cur[-1] = 0.0
-    close_joints(u_cur)
+    f = np.empty(n - 1)
+    f_right, f_left, u_right, u_left = f[1:], f[:-1], u[1:], u[:-1]
+    d = np.zeros(n)  # the clamped node's increment stays 0
+    d_in = d[1:-1]
+
+    def fluxes():
+        np.subtract(u_right, u_left, out=f)
+        np.multiply(f, g_scaled, out=f)
+
+    # Taylor start: u^1 - u^0 = dt v^0 + dt^2/2 A u^0
+    fluxes()
+    np.subtract(f_right, f_left, out=d_in)
+    d_in *= 0.5
+    d_in += dt * v0[1:-1]
+    s0 = v0[0] if mode == "damped" else float(forcing(0.0)) if forced else 0.0
+    d[0] = dt * v0[0] + 0.5 * (lift * f[0] - src * s0)
 
     stride = opts.record_stride
     times, energies, flux = _record_arrays(steps, stride)
-    energies[0] = energy(v0, u_prev, 0.5 * h)
+    energies[0] = energy(v0, u, 0.5 * h)
     rec = 1
     next_rec = min(stride, steps)
     kin_scale = 0.5 * h / (4.0 * dt * dt)  # for the central difference u^{k+1} - u^{k-1}
 
-    forced = mode == "forced"
-    keep = 1.0 - damp
-    denom = 1.0 + damp
-    two_r0 = 2.0 * r0
-    two_h = 2.0 * h
     two_dt = 2.0 * dt
-    b_prev, b_cur = u_prev.item(0), u_cur.item(0)
     bv_prev = v0.item(0)
     flux_cum = 0.0
-
-    # interior in place, in the operation order of 2 u - u_prev + coef (u_{i+1} - 2 u + u_{i-1})
-    # so it equals that expression bit for bit; the clamped node stays 0
-    coef_in = coef[1:-1]
-    tmp = np.empty(n - 2)
     d_rec = np.empty(n)
-
-    def views(u):
-        return u, u[1:-1], u[2:], u[:-2]
-
-    prev, cur, nxt = views(u_prev), views(u_cur), views(np.zeros(n))
     for k in range(1, steps + 1):
-        # nxt receives t_{k+1}; the record at t_k uses the central velocity
-        u_p, p_in, _, _ = prev
-        u_c, c_in, c_right, c_left = cur
-        u_n, n_in, _, _ = nxt
-        np.multiply(c_in, 2.0, out=tmp)
-        np.subtract(c_right, tmp, out=n_in)
-        n_in += c_left
-        n_in *= coef_in
-        tmp -= p_in
-        n_in += tmp
-        u1 = u_c.item(1)
-        if forced:
-            vn = float(forcing(k * dt))
-            b_next = 2.0 * b_cur - b_prev + r0 * (2.0 * u1 - 2.0 * b_cur - two_h * vn / rho0)
-        else:
-            b_next = (2.0 * b_cur - keep * b_prev + two_r0 * (u1 - b_cur)) / denom
-        u_n[0] = b_next
-        close_joints(u_n)
+        u += d  # now u^k; d^{k+1/2} replaces d^{k-1/2} below
+        record = k == next_rec
+        if record:
+            np.copyto(d_rec, d)
+        d_old = d.item(0)
+        fluxes()
+        d_in += f_right
+        d_in -= f_left
+        vn = float(forcing(k * dt)) if forced else 0.0
+        d_new = (keep * d_old + lift * f.item(0)) / denom - src * vn
+        d[0] = d_new
 
-        bv = (b_next - b_prev) / two_dt
+        bv = (d_old + d_new) / two_dt
         flux_cum += 0.5 * (bv_prev * bv_prev + bv * bv) * dt
         bv_prev = bv
-        if k == next_rec:
-            np.subtract(u_n, u_p, out=d_rec)
+        if record:
+            d_rec += d
             times[rec] = k * dt
-            energies[rec] = energy(d_rec, u_c, kin_scale)
+            energies[rec] = energy(d_rec, u, kin_scale)
             flux[rec] = flux_cum
             rec += 1
             next_rec = min(next_rec + stride, steps)
-        prev, cur, nxt = cur, nxt, prev
-        b_prev, b_cur = b_cur, b_next
 
-    # buffers after the rotation: prev = u^M, cur = u^{M+1}, nxt = u^{M-1}
-    final = WaveState(u=layout.chain(prev[0]), v=layout.chain((cur[0] - nxt[0]) / two_dt))
+    # the last step is a record: d_rec = u^{M+1} - u^{M-1}
+    final = WaveState(u=layout.chain(u), v=layout.chain(d_rec / two_dt))
     return EnergyTrace(times=times, energies=energies, boundary_flux=flux), final
 
 
 def _schrodinger_tridiag(layout: _Layout):
-    """Tridiagonal generator -i rho d_xx with feedback and joints folded in.
+    """Tridiagonal generator -i (K + feedback) / w of `_Layout`'s lumped operator.
 
-    Returns (weights, lower, diag, upper) on the layout's nodes with the
-    clamped node eliminated; weights are the lumped masses of the inner
-    product in which the operator is exactly dissipative.  Cell k couples
-    the nodes k and k+1 with conductance rho_k / h.
+    Returns (weights, lower, diag, upper) on the layout's free nodes;
+    weights are the lumped masses of the inner product in which the
+    operator is exactly dissipative.
     """
-    h = layout.h
-    na = layout.n - 1
-    w = np.full(na, h)
-    w[0] = 0.5 * h
-    g = layout.cell_rho / h
-    diag = -(g + np.concatenate(([0.0], g[:-1]))).astype(complex)
-    upper = np.zeros(na, dtype=complex)
-    lower = np.zeros(na, dtype=complex)
-    upper[:-1] = g[:-1]
-    lower[1:] = g[:-1]
+    w, g = layout.w, layout.g
+    g_left = np.concatenate(([0.0], g[:-1]))
+    diag = -(g + g_left).astype(complex)
     diag[0] += -1j  # feedback rho_0 u'(0) = i u(0) folded into the flux
-    lower = -1j * lower / w
-    diag = -1j * diag / w
-    upper = -1j * upper / w
-    return w, lower, diag, upper
+    upper = np.append(g[:-1], 0.0).astype(complex)
+    return w, -1j * g_left.astype(complex) / w, -1j * diag / w, -1j * upper / w
 
 
 def simulate_schrodinger(cfg: ChainConfig, u0: ChainFunction, opts: SimOptions):
@@ -287,7 +253,7 @@ def simulate_schrodinger(cfg: ChainConfig, u0: ChainFunction, opts: SimOptions):
     agree to machine precision step by step.
     """
     if u0.arity != 1:
-        raise GridMismatch("Schrodinger simulation needs a scalar initial state")
+        raise ArityMismatch("Schrodinger simulation needs a scalar initial state")
     if opts.dt is None:
         raise ValueError("Schrodinger simulation needs opts.dt")
     layout = _Layout(cfg, opts.points_per_edge)

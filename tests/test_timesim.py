@@ -4,7 +4,14 @@ import scipy.linalg as sla
 
 import stringchain as sc
 from stringchain.chain_core import EnergyTrace, sample_function, sample_state, smooth_bump
-from stringchain.errors import CflViolation, GridMismatch, InsufficientDecay, LinearSolveFailure
+from stringchain.errors import (
+    ArityMismatch,
+    CflViolation,
+    GridMismatch,
+    InsufficientDecay,
+    LinearSolveFailure,
+)
+from stringchain.oracle import fd_wave_matrix
 from stringchain.timesim import _Layout, _schrodinger_tridiag
 
 
@@ -56,6 +63,62 @@ def test_conservative_mode_conserves():
     )
     drift = abs(trace.energies[-1] - trace.energies[0]) / trace.energies[0]
     assert drift <= 1e-4
+
+
+def test_conservative_mode_conserves_across_three_edges():
+    cfg = sc.ChainConfig(densities=(2.0, 0.5, 3.0))
+    trace, _ = sc.simulate_wave(
+        cfg, _bump_state(cfg, 500), sc.SimOptions(points_per_edge=500, T=10.0, cfl=0.5,
+                                                  record_stride=50),
+        mode="conservative",
+    )
+    e0 = trace.energies[0]
+    assert np.max(np.abs(trace.energies - e0)) <= 5e-5 * e0
+
+
+def test_damped_energy_halves_by_the_first_joint():
+    # the bump splits into two halves of equal energy; by t = 1 the left-going
+    # half has left through the matched damper, and what the joint at x = 1
+    # reflects has not yet come back to x = 0 (Dager & Zuazua 2006)
+    cfg = sc.ChainConfig(densities=(1.0, 4.0))
+    trace, _ = sc.simulate_wave(
+        cfg, _bump_state(cfg, 500), sc.SimOptions(points_per_edge=500, T=1.0, cfl=0.5)
+    )
+    assert abs(trace.energies[-1] / trace.energies[0] - 0.5) <= 1e-5
+
+
+def test_leapfrog_discretises_the_oracle_operator():
+    # two steps: the Taylor start and one leapfrog step of u'' = A u
+    cfg = sc.ChainConfig(densities=(1.0, 4.0, 2.0))
+    p = 40
+    dt_max = 0.5 / (p - 1) / float(np.max(cfg.wave_speeds))
+    T = 1.5 * dt_max
+    state = sample_state(
+        cfg, p, lambda x: (x * (3.0 - x) / 9.0).astype(complex), lambda x: smooth_bump(x, 1.2, 1.8)
+    )
+    _, final = sc.simulate_wave(
+        cfg, state, sc.SimOptions(points_per_edge=p, T=T, cfl=0.5), mode="conservative"
+    )
+    n = cfg.n_edges * (p - 1)
+    a = fd_wave_matrix(cfg, p - 1).matrix.tocsr()[n:, :n]  # velocity block: K / w
+    dt = T / 2
+    u0, v0 = _global(state.u).real[:-1], _global(state.v).real[:-1]
+    u1 = u0 + dt * v0 + 0.5 * dt * dt * (a @ u0)
+    u2 = 2.0 * u1 - u0 + dt * dt * (a @ u1)
+    u_final = _global(final.u).real
+    assert u_final[-1] == 0.0
+    assert np.max(np.abs(u_final[:-1] - u2)) <= 1e-12 * np.max(np.abs(u2))
+
+
+def test_clamped_node_velocity_carries_no_energy():
+    # v0 = 1 reaches the clamped end, where the scheme holds u at 0; E(0) must
+    # not count the h/2-weighted velocity there (0.5% of E(0) at p = 100)
+    cfg = sc.ChainConfig(densities=(1.0,))
+    st = sample_state(cfg, 100, lambda x: np.zeros_like(x, dtype=complex), np.ones_like)
+    trace, _ = sc.simulate_wave(
+        cfg, st, sc.SimOptions(points_per_edge=100, T=0.05), mode="conservative"
+    )
+    assert abs(trace.energies[1] - trace.energies[0]) <= 1e-3 * trace.energies[0]
 
 
 def test_forced_zero_input_stays_zero():
@@ -153,6 +216,14 @@ def test_schrodinger_rate_tracks_char_det_roots():
     assert abs(omega - target) / target <= 0.25
 
 
+def test_schrodinger_rejects_vector_state():
+    cfg = sc.ChainConfig(densities=(1.0,))
+    u0 = sample_function(cfg, 100, smooth_bump)
+    pair = sc.ChainFunction(u0.grids, [np.stack([u0.values[0], u0.values[0]], axis=1)])
+    with pytest.raises(ArityMismatch):
+        sc.simulate_schrodinger(cfg, pair, sc.SimOptions(points_per_edge=100, T=0.1, dt=1e-2))
+
+
 def test_schrodinger_needs_dt():
     cfg = sc.ChainConfig(densities=(1.0,))
     u0 = sample_function(cfg, 100, smooth_bump)
@@ -205,25 +276,19 @@ def test_energy_trace_csv(tmp_path):
 
 def _reference_layout(densities, p):
     n = len(densities) * (p - 1) + 1
-    rho_node = np.empty(n)
     cell_rho = np.empty(n - 1)
     for j, rho in enumerate(densities):
-        rho_node[j * (p - 1) : (j + 1) * (p - 1) + 1] = rho
         cell_rho[j * (p - 1) : (j + 1) * (p - 1)] = rho
-    joints = np.array([j * (p - 1) for j in range(1, len(densities))], dtype=int)
-    return n, 1.0 / (p - 1), rho_node, joints, cell_rho
+    return n, 1.0 / (p - 1), cell_rho
 
 
 def _reference_leapfrog(densities, p, T, cfl, stride, mode, forcing, u_prev, v0):
-    n, h, rho_node, joints, cell_rho = _reference_layout(densities, p)
-    rho_l, rho_r = rho_node[joints - 1], rho_node[joints + 1]
+    n, h, cell_rho = _reference_layout(densities, p)
 
-    def set_joints(u):
-        if joints.size:
-            num = rho_l * (4.0 * u[joints - 1] - u[joints - 2]) + rho_r * (
-                4.0 * u[joints + 1] - u[joints + 2]
-            )
-            u[joints] = num / (3.0 * (rho_l + rho_r))
+    def lumped(u):
+        # (rho u_x)_x on the inner nodes as a difference of cell fluxes, joints included
+        flux = cell_rho * np.diff(u) / h
+        return (flux[1:] - flux[:-1]) / h
 
     w_kin = np.full(n, h)
     w_kin[0] = w_kin[-1] = 0.5 * h
@@ -235,16 +300,13 @@ def _reference_leapfrog(densities, p, T, cfl, stride, mode, forcing, u_prev, v0)
     dt = cfl * h / float(np.max(np.sqrt(densities)))
     steps = max(2, int(np.ceil(T / dt)))
     dt = T / steps
-    coef = (dt * dt / (h * h)) * rho_node
     rho0 = densities[0]
     r0 = rho0 * dt * dt / (h * h)
     damp = dt / h
     u_prev = u_prev.copy()
     u_prev[-1] = 0.0
     u_cur = u_prev.copy()
-    u_cur[1:-1] += dt * v0[1:-1] + 0.5 * coef[1:-1] * (
-        u_prev[2:] - 2.0 * u_prev[1:-1] + u_prev[:-2]
-    )
+    u_cur[1:-1] += dt * v0[1:-1] + 0.5 * dt * dt * lumped(u_prev)
     if mode == "damped":
         ghost = u_prev[1] - 2.0 * h * v0[0] / rho0
     elif mode == "conservative":
@@ -253,15 +315,11 @@ def _reference_leapfrog(densities, p, T, cfl, stride, mode, forcing, u_prev, v0)
         ghost = u_prev[1] - 2.0 * h * float(forcing(0.0)) / rho0
     u_cur[0] = u_prev[0] + dt * v0[0] + 0.5 * r0 * (u_prev[1] - 2.0 * u_prev[0] + ghost)
     u_cur[-1] = 0.0
-    set_joints(u_cur)
     times, energies, flux = [0.0], [energy(v0, u_prev)], [0.0]
     flux_cum, bv_prev = 0.0, v0[0]
     u_next = np.empty(n)
     for k in range(1, steps + 1):
-        u_next[1:-1] = (
-            2.0 * u_cur[1:-1] - u_prev[1:-1]
-            + coef[1:-1] * (u_cur[2:] - 2.0 * u_cur[1:-1] + u_cur[:-2])
-        )
+        u_next[1:-1] = 2.0 * u_cur[1:-1] - u_prev[1:-1] + dt * dt * lumped(u_cur)
         if mode == "damped":
             u_next[0] = (
                 2.0 * u_cur[0] - (1.0 - damp) * u_prev[0] + 2.0 * r0 * (u_cur[1] - u_cur[0])
@@ -274,7 +332,6 @@ def _reference_leapfrog(densities, p, T, cfl, stride, mode, forcing, u_prev, v0)
                 2.0 * u_cur[1] - 2.0 * u_cur[0] - 2.0 * h * vn / rho0
             )
         u_next[-1] = 0.0
-        set_joints(u_next)
         bv = (u_next[0] - u_prev[0]) / (2.0 * dt)
         flux_cum += 0.5 * (bv_prev**2 + bv**2) * dt
         bv_prev = bv
@@ -289,7 +346,7 @@ def _reference_leapfrog(densities, p, T, cfl, stride, mode, forcing, u_prev, v0)
 
 
 def _reference_tridiag(densities, p):
-    n, h, _, _, cell_rho = _reference_layout(densities, p)
+    n, h, cell_rho = _reference_layout(densities, p)
     na = n - 1
     w = np.full(na, h)
     w[0] = 0.5 * h
