@@ -42,15 +42,7 @@ from .transfer_function import (
     transfer_sup_scan,
     transfer_value,
 )
-from .transfer_matrix import (
-    DetPair,
-    boundary_matrices,
-    det_lower_bound,
-    det_pair,
-    exp_hyp,
-    exp_osc,
-    schrodinger_step,
-)
+from .transfer_matrix import DetPair, boundary_matrices, det_pair, exp_hyp
 
 __all__ = [
     "ChainConfig",
@@ -67,12 +59,9 @@ __all__ = [
     "energy_first_order",
     "energy_schrodinger",
     "first_order_state",
-    "exp_osc",
     "exp_hyp",
     "boundary_matrices",
     "det_pair",
-    "det_lower_bound",
-    "schrodinger_step",
     "wave_resolvent",
     "wave_resolvent_norm_scan",
     "schrodinger_resolvent",

@@ -9,7 +9,6 @@ when it is built, so no routine that takes one checks it again.
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -35,7 +34,6 @@ __all__ = [
     "sample_function",
     "zeros_function",
     "sample_state",
-    "integrate_edge",
     "quadrature_weights",
     "edge_derivative",
     "energy_wave",
@@ -132,34 +130,17 @@ class ChainFunction:
     def n_edges(self) -> int:
         return len(self.grids)
 
-    def scaled(self, c: complex) -> "ChainFunction":
-        return ChainFunction(self.grids, tuple(c * v for v in self.values))
-
-    def to_csv(self, path) -> None:
-        """Write as rows edge, x, re, im (and re2, im2 for 2-vectors)."""
-        parts = np.concatenate(self.values).reshape(-1, self.arity).view(float).T  # re, im, ...
-        write_table(path, ["edge", "x", "re", "im", "re2", "im2"][: 2 + 2 * self.arity],
-                    np.repeat(np.arange(self.n_edges), [g.size for g in self.grids]),
-                    np.concatenate(self.grids), *parts)
-
-    @classmethod
-    def from_csv(cls, path) -> "ChainFunction":
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            table = np.array(list(reader), dtype=float).reshape(-1, len(header))
-        edges = table[:, 0].astype(int)
-        values = np.ascontiguousarray(table[:, 2:]).view(complex)  # (re, im) pairs
-        values = values if len(header) == 6 else values[:, 0]
-        rows = [edges == j for j in np.unique(edges)]
-        return cls([table[r, 1] for r in rows], [values[r] for r in rows])
-
 
 def uniform_grids(cfg: ChainConfig, points_per_edge: int) -> list[np.ndarray]:
-    """Uniform per-edge grids with the given number of points (endpoints included)."""
+    """Uniform per-edge grids with the given number of points (endpoints included).
+
+    MemoryError if that many points cannot be allocated."""
     if points_per_edge < 2:
         raise GridMismatch("need at least 2 points per edge")
-    return [np.linspace(j, j + 1, points_per_edge) for j in range(cfg.n_edges)]
+    try:
+        return [np.linspace(j, j + 1, points_per_edge) for j in range(cfg.n_edges)]
+    except ValueError as exc:  # numpy's "Maximum allowed size exceeded"
+        raise MemoryError(f"too many points per edge: {exc}") from exc
 
 
 def uniform_betas(beta_range: tuple[float, float], step: float) -> np.ndarray:
@@ -262,7 +243,7 @@ def write_table(path, header, *columns):
 
 
 def quadrature_weights(x: np.ndarray) -> np.ndarray:
-    """Weights w of integrate_edge's rule on the grid x: the integral of y is w @ y.
+    """Quadrature weights w on the grid x: the integral of y over the edge is w @ y.
 
     Odd point counts use composite Simpson, any spacing: per panel
     [x_{2i}, x_{2i+2}] with widths h0, h1 the quadratic interpolant's
@@ -287,11 +268,6 @@ def quadrature_weights(x: np.ndarray) -> np.ndarray:
     return w
 
 
-def integrate_edge(x: np.ndarray, y: np.ndarray) -> complex:
-    """Composite Simpson for an odd number of points, trapezoid otherwise."""
-    return quadrature_weights(x) @ y
-
-
 def edge_derivative(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Second-order derivative: centered interior, one-sided at the endpoints."""
     return np.gradient(y, x, edge_order=2)
@@ -310,7 +286,7 @@ def energy_wave(state: WaveState, cfg: ChainConfig) -> float:
         g = state.u.grids[j]
         du = edge_derivative(g, state.u.values[j])
         v = state.v.values[j]
-        total += integrate_edge(g, np.abs(v) ** 2 + rho * np.abs(du) ** 2).real
+        total += (quadrature_weights(g) @ (np.abs(v) ** 2 + rho * np.abs(du) ** 2)).real
     return 0.5 * total
 
 
@@ -319,25 +295,20 @@ def _abs2(v: np.ndarray) -> np.ndarray:
     return v.real * v.real + v.imag * v.imag
 
 
+def _wave_weight(rho: float, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+    """rho |first|^2 + |second|^2: the integrand of h_norm on an edge of density rho."""
+    return rho * _abs2(first) + _abs2(second)
+
+
 def _h_sum(weights, densities, values) -> float:
     """sum_j int rho_j |V_1|^2 + |V_2|^2 dx of 2-vector values, w @ y per edge."""
-    return float(sum(w @ (rho * _abs2(v[:, 0]) + _abs2(v[:, 1]))
+    return float(sum(w @ _wave_weight(rho, v[:, 0], v[:, 1])
                      for w, rho, v in zip(weights, densities, values)))
 
 
 def _l2_sum(weights, values):
     """sum_j int |v_j|^2 dx, per component for 2-vector values."""
     return sum(w @ _abs2(v) for w, v in zip(weights, values))
-
-
-def _h_norm(weights, densities, values) -> float:
-    """h_norm of 2-vector values, given the quadrature_weights of their grids."""
-    return float(np.sqrt(_h_sum(weights, densities, values)))
-
-
-def _l2_norm(weights, values) -> float:
-    """l2_norm of scalar values, given the quadrature_weights of their grids."""
-    return float(np.sqrt(_l2_sum(weights, values)))
 
 
 def energy_first_order(V: ChainFunction, cfg: ChainConfig) -> float:

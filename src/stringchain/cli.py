@@ -53,13 +53,7 @@ from .transfer_function import (
     transfer_value,
     transfer_values,
 )
-from .transfer_matrix import (
-    analytic_gap_bound,
-    boundary_matrices,
-    det_lower_bound,
-    det_pair,
-    exp_osc,
-)
+from .transfer_matrix import analytic_gap_bound, boundary_matrices, det_pair, exp_hyp
 
 
 class _Parser(argparse.ArgumentParser):
@@ -359,11 +353,12 @@ def _verify_checks(cfg: ChainConfig, seed: int):
         x = float(rng.uniform(-1, 1))
         # exp(i beta x B^{-1}); expm's rounding error grows with the phase beta x / c
         ref = expm(1j * beta * x * np.array([[0.0, 1.0 / rho], [1.0, 0.0]]))
-        err = float(np.max(np.abs(exp_osc(rho, beta, x) - ref)))
+        err = float(np.max(np.abs(exp_hyp(rho, 1j * beta, x) - ref)))
         worst = max(worst, err / max(1.0, abs(beta * x) / np.sqrt(rho)))
     yield "hyperbolic/oscillatory continuation", worst <= 1e-13, f"max |err| / phase = {worst:.2e}"
 
-    ga, gn = det_lower_bound(cfg, uniform_betas((-50.0, 50.0), 1e-3))
+    ga = analytic_gap_bound(cfg)
+    gn = imaginary_axis_gap(cfg, "wave", (-50.0, 50.0), 1e-3)
     yield "axis gap above analytic bound", gn >= ga - 1e-9 and gn > 0, \
         f"numeric {gn:.4g} vs analytic {ga:.4g}"
 

@@ -21,10 +21,6 @@ class ArityMismatch(ChainError):
     """Scalar function supplied where a 2-vector one is required, or vice versa."""
 
 
-class NonPositiveBeta(ChainError):
-    """Frequency parameter must be strictly positive."""
-
-
 class ZeroBeta(ChainError):
     """Frequency parameter must be nonzero."""
 

@@ -36,8 +36,9 @@ from .chain_core import (
     ChainConfig,
     ChainFunction,
     _check_cfg,
-    _h_norm,
-    _l2_norm,
+    _h_sum,
+    _l2_sum,
+    _wave_weight,
     edge_derivative,
     h_norm,
     l2_norm,
@@ -222,7 +223,7 @@ def _wave_defect(densities, beta: float, grids, g_values, w_values) -> float:
         dw2 = edge_derivative(x, w[:, 1])
         r1 = 1j * beta * w[:, 0] - dw2 - g[:, 0]
         r2 = 1j * beta * w[:, 1] - rho * dw1 - g[:, 1]
-        num += np.trapezoid(rho * np.abs(r1) ** 2 + np.abs(r2) ** 2, x).real
+        num += np.trapezoid(_wave_weight(rho, r1, r2), x)
     return num
 
 
@@ -458,11 +459,11 @@ def _measure(kind: str, cfg: ChainConfig, beta: float, grids, weights, g, y):
     """(norm ratio, residual) of one probe g and its solution values y: the wave
     chain in h_norm, the Schrodinger chain in the L2 norm of u, y being (u, rho u')."""
     if kind == "wave":
-        g_norm = _h_norm(weights, cfg.densities, g)
-        return (_h_norm(weights, cfg.densities, y) / g_norm,
+        g_norm = float(np.sqrt(_h_sum(weights, cfg.densities, g)))
+        return (float(np.sqrt(_h_sum(weights, cfg.densities, y))) / g_norm,
                 _relative(_wave_defect(cfg.densities, beta, grids, g, y), g_norm))
-    g_norm = _l2_norm(weights, g)
-    return (_l2_norm(weights, [v[:, 0] for v in y]) / g_norm,
+    g_norm = float(np.sqrt(_l2_sum(weights, g)))
+    return (float(np.sqrt(_l2_sum(weights, [v[:, 0] for v in y]))) / g_norm,
             _relative(_schrodinger_defect(beta, grids, g, y), g_norm))
 
 

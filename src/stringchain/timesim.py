@@ -113,10 +113,23 @@ class _Layout:
         return ChainFunction(self.grids, [arr[span].astype(complex) for span in self.spans])
 
 
+def _step_count(T: float, dt: float, least: int) -> int:
+    """max(least, ceil(T / dt)); MemoryError if T / dt overflows to inf."""
+    steps = np.ceil(T / dt)
+    if not np.isfinite(steps):
+        raise MemoryError(f"T / dt = {T:g} / {dt:g} steps overflow")
+    return max(least, int(steps))
+
+
 def _record_arrays(steps: int, stride: int):
-    """(times, energies, flux) sized for t = 0, every stride-th step and the last step."""
+    """(times, energies, flux) sized for t = 0, every stride-th step and the last step.
+
+    MemoryError if that many records cannot be allocated."""
     n_rec = 1 + -(-steps // stride)
-    return np.zeros(n_rec), np.empty(n_rec), np.zeros(n_rec)
+    try:
+        return np.zeros(n_rec), np.empty(n_rec), np.zeros(n_rec)
+    except ValueError as exc:  # numpy's "Maximum allowed dimension exceeded"
+        raise MemoryError(f"too many energy records: {exc}") from exc
 
 
 def simulate_wave(cfg: ChainConfig, init: WaveState, opts: SimOptions,
@@ -144,7 +157,7 @@ def simulate_wave(cfg: ChainConfig, init: WaveState, opts: SimOptions,
     n, h, w = layout.n, layout.h, layout.w
     c_max = float(np.max(cfg.wave_speeds))
     dt = opts.cfl * h / c_max
-    steps = max(2, int(np.ceil(opts.T / dt)))
+    steps = _step_count(opts.T, dt, 2)
     dt = opts.T / steps
     # increment form: d = u^{k+1} - u^k, d += dt^2 K u / w, u += d.  Off node 0
     # w = h, so dt^2 (K u)_i / w_i = f_i - f_{i-1} with the scaled cell fluxes
@@ -267,7 +280,7 @@ def simulate_schrodinger(cfg: ChainConfig, u0: ChainFunction, opts: SimOptions):
     u = u_full[:-1].copy()
 
     dt = opts.dt
-    steps = max(1, int(np.ceil(opts.T / dt)))
+    steps = _step_count(opts.T, dt, 1)
     dt = opts.T / steps
     half = 0.5 * dt
     # (I - dt/2 A) u^{n+1} = (I + dt/2 A) u^n; the left matrix is factored once

@@ -15,9 +15,9 @@ every characteristic function; the start vector picks which:
 * (-1, 0), wave: the transfer-closure pair (-P00, -P10), and (1, 0) with
   (0, 1) stacked: the transfer value -z P01 / P00 (`transfer_function`).
 
-`exp_hyp` and `boundary_matrices` use the same entries, and so do the
-real-frequency forms of the resolvents, `exp_osc` and `schrodinger_step`:
-at lam = i beta, cosh and sinh are cos and i sin.
+`exp_hyp` and `boundary_matrices` use the same entries.  At lam = i beta,
+cosh and sinh are cos and i sin, so the same entries give the
+real-frequency propagators.
 
 One edge costs one cosh and sinh of its argument, z = lam / c for the
 wave chain and m = sqrt(i lam / rho) for the Schrodinger chain.  For an
@@ -39,23 +39,17 @@ from typing import Union
 import numpy as np
 
 from .chain_core import ChainConfig
-from .errors import DeterminantOverflow, EmptyScan, NonPositiveBeta, NonPositiveDensity
+from .errors import DeterminantOverflow, NonPositiveDensity
 
 __all__ = [
-    "Mat2C",
     "DetPair",
     "edge_entries",
     "propagate",
-    "exp_osc",
     "exp_hyp",
     "boundary_matrices",
     "det_pair",
-    "det_lower_bound",
     "analytic_gap_bound",
-    "schrodinger_step",
 ]
-
-Mat2C = np.ndarray  # 2x2 complex array
 
 
 def _check_rho(rho: float) -> float:
@@ -64,22 +58,14 @@ def _check_rho(rho: float) -> float:
     return float(rho)
 
 
-def _edge_matrix(rho: float, lam, kind: str) -> Mat2C:
-    ch, s12, s21 = edge_entries(rho, lam, kind)
-    return np.array([[ch, s12], [s21, ch]], dtype=complex)
+def exp_hyp(rho: float, lam: complex, x: float) -> np.ndarray:
+    """exp(lam*x*B^{-1}) for general complex lam, written with cosh and sinh.
 
-
-def exp_osc(rho: float, beta: float, x: float) -> Mat2C:
-    """exp(i*beta*x*B^{-1}) for real beta: `exp_hyp` at lam = i*beta.
-
-    Unimodular for every argument: the determinant is cos^2 + sin^2 = 1.
+    Unimodular.  At lam = i beta it is [[cos t, i sin(t) / c], [i c sin t, cos t]]
+    with c = sqrt(rho) and t = beta x / c.
     """
-    return exp_hyp(rho, 1j * beta, x)
-
-
-def exp_hyp(rho: float, lam: complex, x: float) -> Mat2C:
-    """exp(lam*x*B^{-1}) for general complex lam, written with cosh and sinh."""
-    return _edge_matrix(_check_rho(rho), lam * x, "wave")
+    ch, s12, s21 = edge_entries(_check_rho(rho), lam * x, "wave")
+    return np.array([[ch, s12], [s21, ch]], dtype=complex)
 
 
 def _cosh_sinh(z):
@@ -171,7 +157,7 @@ def _finite_values(fn, lam: np.ndarray) -> np.ndarray:
     return vals
 
 
-def boundary_matrices(cfg: ChainConfig, lam: complex) -> tuple[Mat2C, Mat2C]:
+def boundary_matrices(cfg: ChainConfig, lam: complex) -> tuple[np.ndarray, np.ndarray]:
     """Characteristic matrices (H, H_tilde) of the damped chain at lam.
 
     Row 1 applies (1, -1) to the backward exponential on edge 0 (the
@@ -236,29 +222,3 @@ def analytic_gap_bound(cfg: ChainConfig) -> float:
     ratios = c[1:] / c[:-1]
     spread = c[-1] * max(c[0], 1.0 / c[0]) * float(np.prod(np.maximum(ratios, 1.0 / ratios)))
     return float(1.0 / np.sqrt(spread))
-
-
-def det_lower_bound(cfg: ChainConfig, beta_scan: np.ndarray) -> tuple[float, float]:
-    """(gamma_analytic, gamma_numeric) for |D_{N-1}| on the imaginary axis.
-
-    gamma_numeric is the minimum of |D| over the supplied beta grid and
-    always sits above gamma_analytic (up to roundoff).
-    """
-    betas = np.asarray(beta_scan, dtype=float)
-    if betas.size == 0:
-        raise EmptyScan("empty beta scan")
-    gamma_analytic = analytic_gap_bound(cfg)
-    pair = det_pair(cfg, 1j * betas)
-    gamma_numeric = float(np.min(np.abs(pair.d)))
-    return gamma_analytic, gamma_numeric
-
-
-def schrodinger_step(rho: float, beta: float) -> Mat2C:
-    """One-edge propagation of (u, rho*u') for the Schrodinger chain at i*beta.
-
-    Unimodular: det = cos^2 + sin^2 = 1.
-    """
-    rho = _check_rho(rho)
-    if not np.isfinite(beta) or beta <= 0.0:
-        raise NonPositiveBeta(f"beta = {beta} must be positive")
-    return _edge_matrix(rho, 1j * beta, "schrodinger")

@@ -23,6 +23,7 @@ from stringchain.resolvent import (
 )
 from stringchain.timesim import SimOptions
 from stringchain.transfer_function import transfer_values
+from stringchain.transfer_matrix import analytic_gap_bound
 
 
 def _report(num, name, ok, detail):
@@ -61,12 +62,15 @@ def test_criterion_02_unimodularity_and_continuation():
         beta = float(rng.uniform(-50.0, 50.0))
         x = float(rng.uniform(-1.0, 1.0))
         lam = complex(rng.uniform(-2.0, 2.0), rng.uniform(-50.0, 50.0))
-        mo = sc.exp_osc(rho, beta, x)
+        mo = sc.exp_hyp(rho, 1j * beta, x)
         mh = sc.exp_hyp(rho, lam, x)
         worst_det = max(worst_det, abs(mo[0, 0] * mo[1, 1] - mo[0, 1] * mo[1, 0] - 1.0))
         worst_det = max(worst_det, abs(mh[0, 0] * mh[1, 1] - mh[0, 1] * mh[1, 0] - 1.0))
-        worst_cont = max(worst_cont, float(np.max(np.abs(
-            sc.exp_hyp(rho, 1j * beta, x) - sc.exp_osc(rho, beta, x)))))
+        # against the real-frequency propagator written out, t = beta x / c
+        c = np.sqrt(rho)
+        t = beta * x / c
+        osc = np.array([[np.cos(t), 1j * np.sin(t) / c], [1j * c * np.sin(t), np.cos(t)]])
+        worst_cont = max(worst_cont, float(np.max(np.abs(mo - osc))))
     ok = worst_det <= 1e-12 and worst_cont <= 1e-13
     _report(2, "unimodularity and continuation", ok,
             f"max |det - 1| = {worst_det:.2e}, max continuation gap = {worst_cont:.2e} "
@@ -81,7 +85,8 @@ def test_criterion_03_imaginary_axis_gap():
     margin = np.inf
     for _ in range(20):
         cfg = _random_cfg(rng)
-        ga, gn = sc.det_lower_bound(cfg, betas)
+        ga = analytic_gap_bound(cfg)
+        gn = float(np.min(np.abs(sc.det_pair(cfg, 1j * betas).d)))
         ok &= gn > 0 and gn >= ga - 1e-9
         margin = min(margin, gn - ga)
     _report(3, "imaginary-axis gap", ok,

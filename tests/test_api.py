@@ -1,4 +1,5 @@
-"""Every exported name, and every name the benchmark's tracer wraps, exists."""
+"""Every exported name, and every name the benchmark's tracer wraps, exists; no module
+imports a name it never uses."""
 
 import ast
 import functools
@@ -49,3 +50,29 @@ def test_oracle_shares_no_code_with_the_solvers():
             imported.update(alias.name for alias in node.names)
     package = {name for name in imported if name.startswith("stringchain")}
     assert package and package <= {"stringchain.chain_core", "stringchain.errors"}
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names a module imports but never uses; a name listed in __all__ counts as used."""
+    tree = ast.parse(path.read_text())
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__"
+                                                 for t in node.targets)):
+            used.update(elt.value for elt in node.value.elts)
+    return [f"{path.relative_to(ROOT)}:{line}: {name}"
+            for name, line in imported.items() if name not in used]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    files = [p for d in ("src", "tests", "demos", "tools") for p in sorted((ROOT / d).rglob("*.py"))]
+    assert files
+    assert [hit for path in files for hit in _unused_imports(path)] == []

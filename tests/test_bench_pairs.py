@@ -1,4 +1,10 @@
 import importlib.util
+import json
+import os
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -52,3 +58,49 @@ def test_summary_records_medians_wins_failures_and_bounds():
     assert time["change_won"] == 0
     assert time["relative_change"] == pytest.approx(0.2)  # worse: positive
     assert time["worse_than_bound"]
+
+
+def test_sigterm_removes_the_base_checkout_and_stops_the_run(tmp_path):
+    # a throwaway repository whose benchmark only records its pid and sleeps
+    repo, tmpdir, pidfile = tmp_path / "repo", tmp_path / "tmp", tmp_path / "bench.pid"
+    (repo / "perfbench").mkdir(parents=True)
+    tmpdir.mkdir()
+    (repo / "perfbench" / "run.py").write_text(
+        f"import os, time\nopen({str(pidfile)!r}, 'w').write(str(os.getpid()))\ntime.sleep(120)\n")
+    (repo / "BENCHMARK.json").write_text(json.dumps(
+        {"workloads": [{"name": "w"}], "run_seconds": 1, "end_to_end": []}))
+    for args in (["init", "-q"], ["add", "-A"],
+                 ["-c", "user.name=t", "-c", "user.email=t@t", "commit", "-qm", "bench"]):
+        subprocess.run(["git", *args], cwd=repo, check=True, capture_output=True)
+    env = {**os.environ, "TMPDIR": str(tmpdir)}
+    tool = subprocess.Popen([sys.executable, str(_TOOL), "--base", "HEAD", "--out", "out.json"],
+                            cwd=repo, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+    pid = None
+    try:
+        deadline = time.monotonic() + 60
+        while not (pidfile.exists() and pidfile.read_text()):
+            assert tool.poll() is None, tool.stderr.read()
+            assert time.monotonic() < deadline, "the benchmark never started"
+            time.sleep(0.05)
+        pid = int(pidfile.read_text())
+        assert list(tmpdir.glob("tmp*")), "the base checkout is not in TMPDIR"
+        tool.send_signal(signal.SIGTERM)
+        tool.wait(timeout=30)
+        assert not list(tmpdir.glob("tmp*"))
+        deadline = time.monotonic() + 10
+        while _alive(pid):
+            assert time.monotonic() < deadline, "the sleeping benchmark outlived the tool"
+            time.sleep(0.05)
+    finally:
+        tool.kill()
+        tool.wait()
+        if pid is not None and _alive(pid):
+            os.kill(pid, signal.SIGKILL)
+
+
+def _alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True

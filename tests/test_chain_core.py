@@ -7,8 +7,8 @@ import stringchain as sc
 from stringchain.chain_core import (
     ChainFunction,
     first_order_state,
-    integrate_edge,
     l2_norm,
+    quadrature_weights,
     sample_function,
     sample_state,
     smooth_bump,
@@ -81,7 +81,8 @@ def test_energy_wave_quadratic_scaling():
         return (coef[1] * np.cos(x) + coef[2] * x).astype(complex)
 
     st = sample_state(cfg, 301, u, v)
-    st2 = sc.WaveState(u=st.u.scaled(2.0), v=st.v.scaled(2.0))
+    st2 = sc.WaveState(u=ChainFunction(st.u.grids, [2.0 * v for v in st.u.values]),
+                       v=ChainFunction(st.v.grids, [2.0 * v for v in st.v.values]))
     assert sc.energy_wave(st2, cfg) == pytest.approx(4.0 * sc.energy_wave(st, cfg), rel=1e-12)
 
 
@@ -115,7 +116,7 @@ def test_energy_schrodinger_examples():
     assert sc.energy_schrodinger(u0, cfg) == 0.0
     ones = sample_function(cfg, 257, lambda x: np.ones_like(x, dtype=complex))
     assert sc.energy_schrodinger(ones, cfg) == pytest.approx(1.0, rel=1e-12)
-    rotated = ones.scaled(1j)
+    rotated = ChainFunction(ones.grids, [1j * v for v in ones.values])
     assert sc.energy_schrodinger(rotated, cfg) == pytest.approx(1.0, rel=1e-12)
 
 
@@ -143,8 +144,8 @@ def test_integrate_edge_simpson_vs_trapezoid():
     x_odd = np.linspace(0.0, 1.0, 101)
     x_even = np.linspace(0.0, 1.0, 100)
     # Simpson is much closer on the smooth integrand
-    err_odd = abs(integrate_edge(x_odd, np.sin(np.pi * x_odd)) - 2 / np.pi)
-    err_even = abs(integrate_edge(x_even, np.sin(np.pi * x_even)) - 2 / np.pi)
+    err_odd = abs(quadrature_weights(x_odd) @ np.sin(np.pi * x_odd) - 2 / np.pi)
+    err_even = abs(quadrature_weights(x_even) @ np.sin(np.pi * x_even) - 2 / np.pi)
     assert err_odd < err_even / 50
 
 
@@ -157,24 +158,6 @@ def test_wave_state_invariants():
     sc.WaveState(u=ChainFunction(grids, good), v=ChainFunction(grids, zeros))
     with pytest.raises(GridMismatch):
         sc.WaveState(u=ChainFunction(grids, bad), v=ChainFunction(grids, zeros))
-
-
-def test_chain_function_csv_round_trip(tmp_path):
-    cfg = sc.ChainConfig(densities=(1.0, 2.0))
-    fn = sample_function(cfg, 17, lambda x: (np.sin(x) + 1j * np.cos(x)))
-    path = tmp_path / "fn.csv"
-    fn.to_csv(path)
-    back = ChainFunction.from_csv(path)
-    for a, b in zip(fn.values, back.values):
-        assert np.max(np.abs(a - b)) == 0.0
-
-    vec = ChainFunction(fn.grids, [np.stack([v, 2 * v], axis=1) for v in fn.values])
-    path2 = tmp_path / "vec.csv"
-    vec.to_csv(path2)
-    back2 = ChainFunction.from_csv(path2)
-    assert back2.arity == 2
-    for a, b in zip(vec.values, back2.values):
-        assert np.max(np.abs(a - b)) == 0.0
 
 
 def test_smooth_bump_support_and_peak():
@@ -202,8 +185,8 @@ def test_integrate_edge_matches_scipy_simpson(n):
     for x in (uniform, nonuniform):
         y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         ref = simpson(y, x=x)
-        assert abs(integrate_edge(x, y) - ref) <= 1e-13 * abs(ref)
-        assert integrate_edge(x, y.real) == pytest.approx(simpson(y.real, x=x), rel=1e-13)
+        assert abs(quadrature_weights(x) @ y - ref) <= 1e-13 * abs(ref)
+        assert quadrature_weights(x) @ y.real == pytest.approx(simpson(y.real, x=x), rel=1e-13)
 
 
 def test_energy_trace_csv_bytes_match_csv_writer(tmp_path):
@@ -235,7 +218,7 @@ def test_integrate_edge_even_counts_use_trapezoid(n):
     for x in (uniform, nonuniform):
         y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         ref = np.trapezoid(y, x)
-        assert abs(integrate_edge(x, y) - ref) <= 1e-13 * abs(ref)
+        assert abs(quadrature_weights(x) @ y - ref) <= 1e-13 * abs(ref)
 
 
 def test_write_table_bytes_match_csv_writer(tmp_path):
@@ -258,31 +241,3 @@ def test_write_table_bytes_match_csv_writer(tmp_path):
         writer.writerow(["i", "f", "a", "k"])
         writer.writerows(["%.17g" % v for v in row] for row in zip(*columns))
     assert path.read_bytes() == ref.read_bytes()
-
-
-@pytest.mark.parametrize("arity", [1, 2])
-def test_chain_function_csv_bytes_match_row_loop(tmp_path, arity):
-    import csv
-
-    rng = np.random.default_rng(arity)
-    grids = [np.sort(np.concatenate([[j, j + 1.0], rng.uniform(j, j + 1.0, n)]))
-             for j, n in enumerate((5, 12, 1))]
-    shape = (lambda n: (n,)) if arity == 1 else (lambda n: (n, 2))
-    values = [rng.standard_normal(shape(g.size)) + 1j * rng.standard_normal(shape(g.size))
-              for g in grids]
-    values[0][0] = complex(-0.0, 1e-300)
-    fn = ChainFunction(grids, values)
-    fn.to_csv(tmp_path / "fn.csv")
-    ref = tmp_path / "ref.csv"
-    with open(ref, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["edge", "x", "re", "im"] + (["re2", "im2"] if arity == 2 else []))
-        for j, (g, v) in enumerate(zip(fn.grids, fn.values)):
-            for k in range(g.size):
-                z = [v[k]] if arity == 1 else [v[k, 0], v[k, 1]]
-                parts = [p for c in z for p in (c.real, c.imag)]
-                writer.writerow([j, f"{g[k]:.17g}"] + [f"{p:.17g}" for p in parts])
-    assert (tmp_path / "fn.csv").read_bytes() == ref.read_bytes()
-    back = ChainFunction.from_csv(tmp_path / "fn.csv")
-    for a, b in zip(fn.values, back.values):
-        assert a.tobytes() == b.tobytes()  # -0.0 and 1e-300 survive

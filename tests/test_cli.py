@@ -249,6 +249,13 @@ def test_rejected_option_values_are_usage_errors(chain_json, tmp_path, argv, cap
     ["gap", "--step", "1e-300"],  # numpy's "Maximum allowed size exceeded"
     ["transfer-scan", "--step", "1e-300"],
     ["resolvent-scan", "--count", "10000000000000000000"],
+    ["resolvent-scan", "--betas", "1e300"],  # points per edge
+    ["schrodinger-scan", "--betas", "-1e300"],
+    ["decay", "--T", "1e300"],  # energy records
+    ["io-ratios", "--T", "1e300"],
+    ["schrodinger-decay", "--dt", "1e-300"],
+    ["schrodinger-decay", "--T", "1e300", "--dt", "1e-300"],  # T / dt overflows
+    ["decay", "--T", "1e308", "--cfl", "1e-10", "--points", "8"],
 ])
 def test_oversized_grids_are_usage_errors(chain_json, tmp_path, argv, capsys):
     # each grid is refused when it is allocated, before any memory is touched

@@ -20,6 +20,7 @@ from stringchain.resolvent import (
     schrodinger_norm_scan,
     wave_resolvent_norm_scan,
 )
+from stringchain.transfer_matrix import edge_entries
 
 
 def _const_vector_load(cfg, points, vec):
@@ -83,7 +84,7 @@ def test_wave_resolvent_affine_bookkeeping():
     beta = 4.0
     sol = sc.wave_resolvent(cfg, beta, g)
     for j in range(2, cfg.n_edges):
-        expect = sc.exp_osc(cfg.densities[j - 1], beta, 1.0) @ sol.F[j - 1]
+        expect = sc.exp_hyp(cfg.densities[j - 1], 1j * beta, 1.0) @ sol.F[j - 1]
         assert np.max(np.abs(expect - sol.F[j])) <= 1e-10 * max(1.0, np.max(np.abs(sol.F[j])))
 
 
@@ -278,7 +279,7 @@ def _ref_wave(cfg, beta, G):
             p[1:] = np.cumsum(cells, axis=0)
         p_parts.append(p)
     h_mat, _ = sc.boundary_matrices(cfg, 1j * beta)
-    exps = [sc.exp_osc(rho, beta, 1.0) for rho in cfg.densities]
+    exps = [sc.exp_hyp(rho, 1j * beta, 1.0) for rho in cfg.densities]
     gamma = []
     if n_edges >= 2:
         gamma.append(np.zeros(2, dtype=complex))
@@ -325,7 +326,9 @@ def _ref_schrodinger(cfg, beta, g):
             gp.append((st * ic - ct * is_) / (1j * sb * c))
             dgp.append((ct * ic + st * is_) / (1j * rho))
             wv.append(np.array([gp[j][-1], rho * dgp[j][-1]], dtype=complex))
-        steps = [sc.schrodinger_step(rho, beta) for rho in cfg.densities]
+        steps = [np.array([[ch, s12], [s21, ch]], dtype=complex)
+                 for ch, s12, s21 in (edge_entries(rho, 1j * beta, "schrodinger")
+                                      for rho in cfg.densities)]
         prod, acc = np.eye(2, dtype=complex), np.zeros(2, dtype=complex)
         for j in range(n_edges):
             acc = steps[j] @ acc + wv[j]
@@ -509,8 +512,8 @@ def test_scan_probes_are_evaluated_one_at_a_time():
     for k in range(8):
         g = resolvent._probe_values(bases, [seed, _beta_key(beta), k], 2)
         w = plan.apply(g)
-        g_norm = resolvent._h_norm(weights, cfg.densities, g)
-        ratios.append(resolvent._h_norm(weights, cfg.densities, w) / g_norm)
+        g_norm = float(np.sqrt(resolvent._h_sum(weights, cfg.densities, g)))
+        ratios.append(float(np.sqrt(resolvent._h_sum(weights, cfg.densities, w))) / g_norm)
         residuals.append(resolvent._relative(
             resolvent._wave_defect(cfg.densities, beta, grids, g, w), g_norm))
     one = wave_resolvent_norm_scan(cfg, [beta], probes=1, seed=seed)[0]

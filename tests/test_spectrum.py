@@ -4,6 +4,7 @@ import pytest
 import stringchain as sc
 from stringchain.errors import DeterminantOverflow, EmptyScan
 from stringchain.spectrum import count_roots_contour
+from stringchain.transfer_matrix import analytic_gap_bound, edge_entries
 
 
 def test_char_det_wave_unit_density_never_vanishes():
@@ -75,7 +76,7 @@ def test_imaginary_axis_gap_dominates_analytic_bound():
     for _ in range(5):
         cfg = sc.ChainConfig(densities=tuple(rng.uniform(0.1, 10.0, 3)))
         gap = sc.imaginary_axis_gap(cfg, "wave", (-50, 50), 1e-3)
-        ga, _ = sc.det_lower_bound(cfg, np.array([0.0]))
+        ga = analytic_gap_bound(cfg)
         assert gap >= ga - 1e-9
         assert gap > 0
 
@@ -115,7 +116,8 @@ def test_schrodinger_det_matches_resolvent_denominator():
 def _denominator(cfg, beta):
     prod = np.eye(2, dtype=complex)
     for j in range(cfg.n_edges):
-        prod = sc.schrodinger_step(cfg.densities[j], beta) @ prod
+        ch, s12, s21 = edge_entries(cfg.densities[j], 1j * beta, "schrodinger")
+        prod = np.array([[ch, s12], [s21, ch]], dtype=complex) @ prod
     return prod[0, 0] + 1j * prod[0, 1]
 
 

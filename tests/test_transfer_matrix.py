@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import expm
 
 import stringchain as sc
-from stringchain.errors import EmptyScan, NonPositiveBeta, NonPositiveDensity
+from stringchain.errors import NonPositiveDensity
 from stringchain.transfer_function import transfer_det_pair, transfer_values
 from stringchain.transfer_matrix import _cosh_sinh, analytic_gap_bound, edge_entries, propagate
 
@@ -12,11 +12,25 @@ def _det2(m):
     return m[0, 0] * m[1, 1] - m[0, 1] * m[1, 0]
 
 
+def _osc(rho, beta, x):
+    """The explicit real-frequency propagator [[cos t, i sin(t) / c], [i c sin t, cos t]],
+    t = beta x / c, c = sqrt(rho): exp(i beta x B^{-1}) written out by hand."""
+    c = np.sqrt(rho)
+    t = beta * x / c
+    return np.array([[np.cos(t), 1j * np.sin(t) / c], [1j * c * np.sin(t), np.cos(t)]])
+
+
+def _schrodinger_step(rho, beta):
+    """One edge's Schrodinger propagator at lam = i beta, from the kernel's entries."""
+    ch, s12, s21 = edge_entries(rho, 1j * beta, "schrodinger")
+    return np.array([[ch, s12], [s21, ch]], dtype=complex)
+
+
 def test_exp_osc_values():
-    assert np.allclose(sc.exp_osc(1.0, 0.0, 1.0), np.eye(2), atol=1e-15)
-    assert np.allclose(sc.exp_osc(1.0, np.pi, 1.0), -np.eye(2), atol=1e-12)
+    assert np.allclose(sc.exp_hyp(1.0, 1j * 0.0, 1.0), np.eye(2), atol=1e-15)
+    assert np.allclose(sc.exp_hyp(1.0, 1j * np.pi, 1.0), -np.eye(2), atol=1e-12)
     expected = np.array([[0.0, 0.5j], [2.0j, 0.0]])
-    assert np.allclose(sc.exp_osc(4.0, np.pi, 1.0), expected, atol=1e-12)
+    assert np.allclose(sc.exp_hyp(4.0, 1j * np.pi, 1.0), expected, atol=1e-12)
 
 
 def test_exp_hyp_values():
@@ -24,12 +38,12 @@ def test_exp_hyp_values():
     m = sc.exp_hyp(1.0, 1.0, 1.0)
     expected = np.array([[np.cosh(1), np.sinh(1)], [np.sinh(1), np.cosh(1)]])
     assert np.allclose(m, expected, atol=1e-14)
-    assert np.allclose(sc.exp_hyp(1.0, 1j * np.pi, 1.0), sc.exp_osc(1.0, np.pi, 1.0), atol=1e-13)
+    assert np.allclose(sc.exp_hyp(1.0, 1j * np.pi, 1.0), _osc(1.0, np.pi, 1.0), atol=1e-13)
 
 
 def test_exponentials_reject_bad_density():
     with pytest.raises(NonPositiveDensity):
-        sc.exp_osc(0.0, 1.0, 1.0)
+        sc.exp_hyp(0.0, 1j * 1.0, 1.0)
     with pytest.raises(NonPositiveDensity):
         sc.exp_hyp(-2.0, 1.0, 1.0)
 
@@ -42,7 +56,7 @@ def test_unimodularity_random():
         beta = rng.uniform(-50, 50)
         x = rng.uniform(-1, 1)
         lam = complex(rng.uniform(-2, 2), rng.uniform(-50, 50))
-        assert abs(_det2(sc.exp_osc(rho, beta, x)) - 1) <= 1e-12
+        assert abs(_det2(sc.exp_hyp(rho, 1j * beta, x)) - 1) <= 1e-12
         assert abs(_det2(sc.exp_hyp(rho, lam, x)) - 1) <= 1e-12
 
 
@@ -53,7 +67,7 @@ def test_continuation_identity_random():
         rho = rng.uniform(0.25, 4.0)
         beta = rng.uniform(-50, 50)
         x = rng.uniform(-1, 1)
-        diff = np.max(np.abs(sc.exp_hyp(rho, 1j * beta, x) - sc.exp_osc(rho, beta, x)))
+        diff = np.max(np.abs(sc.exp_hyp(rho, 1j * beta, x) - _osc(rho, beta, x)))
         worst = max(worst, diff)
     assert worst <= 1e-13
 
@@ -139,15 +153,21 @@ def test_det_pair_single_edge_off_axis():
     assert pair.identity_value >= 0.5 * np.sinh(2.0)
 
 
+def _axis_min(cfg, betas):
+    """min |D(i beta)| over the given betas."""
+    return float(np.min(np.abs(sc.det_pair(cfg, 1j * betas).d)))
+
+
 def test_det_lower_bound_examples():
     betas = np.arange(-50.0, 50.0, 1e-3)
-    ga, gn = sc.det_lower_bound(sc.ChainConfig(densities=(1.0,)), betas)
+    cfg1, cfg4, cfg2 = (sc.ChainConfig(densities=d) for d in ((1.0,), (4.0,), (1.0, 2.0)))
+    ga, gn = analytic_gap_bound(cfg1), _axis_min(cfg1, betas)
     assert ga == pytest.approx(1.0, abs=1e-12)
     assert gn == pytest.approx(1.0, abs=1e-9)
-    ga4, gn4 = sc.det_lower_bound(sc.ChainConfig(densities=(4.0,)), betas)
+    ga4, gn4 = analytic_gap_bound(cfg4), _axis_min(cfg4, betas)
     assert gn4 == pytest.approx(0.5, abs=1e-6)
     assert ga4 == pytest.approx(0.5, abs=1e-12)
-    ga2, gn2 = sc.det_lower_bound(sc.ChainConfig(densities=(1.0, 2.0)), betas)
+    ga2, gn2 = analytic_gap_bound(cfg2), _axis_min(cfg2, betas)
     assert gn2 > 0
     assert gn2 >= ga2 - 1e-9
 
@@ -158,14 +178,9 @@ def test_det_lower_bound_random_configs():
     for _ in range(10):
         n = int(rng.integers(1, 7))
         cfg = sc.ChainConfig(densities=tuple(rng.uniform(0.1, 10.0, n)))
-        ga, gn = sc.det_lower_bound(cfg, betas)
+        ga, gn = analytic_gap_bound(cfg), _axis_min(cfg, betas)
         assert gn > 0
         assert gn >= ga - 1e-9
-
-
-def test_det_lower_bound_empty_scan():
-    with pytest.raises(EmptyScan):
-        sc.det_lower_bound(sc.ChainConfig(densities=(1.0,)), np.array([]))
 
 
 def test_analytic_gap_bound_single_edge():
@@ -174,25 +189,18 @@ def test_analytic_gap_bound_single_edge():
 
 
 def test_schrodinger_step_values():
-    m = sc.schrodinger_step(1.0, np.pi**2)
+    m = _schrodinger_step(1.0, np.pi**2)
     assert np.allclose(m, -np.eye(2), atol=1e-12)
     rng = np.random.default_rng(2)
     for _ in range(100):
         rho = rng.uniform(0.1, 10.0)
         beta = rng.uniform(1e-3, 1e4)
-        assert abs(_det2(sc.schrodinger_step(rho, beta)) - 1.0) <= 1e-12
+        assert abs(_det2(_schrodinger_step(rho, beta)) - 1.0) <= 1e-12
 
 
 def test_schrodinger_step_small_beta_limit():
-    m = sc.schrodinger_step(1.0, 1e-12)
+    m = _schrodinger_step(1.0, 1e-12)
     assert np.allclose(m, np.array([[1.0, 1.0], [0.0, 1.0]]), atol=1e-6)
-
-
-def test_schrodinger_step_rejects_bad_beta():
-    with pytest.raises(NonPositiveBeta):
-        sc.schrodinger_step(1.0, 0.0)
-    with pytest.raises(NonPositiveBeta):
-        sc.schrodinger_step(1.0, -1.0)
 
 
 def _expm_product(densities, generator):
@@ -233,8 +241,8 @@ def test_kernel_matches_expm_products():
         beta = lam.imag
         for r in cfg.densities:
             checks += [
-                (sc.exp_osc(r, beta, 1.0), expm(1j * beta * np.array([[0, 1 / r], [1, 0]]))),
-                (sc.schrodinger_step(r, abs(beta)), expm(np.array([[0, 1 / r], [-abs(beta), 0]]))),
+                (sc.exp_hyp(r, 1j * beta, 1.0), expm(1j * beta * np.array([[0, 1 / r], [1, 0]]))),
+                (_schrodinger_step(r, abs(beta)), expm(np.array([[0, 1 / r], [-abs(beta), 0]]))),
             ]
         for got, ref in checks:
             worst = max(worst, float(np.max(np.abs(got - ref) / np.maximum(1.0, np.abs(ref)))))

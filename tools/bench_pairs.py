@@ -19,7 +19,8 @@ end-to-end metric, each side's median and quartiles
 change won (ties count for neither side), the signed relative change of
 the medians (positive means worse) and whether that change is worse than
 the metric's ``bound`` in BENCHMARK.json; it is printed at the end too.
-Standard library only.
+A SIGTERM ends the tool as an exception would: the running benchmark
+is killed and the temporary checkout removed.  Standard library only.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import hashlib
 import io
 import json
 import os
+import signal
 import statistics
 import subprocess
 import sys
@@ -80,7 +82,14 @@ def summarize(record: dict, spec: dict) -> dict:
     return summary
 
 
+def _exit_on_sigterm(signum, frame):
+    # under the default handler the process dies at once: the child keeps
+    # running and TemporaryDirectory never removes the base checkout
+    raise SystemExit(128 + signum)
+
+
 def main(argv=None) -> int:
+    signal.signal(signal.SIGTERM, _exit_on_sigterm)
     spec = json.loads(Path("BENCHMARK.json").read_text())
     workloads = [w["name"] for w in spec["workloads"]]
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
