@@ -139,7 +139,9 @@ def uniform_grids(cfg: ChainConfig, points_per_edge: int) -> list[np.ndarray]:
         raise GridMismatch("need at least 2 points per edge")
     try:
         return [np.linspace(j, j + 1, points_per_edge) for j in range(cfg.n_edges)]
-    except ValueError as exc:  # numpy's "Maximum allowed size exceeded"
+    except (ValueError, IndexError) as exc:
+        # numpy's "Maximum allowed size exceeded", or, near 2**63 points, the
+        # IndexError of linspace setting the last point of the empty arange it got
         raise MemoryError(f"too many points per edge: {exc}") from exc
 
 

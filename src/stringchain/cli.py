@@ -175,7 +175,7 @@ def _beta_grid(args) -> np.ndarray:
     sgn = 1.0 if lo > 0 else -1.0
     try:
         return sgn * np.logspace(np.log10(abs(lo)), np.log10(abs(hi)), args.count)
-    except ValueError as exc:  # numpy's "Maximum allowed size exceeded"
+    except (ValueError, IndexError) as exc:  # as in chain_core.uniform_grids
         raise MemoryError(f"--count {args.count}: {exc}") from exc
 
 

@@ -151,7 +151,8 @@ def find_eigenvalues(cfg: ChainConfig, rect: tuple[float, float, float, float], 
     coarse for the phase (steps beyond pi) can miss a root; `audit`
     counts the roots on the boundary to show either.  Starts that fail
     to refine are reported in `failures` (start, last iterate, |det|),
-    not raised; the `spectrum` subcommand exits 2 on any.
+    not raised; the `spectrum` subcommand exits 2 on any.  MemoryError if
+    the grid cannot be allocated.
     """
     re0, re1, im0, im1 = (float(v) for v in rect)
     re1 = min(re1, -_AXIS_MARGIN)  # keep the scan off the imaginary axis
@@ -163,8 +164,11 @@ def find_eigenvalues(cfg: ChainConfig, rect: tuple[float, float, float, float], 
     fn = _char_fn(cfg, which)
     dx = (re1 - re0) / (nx - 1)
     dy = (im1 - im0) / (ny - 1)
-    res = np.linspace(re0 - dx, re1 + dx, nx + 2)
-    ims = np.linspace(im0 - dy, im1 + dy, ny + 2)
+    try:
+        res = np.linspace(re0 - dx, re1 + dx, nx + 2)
+        ims = np.linspace(im0 - dy, im1 + dy, ny + 2)
+    except (ValueError, IndexError) as exc:  # as in chain_core.uniform_grids
+        raise MemoryError(f"grid {nx} x {ny}: {exc}") from exc
     res = np.minimum(res, -_AXIS_MARGIN)
     phase = np.angle(_finite_values(fn, res[None, :] + 1j * ims[:, None]))
     dh = np.diff(phase, axis=1)

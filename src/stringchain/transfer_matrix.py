@@ -28,6 +28,11 @@ axis this gives numpy's own complex cosh and sinh, bit for bit.  A
 scalar lam (Newton steps, the resolvents' single frequency) keeps
 np.cosh and np.sinh.  The products overflow once |Re z| passes about
 710.48, where cosh(Re z) does.
+
+A lam array larger than one block (_BLOCK points) is pushed through the
+chain a block at a time: the temporaries stay in cache, peak memory is
+the two outputs plus one block's temporaries, and, every operation being
+elementwise, the values are the whole-array ones bit for bit.
 """
 
 from __future__ import annotations
@@ -52,6 +57,13 @@ __all__ = [
 ]
 
 
+# lam points per block of `propagate`: the ten or so complex temporaries
+# of one block (16 bytes a point each) stay in cache.  8192 was the
+# fastest of 2048 to 16384 for 400,001-point scans of an 8-edge chain
+# on a 2-core Xeon with 2 MiB of L2 per core.
+_BLOCK = 8192
+
+
 def _check_rho(rho: float) -> float:
     if not np.isfinite(rho) or rho <= 0.0:
         raise NonPositiveDensity(f"density {rho} must be positive and finite")
@@ -74,8 +86,9 @@ def _cosh_sinh(z):
     np.cosh and np.sinh of a complex array each evaluate all four real
     functions; here each is evaluated once, into the real and imaginary
     parts of the two outputs, and the products are formed there with one
-    real temporary, so peak memory stays at two complex arrays.  A scalar
-    or 0-d argument keeps np.cosh/np.sinh.
+    real temporary, so peak memory stays at two complex arrays of z's
+    size, which `propagate` keeps to one block.  A scalar or 0-d argument
+    keeps np.cosh/np.sinh.
     """
     if not isinstance(z, np.ndarray) or z.ndim == 0:
         return np.cosh(z), np.sinh(z)
@@ -133,10 +146,26 @@ def propagate(cfg: ChainConfig, lam, kind: str, start):
 
     Returns (a, b) at x = N, broadcast over lam.  The components of
     start may be arrays that broadcast against lam, so several start
-    vectors share one cosh/sinh evaluation per edge.
+    vectors share one cosh/sinh evaluation per edge.  A lam array of
+    more than _BLOCK points is evaluated _BLOCK points at a time along
+    its flattened axes, into preallocated outputs, with the values of
+    the whole-array evaluation bit for bit; a broadcast shape that does
+    not end in lam's shape is evaluated whole.
     """
     lam = np.asarray(lam, dtype=complex)[()]  # a 0-d lam becomes a cheaper scalar
     a, b = start
+    if lam.size > _BLOCK:
+        shape = np.broadcast_shapes(np.shape(a), np.shape(b), lam.shape)
+        lead = shape[:len(shape) - lam.ndim]
+        if lead + lam.shape == shape:
+            flat = lead + (lam.size,)
+            lam = lam.reshape(-1)
+            a, b = (np.broadcast_to(v, shape).reshape(flat) for v in (a, b))  # constants: no copy
+            out_a, out_b = np.empty(flat, dtype=complex), np.empty(flat, dtype=complex)
+            for i in range(0, lam.size, _BLOCK):
+                blk = (..., slice(i, i + _BLOCK))
+                out_a[blk], out_b[blk] = propagate(cfg, lam[blk], kind, (a[blk], b[blk]))
+            return out_a.reshape(shape), out_b.reshape(shape)
     for rho in cfg.densities:
         ch, s12, s21 = edge_entries(rho, lam, kind)
         a, b = ch * a + s12 * b, s21 * a + ch * b

@@ -250,6 +250,10 @@ def test_rejected_option_values_are_usage_errors(chain_json, tmp_path, argv, cap
     ["transfer-scan", "--step", "1e-300"],
     ["resolvent-scan", "--count", "10000000000000000000"],
     ["resolvent-scan", "--betas", "1e300"],  # points per edge
+    ["resolvent-scan", "--betas", "10", "--points", "9223372036854775807"],  # linspace IndexError
+    ["resolvent-scan", "--count", "9223372036854775807"],
+    ["spectrum", "--rect", "-1,0,0,1", "--grid", "9223372036854775805,16"],
+    ["spectrum", "--rect", "-1,0,0,1", "--grid", "16,4611686018427387904"],
     ["schrodinger-scan", "--betas", "-1e300"],
     ["decay", "--T", "1e300"],  # energy records
     ["io-ratios", "--T", "1e300"],

@@ -1,11 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 import stringchain as sc
-from stringchain.errors import NonPositiveDensity
+from stringchain import transfer_matrix
+from stringchain.errors import DeterminantOverflow, NonPositiveDensity
 from stringchain.transfer_function import transfer_det_pair, transfer_values
-from stringchain.transfer_matrix import _cosh_sinh, analytic_gap_bound, edge_entries, propagate
+from stringchain.transfer_matrix import (_BLOCK, _cosh_sinh, _finite_values, analytic_gap_bound,
+                                         edge_entries, propagate)
 
 
 def _det2(m):
@@ -289,3 +293,57 @@ def test_schrodinger_entries_finite_at_and_near_zero():
         for got, limit in ((ch, 1.0), (s12 * rho, 1.0), (s21, 0.0)):
             assert np.all(np.abs(np.where(tiny, got - limit, 0.0)) <= 1e-19)
             assert np.all(np.where(lam == 0.0, got, limit) == limit)
+
+
+EIGHT = sc.ChainConfig(densities=(0.7, 2.3, 1.1, 4.0, 0.3, 1.9, 0.5, 3.2))
+
+
+def _same_bits(x, y):
+    return x.shape == y.shape and x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
+def _schrodinger_lams():
+    # |m| < 1e-8 only in the second block: the other blocks skip that branch
+    lam = 1j * np.linspace(-80.0, 80.0, 2 * _BLOCK + 501)
+    lam[_BLOCK + 10:_BLOCK + 20] = 1e-20 * (1 - 1j)
+    return lam
+
+
+@pytest.mark.parametrize("kind, lam, start", [
+    ("wave", 1j * np.linspace(-300.0, 300.0, 3 * _BLOCK + 123), (1, 1)),  # axis scan
+    ("wave", np.linspace(-3.0, -1e-3, 131)[None, :] + 1j * np.linspace(0.0, 40.0, 130)[:, None],
+     (1, 1)),  # find_eigenvalues' phase grid
+    ("wave", 0.2 + 1j * np.linspace(-100.0, 100.0, 2 * _BLOCK + 7),
+     np.eye(2).reshape(2, 2, 1)),  # transfer_values' stacked starts
+    ("schrodinger", _schrodinger_lams(), (1, 1j)),
+], ids=["axis", "grid", "stacked", "schrodinger"])
+def test_blocked_propagate_is_bitwise_the_whole_array(kind, lam, start, monkeypatch):
+    assert lam.size > _BLOCK and lam.size % _BLOCK
+    got = propagate(EIGHT, lam, kind, start)
+    monkeypatch.setattr(transfer_matrix, "_BLOCK", lam.size)
+    ref = propagate(EIGHT, lam, kind, start)
+    assert all(_same_bits(g, r) for g, r in zip(got, ref))
+
+
+def test_blocked_scan_reports_overflow_of_some_blocks(monkeypatch):
+    # |Re lam| / c passes 710.48, where cosh overflows, in the first three of four blocks only
+    lam = np.linspace(-1500.0, 0.0, 4 * _BLOCK) + 3j
+    fn = lambda lam: sc.det_pair(sc.ChainConfig(densities=(1.0,)), lam).d
+    with pytest.raises(DeterminantOverflow) as blocked:
+        _finite_values(fn, lam)
+    monkeypatch.setattr(transfer_matrix, "_BLOCK", lam.size)
+    with pytest.raises(DeterminantOverflow) as whole:
+        _finite_values(fn, lam)
+    assert str(blocked.value) == str(whole.value)
+
+
+def test_det_pair_axis_scan_peak_memory_is_outputs_plus_one_block():
+    # the gap scan's size: 400,001 axis points through an 8-edge chain
+    lam = 1j * np.linspace(-200.0, 200.0, 400_001)
+    tracemalloc.start()
+    try:
+        pair = sc.det_pair(EIGHT, lam)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= pair.d.nbytes + pair.d_tilde.nbytes + 4 * 2**20
