@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -131,18 +132,33 @@ class ChainFunction:
         return len(self.grids)
 
 
+@contextmanager
+def too_large(what: str):
+    """numpy's refusals of a size as one MemoryError naming `what`: its ValueError
+    ("Maximum allowed size exceeded", "array is too big"), the IndexError of linspace
+    and logspace near 2**63 points, and int()'s OverflowError of an infinite count."""
+    try:
+        yield
+    except (ValueError, IndexError, OverflowError) as exc:
+        raise MemoryError(f"{what}: {exc}") from exc
+
+
 def uniform_grids(cfg: ChainConfig, points_per_edge: int) -> list[np.ndarray]:
     """Uniform per-edge grids with the given number of points (endpoints included).
 
     MemoryError if that many points cannot be allocated."""
     if points_per_edge < 2:
         raise GridMismatch("need at least 2 points per edge")
-    try:
+    with too_large(f"{points_per_edge} points per edge"):
         return [np.linspace(j, j + 1, points_per_edge) for j in range(cfg.n_edges)]
-    except (ValueError, IndexError) as exc:
-        # numpy's "Maximum allowed size exceeded", or, near 2**63 points, the
-        # IndexError of linspace setting the last point of the empty arange it got
-        raise MemoryError(f"too many points per edge: {exc}") from exc
+
+
+def check_uniform_grid(fn: ChainFunction, cfg: ChainConfig, points_per_edge: int) -> None:
+    """GridMismatch unless fn has cfg's edges, each on uniform_grids(cfg, points_per_edge)."""
+    _check_cfg(fn, cfg)
+    for j, (x, grid) in enumerate(zip(fn.grids, uniform_grids(cfg, points_per_edge))):
+        if x.size != grid.size or np.max(np.abs(x - grid)) > 1e-12:
+            raise GridMismatch(f"edge {j}: not sampled on the {grid.size}-point uniform grid")
 
 
 def uniform_betas(beta_range: tuple[float, float], step: float) -> np.ndarray:
@@ -152,10 +168,8 @@ def uniform_betas(beta_range: tuple[float, float], step: float) -> np.ndarray:
     lo, hi = beta_range
     if not (0 < step < math.inf and math.isfinite(lo) and math.isfinite(hi)):
         raise EmptyScan(f"need finite ends and a positive finite step, got {beta_range}, {step}")
-    try:
+    with too_large(f"{(hi - lo) / step:.3g} betas"):
         betas = np.arange(lo, hi + 0.5 * step, step)
-    except ValueError as exc:  # numpy's "Maximum allowed size exceeded"
-        raise MemoryError(f"{(hi - lo) / step:.3g} betas: {exc}") from exc
     if betas.size == 0:
         raise EmptyScan("empty beta range")
     return betas

@@ -8,7 +8,8 @@ for all of them, in one process (`--jobs` is checked and recorded but
 selects nothing).  Option values are checked where they are declared,
 before any work.  Exit codes: 0 success, 1 validation failure, 2
 numerical failure (e.g. an overflowing determinant or transfer value),
-64 usage error (including a grid too large to allocate), 65 config error.
+64 usage error (one rule, `chain_core.too_large`, maps every size refused
+by numpy to it), 65 config error.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .chain_core import (
     sample_function,
     sample_state,
     smooth_bump,
+    too_large,
     uniform_betas,
     uniform_grids,
     write_table,
@@ -173,10 +175,8 @@ def _beta_grid(args) -> np.ndarray:
         return np.array(args.betas.values)
     lo, hi = args.beta_min, args.beta_max
     sgn = 1.0 if lo > 0 else -1.0
-    try:
+    with too_large(f"--count {args.count}"):
         return sgn * np.logspace(np.log10(abs(lo)), np.log10(abs(hi)), args.count)
-    except (ValueError, IndexError) as exc:  # as in chain_core.uniform_grids
-        raise MemoryError(f"--count {args.count}: {exc}") from exc
 
 
 def _cmd_spectrum(args, cfg, out) -> _Done:

@@ -4,7 +4,8 @@ Everything here is deliberately boring: lumped second-order stencils,
 sparse operators (`.toarray()` for a dense eigensolve), sparse LU
 eliminations, and ARPACK for the largest singular value of a resolvent.
 These discretizations share no code with the closed-form solvers they
-cross-check, and neither do `resample_load` and `rel_l2_diff`.
+cross-check, and neither do `resample_load` and `rel_l2_diff`; they share
+`chain_core`'s input checks and uniform grids, not its numerics.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .chain_core import ChainConfig, ChainFunction, uniform_grids
-from .errors import GridMismatch, SingularShift, SingularSystem, TooCoarse
+from .chain_core import ChainConfig, ChainFunction, check_uniform_grid, uniform_grids
+from .errors import SingularShift, SingularSystem, TooCoarse
 
 __all__ = [
     "DenseOperator",
@@ -154,16 +155,6 @@ def fd_resolvent_norm(op: DenseOperator, beta: float) -> float:
     return smax
 
 
-def _check_load(cfg: ChainConfig, g: ChainFunction, m: int) -> None:
-    """Raise GridMismatch unless g is sampled on the m-cell grid of every edge."""
-    ok = g.n_edges == cfg.n_edges and all(
-        x.size == m + 1 and np.max(np.abs(x - np.linspace(j, j + 1, m + 1))) <= 1e-12
-        for j, x in enumerate(g.grids))
-    if not ok:
-        raise GridMismatch(f"the load must hold the {m + 1} points of the {m}-cell grid "
-                           f"on each of the {cfg.n_edges} edges")
-
-
 def _box_scheme_wave(cfg: ChainConfig, beta: float, g: ChainFunction, m: int) -> ChainFunction:
     """Midpoint (box) collocation of (i*beta - B d/dx) W = G, sparse LU solve.
 
@@ -192,9 +183,8 @@ def _box_scheme_wave(cfg: ChainConfig, beta: float, g: ChainFunction, m: int) ->
 
 
 def _nodes_to_chain(cfg: ChainConfig, m: int, full: np.ndarray) -> ChainFunction:
-    grids = [np.linspace(j, j + 1, m + 1) for j in range(cfg.n_edges)]
     values = [full[j * m : (j + 1) * m + 1] for j in range(cfg.n_edges)]
-    return ChainFunction(grids, values)
+    return ChainFunction(uniform_grids(cfg, m + 1), values)
 
 
 def fd_bvp_solve(cfg: ChainConfig, lam: complex, data, which: str, m: int) -> ChainFunction:
@@ -214,7 +204,7 @@ def fd_bvp_solve(cfg: ChainConfig, lam: complex, data, which: str, m: int) -> Ch
     if m < 8:
         raise TooCoarse("need at least 8 cells per edge")
     if which in ("wave", "schrodinger"):
-        _check_load(cfg, data, m)
+        check_uniform_grid(data, cfg, m + 1)
     if which == "wave":
         return _box_scheme_wave(cfg, complex(lam).imag, data, m)
     if which == "schrodinger":

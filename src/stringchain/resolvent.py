@@ -40,9 +40,8 @@ from .chain_core import (
     _l2_sum,
     _wave_weight,
     edge_derivative,
-    h_norm,
-    l2_norm,
     quadrature_weights,
+    too_large,
     uniform_grids,
 )
 from .errors import (
@@ -239,9 +238,8 @@ def wave_resolvent(cfg: ChainConfig, beta: float, G: ChainFunction) -> WaveResol
     if G.arity != 2:
         raise ArityMismatch("wave resolvent needs a 2-vector load")
     values = _plan(cfg, beta, G.grids, "wave").apply(G.values)
-    # relative defect of i*beta*W - B dW/dx - G, differentiated numerically
-    residual = _relative(_wave_defect(cfg.densities, beta, G.grids, G.values, values),
-                         h_norm(G, cfg))
+    g_norm = _norm("wave", cfg, [quadrature_weights(x) for x in G.grids], G.values)
+    residual = _residual("wave", cfg, beta, G.grids, G.values, values, g_norm)
     f_list = [values[0][-1]] + [w[0] for w in values[1:]]
     return WaveResolventSolution(W=ChainFunction(G.grids, values), F=f_list, beta=beta,
                                  residual=residual)
@@ -303,7 +301,8 @@ def random_probe(cfg: ChainConfig, grids: Sequence[np.ndarray], seed, arity: int
 def scan_grid_points(cfg: ChainConfig, freq: float) -> int:
     """Points per edge that satisfy the oscillation guard at this frequency."""
     c_min = float(np.min(cfg.wave_speeds))
-    return max(_MIN_SCAN_POINTS, int(np.ceil(1.75 * abs(freq) / c_min)) + 2)
+    with too_large(f"scan grid at frequency {freq:g}"):  # Python floats overflow silently
+        return max(_MIN_SCAN_POINTS, int(np.ceil(1.75 * abs(float(freq)) / c_min)) + 2)
 
 
 def _beta_key(beta: float) -> int:
@@ -411,16 +410,6 @@ def _plan(cfg: ChainConfig, beta: float, grids: Sequence[np.ndarray], kind: str)
     return _OscillatoryPlan(cfg, beta, grids, kind)
 
 
-def _schrodinger_defect(beta: float, grids, g_values, y_values) -> float:
-    """sum_j int |d/dx(rho u') + i g + beta u|^2 dx for y = (u, rho u')."""
-    num = 0.0
-    for x, g, y in zip(grids, g_values, y_values):
-        dflux = edge_derivative(x, y[:, 1])
-        target = -1j * g - beta * y[:, 0]
-        num += np.trapezoid(np.abs(dflux - target) ** 2, x).real
-    return num
-
-
 def schrodinger_resolvent(cfg: ChainConfig, beta: float,
                           g: ChainFunction) -> SchrodingerResolventSolution:
     """Solve (i*beta - A) u = g for the damped Schrodinger chain, beta != 0."""
@@ -431,10 +420,8 @@ def schrodinger_resolvent(cfg: ChainConfig, beta: float,
         raise ArityMismatch("Schrodinger resolvent needs a scalar load")
     plan = _plan(cfg, beta, g.grids, "schrodinger")
     values = plan.apply(g.values)
-    # relative defect of d/dx(rho u') - (-i g - beta u): the flux rho u' comes
-    # from the closed form, so only one numerical derivative enters and the
-    # check does not merely re-run the construction
-    residual = _relative(_schrodinger_defect(beta, g.grids, g.values, values), l2_norm(g))
+    g_norm = _norm("schrodinger", cfg, [quadrature_weights(x) for x in g.grids], g.values)
+    residual = _residual("schrodinger", cfg, beta, g.grids, g.values, values, g_norm)
     return SchrodingerResolventSolution(
         u=ChainFunction(g.grids, [y[:, 0] for y in values]),
         coeffs=[(complex(y[0, 0]), complex(y[0, 1])) for y in values],
@@ -455,16 +442,31 @@ def _scan_grid(cfg: ChainConfig, beta: float, kind: str):
     return max(_MIN_SCAN_POINTS, int(np.ceil(np.sqrt(-beta) / (2.0 * c_min))) + 2), 0.0
 
 
-def _measure(kind: str, cfg: ChainConfig, beta: float, grids, weights, g, y):
-    """(norm ratio, residual) of one probe g and its solution values y: the wave
-    chain in h_norm, the Schrodinger chain in the L2 norm of u, y being (u, rho u')."""
+def _norm(kind: str, cfg: ChainConfig, weights, values) -> float:
+    """h_norm of wave values, the L2 norm of Schrodinger ones, w @ y per edge."""
+    return float(np.sqrt(_h_sum(weights, cfg.densities, values) if kind == "wave"
+                         else _l2_sum(weights, values)))
+
+
+def _residual(kind: str, cfg: ChainConfig, beta: float, grids, g, y, g_norm: float) -> float:
+    """Relative defect, over the load's norm g_norm, of the solution values y of the
+    load g: that of i*beta*W - B dW/dx - G, or for y = (u, rho u') the L2 defect of
+    d/dx(rho u') + i g + beta u, whose flux comes from the closed form, so that one
+    numerical derivative enters and the check does not merely re-run the solve."""
     if kind == "wave":
-        g_norm = float(np.sqrt(_h_sum(weights, cfg.densities, g)))
-        return (float(np.sqrt(_h_sum(weights, cfg.densities, y))) / g_norm,
-                _relative(_wave_defect(cfg.densities, beta, grids, g, y), g_norm))
-    g_norm = float(np.sqrt(_l2_sum(weights, g)))
-    return (float(np.sqrt(_l2_sum(weights, [v[:, 0] for v in y]))) / g_norm,
-            _relative(_schrodinger_defect(beta, grids, g, y), g_norm))
+        return _relative(_wave_defect(cfg.densities, beta, grids, g, y), g_norm)
+    num = 0.0
+    for x, gx, yx in zip(grids, g, y):
+        dflux = edge_derivative(x, yx[:, 1])
+        num += np.trapezoid(np.abs(dflux - (-1j * gx - beta * yx[:, 0])) ** 2, x).real
+    return _relative(num, g_norm)
+
+
+def _measure(kind: str, cfg: ChainConfig, beta: float, grids, weights, g, y):
+    """(norm ratio, residual) of probe g and solution y; y = (u, rho u') gives u's ratio."""
+    g_norm = _norm(kind, cfg, weights, g)
+    u = y if kind == "wave" else [v[:, 0] for v in y]
+    return _norm(kind, cfg, weights, u) / g_norm, _residual(kind, cfg, beta, grids, g, y, g_norm)
 
 
 def _norm_scan(kind: str, cfg: ChainConfig, betas: Sequence[float], probes: int,

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .chain_core import ChainConfig, uniform_betas
+from .chain_core import ChainConfig, too_large, uniform_betas
 from .errors import EmptyScan
 from .transfer_matrix import _finite_values, det_pair, propagate
 
@@ -164,11 +164,9 @@ def find_eigenvalues(cfg: ChainConfig, rect: tuple[float, float, float, float], 
     fn = _char_fn(cfg, which)
     dx = (re1 - re0) / (nx - 1)
     dy = (im1 - im0) / (ny - 1)
-    try:
+    with too_large(f"grid {nx} x {ny}"):
         res = np.linspace(re0 - dx, re1 + dx, nx + 2)
         ims = np.linspace(im0 - dy, im1 + dy, ny + 2)
-    except (ValueError, IndexError) as exc:  # as in chain_core.uniform_grids
-        raise MemoryError(f"grid {nx} x {ny}: {exc}") from exc
     res = np.minimum(res, -_AXIS_MARGIN)
     phase = np.angle(_finite_values(fn, res[None, :] + 1j * ims[:, None]))
     dh = np.diff(phase, axis=1)

@@ -28,7 +28,15 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.linalg.lapack import zgttrf, zgttrs
 
-from .chain_core import ChainConfig, ChainFunction, EnergyTrace, WaveState, uniform_grids
+from .chain_core import (
+    ChainConfig,
+    ChainFunction,
+    EnergyTrace,
+    WaveState,
+    check_uniform_grid,
+    too_large,
+    uniform_grids,
+)
 from .errors import (
     ArityMismatch,
     CflViolation,
@@ -83,26 +91,19 @@ class _Layout:
     """
 
     def __init__(self, cfg: ChainConfig, p: int):
+        self.cfg, self.p = cfg, p
         self.h = 1.0 / (p - 1)
         self.g = np.repeat(np.asarray(cfg.densities, dtype=float), p - 1) / self.h
         self.n = self.g.size + 1
         self.w = np.full(self.g.size, self.h)
         self.w[0] = 0.5 * self.h
-        self.grids = uniform_grids(cfg, p)
         self.spans = [slice(j * (p - 1), (j + 1) * (p - 1) + 1) for j in range(cfg.n_edges)]
 
-    def gather(self, fn: ChainFunction, what: str, real: bool) -> np.ndarray:
+    def gather(self, fn: ChainFunction, real: bool) -> np.ndarray:
         """fn's values on the global grid; fn must be sampled on the edge grids."""
-        if fn.n_edges != len(self.grids):
-            raise GridMismatch(f"{what} has {fn.n_edges} edges, the chain has {len(self.grids)}")
+        check_uniform_grid(fn, self.cfg, self.p)
         out = np.empty(self.n, dtype=float if real else complex)
-        for j, (grid, span) in enumerate(zip(self.grids, self.spans)):
-            g, vals = fn.grids[j], fn.values[j]
-            if g.size != grid.size:
-                raise GridMismatch(
-                    f"edge {j}: {what} sampled on {g.size} points, expected {grid.size}")
-            if np.max(np.abs(g - grid)) > 1e-12:
-                raise GridMismatch(f"edge {j}: {what} grid is not the uniform simulation grid")
+        for vals, span in zip(fn.values, self.spans):
             if real and np.max(np.abs(vals.imag)) > 1e-12 * (np.max(np.abs(vals)) + 1.0):
                 raise GridMismatch("wave simulation needs real data")
             out[span] = vals.real if real else vals
@@ -110,26 +111,17 @@ class _Layout:
 
     def chain(self, arr: np.ndarray) -> ChainFunction:
         """The global node values arr as a complex ChainFunction on the edge grids."""
-        return ChainFunction(self.grids, [arr[span].astype(complex) for span in self.spans])
+        return ChainFunction(uniform_grids(self.cfg, self.p),
+                             [arr[span].astype(complex) for span in self.spans])
 
 
-def _step_count(T: float, dt: float, least: int) -> int:
-    """max(least, ceil(T / dt)); MemoryError if T / dt overflows to inf."""
-    steps = np.ceil(T / dt)
-    if not np.isfinite(steps):
-        raise MemoryError(f"T / dt = {T:g} / {dt:g} steps overflow")
-    return max(least, int(steps))
-
-
-def _record_arrays(steps: int, stride: int):
-    """(times, energies, flux) sized for t = 0, every stride-th step and the last step.
-
-    MemoryError if that many records cannot be allocated."""
-    n_rec = 1 + -(-steps // stride)
-    try:
-        return np.zeros(n_rec), np.empty(n_rec), np.zeros(n_rec)
-    except ValueError as exc:  # numpy's "Maximum allowed dimension exceeded"
-        raise MemoryError(f"too many energy records: {exc}") from exc
+def _steps_and_records(T: float, dt: float, least: int, stride: int):
+    """(steps, times, energies, flux): max(least, ceil(T / dt)) steps, and records sized
+    for t = 0, every stride-th step and the last step.  MemoryError if either is too large."""
+    with too_large(f"T / dt = {T:g} / {dt:g} steps at record stride {stride}"):
+        steps = max(least, int(np.ceil(T / dt)))
+        n_rec = 1 + -(-steps // stride)
+        return steps, np.zeros(n_rec), np.empty(n_rec), np.zeros(n_rec)
 
 
 def simulate_wave(cfg: ChainConfig, init: WaveState, opts: SimOptions,
@@ -157,7 +149,8 @@ def simulate_wave(cfg: ChainConfig, init: WaveState, opts: SimOptions,
     n, h, w = layout.n, layout.h, layout.w
     c_max = float(np.max(cfg.wave_speeds))
     dt = opts.cfl * h / c_max
-    steps = _step_count(opts.T, dt, 2)
+    stride = opts.record_stride
+    steps, times, energies, flux = _steps_and_records(opts.T, dt, 2, stride)
     dt = opts.T / steps
     # increment form: d = u^{k+1} - u^k, d += dt^2 K u / w, u += d.  Off node 0
     # w = h, so dt^2 (K u)_i / w_i = f_i - f_{i-1} with the scaled cell fluxes
@@ -169,8 +162,8 @@ def simulate_wave(cfg: ChainConfig, init: WaveState, opts: SimOptions,
     keep, denom = 1.0 - damp, 1.0 + damp
     forced = mode == "forced"
 
-    u = layout.gather(init.u, "displacement", real=True)
-    v0 = layout.gather(init.v, "velocity", real=True)
+    u = layout.gather(init.u, real=True)
+    v0 = layout.gather(init.v, real=True)
     u[-1] = v0[-1] = 0.0  # the clamped node neither moves nor carries energy
 
     # elastic term: rho_j |du|^2 / h summed edge by edge over the cell differences
@@ -203,8 +196,6 @@ def simulate_wave(cfg: ChainConfig, init: WaveState, opts: SimOptions,
     s0 = v0[0] if mode == "damped" else float(forcing(0.0)) if forced else 0.0
     d[0] = dt * v0[0] + 0.5 * (lift * f[0] - src * s0)
 
-    stride = opts.record_stride
-    times, energies, flux = _record_arrays(steps, stride)
     energies[0] = energy(v0, u, 0.5 * h)
     rec = 1
     next_rec = min(stride, steps)
@@ -272,7 +263,7 @@ def simulate_schrodinger(cfg: ChainConfig, u0: ChainFunction, opts: SimOptions):
     layout = _Layout(cfg, opts.points_per_edge)
     w, lower, diag, upper = _schrodinger_tridiag(layout)
     na = w.size
-    u_full = layout.gather(u0, "initial state", real=False)
+    u_full = layout.gather(u0, real=False)
     if abs(u_full[-1]) > 1e-9 * (np.max(np.abs(u_full)) + 1.0):
         raise GridMismatch("initial state must vanish at the clamped end")
     if not np.all(np.isfinite(u_full)):
@@ -280,7 +271,8 @@ def simulate_schrodinger(cfg: ChainConfig, u0: ChainFunction, opts: SimOptions):
     u = u_full[:-1].copy()
 
     dt = opts.dt
-    steps = _step_count(opts.T, dt, 1)
+    stride = opts.record_stride
+    steps, times, energies, flux = _steps_and_records(opts.T, dt, 1, stride)
     dt = opts.T / steps
     half = 0.5 * dt
     # (I - dt/2 A) u^{n+1} = (I + dt/2 A) u^n; the left matrix is factored once
@@ -298,8 +290,6 @@ def simulate_schrodinger(cfg: ChainConfig, u0: ChainFunction, opts: SimOptions):
         np.multiply(sqrt_w, x, out=scaled)
         return 0.5 * np.vdot(scaled, scaled).real
 
-    stride = opts.record_stride
-    times, energies, flux = _record_arrays(steps, stride)
     energies[0] = energy(u)
     rec = 1
     next_rec = min(stride, steps)

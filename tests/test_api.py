@@ -76,3 +76,25 @@ def test_no_module_imports_a_name_it_never_uses():
     files = [p for d in ("src", "tests", "demos", "tools") for p in sorted((ROOT / d).rglob("*.py"))]
     assert files
     assert [hit for path in files for hit in _unused_imports(path)] == []
+
+
+def test_only_chain_core_turns_size_errors_into_memory_errors():
+    # "too large to allocate" is decided in one place, chain_core.too_large: no
+    # other module raises MemoryError or catches numpy's IndexError/OverflowError
+    def hits(path: Path) -> list[str]:
+        found = []
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                bad = {getattr(exc, "id", None)} & {"MemoryError"}
+            elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+                types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                bad = {getattr(t, "id", None) for t in types} & {"IndexError", "OverflowError"}
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}: {name}" for name in sorted(bad)]
+        return found
+
+    src = ROOT / "src" / "stringchain"
+    assert hits(src / "chain_core.py")  # the walk does see the rule where it lives
+    assert [h for p in sorted(src.glob("*.py")) if p.name != "chain_core.py" for h in hits(p)] == []

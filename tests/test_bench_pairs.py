@@ -60,6 +60,50 @@ def test_summary_records_medians_wins_failures_and_bounds():
     assert time["worse_than_bound"]
 
 
+def test_summary_judges_every_layer_by_its_traced_medians():
+    bench_pairs = _load_tool()
+    layers = {"slow.s": "lower", "noise.s": "lower", "rate": "higher", "new.calls": "lower",
+              "idle.s": "lower"}
+    spec = {"workloads": [{"name": "w"}], "end_to_end": [],
+            "per_layer": [{"name": n, "better": b} for n, b in layers.items()]}
+    # per layer, three traced pairs (seeds 101-103) of base and change values
+    values = {"slow.s": ([1.0, 1.0, 5.0], [1.2, 1.15, 1.0]),  # median +15%, one pair won
+              "noise.s": ([1.0, 2.0, 3.0], [0.9, 2.1, 3.5]),  # median +5%
+              "rate": ([10.0, 10.0, 10.0], [8.5, 8.8, 12.0]),  # median 8.8: 12% worse
+              "new.calls": ([0, 0, 0], [4, 4, 4]),  # no base work: any is worse
+              "idle.s": ([0.0, 0.0, 0.0], [0.0, 0.0, 0.0])}
+    runs = []
+    for i in range(3):
+        for side, k in (("base", 0), ("change", 1)):
+            metrics = {n: {"value": v[k][i], "unit": "s"} for n, v in values.items()}
+            runs.append({"workload": "w", "seed": 101 + i, "trace": 1, "side": side,
+                         "result": {"attempted": 10, "failed": 0, "metrics": metrics}})
+    # an untraced pair is left out of the per-layer figures
+    runs += [_run(101, side, 0, 1.0, 1.0, failed=0) for side in ("base", "change")]
+    for r in runs[-2:]:
+        r["result"]["metrics"]["slow.s"] = {"value": 1e6 if r["side"] == "change" else 1.0}
+
+    summary = bench_pairs.summarize({"runs": runs}, spec)["w"]
+
+    per_layer = summary["per_layer"]
+    assert set(per_layer) == set(layers)
+    slow = per_layer["slow.s"]
+    assert slow["pairs"] == 3 and slow["change_won"] == 1
+    assert slow["base"]["median"] == 1.0 and slow["change"]["median"] == 1.15
+    assert slow["relative_change"] == pytest.approx(0.15)
+    assert per_layer["noise.s"]["relative_change"] == pytest.approx(0.05)
+    assert per_layer["rate"]["relative_change"] == pytest.approx(0.12)  # lower rate: worse
+    assert per_layer["new.calls"]["relative_change"] is None
+    assert per_layer["idle.s"]["relative_change"] is None
+    flagged = {n for n, e in per_layer.items() if e["worse_than_rule"]}
+    assert flagged == {"slow.s", "rate", "new.calls"}
+
+    lines = bench_pairs.report({"w": summary}, spec)
+    layer_lines = [line for line in lines if line.startswith("w layer ")]
+    assert [line.split()[2].rstrip(":") for line in layer_lines] == ["slow.s", "rate", "new.calls"]
+    assert "worse by +15.0%" in layer_lines[0] and "worse from a base of 0" in layer_lines[2]
+
+
 def test_sigterm_removes_the_base_checkout_and_stops_the_run(tmp_path):
     # a throwaway repository whose benchmark only records its pid and sleeps
     repo, tmpdir, pidfile = tmp_path / "repo", tmp_path / "tmp", tmp_path / "bench.pid"

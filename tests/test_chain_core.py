@@ -12,6 +12,7 @@ from stringchain.chain_core import (
     sample_function,
     sample_state,
     smooth_bump,
+    too_large,
     uniform_grids,
     zeros_function,
 )
@@ -241,3 +242,50 @@ def test_write_table_bytes_match_csv_writer(tmp_path):
         writer.writerow(["i", "f", "a", "k"])
         writer.writerows(["%.17g" % v for v in row] for row in zip(*columns))
     assert path.read_bytes() == ref.read_bytes()
+
+
+@pytest.mark.parametrize("make, error", [
+    (lambda: np.arange(0.0, 1e300, 1.0), ValueError),  # "Maximum allowed size exceeded"
+    (lambda: np.zeros(2**62), ValueError),  # "array is too big"
+    (lambda: np.linspace(0.0, 1.0, 2**63 - 1), IndexError),  # its arange comes back empty
+    (lambda: np.logspace(0.0, 1.0, 2**63 - 1), IndexError),
+    (lambda: int(np.ceil(1e300 / 1e-300)), OverflowError),  # an infinite count
+], ids=["arange", "zeros", "linspace", "logspace", "int-of-inf"])
+def test_too_large_turns_size_errors_into_one_memory_error(make, error):
+    with pytest.raises(MemoryError, match=r"^2\*\*70 points: ") as info:
+        with too_large("2**70 points"):
+            make()
+    assert type(info.value.__cause__) is error
+
+
+@pytest.mark.parametrize("exc", [GridMismatch("off the grid"), TypeError("not a size")],
+                         ids=["ChainError", "TypeError"])
+def test_too_large_passes_other_errors_through(exc):
+    with pytest.raises(type(exc)) as info:
+        with too_large("2**70 points"):
+            raise exc
+    assert info.value is exc
+
+
+@pytest.mark.parametrize("consumer", ["simulate_wave", "simulate_schrodinger", "fd_bvp_solve"])
+def test_right_point_count_on_an_uneven_grid_is_rejected(consumer):
+    # every point count matches; only the interior points of the second edge
+    # sit a quarter cell off the uniform grid
+    cfg = sc.ChainConfig(densities=(1.0, 2.0))
+    p = 17
+
+    def run(grids):
+        zero = ChainFunction(grids, [np.zeros(x.size, complex) for x in grids])
+        if consumer == "simulate_wave":
+            sc.simulate_wave(cfg, sc.WaveState(u=zero, v=zero),
+                             sc.SimOptions(points_per_edge=p, T=0.1))
+        elif consumer == "simulate_schrodinger":
+            sc.simulate_schrodinger(cfg, zero, sc.SimOptions(points_per_edge=p, T=0.1, dt=1e-2))
+        else:
+            sc.fd_bvp_solve(cfg, 3.0j, zero, "schrodinger", p - 1)
+
+    run(uniform_grids(cfg, p))  # the same data on the uniform grid are accepted
+    uneven = uniform_grids(cfg, p)
+    uneven[1][1:-1] += 0.25 / (p - 1)
+    with pytest.raises(GridMismatch, match="edge 1"):
+        run(uneven)

@@ -260,6 +260,7 @@ def test_rejected_option_values_are_usage_errors(chain_json, tmp_path, argv, cap
     ["schrodinger-decay", "--dt", "1e-300"],
     ["schrodinger-decay", "--T", "1e300", "--dt", "1e-300"],  # T / dt overflows
     ["decay", "--T", "1e308", "--cfl", "1e-10", "--points", "8"],
+    ["resolvent-scan", "--betas", "1.7e308"],  # the scan grid's point count overflows
 ])
 def test_oversized_grids_are_usage_errors(chain_json, tmp_path, argv, capsys):
     # each grid is refused when it is allocated, before any memory is touched

@@ -7,8 +7,8 @@ Run from the root of a checkout.  The base commit is exported with
 left as it is.  Each pair runs ``python3 perfbench/run.py`` in the base
 copy and in the working tree with the same seed; odd pairs run the
 working tree first.  Every workload in BENCHMARK.json gets ten untraced
-pairs (seeds 101-110) and one traced pair (seed 101), and every run lasts
-BENCHMARK.json's run_seconds.
+pairs (seeds 101-110) and three traced pairs (seeds 101-103), and every
+run lasts BENCHMARK.json's run_seconds.
 The output file holds every result line, both commits, the sha256 of
 ``git diff --binary HEAD`` (so a file measured on uncommitted changes
 names the tree it measured), the numpy and scipy versions and the CPU
@@ -19,6 +19,11 @@ end-to-end metric, each side's median and quartiles
 change won (ties count for neither side), the signed relative change of
 the medians (positive means worse) and whether that change is worse than
 the metric's ``bound`` in BENCHMARK.json; it is printed at the end too.
+Under ``"per_layer"`` it gives the same figures for every per-layer
+metric of BENCHMARK.json over the traced pairs, whose spans measure the
+layers, and whether the change median is worse than the base median by
+more than 10% (the relative change is null where the base median is 0;
+any worse value then counts); every such layer is printed.
 A SIGTERM ends the tool as an exception would: the running benchmark
 is killed and the temporary checkout removed.  Standard library only.
 """
@@ -39,7 +44,9 @@ import tempfile
 from pathlib import Path
 
 PAIRS = 10
+TRACED_PAIRS = 3
 FIRST_SEED = 101
+LAYER_RULE = 0.10  # a layer this much slower (or otherwise worse) must be explained
 
 
 def _git(*args: str) -> bytes:
@@ -53,33 +60,82 @@ def _run(root: Path, workload: str, seed: int, seconds: int, trace: int) -> dict
     return json.loads(out.strip().splitlines()[-1])
 
 
+def _paired(runs: list, name: str) -> list:
+    """(base, change) values of one metric, one pair per seed that both sides report."""
+    by_seed: dict = {}
+    for r in runs:
+        metric = r["result"]["metrics"].get(name)
+        if metric is not None:
+            by_seed.setdefault(r["seed"], {})[r["side"]] = metric["value"]
+    return [(p["base"], p["change"]) for p in by_seed.values() if len(p) == 2]
+
+
+def _compare(pairs: list, better: str) -> dict:
+    """Pairs, pairs the change won (ties count for neither side), each side's median
+    and quartiles, and the signed relative change of the medians (positive means
+    worse; None where the base median is 0)."""
+    sign = 1 if better == "higher" else -1
+    entry = {"pairs": len(pairs), "change_won": sum(sign * (c - b) > 0 for b, c in pairs)}
+    for i, side in enumerate(("base", "change")):
+        q1, median, q3 = statistics.quantiles([p[i] for p in pairs], n=4)
+        entry[side] = {"median": median, "q1": q1, "q3": q3}
+    base, change = entry["base"]["median"], entry["change"]["median"]
+    entry["relative_change"] = -sign * (change - base) / base if base else None
+    return entry
+
+
 def summarize(record: dict, spec: dict) -> dict:
-    """Job totals per workload; median, quartiles, pairs won and the relative
-    change against its bound per workload and end-to-end metric."""
+    """Job totals per workload; per end-to-end metric (untraced pairs) and per-layer
+    metric (traced pairs) the medians, quartiles, pairs won and relative change,
+    judged against the metric's bound or against LAYER_RULE."""
     summary: dict = {}
     for workload in (w["name"] for w in spec["workloads"]):
-        runs = [r for r in record["runs"] if r["workload"] == workload and not r["trace"]]
+        ours = [r for r in record["runs"] if r["workload"] == workload]
+        runs = [r for r in ours if not r["trace"]]
         summary[workload] = {"jobs": {
             side: {key: sum(r["result"][key] for r in runs if r["side"] == side)
                    for key in ("attempted", "failed")}
             for side in ("base", "change")}}
         for metric in spec["end_to_end"]:
-            name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
-            by_seed: dict = {}
-            for r in runs:
-                by_seed.setdefault(r["seed"], {})[r["side"]] = r["result"]["metrics"][name]["value"]
-            pairs = [(p["base"], p["change"]) for p in by_seed.values() if len(p) == 2]
-            entry = {"pairs": len(pairs),
-                     "change_won": sum(sign * (c - b) > 0 for b, c in pairs)}
-            for i, side in enumerate(("base", "change")):
-                values = [p[i] for p in pairs]
-                q1, median, q3 = statistics.quantiles(values, n=4)
-                entry[side] = {"median": median, "q1": q1, "q3": q3}
-            base = entry["base"]["median"]
-            entry["relative_change"] = -sign * (entry["change"]["median"] - base) / base
+            entry = _compare(_paired(runs, metric["name"]), metric["better"])
             entry["worse_than_bound"] = entry["relative_change"] > metric["bound"]
-            summary[workload][name] = entry
+            summary[workload][metric["name"]] = entry
+        layers = summary[workload]["per_layer"] = {}
+        traced = [r for r in ours if r["trace"]]
+        for metric in spec.get("per_layer", []):
+            pairs = _paired(traced, metric["name"])
+            if len(pairs) < 2:  # too few for quartiles
+                continue
+            entry = layers[metric["name"]] = _compare(pairs, metric["better"])
+            rel, change = entry["relative_change"], entry["change"]["median"]
+            sign = 1 if metric["better"] == "higher" else -1
+            entry["worse_than_rule"] = rel > LAYER_RULE if rel is not None else sign * change < 0
     return summary
+
+
+def report(summary: dict, spec: dict) -> list[str]:
+    """The printed summary: job failures, every end-to-end metric, and every layer
+    worse than LAYER_RULE."""
+    lines = []
+    for workload, entries in summary.items():
+        lines.append(f"{workload} jobs failed: " + ", ".join(
+            f"{side} {j['failed']} of {j['attempted']}" for side, j in entries["jobs"].items()))
+        for name in (m["name"] for m in spec["end_to_end"]):
+            e = entries[name]
+            b, c = e["base"], e["change"]
+            lines.append(f"{workload} {name}: base {b['median']:.4g} [{b['q1']:.4g}, {b['q3']:.4g}]"
+                         f" change {c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}]"
+                         f" change won {e['change_won']}/{e['pairs']}"
+                         f" worse by {e['relative_change']:+.1%}"
+                         + (" BEYOND BOUND" if e["worse_than_bound"] else ""))
+        for name, e in entries["per_layer"].items():
+            if e["worse_than_rule"]:
+                rel = e["relative_change"]
+                worse = "from a base of 0" if rel is None else f"by {rel:+.1%}"
+                lines.append(f"{workload} layer {name}: base {e['base']['median']:.4g}"
+                             f" change {e['change']['median']:.4g} worse {worse}, beyond"
+                             f" {LAYER_RULE:.0%} (medians of {e['pairs']} traced pairs)")
+    return lines
 
 
 def _exit_on_sigterm(signum, frame):
@@ -98,7 +154,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     plan = [(w, FIRST_SEED + i, 0) for w in workloads for i in range(PAIRS)]
-    plan += [(w, FIRST_SEED, 1) for w in workloads]
+    plan += [(w, FIRST_SEED + i, 1) for w in workloads for i in range(TRACED_PAIRS)]
     versions = subprocess.run(
         [sys.executable, "-c", "import numpy, scipy; print(numpy.__version__, scipy.__version__)"],
         check=True, capture_output=True, text=True).stdout.split()
@@ -125,17 +181,7 @@ def main(argv=None) -> int:
                                        "side": side, "result": result})
                 print(workload, seed, trace, side, json.dumps(result)[:100], flush=True)
     record["summary"] = summarize(record, spec)
-    for workload, entries in record["summary"].items():
-        print(f"{workload} jobs failed: " + ", ".join(
-            f"{side} {j['failed']} of {j['attempted']}" for side, j in entries["jobs"].items()))
-        for name in (m["name"] for m in spec["end_to_end"]):
-            e = entries[name]
-            b, c = e["base"], e["change"]
-            print(f"{workload} {name}: base {b['median']:.4g} [{b['q1']:.4g}, {b['q3']:.4g}]"
-                  f" change {c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}]"
-                  f" change won {e['change_won']}/{e['pairs']}"
-                  f" worse by {e['relative_change']:+.1%}"
-                  + (" BEYOND BOUND" if e["worse_than_bound"] else ""))
+    print("\n".join(report(record["summary"], spec)))
     args.out.write_text(json.dumps(record, indent=1) + "\n")
     return 0
 
