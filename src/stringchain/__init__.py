@@ -28,6 +28,7 @@ from .resolvent import (
     wave_resolvent_norm_scan,
 )
 from .spectrum import (
+    AxisGap,
     EigenSet,
     char_det_schrodinger,
     char_det_wave,
@@ -51,6 +52,7 @@ __all__ = [
     "WaveState",
     "DetPair",
     "EigenSet",
+    "AxisGap",
     "DenseOperator",
     "SimOptions",
     "sample_function",

@@ -198,41 +198,51 @@ def _cmd_spectrum(args, cfg, out) -> _Done:
     return _Done("\n".join(lines), (roots_csv, summary_json), code=2 if eig.failures else 0)
 
 
-def _write_det_scan(out: Path, cfg, which: str, betas) -> Path:
-    """det_scan.csv: D(i beta), and for the wave chain D~ and Re(D conj D~).
+def _write_det_scan(out: Path, cfg, which: str, found) -> Path:
+    """det_scan.csv at round one's rows: D(i beta), and for the wave chain D~ and
+    Re(D conj D~), taken from the search's own first round.
 
     Moduli here and in transfer-scan come as [abs(v) for v in z]: np.abs(z)
     may differ in the last bit.
     """
     path = out / "det_scan.csv"
+    betas = found.rows
     if which == "schrodinger":
         d = char_det_schrodinger(cfg, 1j * betas)
         return write_table(path, ["beta", "re_D", "im_D", "abs_D"],
                            betas, d.real, d.imag, [abs(v) for v in d])
-    pair = det_pair(cfg, 1j * betas)
+    pair = found.first
     return write_table(path, ["beta", "re_D", "im_D", "abs_D", "re_Dt", "im_Dt", "re_DDbar"],
                        betas, pair.d.real, pair.d.imag, [abs(v) for v in pair.d],
                        pair.d_tilde.real, pair.d_tilde.imag, pair.identity_value)
 
 
 def _cmd_gap(args, cfg, out) -> _Done:
-    """gap and det-bound: min |D(i beta)| from one imaginary_axis_gap scan; det-bound
-    scans the wave chain and exits 1 if the minimum lies below analytic_gap_bound."""
+    """gap and det-bound: min |D(i beta)| from one imaginary_axis_gap search (det-bound
+    searches the wave chain).  det-bound exits 1 if the minimum lies below
+    analytic_gap_bound; either exits 2 if the wave search left a cell open."""
     which = getattr(args, "which", "wave")  # det-bound has no --which
-    gap = imaginary_axis_gap(cfg, which, (args.beta_min, args.beta_max), args.step)
-    # the beta array is built after the scan: held through it, it raises the peak memory
-    betas = uniform_betas((args.beta_min, args.beta_max), args.step)
-    scan_csv = _write_det_scan(out, cfg, which, betas[:: args.csv_stride])
+    found = imaginary_axis_gap(cfg, which, (args.beta_min, args.beta_max), args.step,
+                               args.csv_stride)
+    scan_csv = _write_det_scan(out, cfg, which, found)
+    gap = found.value
+    search = {"minimum": "certified" if found.certified else "sampled",
+              "lower_bound": found.lower, "lambdas": found.lambdas, "rounds": found.rounds,
+              "open_cells": found.open_cells}
+    code, note = 0, ""
+    if found.open_cells:
+        code, note = 2, f"; {found.open_cells} cells left open: NOT certified"
     if args.command == "det-bound":
         bound = analytic_gap_bound(cfg)
         ok = gap >= bound - 1e-9
         return _Done(f"det-bound: gamma_numeric = {gap:.6g}, gamma_analytic = {bound:.6g} "
-                     f"({'ok' if ok else 'VIOLATED'})", (scan_csv,),
-                     {"gamma_analytic": bound, "gamma_numeric": gap}, 0 if ok else 1)
+                     f"({'ok' if ok else 'VIOLATED'}){note}", (scan_csv,),
+                     {"gamma_analytic": bound, "gamma_numeric": gap, "search": search},
+                     code if ok else 1)
     summary = f"gap: min |det| = {gap:.6g} over [{args.beta_min}, {args.beta_max}]"
     if which == "wave":
         summary += f", analytic bound {analytic_gap_bound(cfg):.6g}"
-    return _Done(summary, (scan_csv,), {"gap": gap})
+    return _Done(summary + note, (scan_csv,), {"gap": gap, "search": search}, code)
 
 
 def _cmd_scan(args, cfg, out) -> _Done:
@@ -358,9 +368,10 @@ def _verify_checks(cfg: ChainConfig, seed: int):
     yield "hyperbolic/oscillatory continuation", worst <= 1e-13, f"max |err| / phase = {worst:.2e}"
 
     ga = analytic_gap_bound(cfg)
-    gn = imaginary_axis_gap(cfg, "wave", (-50.0, 50.0), 1e-3)
+    found = imaginary_axis_gap(cfg, "wave", (-50.0, 50.0), 0.1)
+    gn = found.value
     yield "axis gap above analytic bound", gn >= ga - 1e-9 and gn > 0, \
-        f"numeric {gn:.4g} vs analytic {ga:.4g}"
+        f"{'certified' if found.certified else 'sampled'} {gn:.4g} vs analytic {ga:.4g}"
 
     grids = uniform_grids(cfg, 801)
     g = random_probe(cfg, grids, seed=[seed, 1], arity=2)
@@ -410,10 +421,11 @@ def _subcommand(sub, name: str, help_: str, handler) -> _Parser:
     return p
 
 
-def _add_beta_range(p, beta_min: float, beta_max: float, step: float) -> None:
+def _add_beta_range(p, beta_min: float, beta_max: float, step: float,
+                    step_help: Optional[str] = None) -> None:
     p.add_argument("--beta-min", type=_finite, default=beta_min)
     p.add_argument("--beta-max", type=_finite, default=beta_max)
-    p.add_argument("--step", type=_positive, default=step)
+    p.add_argument("--step", type=_positive, default=step, help=step_help)
     p.checks.append((lambda a: a.beta_max >= a.beta_min,
                      "--beta-max {beta_max} is below --beta-min {beta_min}"))
 
@@ -431,8 +443,12 @@ def _build_parser() -> _Parser:
     for name, help_ in (("gap", "minimum |det| on the imaginary axis"),
                         ("det-bound", "analytic vs numeric determinant lower bound")):
         p = _subcommand(sub, name, help_, _cmd_gap)
-        _add_beta_range(p, -200.0, 200.0, 1e-3)
-        p.add_argument("--csv-stride", type=_at_least(1), default=100)
+        _add_beta_range(p, -200.0, 200.0, 1e-3,
+                        "beta grid spacing: --which schrodinger samples every point; "
+                        "step * csv-stride spaces det_scan.csv and the wave search's first round")
+        p.add_argument("--csv-stride", type=_at_least(1), default=100,
+                       help="det_scan.csv, and the certified wave search's first round, take "
+                            "every csv-stride-th point of the --step grid")
     for name in ("spectrum", "gap"):
         sub.choices[name].add_argument("--which", choices=("wave", "schrodinger"), default="wave")
 

@@ -80,6 +80,31 @@ def test_gap_and_det_bound(chain_json, tmp_path):
     # one scan serves both subcommands: the same minimum and the same table
     assert manifest["gamma_numeric"] == json.loads((out / "manifest.json").read_text())["gap"]
     assert (out2 / "det_scan.csv").read_bytes() == (out / "det_scan.csv").read_bytes()
+    # the certified minimum lies at or below every written row, from a few thousand lambda
+    rows = np.loadtxt(out / "det_scan.csv", delimiter=",", skiprows=1)
+    assert manifest["gamma_numeric"] <= np.min(rows[:, 3])
+    search = manifest["search"]
+    assert search["minimum"] == "certified" and search["open_cells"] == 0
+    assert search["lower_bound"] <= manifest["gamma_numeric"]
+    assert rows.shape[0] <= search["lambdas"] <= 50_000
+
+
+def test_gap_records_a_sampled_minimum_and_flags_open_cells(chain_json, tmp_path, capsys):
+    out = tmp_path / "schr"
+    assert run(["gap", "--config", chain_json, "--which", "schrodinger", "--beta-min", "-20",
+                "--beta-max", "20", "--step", "0.01", "--out", str(out)]) == 0
+    search = json.loads((out / "manifest.json").read_text())["search"]
+    assert search == {"minimum": "sampled", "lower_bound": None, "lambdas": 4001, "rounds": 1,
+                      "open_cells": 0}
+    # at 1e15 the floats are 0.125 apart, so no cell can be split: a numerical failure
+    for command in ("gap", "det-bound"):
+        out = tmp_path / command
+        assert run([command, "--config", chain_json, "--beta-min", "1e15", "--beta-max",
+                    "1.000000000000004e15", "--step", "0.125", "--csv-stride", "1",
+                    "--out", str(out)]) == 2
+        assert "NOT certified" in capsys.readouterr().out
+        search = json.loads((out / "manifest.json").read_text())["search"]
+        assert search["minimum"] == "sampled" and search["open_cells"] >= 1
 
 
 def test_resolvent_scan_deterministic_across_jobs(mono_json, tmp_path):

@@ -3,7 +3,8 @@ import pytest
 
 import stringchain as sc
 from stringchain.errors import DeterminantOverflow, EmptyScan
-from stringchain.spectrum import count_roots_contour
+from stringchain.chain_core import uniform_betas
+from stringchain.spectrum import axis_bounds, count_roots_contour
 from stringchain.transfer_matrix import analytic_gap_bound, edge_entries
 
 
@@ -65,17 +66,17 @@ def test_root_residuals_reproducible():
 def test_imaginary_axis_gap_examples():
     assert sc.imaginary_axis_gap(
         sc.ChainConfig(densities=(1.0,)), "wave", (-200, 200), 1e-2
-    ) == pytest.approx(1.0, abs=1e-12)
+    ).value == pytest.approx(1.0, abs=1e-12)
     assert sc.imaginary_axis_gap(
         sc.ChainConfig(densities=(4.0,)), "wave", (-200, 200), 1e-2
-    ) == pytest.approx(0.5, abs=1e-6)
+    ).value == pytest.approx(0.5, abs=1e-6)
 
 
 def test_imaginary_axis_gap_dominates_analytic_bound():
     rng = np.random.default_rng(4)
     for _ in range(5):
         cfg = sc.ChainConfig(densities=tuple(rng.uniform(0.1, 10.0, 3)))
-        gap = sc.imaginary_axis_gap(cfg, "wave", (-50, 50), 1e-3)
+        gap = sc.imaginary_axis_gap(cfg, "wave", (-50, 50), 1e-3).value
         ga = analytic_gap_bound(cfg)
         assert gap >= ga - 1e-9
         assert gap > 0
@@ -87,6 +88,127 @@ def test_imaginary_axis_gap_empty_scan():
                              ((0, np.nan), 0.1), ((-np.inf, 1), 0.1), ((0, np.inf), 0.1)]:
         with pytest.raises(EmptyScan):
             sc.imaginary_axis_gap(cfg, "wave", beta_range, step)
+
+
+def _bound_chains():
+    rng = np.random.default_rng(21)
+    chains = [pytest.param((1.0,), id="matched-1"), pytest.param((1.0, 1.0, 1.0), id="matched-3"),
+              pytest.param((1.0, 1.01), id="near-matched")]
+    return chains + [pytest.param(tuple(rng.uniform(0.25, 4.0, n)), id=f"random-{n}")
+                     for n in range(1, 9)]
+
+
+@pytest.mark.parametrize("densities", _bound_chains())
+def test_axis_bounds_hold_on_a_fine_scan(densities):
+    # |D| <= m0, and the second difference of g = |D|^2 is g'' at some point of
+    # [beta - h, beta + h], so it obeys |g''| <= M up to g's rounding (4 e / h^2)
+    cfg = sc.ChainConfig(densities=densities)
+    h = 1e-3
+    betas = uniform_betas((-200.0, 200.0), h)
+    d = np.abs(sc.det_pair(cfg, 1j * betas).d)
+    m0, curv, allowance = axis_bounds(cfg, 200.0)
+    assert np.max(d) <= m0 * (1 + 1e-12)
+    g = d * d
+    second = np.abs(g[2:] - 2.0 * g[1:-1] + g[:-2]) / (h * h)
+    assert np.max(second) <= curv + 4.0 * allowance / (h * h)
+    if densities in ((1.0,), (1.0, 1.0, 1.0)):
+        assert curv == 0.0  # matched: every path has the same travel time
+
+
+def _mp_g(densities, beta):
+    """|D(i beta)|^2 at 50 digits: the start (1, 1) through the exact edge matrices."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        a = b = mpmath.mpc(1)
+        for rho in densities:
+            c = mpmath.sqrt(mpmath.mpf(rho))
+            t = mpmath.mpf(beta) / c
+            cs, sn = mpmath.cos(t), 1j * mpmath.sin(t)
+            a, b = cs * a + sn / c * b, c * sn * a + cs * b
+        return float(abs(a) ** 2)
+
+
+def test_rounding_allowance_covers_the_error_of_g():
+    rng = np.random.default_rng(22)
+    for densities in [(4.0,), (0.5, 3.0, 1.5), tuple(rng.uniform(0.25, 4.0, 8))]:
+        cfg = sc.ChainConfig(densities=densities)
+        betas = np.concatenate([rng.uniform(-200.0, 200.0, 40), rng.uniform(-1e4, 1e4, 5)])
+        g = np.abs(sc.det_pair(cfg, 1j * betas).d) ** 2
+        for beta, value in zip(betas, g):
+            assert abs(value - _mp_g(densities, beta)) <= axis_bounds(cfg, abs(beta))[2]
+
+
+def _brute_force_min(cfg, h=1e-7):
+    """min |D(i beta)| on [-200, 200]: a 1e-3 scan, then step h around each of its
+    local minima within 1e-3 of its smallest."""
+    betas = uniform_betas((-200.0, 200.0), 1e-3)
+    d = np.abs(sc.det_pair(cfg, 1j * betas).d)
+    dips = np.flatnonzero((d[1:-1] <= d[:-2]) & (d[1:-1] <= d[2:])) + 1
+    best = np.inf
+    for k in dips[d[dips] <= np.min(d) * (1 + 1e-3)]:
+        fine = betas[k] + h * np.arange(-20_000, 20_001)
+        best = min(best, float(np.min(np.abs(sc.det_pair(cfg, 1j * fine).d))))
+    return best
+
+
+@pytest.mark.parametrize("densities", [(0.5, 3.0, 1.5),
+                                       tuple(np.random.default_rng(5).uniform(0.25, 4.0, 8))],
+                         ids=["3-edge", "8-edge"])
+def test_certified_gap_finds_the_minimum_between_grid_points(densities):
+    cfg = sc.ChainConfig(densities=densities)
+    found = sc.imaginary_axis_gap(cfg, "wave", (-200.0, 200.0), 1e-3, 100)
+    assert found.certified and found.open_cells == 0
+    rows = np.abs(found.first.d)
+    assert found.value < np.min(rows)  # the minimum lies between the 0.1-spaced rows
+    brute = _brute_force_min(cfg)
+    _, curv, allowance = axis_bounds(cfg, 200.0)
+    # the brute force itself lies up to M h^2 / 8 (in g) above the window minimum
+    slack = (allowance + curv * 1e-14 / 8.0) / (2.0 * brute)
+    assert abs(found.value - brute) <= 1e-12 * brute + slack
+    assert found.lower <= brute <= np.min(rows)
+    assert found.value >= analytic_gap_bound(cfg) - 1e-9
+
+
+@pytest.mark.parametrize("densities", [(1.0,), (1.0, 1.0, 1.0)], ids=["matched-1", "matched-3"])
+def test_certified_gap_of_matched_chains_ends_in_round_one(densities):
+    # M = 0 closes every cell at once; the global curvature bound 4 T^2 L0^2
+    # would never close a cell on which |D| is constant
+    found = sc.imaginary_axis_gap(sc.ChainConfig(densities=densities), "wave",
+                                  (-200.0, 200.0), 1e-3, 100)
+    assert found.certified
+    assert found.rounds == 1 and found.lambdas == found.rows.size == 4001
+    assert found.value == pytest.approx(1.0, abs=1e-12)
+
+
+def test_certified_gap_of_an_eight_edge_chain_is_cheap():
+    # the rounding allowance sits in the split threshold as well as in the lower
+    # bound; on one side only, the cells at the minimum would never close
+    cfg = sc.ChainConfig(densities=tuple(np.random.default_rng(5).uniform(0.25, 4.0, 8)))
+    found = sc.imaginary_axis_gap(cfg, "wave", (-200.0, 200.0), 1e-3, 100)
+    assert found.certified and found.lambdas <= 50_000
+
+
+def test_certified_gap_reports_cells_it_cannot_close():
+    cfg = sc.ChainConfig(densities=(1.0, 4.0))
+    # at 1e15 the floats are 0.125 apart: no cell of the first grid can be split
+    found = sc.imaginary_axis_gap(cfg, "wave", (1e15, 1e15 + 4.0), 0.125)
+    assert not found.certified and found.lower is None
+    assert found.open_cells >= 1 and found.rounds == 1 and found.lambdas == 33
+    # a curvature bound far above the true one would open ever more cells: the
+    # search stops at its split budget instead
+    cfg = sc.ChainConfig(densities=(1e-4, 1e4, 1e-4))
+    found = sc.imaginary_axis_gap(cfg, "wave", (-200.0, 200.0), 1e-3, 100)
+    assert not found.certified and found.open_cells > 0
+    assert found.lambdas <= found.rows.size + 400_000
+
+
+def test_schrodinger_gap_is_sampled():
+    cfg = sc.ChainConfig(densities=(1.0, 4.0))
+    found = sc.imaginary_axis_gap(cfg, "schrodinger", (-20.0, 20.0), 1e-2, 10)
+    betas = uniform_betas((-20.0, 20.0), 1e-2)
+    assert not found.certified and found.first is None
+    assert found.lambdas == betas.size and np.array_equal(found.rows, betas[::10])
+    assert found.value == np.min(np.abs(sc.char_det_schrodinger(cfg, 1j * betas)))
 
 
 def test_schrodinger_det_normalization_and_axis():
