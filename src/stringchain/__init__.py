@@ -15,7 +15,7 @@ from .chain_core import (
     sample_state,
 )
 from .oracle import (
-    DenseOperator,
+    SparseOperator,
     fd_bvp_solve,
     fd_resolvent_norm,
     fd_schrodinger_matrix,
@@ -53,7 +53,7 @@ __all__ = [
     "DetPair",
     "EigenSet",
     "AxisGap",
-    "DenseOperator",
+    "SparseOperator",
     "SimOptions",
     "sample_function",
     "sample_state",

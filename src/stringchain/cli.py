@@ -46,7 +46,7 @@ from .resolvent import (
     wave_resolvent,
     wave_resolvent_norm_scan,
 )
-from .spectrum import _AXIS_MARGIN, char_det_schrodinger, find_eigenvalues, imaginary_axis_gap
+from .spectrum import _AXIS_MARGIN, _modulus, find_eigenvalues, imaginary_axis_gap
 from .timesim import SimOptions, fit_decay_rate, simulate_schrodinger, simulate_wave
 from .transfer_function import (
     admissibility_ratio,
@@ -198,22 +198,18 @@ def _cmd_spectrum(args, cfg, out) -> _Done:
     return _Done("\n".join(lines), (roots_csv, summary_json), code=2 if eig.failures else 0)
 
 
-def _write_det_scan(out: Path, cfg, which: str, found) -> Path:
+def _write_det_scan(out: Path, which: str, found) -> Path:
     """det_scan.csv at round one's rows: D(i beta), and for the wave chain D~ and
-    Re(D conj D~), taken from the search's own first round.
-
-    Moduli here and in transfer-scan come as [abs(v) for v in z]: np.abs(z)
-    may differ in the last bit.
-    """
+    Re(D conj D~), taken from the search's own first round."""
     path = out / "det_scan.csv"
     betas = found.rows
     if which == "schrodinger":
-        d = char_det_schrodinger(cfg, 1j * betas)
+        d = found.first
         return write_table(path, ["beta", "re_D", "im_D", "abs_D"],
-                           betas, d.real, d.imag, [abs(v) for v in d])
+                           betas, d.real, d.imag, _modulus(d))
     pair = found.first
     return write_table(path, ["beta", "re_D", "im_D", "abs_D", "re_Dt", "im_Dt", "re_DDbar"],
-                       betas, pair.d.real, pair.d.imag, [abs(v) for v in pair.d],
+                       betas, pair.d.real, pair.d.imag, _modulus(pair.d),
                        pair.d_tilde.real, pair.d_tilde.imag, pair.identity_value)
 
 
@@ -224,7 +220,7 @@ def _cmd_gap(args, cfg, out) -> _Done:
     which = getattr(args, "which", "wave")  # det-bound has no --which
     found = imaginary_axis_gap(cfg, which, (args.beta_min, args.beta_max), args.step,
                                args.csv_stride)
-    scan_csv = _write_det_scan(out, cfg, which, found)
+    scan_csv = _write_det_scan(out, which, found)
     gap = found.value
     search = {"minimum": "certified" if found.certified else "sampled",
               "lower_bound": found.lower, "lambdas": found.lambdas, "rounds": found.rounds,
@@ -263,7 +259,7 @@ def _cmd_transfer_scan(args, cfg, out) -> _Done:
     vals = transfer_values(cfg, args.gamma + 1j * betas)
     scan_csv = write_table(out / "transfer_scan.csv", ["gamma", "beta", "re_H", "im_H", "abs_H"],
                            np.full(betas.size, args.gamma), betas, vals.real, vals.imag,
-                           [abs(v) for v in vals])
+                           _modulus(vals))
     k = int(np.argmax(np.abs(vals)))
     return _Done(
         f"transfer-scan: sup |H| = {abs(vals[k]):.6g} at beta = {betas[k]:.6g} "

@@ -21,7 +21,7 @@ from .chain_core import ChainConfig, ChainFunction, check_uniform_grid, uniform_
 from .errors import SingularShift, SingularSystem, TooCoarse
 
 __all__ = [
-    "DenseOperator",
+    "SparseOperator",
     "fd_wave_matrix",
     "fd_schrodinger_matrix",
     "fd_resolvent_norm",
@@ -33,7 +33,7 @@ __all__ = [
 
 
 @dataclass
-class DenseOperator:
+class SparseOperator:
     """Discretization of a generator plus its energy inner product.
 
     matrix and gram are scipy sparse matrices (call `.toarray()` for a
@@ -86,7 +86,7 @@ def _dof_map(cfg: ChainConfig, m: int, comps: tuple[str, ...]):
     return [(j, k, comp) for comp in comps for j, k in pairs]
 
 
-def fd_wave_matrix(cfg: ChainConfig, m: int) -> DenseOperator:
+def fd_wave_matrix(cfg: ChainConfig, m: int) -> SparseOperator:
     """First-order generator of the damped wave chain, m cells per edge.
 
     Block structure [[0, I], [K, D]] on stacked (u, v) unknowns, with the
@@ -99,17 +99,17 @@ def fd_wave_matrix(cfg: ChainConfig, m: int) -> DenseOperator:
     damping = sp.csr_matrix(([-1.0 / w[0]], ([0], [0])), shape=(n, n))
     a = sp.bmat([[None, sp.identity(n)], [_rows_over(stiff, w), damping]], format="csr")
     gram = sp.block_diag([-stiff, sp.diags(w)], format="csr")  # SPD stiffness Gram for u
-    return DenseOperator(matrix=a, dof_map=_dof_map(cfg, m, ("u", "v")), gram=gram)
+    return SparseOperator(matrix=a, dof_map=_dof_map(cfg, m, ("u", "v")), gram=gram)
 
 
-def fd_schrodinger_matrix(cfg: ChainConfig, m: int) -> DenseOperator:
+def fd_schrodinger_matrix(cfg: ChainConfig, m: int) -> SparseOperator:
     """Generator of the damped Schrodinger chain, m cells per edge."""
     stiff, w = _stencil(cfg, m)
     n = w.size
     feedback = sp.csr_matrix(([-1j], ([0], [0])), shape=(n, n))  # rho_0 u'(0) = i u(0)
     a = -1j * _rows_over(stiff + feedback, w)
-    return DenseOperator(matrix=a, dof_map=_dof_map(cfg, m, ("u",)),
-                         gram=sp.diags(w.astype(complex), format="csr"))
+    return SparseOperator(matrix=a, dof_map=_dof_map(cfg, m, ("u",)),
+                          gram=sp.diags(w.astype(complex), format="csr"))
 
 
 def _splu(mat, error=SingularSystem, message=None):
@@ -130,7 +130,7 @@ def _gram_factor(gram) -> sp.csc_matrix:
     return sp.dia_matrix((f, np.arange(band, -1, -1)), shape=gram.shape).tocsc()
 
 
-def fd_resolvent_norm(op: DenseOperator, beta: float) -> float:
+def fd_resolvent_norm(op: SparseOperator, beta: float) -> float:
     """Energy-space norm of (i*beta - A_h)^{-1}.
 
     With F^H F = gram the norm is the largest singular value of

@@ -15,8 +15,8 @@ Gauss-Legendre sums of the kernel against the cell's two hat functions
 1 - tau and tau, so that the linearly interpolated load integrates to a
 weighted sum of its grid values), the kernel at the grid points and the
 propagation matrices.  Applying it to one load is O(n) arithmetic per
-edge.  Each solve reports its residual, the relative defect of its
-equation with the solution differentiated numerically once.
+edge.  Both solves run `_solve`, which reports the residual: the relative
+defect of the equation with the solution differentiated numerically once.
 
 Both norm scans run one probe loop, keyed by the kind: per beta one
 plan, one probe basis and the norm weights; per probe one seeded load,
@@ -62,7 +62,6 @@ __all__ = [
     "schrodinger_resolvent",
     "schrodinger_norm_scan",
     "random_probe",
-    "scan_grid_points",
 ]
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
@@ -76,32 +75,21 @@ _MIN_SCAN_POINTS = 257  # points per edge of a scan grid at low frequency
 
 @dataclass
 class WaveResolventSolution:
-    """Solution record of one wave resolvent solve.
-
-    F holds W_0(1), then W_j(j) for the edges j >= 1.
-    """
+    """Solution record of one wave resolvent solve."""
 
     W: ChainFunction
-    F: list[np.ndarray]
     beta: float
-    residual: Optional[float] = None
+    residual: float
 
 
 @dataclass
 class SchrodingerResolventSolution:
-    """Solution record of one Schrodinger resolvent solve.
-
-    alpha_gamma only exists on the oscillatory branch beta > 0; the
-    decaying-exponential branch has no propagated product to report.
-    coeffs stores (u_j(j), rho_j u_j'(j)) per edge on both branches.
-    """
+    """Solution record of one Schrodinger resolvent solve; flux holds rho u' per edge."""
 
     u: ChainFunction
-    coeffs: list[tuple[complex, complex]]
-    alpha_gamma: Optional[tuple[complex, complex, complex, complex]]
     beta: float
-    residual: Optional[float] = None
-    flux: list[np.ndarray] = field(default_factory=list, repr=False)
+    residual: float
+    flux: list[np.ndarray] = field(repr=False)
 
 
 @dataclass
@@ -127,12 +115,6 @@ def _hat_weights(kernel: np.ndarray, h: np.ndarray):
     """
     half = 0.5 * h
     return (kernel @ _GL_LEFT) * half, (kernel @ _GL_RIGHT) * half
-
-
-def _relative(num: float, den: float) -> float:
-    if den == 0.0:
-        return float(np.sqrt(num))
-    return float(np.sqrt(num) / den)
 
 
 class _OscillatoryPlan:
@@ -182,11 +164,10 @@ class _OscillatoryPlan:
             ct, st = np.cos(phase), np.sin(phase)
             self.tables.append((ct, p[j] * st, q[j] * st))
             self.edges.append(np.array([[ct[-1], p[j] * st[-1]], [q[j] * st[-1], ct[-1]]]))  # E_j(1)
-        (p00, p01), (p10, p11) = propagate(cfg, 1j * beta, kind, np.eye(2))
+        (p00, p01), _ = propagate(cfg, 1j * beta, kind, np.eye(2))
         self.den = p00 * self.start[0] + p01 * self.start[1]
         if abs(self.den) < 1e-14:
             raise singular(f"{what} = {abs(self.den):.3g} at beta = {beta}")
-        self.alpha_gamma = (complex(p00), complex(p01), complex(p10), complex(p11))
 
     def apply(self, g_values):
         """Per edge, the values of Y on its grid for one load."""
@@ -214,18 +195,6 @@ class _OscillatoryPlan:
         return values
 
 
-def _wave_defect(densities, beta: float, grids, g_values, w_values) -> float:
-    """sum_j int rho |r1|^2 + |r2|^2 dx for r = i*beta*W - B dW/dx - G."""
-    num = 0.0
-    for x, rho, g, w in zip(grids, densities, g_values, w_values):
-        dw1 = edge_derivative(x, w[:, 0])
-        dw2 = edge_derivative(x, w[:, 1])
-        r1 = 1j * beta * w[:, 0] - dw2 - g[:, 0]
-        r2 = 1j * beta * w[:, 1] - rho * dw1 - g[:, 1]
-        num += np.trapezoid(_wave_weight(rho, r1, r2), x)
-    return num
-
-
 def wave_resolvent(cfg: ChainConfig, beta: float, G: ChainFunction) -> WaveResolventSolution:
     """Solve (i*beta - B d/dx) W = G on the chain in closed form.
 
@@ -234,15 +203,8 @@ def wave_resolvent(cfg: ChainConfig, beta: float, G: ChainFunction) -> WaveResol
     must resolve the oscillation of the exponential or
     QuadratureTooCoarse is raised.
     """
-    _check_cfg(G, cfg)
-    if G.arity != 2:
-        raise ArityMismatch("wave resolvent needs a 2-vector load")
-    values = _plan(cfg, beta, G.grids, "wave").apply(G.values)
-    g_norm = _norm("wave", cfg, [quadrature_weights(x) for x in G.grids], G.values)
-    residual = _residual("wave", cfg, beta, G.grids, G.values, values, g_norm)
-    f_list = [values[0][-1]] + [w[0] for w in values[1:]]
-    return WaveResolventSolution(W=ChainFunction(G.grids, values), F=f_list, beta=beta,
-                                 residual=residual)
+    values, residual = _solve("wave", cfg, beta, G)
+    return WaveResolventSolution(W=ChainFunction(G.grids, values), beta=beta, residual=residual)
 
 
 def _probe_bases(cfg: ChainConfig, grids: Sequence[np.ndarray], modes: int, center: float):
@@ -298,13 +260,6 @@ def random_probe(cfg: ChainConfig, grids: Sequence[np.ndarray], seed, arity: int
     return ChainFunction(list(grids), values)
 
 
-def scan_grid_points(cfg: ChainConfig, freq: float) -> int:
-    """Points per edge that satisfy the oscillation guard at this frequency."""
-    c_min = float(np.min(cfg.wave_speeds))
-    with too_large(f"scan grid at frequency {freq:g}"):  # Python floats overflow silently
-        return max(_MIN_SCAN_POINTS, int(np.ceil(1.75 * abs(float(freq)) / c_min)) + 2)
-
-
 def _beta_key(beta: float) -> int:
     """Stable seed component from the bit pattern of beta, so that a beta's
     probes do not depend on which other betas are scanned with it."""
@@ -322,8 +277,6 @@ class _SchrodingerNegativePlan:
     homogeneous coefficients is factored here; only its right-hand side
     depends on the load.
     """
-
-    alpha_gamma = None
 
     def __init__(self, cfg: ChainConfig, beta: float, grids: Sequence[np.ndarray]):
         kappa = np.sqrt(-beta)
@@ -410,36 +363,41 @@ def _plan(cfg: ChainConfig, beta: float, grids: Sequence[np.ndarray], kind: str)
     return _OscillatoryPlan(cfg, beta, grids, kind)
 
 
+def _solve(kind: str, cfg: ChainConfig, beta: float, g: ChainFunction):
+    """(values, residual) of one closed-form solve for the load g: per edge the
+    values of W (wave) or of (u, rho u') (Schrodinger), and their residual."""
+    if kind == "schrodinger" and beta == 0.0:
+        raise ZeroBeta("beta must be nonzero")
+    _check_cfg(g, cfg)
+    if g.arity != (2 if kind == "wave" else 1):
+        raise ArityMismatch("wave resolvent needs a 2-vector load" if kind == "wave"
+                            else "Schrodinger resolvent needs a scalar load")
+    values = _plan(cfg, beta, g.grids, kind).apply(g.values)
+    g_norm = _norm(kind, cfg, [quadrature_weights(x) for x in g.grids], g.values)
+    return values, _residual(kind, cfg, beta, g.grids, g.values, values, g_norm)
+
+
 def schrodinger_resolvent(cfg: ChainConfig, beta: float,
                           g: ChainFunction) -> SchrodingerResolventSolution:
     """Solve (i*beta - A) u = g for the damped Schrodinger chain, beta != 0."""
-    if beta == 0.0:
-        raise ZeroBeta("beta must be nonzero")
-    _check_cfg(g, cfg)
-    if g.arity != 1:
-        raise ArityMismatch("Schrodinger resolvent needs a scalar load")
-    plan = _plan(cfg, beta, g.grids, "schrodinger")
-    values = plan.apply(g.values)
-    g_norm = _norm("schrodinger", cfg, [quadrature_weights(x) for x in g.grids], g.values)
-    residual = _residual("schrodinger", cfg, beta, g.grids, g.values, values, g_norm)
-    return SchrodingerResolventSolution(
-        u=ChainFunction(g.grids, [y[:, 0] for y in values]),
-        coeffs=[(complex(y[0, 0]), complex(y[0, 1])) for y in values],
-        alpha_gamma=plan.alpha_gamma, beta=beta, residual=residual,
-        flux=[y[:, 1] for y in values],
-    )
+    values, residual = _solve("schrodinger", cfg, beta, g)
+    return SchrodingerResolventSolution(u=ChainFunction(g.grids, [y[:, 0] for y in values]),
+                                        beta=beta, residual=residual,
+                                        flux=[y[:, 1] for y in values])
 
 
 def _scan_grid(cfg: ChainConfig, beta: float, kind: str):
-    """(points per edge, probe centre) of the scan grid of this kind at beta."""
-    if kind == "wave":
-        return scan_grid_points(cfg, beta), beta
-    if beta == 0.0:
+    """(points per edge, probe centre) of the scan grid of this kind at beta: the oscillation
+    guard's points at the frequency beta (wave) or sqrt(beta) (Schrodinger, beta > 0), and
+    at beta < 0 sqrt(-beta) / (2 c_min) points, with the lowest modes as probes."""
+    if kind == "schrodinger" and beta == 0.0:
         raise ZeroBeta("beta grid must avoid 0")
-    if beta > 0:
-        return scan_grid_points(cfg, np.sqrt(beta)), np.sqrt(beta)
+    decaying = kind == "schrodinger" and beta < 0
+    freq = beta if kind == "wave" else np.sqrt(abs(beta))
     c_min = float(np.min(cfg.wave_speeds))
-    return max(_MIN_SCAN_POINTS, int(np.ceil(np.sqrt(-beta) / (2.0 * c_min))) + 2), 0.0
+    with too_large(f"scan grid at frequency {freq:g}"):  # Python floats overflow silently
+        points = int(np.ceil((0.5 if decaying else 1.75) * abs(float(freq)) / c_min)) + 2
+    return max(_MIN_SCAN_POINTS, points), 0.0 if decaying else freq
 
 
 def _norm(kind: str, cfg: ChainConfig, weights, values) -> float:
@@ -449,17 +407,22 @@ def _norm(kind: str, cfg: ChainConfig, weights, values) -> float:
 
 
 def _residual(kind: str, cfg: ChainConfig, beta: float, grids, g, y, g_norm: float) -> float:
-    """Relative defect, over the load's norm g_norm, of the solution values y of the
-    load g: that of i*beta*W - B dW/dx - G, or for y = (u, rho u') the L2 defect of
-    d/dx(rho u') + i g + beta u, whose flux comes from the closed form, so that one
-    numerical derivative enters and the check does not merely re-run the solve."""
-    if kind == "wave":
-        return _relative(_wave_defect(cfg.densities, beta, grids, g, y), g_norm)
+    """Relative defect, over the load's norm g_norm (unless 0), of the solution values y
+    of the load g: the h_norm defect of i*beta*W - B dW/dx - G, or for y = (u, rho u')
+    the L2 defect of d/dx(rho u') + i g + beta u, whose flux comes from the closed form,
+    so that one numerical derivative enters and the check does not re-run the solve."""
     num = 0.0
-    for x, gx, yx in zip(grids, g, y):
-        dflux = edge_derivative(x, yx[:, 1])
-        num += np.trapezoid(np.abs(dflux - (-1j * gx - beta * yx[:, 0])) ** 2, x).real
-    return _relative(num, g_norm)
+    for x, rho, gx, yx in zip(grids, cfg.densities, g, y):
+        if kind == "wave":
+            dw1 = edge_derivative(x, yx[:, 0])
+            dw2 = edge_derivative(x, yx[:, 1])
+            r1 = 1j * beta * yx[:, 0] - dw2 - gx[:, 0]
+            r2 = 1j * beta * yx[:, 1] - rho * dw1 - gx[:, 1]
+            num += np.trapezoid(_wave_weight(rho, r1, r2), x)
+        else:
+            dflux = edge_derivative(x, yx[:, 1])
+            num += np.trapezoid(np.abs(dflux - (-1j * gx - beta * yx[:, 0])) ** 2, x).real
+    return float(np.sqrt(num) / g_norm if g_norm != 0.0 else np.sqrt(num))
 
 
 def _measure(kind: str, cfg: ChainConfig, beta: float, grids, weights, g, y):

@@ -104,8 +104,8 @@ class AxisGap:
     scan only samples, and `open_cells` counts the cells the wave search
     left open, too narrow to split in floating point or past its split
     budget.  `rows` are round one's betas on the uniform grid (every
-    stride-th point), and `first` holds det_pair at them (wave), so
-    det_scan.csv needs no second evaluation.
+    stride-th point), and `first` holds det_pair (wave) or D (Schrodinger)
+    at them, so det_scan.csv needs no second evaluation.
     """
 
     value: float
@@ -114,7 +114,7 @@ class AxisGap:
     rounds: int
     open_cells: int
     rows: np.ndarray
-    first: Optional[DetPair]
+    first: DetPair | np.ndarray
 
     @property
     def certified(self) -> bool:
@@ -193,7 +193,7 @@ def imaginary_axis_gap(cfg: ChainConfig, which: str, beta_range: tuple[float, fl
     if which == "schrodinger":
         vals = char_det_schrodinger(cfg, 1j * betas)
         return AxisGap(float(np.min(np.abs(vals))), None, betas.size, 1, 0,
-                       betas[::stride].copy(), None)
+                       betas[::stride].copy(), vals[::stride].copy())
     if which != "wave":
         raise ValueError(f"unknown system {which!r}")
     rows = betas[::stride].copy()
@@ -230,8 +230,9 @@ def imaginary_axis_gap(cfg: ChainConfig, which: str, beta_range: tuple[float, fl
 
 
 def _modulus(z: np.ndarray) -> np.ndarray:
-    """|z| elementwise as Python's abs computes it (hypot), so that a minimum is
-    the det_scan.csv entry of its row; np.abs may differ in the last bit."""
+    """|z| elementwise as Python's abs computes it (hypot): the abs_D and abs_H
+    columns of the CLI, so that a minimum is the det_scan.csv entry of its row.
+    np.abs may differ in the last bit."""
     return np.hypot(z.real, z.imag)
 
 

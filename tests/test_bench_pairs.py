@@ -104,18 +104,39 @@ def test_summary_judges_every_layer_by_its_traced_medians():
     assert "worse by +15.0%" in layer_lines[0] and "worse from a base of 0" in layer_lines[2]
 
 
-def test_sigterm_removes_the_base_checkout_and_stops_the_run(tmp_path):
-    # a throwaway repository whose benchmark only records its pid and sleeps
-    repo, tmpdir, pidfile = tmp_path / "repo", tmp_path / "tmp", tmp_path / "bench.pid"
-    (repo / "perfbench").mkdir(parents=True)
-    tmpdir.mkdir()
-    (repo / "perfbench" / "run.py").write_text(
-        f"import os, time\nopen({str(pidfile)!r}, 'w').write(str(os.getpid()))\ntime.sleep(120)\n")
+def _throwaway_repo(repo: Path, run_py: str, files: dict) -> None:
+    """A committed repository of files with one workload, whose benchmark is run_py."""
+    for name, text in {"perfbench/run.py": run_py, **files}.items():
+        (repo / name).parent.mkdir(parents=True, exist_ok=True)
+        (repo / name).write_text(text)
     (repo / "BENCHMARK.json").write_text(json.dumps(
         {"workloads": [{"name": "w"}], "run_seconds": 1, "end_to_end": []}))
     for args in (["init", "-q"], ["add", "-A"],
                  ["-c", "user.name=t", "-c", "user.email=t@t", "commit", "-qm", "bench"]):
         subprocess.run(["git", *args], cwd=repo, check=True, capture_output=True)
+
+
+def test_record_counts_the_src_lines_of_base_and_working_tree(tmp_path):
+    # a benchmark that reports one job at once; the working tree adds two lines
+    repo = tmp_path / "repo"
+    result = {"correct": True, "attempted": 1, "failed": 0, "metrics": {}}
+    _throwaway_repo(repo, f"print({json.dumps(result)!r})\n",
+                    {"src/pkg/a.py": "x = 1\ny = 2\n", "src/b.py": "z = 3\n",
+                     "src/notes.txt": "not python\n", "tools/c.py": "outside src\n"})
+    (repo / "src" / "pkg" / "a.py").write_text("x = 1\ny = 2\nw = 4\nv = 5\n")
+    subprocess.run([sys.executable, str(_TOOL), "--base", "HEAD", "--out", "out.json"],
+                   cwd=repo, check=True, capture_output=True)
+    record = json.loads((repo / "out.json").read_text())
+    assert record["src_lines"] == {"base": 3, "change": 5}
+    assert record["change"].endswith(" with uncommitted changes")
+
+
+def test_sigterm_removes_the_base_checkout_and_stops_the_run(tmp_path):
+    # a throwaway repository whose benchmark only records its pid and sleeps
+    repo, tmpdir, pidfile = tmp_path / "repo", tmp_path / "tmp", tmp_path / "bench.pid"
+    tmpdir.mkdir()
+    _throwaway_repo(repo, f"import os, time\nopen({str(pidfile)!r}, 'w').write(str(os.getpid()))"
+                          "\ntime.sleep(120)\n", {})
     env = {**os.environ, "TMPDIR": str(tmpdir)}
     tool = subprocess.Popen([sys.executable, str(_TOOL), "--base", "HEAD", "--out", "out.json"],
                             cwd=repo, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)

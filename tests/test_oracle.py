@@ -127,7 +127,7 @@ def test_fd_resolvent_norm_small_operator_with_full_gram():
     rng = np.random.default_rng(3)
     for n in (1, 2, 3, 6):
         b = rng.standard_normal((n, n))
-        op = sc.DenseOperator(
+        op = sc.SparseOperator(
             matrix=-np.eye(n) + 0.3 * rng.standard_normal((n, n)),
             dof_map=[(0, k, "u") for k in range(n)],
             gram=b @ b.T + n * np.eye(n),
@@ -137,7 +137,7 @@ def test_fd_resolvent_norm_small_operator_with_full_gram():
 
 
 def test_fd_resolvent_norm_singular_shift():
-    op = sc.DenseOperator(
+    op = sc.SparseOperator(
         matrix=np.diag([2j, -1 + 3j]),
         dof_map=[(0, 0, "u"), (0, 1, "u")],
         gram=np.eye(2),

@@ -45,7 +45,6 @@ def test_wave_resolvent_zero_load():
     g = _const_vector_load(cfg, 201, [0.0, 0.0])
     sol = sc.wave_resolvent(cfg, 3.0, g)
     assert max(np.max(np.abs(v)) for v in sol.W.values) <= 1e-14
-    assert all(np.max(np.abs(f)) <= 1e-14 for f in sol.F)
 
 
 def test_wave_resolvent_matches_box_oracle_single_edge():
@@ -84,8 +83,9 @@ def test_wave_resolvent_affine_bookkeeping():
     beta = 4.0
     sol = sc.wave_resolvent(cfg, beta, g)
     for j in range(2, cfg.n_edges):
-        expect = sc.exp_hyp(cfg.densities[j - 1], 1j * beta, 1.0) @ sol.F[j - 1]
-        assert np.max(np.abs(expect - sol.F[j])) <= 1e-10 * max(1.0, np.max(np.abs(sol.F[j])))
+        start, end = sol.W.values[j - 1][0], sol.W.values[j][0]  # W_{j-1}(j-1), W_j(j)
+        expect = sc.exp_hyp(cfg.densities[j - 1], 1j * beta, 1.0) @ start
+        assert np.max(np.abs(expect - end)) <= 1e-10 * max(1.0, np.max(np.abs(end)))
 
 
 def test_wave_resolvent_residual_second_order():
@@ -156,17 +156,13 @@ def test_schrodinger_resolvent_vs_oracle():
 
 
 def test_schrodinger_coefficients_match_traces():
+    # u and its flux rho u' are continuous across the joint on both branches
     cfg = sc.ChainConfig(densities=(1.0, 4.0))
     g = random_probe(cfg, uniform_grids(cfg, 1201), seed=29, arity=1)
     for beta in (30.0, -30.0):
         sol = sc.schrodinger_resolvent(cfg, beta, g)
-        for j in range(cfg.n_edges):
-            c1, c2 = sol.coeffs[j]
-            assert abs(c1 - sol.u.values[j][0]) <= 1e-9 * max(1.0, abs(c1))
-        # continuity across the joint
-        assert abs(sol.u.values[0][-1] - sol.u.values[1][0]) <= 1e-9 * max(
-            1.0, np.max(np.abs(sol.u.values[0]))
-        )
+        for trace in (sol.u.values, sol.flux):
+            assert abs(trace[0][-1] - trace[1][0]) <= 1e-9 * max(1.0, np.max(np.abs(trace[0])))
 
 
 def test_schrodinger_negative_beta_a_priori_bound():
@@ -259,7 +255,7 @@ def _ref_cells(integrand, h):
 
 
 def _ref_wave(cfg, beta, G):
-    """(W, F, Y, Gamma, residual) of the wave solve."""
+    """(W, residual) of the wave solve."""
     speeds = cfg.wave_speeds
     n_edges = cfg.n_edges
     anchors = [1.0] + [float(j) for j in range(1, n_edges)]
@@ -305,7 +301,7 @@ def _ref_wave(cfg, beta, G):
         r2 = 1j * beta * w[:, 1] - rho * np.gradient(w[:, 0], x, edge_order=2) - G.values[j][:, 1]
         num += np.trapezoid(rho * np.abs(r1) ** 2 + np.abs(r2) ** 2, x).real
     W = sc.ChainFunction(G.grids, values)
-    return W, f_list, y, gamma, float(np.sqrt(num) / h_norm(G, cfg))
+    return W, float(np.sqrt(num) / h_norm(G, cfg))
 
 
 def _ref_schrodinger(cfg, beta, g):
@@ -398,7 +394,7 @@ def _ref_wave_scan(cfg, beta, probes, seed):
     best = worst = 0.0
     for k in range(probes):
         g = _ref_random_probe(cfg, grids, [seed, _beta_key(beta), k], 2, center=beta)
-        W, _, _, _, residual = _ref_wave(cfg, beta, g)
+        W, residual = _ref_wave(cfg, beta, g)
         best = max(best, h_norm(W, cfg) / h_norm(g, cfg))
         worst = max(worst, residual)
     return best, worst
@@ -474,9 +470,8 @@ def test_wave_resolvent_matches_reference(densities, beta):
     cfg = sc.ChainConfig(densities)
     g = random_probe(cfg, uniform_grids(cfg, 1201), seed=21, arity=2, center=40.0)
     sol = sc.wave_resolvent(cfg, beta, g)
-    W, F, _, _, residual = _ref_wave(cfg, beta, g)
+    W, residual = _ref_wave(cfg, beta, g)
     assert _rel(np.concatenate(sol.W.values), np.concatenate(W.values)) <= 1e-12
-    assert _rel(sol.F, F) <= 1e-12
     assert sol.residual == pytest.approx(residual, rel=1e-9)
 
 
@@ -504,7 +499,7 @@ def test_scan_probes_are_evaluated_one_at_a_time():
 
     cfg = sc.ChainConfig((1.0, 4.0))
     beta, seed = 316.0, 9
-    grids = uniform_grids(cfg, resolvent.scan_grid_points(cfg, beta))
+    grids = uniform_grids(cfg, resolvent._scan_grid(cfg, beta, "wave")[0])
     plan = resolvent._OscillatoryPlan(cfg, beta, grids, "wave")
     bases = resolvent._probe_bases(cfg, grids, 8, beta)
     weights = [quadrature_weights(x) for x in grids]
@@ -514,8 +509,7 @@ def test_scan_probes_are_evaluated_one_at_a_time():
         w = plan.apply(g)
         g_norm = float(np.sqrt(resolvent._h_sum(weights, cfg.densities, g)))
         ratios.append(float(np.sqrt(resolvent._h_sum(weights, cfg.densities, w))) / g_norm)
-        residuals.append(resolvent._relative(
-            resolvent._wave_defect(cfg.densities, beta, grids, g, w), g_norm))
+        residuals.append(resolvent._residual("wave", cfg, beta, grids, g, w, g_norm))
     one = wave_resolvent_norm_scan(cfg, [beta], probes=1, seed=seed)[0]
     eight = wave_resolvent_norm_scan(cfg, [beta], probes=8, seed=seed)[0]
     assert (one.norm_estimate, one.residual_max) == (ratios[0], residuals[0])

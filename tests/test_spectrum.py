@@ -3,8 +3,10 @@ import pytest
 
 import stringchain as sc
 from stringchain.errors import DeterminantOverflow, EmptyScan
-from stringchain.chain_core import uniform_betas
-from stringchain.spectrum import axis_bounds, count_roots_contour
+from stringchain.chain_core import uniform_betas, uniform_grids
+from stringchain.resolvent import _OscillatoryPlan
+from stringchain.spectrum import _modulus, axis_bounds, count_roots_contour
+from stringchain.transfer_function import transfer_values
 from stringchain.transfer_matrix import analytic_gap_bound, edge_entries
 
 
@@ -206,9 +208,41 @@ def test_schrodinger_gap_is_sampled():
     cfg = sc.ChainConfig(densities=(1.0, 4.0))
     found = sc.imaginary_axis_gap(cfg, "schrodinger", (-20.0, 20.0), 1e-2, 10)
     betas = uniform_betas((-20.0, 20.0), 1e-2)
-    assert not found.certified and found.first is None
+    assert not found.certified
+    assert np.array_equal(found.first, sc.char_det_schrodinger(cfg, 1j * found.rows))
     assert found.lambdas == betas.size and np.array_equal(found.rows, betas[::10])
     assert found.value == np.min(np.abs(sc.char_det_schrodinger(cfg, 1j * betas)))
+
+
+def _random_chains(count, seed):
+    """Chains of 1-8 edges with densities U[0.25, 4], as the benchmark draws them."""
+    rng = np.random.default_rng(seed)
+    return [sc.ChainConfig(tuple(rng.uniform(0.25, 4.0, rng.integers(1, 9))))
+            for _ in range(count)]
+
+
+def _bits(z):
+    return np.ascontiguousarray(z).view(np.uint64)
+
+
+def test_schrodinger_gap_rows_equal_a_fresh_evaluation():
+    # det_scan.csv takes the rows from the 400,001-point scan instead of
+    # evaluating them again: every 100th value of the scan, bit for bit
+    for cfg in _random_chains(6, 2024):
+        found = sc.imaginary_axis_gap(cfg, "schrodinger", (-200.0, 200.0), 1e-3, 100)
+        assert found.rows.size == found.first.size == 4001
+        fresh = sc.char_det_schrodinger(cfg, 1j * found.rows)
+        assert np.array_equal(_bits(found.first), _bits(fresh))
+
+
+def test_modulus_is_python_abs_bit_for_bit():
+    # the abs_D and abs_H columns: the det_scan rows and the transfer-scan rows
+    # at the CLI's defaults
+    rows = uniform_betas((-200.0, 200.0), 1e-3)[::100]
+    line = 1.0 + 1j * uniform_betas((-50.0, 50.0), 0.01)
+    for cfg in _random_chains(40, 2024):
+        for z in (sc.det_pair(cfg, 1j * rows).d, transfer_values(cfg, line)):
+            assert np.array_equal(_bits(_modulus(z)), _bits(np.array([abs(v) for v in z])))
 
 
 def test_schrodinger_det_normalization_and_axis():
@@ -223,13 +257,10 @@ def test_schrodinger_det_matches_resolvent_denominator():
     # on the positive imaginary axis the closure reproduces the closed-form
     # denominator up to the fixed normalization constant
     cfg = sc.ChainConfig(densities=(1.0, 4.0))
-    from stringchain.chain_core import sample_function
-
     beta = 11.0
-    g = sample_function(cfg, 1201, lambda x: np.ones_like(x, dtype=complex))
-    sol = sc.schrodinger_resolvent(cfg, beta, g)
-    a1, g1, _, _ = sol.alpha_gamma
-    den = a1 + 1j * g1
+    den = _denominator(cfg, beta)
+    plan = _OscillatoryPlan(cfg, beta, uniform_grids(cfg, 1201), "schrodinger")
+    assert plan.den == pytest.approx(den, rel=1e-12)
     ratio1 = sc.char_det_schrodinger(cfg, 1j * beta) / den
     ratio2 = sc.char_det_schrodinger(cfg, 23.0j) / _denominator(cfg, 23.0)
     assert ratio1 == pytest.approx(ratio2, rel=1e-9)

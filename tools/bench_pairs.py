@@ -11,14 +11,16 @@ pairs (seeds 101-110) and three traced pairs (seeds 101-103), and every
 run lasts BENCHMARK.json's run_seconds.
 The output file holds every result line, both commits, the sha256 of
 ``git diff --binary HEAD`` (so a file measured on uncommitted changes
-names the tree it measured), the numpy and scipy versions and the CPU
-count.  Its ``"summary"`` gives, per workload of the untraced pairs,
-each side's total attempted and failed jobs (under ``"jobs"``) and, per
-end-to-end metric, each side's median and quartiles
-(``statistics.quantiles``, exclusive method), the number of pairs the
-change won (ties count for neither side), the signed relative change of
-the medians (positive means worse) and whether that change is worse than
-the metric's ``bound`` in BENCHMARK.json; it is printed at the end too.
+names the tree it measured), the numpy and scipy versions, the CPU
+count, and under ``"src_lines"`` the lines of ``src/**/*.py`` in the
+base copy and in the working tree.  Its ``"summary"`` gives, per
+workload of the untraced pairs, each side's total attempted and failed
+jobs (under ``"jobs"``) and, per end-to-end metric, each side's median
+and quartiles (``statistics.quantiles``, exclusive method), the number
+of pairs the change won (ties count for neither side), the signed
+relative change of the medians (positive means worse) and whether that
+change is worse than the metric's ``bound`` in BENCHMARK.json; it is
+printed at the end too.
 Under ``"per_layer"`` it gives the same figures for every per-layer
 metric of BENCHMARK.json over the traced pairs, whose spans measure the
 layers, and whether the change median is worse than the base median by
@@ -58,6 +60,11 @@ def _run(root: Path, workload: str, seed: int, seconds: int, trace: int) -> dict
            "--seconds", str(seconds), "--trace", str(trace)]
     out = subprocess.run(cmd, cwd=root, check=True, capture_output=True, text=True).stdout
     return json.loads(out.strip().splitlines()[-1])
+
+
+def src_lines(root: Path) -> int:
+    """Lines of src/**/*.py under root, counted as wc -l counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in (root / "src").rglob("*.py"))
 
 
 def _paired(runs: list, name: str) -> list:
@@ -174,6 +181,7 @@ def main(argv=None) -> int:
         with tarfile.open(fileobj=io.BytesIO(_git("archive", args.base))) as tar:
             tar.extractall(tmp, filter="data")
         sides = [("base", Path(tmp)), ("change", Path.cwd())]
+        record["src_lines"] = {side: src_lines(root) for side, root in sides}
         for i, (workload, seed, trace) in enumerate(plan):
             for side, root in sides[::-1] if i % 2 else sides:
                 result = _run(root, workload, seed, spec["run_seconds"], trace)
