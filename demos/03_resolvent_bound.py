@@ -1,8 +1,9 @@
 """Uniform boundedness of the resolvent along the imaginary axis.
 
-The closed-form solve propagates matrix exponentials across the edges
-and inverts one 2x2 system, so its cost is a few quadratures per edge
-at any frequency.  A finite-difference box-scheme discretization
+The closed-form solve marches the edge propagators once from the damped
+end, starting from the damped row's null vector, fixes that start's
+multiple by the clamped row at the far end, and marches again to write
+the values, so its cost is a few quadratures per edge at any frequency.  A finite-difference box-scheme discretization
 provides an independent cross-check, and random near-resonant probes
 estimate the operator norm, which stays bounded as beta grows; that
 boundedness is exactly what exponential energy decay requires.

@@ -29,15 +29,15 @@ print(f"sup on Re = 2: {sup2:.6f} (deeper line, smaller reflections)")
 print()
 print("admissibility: boundary output energy per unit input energy")
 opts = SimOptions(points_per_edge=800, T=4.0, cfl=0.5)
-ratio = sc.admissibility_ratio(cfg, lambda t: np.sin(2 * np.pi * t), 4.0, opts)
+ratio = sc.admissibility_ratio(cfg, lambda t: np.sin(2 * np.pi * t), opts)
 print(f"  forced run ratio = {ratio:.6f} (finite, as the sup bound demands)")
 
 print()
 print("observability: the conservative chain reveals its energy at x = 0")
 mode = sample_state(cfg, 800, lambda x: np.cos(0.5 * np.pi * x).astype(complex))
-obs = sc.observability_ratio(cfg, mode, 4.0, opts)
+obs = sc.observability_ratio(cfg, mode, opts)
 print(f"  slowest conservative mode, T = 4 >= round trip {sc.round_trip_time(cfg):.1f}: "
       f"ratio = {obs:.4f}")
 far = sample_state(cfg, 800, lambda x: smooth_bump(x, 0.7, 0.95))
-tiny = sc.observability_ratio(cfg, far, 0.5, SimOptions(points_per_edge=800, T=0.5, cfl=0.5))
+tiny = sc.observability_ratio(cfg, far, SimOptions(points_per_edge=800, T=0.5, cfl=0.5))
 print(f"  data near the far end, T = 0.5 below first arrival: ratio = {tiny:.1e}")

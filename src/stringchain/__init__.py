@@ -31,7 +31,6 @@ from .spectrum import (
     AxisGap,
     EigenSet,
     char_det_schrodinger,
-    char_det_wave,
     find_eigenvalues,
     imaginary_axis_gap,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "wave_resolvent_norm_scan",
     "schrodinger_resolvent",
     "schrodinger_norm_scan",
-    "char_det_wave",
     "char_det_schrodinger",
     "find_eigenvalues",
     "imaginary_axis_gap",

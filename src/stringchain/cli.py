@@ -316,14 +316,14 @@ def _cmd_schrodinger_decay(args, cfg, out) -> _Done:
 
 def _cmd_io_ratios(args, cfg, out) -> _Done:
     opts = SimOptions(points_per_edge=args.points, T=args.T, cfl=args.cfl)
-    adm = admissibility_ratio(cfg, lambda t: np.sin(2.0 * np.pi * t), args.T, opts)
+    adm = admissibility_ratio(cfg, lambda t: np.sin(2.0 * np.pi * t), opts)
 
     def mode0(x):
         y = np.where(x <= 1.0, np.cos(0.5 * np.pi * np.clip(x, 0.0, 1.0)), 0.0)
         return y.astype(complex)
 
     state = sample_state(cfg, args.points, mode0)
-    obs = observability_ratio(cfg, state, args.T, opts)
+    obs = observability_ratio(cfg, state, opts)
     payload = {
         "admissibility_ratio": adm,
         "observability_ratio": obs,
@@ -390,8 +390,8 @@ def _verify_checks(cfg: ChainConfig, seed: int):
         f"|u|/|g| = {ratio:.3e} vs 1.2/40 = {1.2 / 40:.3e}"
 
     lam = 1.0 + 2.0j
-    tv = transfer_value(cfg, lam, 1.0)
-    ov = oracle_transfer_value(cfg, lam, 1.0, 1600)
+    tv = transfer_value(cfg, lam)
+    ov = oracle_transfer_value(cfg, lam, 1600)
     rel = abs(tv - ov) / abs(ov)
     yield "transfer value vs fd oracle", rel <= 0.01, f"rel diff = {rel:.2e}"
 

@@ -223,9 +223,9 @@ def fd_bvp_solve(cfg: ChainConfig, lam: complex, data, which: str, m: int) -> Ch
     raise ValueError(f"unknown problem kind {which!r}")
 
 
-def oracle_transfer_value(cfg: ChainConfig, lam: complex, z: complex, m: int) -> complex:
-    """Boundary output lam * y(0) of the discretized time-harmonic solve."""
-    y = fd_bvp_solve(cfg, lam, z, "transfer", m)
+def oracle_transfer_value(cfg: ChainConfig, lam: complex, m: int) -> complex:
+    """Boundary output lam * y(0) of the discretized time-harmonic solve, unit input."""
+    y = fd_bvp_solve(cfg, lam, 1.0, "transfer", m)
     return complex(lam * y.values[0][0])
 
 

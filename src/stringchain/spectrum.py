@@ -33,7 +33,6 @@ from .transfer_matrix import DetPair, _finite_values, det_pair, propagate
 __all__ = [
     "AxisGap",
     "EigenSet",
-    "char_det_wave",
     "char_det_schrodinger",
     "find_eigenvalues",
     "imaginary_axis_gap",
@@ -61,15 +60,6 @@ class EigenSet:
     audit_count: Optional[int] = None
 
 
-def char_det_wave(cfg: ChainConfig, lam) -> complex | np.ndarray:
-    """Determinant of the damped-chain boundary closure at lam.
-
-    Zeros are the eigenvalues of the damped wave generator.  Accepts a
-    scalar or an array of frequencies.
-    """
-    return det_pair(cfg, lam).d
-
-
 def char_det_schrodinger(cfg: ChainConfig, lam) -> complex | np.ndarray:
     """Analytic function vanishing exactly at Schrodinger eigenvalues.
 
@@ -88,7 +78,7 @@ def char_det_schrodinger(cfg: ChainConfig, lam) -> complex | np.ndarray:
 
 def _char_fn(cfg: ChainConfig, which: str):
     if which == "wave":
-        return lambda lam: char_det_wave(cfg, lam)
+        return lambda lam: det_pair(cfg, lam).d
     if which == "schrodinger":
         return lambda lam: char_det_schrodinger(cfg, lam)
     raise ValueError(f"unknown system {which!r}")

@@ -8,16 +8,17 @@ differences, the discrete energy
 E^{k+1/2} = sum_i w_i (u_i^{k+1} - u_i^k)^2 / (2 dt^2) + <D u^{k+1}, D u^k>_g / 2
 falls by exactly dt |u_t(t_k, 0)|^2 per step (conservative end: stays
 fixed), and it is positive for cfl < 1, so cfl <= 1 bounds the
-scheme's stability.  The Schrodinger chain runs Crank-Nicolson with the
-feedback folded into the tridiagonal -i (K + feedback) / w; in the
-lumped product its energy decreases by exactly dt * |u(t+dt/2, 0)|^2 per
-step, so the recorded flux balances the energy drop to machine precision.
+scheme's stability.  The Schrodinger chain runs Crank-Nicolson, i.e. the
+implicit midpoint rule, on A = -i (K + feedback) / w: the midpoint
+y = (u^n + u^{n+1}) / 2 solves (I - dt/2 A) y = u^n, u^{n+1} = 2 y - u^n,
+and in the lumped product the energy drops by exactly dt |y_0|^2, the
+flux recorded per step, so the two balance to machine precision.
 
 Neither step loop repeats set-up work: a leapfrog step, in increment
 form, is five in-place ufuncs on preallocated buffers plus the x = 0 row
 in Python floats, the Crank-Nicolson matrix is factored once (LAPACK
-zgttrf) and each step is one zgttrs solve, and both write their records
-into arrays preallocated from the step count and record_stride.
+zgttrf) and each step is one zgttrs solve in a preallocated buffer, and
+both write their records into arrays preallocated from the step count and stride.
 """
 
 from __future__ import annotations
@@ -252,9 +253,9 @@ def _schrodinger_tridiag(layout: _Layout):
 def simulate_schrodinger(cfg: ChainConfig, u0: ChainFunction, opts: SimOptions):
     """Crank-Nicolson run of the Schrodinger chain.
 
-    Returns (EnergyTrace, final ChainFunction).  The boundary flux is
-    recorded from midpoint values, so energy drop and accumulated flux
-    agree to machine precision step by step.
+    Returns (EnergyTrace, final ChainFunction).  A step is one solve
+    (I - dt/2 A) y = u^n for the midpoint state y, u^{n+1} = 2 y - u^n, and
+    the flux adds dt |y_0|^2, the step's energy drop to machine precision.
     """
     if u0.arity != 1:
         raise ArityMismatch("Schrodinger simulation needs a scalar initial state")
@@ -275,13 +276,10 @@ def simulate_schrodinger(cfg: ChainConfig, u0: ChainFunction, opts: SimOptions):
     steps, times, energies, flux = _steps_and_records(opts.T, dt, 1, stride)
     dt = opts.T / steps
     half = 0.5 * dt
-    # (I - dt/2 A) u^{n+1} = (I + dt/2 A) u^n; the left matrix is factored once
+    # the midpoint y = (u^n + u^{n+1}) / 2 solves (I - dt/2 A) y = u^n; factored once
     dl, d, du, du2, ipiv, info = zgttrf(-half * lower[1:], 1.0 - half * diag, -half * upper[:-1])
     if info != 0:
         raise LinearSolveFailure(f"Crank-Nicolson matrix is singular (zgttrf info = {info})")
-    plus_diag = 1.0 + half * diag
-    plus_upper = half * upper[:-1]
-    plus_lower = half * lower[1:]
 
     sqrt_w = np.sqrt(w)
     scaled = np.empty(na, dtype=complex)
@@ -294,23 +292,18 @@ def simulate_schrodinger(cfg: ChainConfig, u0: ChainFunction, opts: SimOptions):
     rec = 1
     next_rec = min(stride, steps)
     flux_cum = 0.0
-    b_old = u.item(0)
-    rhs = np.empty(na, dtype=complex)
-    off = np.empty(na - 1, dtype=complex)
+    y = np.empty(na, dtype=complex)
     for k in range(1, steps + 1):
-        np.multiply(plus_diag, u, out=rhs)
-        np.multiply(plus_upper, u[1:], out=off)
-        rhs[:-1] += off
-        np.multiply(plus_lower, u[:-1], out=off)
-        rhs[1:] += off
-        u_new, info = zgttrs(dl, d, du, du2, ipiv, rhs, overwrite_b=1)
+        np.copyto(y, u)
+        y, info = zgttrs(dl, d, du, du2, ipiv, y, overwrite_b=1)
         if info != 0:
             raise LinearSolveFailure(f"Crank-Nicolson solve failed (zgttrs info = {info})")
-        b_new = u_new.item(0)
-        mid = 0.5 * (b_old + b_new)
+        mid = y.item(0)
         flux_cum += dt * (mid.real * mid.real + mid.imag * mid.imag)
-        b_old = b_new
-        u, rhs = u_new, u
+        # u^{n+1} = 2 y - u^n, written over y; u's buffer takes the next step's y
+        y += y
+        y -= u
+        u, y = y, u
         if k == next_rec:
             times[rec] = k * dt
             energies[rec] = energy(u)

@@ -1,18 +1,17 @@
 """Boundary transfer function of the chain and the input/output ratios.
 
-The transfer value at lam (Re lam > 0) maps a Neumann input gain z at
-the damped end to the first component of the homogeneous propagated
-state at x = 0: solve (lam - B d/dx) W = 0 with (0,1) W(0) = z and the
-clamped condition at x = N, then read off (1,0) W(0).  The companion
-determinant pair of this closure stays away from zero on every vertical
-line Re lam = gamma > 0, with the certified bound
+The transfer value at lam (Re lam > 0) maps a unit Neumann input at
+the damped end (H is linear in it) to the first component of the
+homogeneous propagated state at x = 0: solve (lam - B d/dx) W = 0 with
+(0,1) W(0) = 1 and the clamped condition at x = N, then read off
+(1,0) W(0).  The companion determinant pair of this closure stays away
+from zero on every vertical line Re lam = gamma > 0, with the certified bound
 (c_0/2) sinh(2 gamma / c_0) * prod_n cosh(2 gamma / c_n).
 """
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -33,10 +32,10 @@ __all__ = [
 ]
 
 
-def transfer_values(cfg: ChainConfig, lam, z: complex = 1.0):
+def transfer_values(cfg: ChainConfig, lam):
     """Vectorized transfer values over an array of lam with Re lam > 0.
 
-    The value is -z P01 / P00 for the full wave product P; (1, 0) and
+    The value is -P01 / P00 for the full wave product P; (1, 0) and
     (0, 1) are propagated together for the two entries of its first row.
     Raises DeterminantOverflow where P overflows (Re lam / c beyond ~710).
     """
@@ -49,14 +48,14 @@ def transfer_values(cfg: ChainConfig, lam, z: complex = 1.0):
         (p00, p01), _ = propagate(cfg, lam, "wave", starts)
         if np.any(np.abs(p00) < 1e-14):
             raise SingularBoundaryMatrix("transfer closure numerically singular")
-        return -z * p01 / p00
+        return -p01 / p00
 
     return _finite_values(closure, lam)
 
 
-def transfer_value(cfg: ChainConfig, lam: complex, z: complex = 1.0) -> complex:
-    """Boundary output (1,0) W(0) for input gain z at one lam, Re lam > 0."""
-    return complex(transfer_values(cfg, lam, z))
+def transfer_value(cfg: ChainConfig, lam: complex) -> complex:
+    """Boundary output (1,0) W(0) for the unit input at one lam, Re lam > 0."""
+    return complex(transfer_values(cfg, lam))
 
 
 def transfer_det_pair(cfg: ChainConfig, lam) -> DetPair:
@@ -95,14 +94,13 @@ def round_trip_time(cfg: ChainConfig) -> float:
     return float(2.0 * np.sum(1.0 / cfg.wave_speeds))
 
 
-def admissibility_ratio(cfg: ChainConfig, v: Callable[[float], float], T: float,
-                        opts: Optional[SimOptions] = None) -> float:
+def admissibility_ratio(cfg: ChainConfig, v: Callable[[float], float],
+                        opts: SimOptions) -> float:
     """Boundary output energy over input energy for the forced chain.
 
     Runs the forced simulation from rest with Neumann input v(t) at the
-    damped end and returns int |d/dt psi(t, 0)|^2 dt / |v|^2_{L2(0,T)}.
+    damped end and returns int |d/dt psi(t, 0)|^2 dt / |v|^2_{L2(0,T)}, T = opts.T.
     """
-    opts = dataclasses.replace(opts, T=T) if opts else SimOptions(points_per_edge=800, cfl=0.5, T=T)
     init = sample_state(cfg, opts.points_per_edge, lambda x: np.zeros_like(x))
     trace, _ = simulate_wave(cfg, init, opts, mode="forced", forcing=v)
     times = trace.times
@@ -113,15 +111,13 @@ def admissibility_ratio(cfg: ChainConfig, v: Callable[[float], float], T: float,
     return float(trace.boundary_flux[-1] / denom)
 
 
-def observability_ratio(cfg: ChainConfig, state: WaveState, T: float,
-                        opts: Optional[SimOptions] = None) -> float:
+def observability_ratio(cfg: ChainConfig, state: WaveState, opts: SimOptions) -> float:
     """Boundary output energy over initial energy for the conservative chain.
 
-    Strictly positive for observation horizons beyond the round-trip
-    time on nondegenerate data; data supported away from the observed
-    end produce (numerically) zero output until the first arrival.
+    Strictly positive for observation horizons opts.T beyond the
+    round-trip time on nondegenerate data; data supported away from the
+    observed end produce (numerically) zero output until the first arrival.
     """
-    opts = dataclasses.replace(opts, T=T) if opts else SimOptions(points_per_edge=800, cfl=0.5, T=T)
     trace, _ = simulate_wave(cfg, state, opts, mode="conservative")
     denom = 2.0 * trace.energies[0]
     if denom <= 0.0:

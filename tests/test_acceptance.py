@@ -226,8 +226,8 @@ def test_criterion_10_transfer_function():
     cfg3 = sc.ChainConfig(densities=(1.0, 4.0, 9.0))
     worst_rel = 0.0
     for lam in (1.0 + 2.0j, 1.0 + 9.0j):
-        tv = sc.transfer_value(cfg3, lam, 1.0)
-        ov = oracle_transfer_value(cfg3, lam, 1.0, 2000)
+        tv = sc.transfer_value(cfg3, lam)
+        ov = oracle_transfer_value(cfg3, lam, 2000)
         worst_rel = max(worst_rel, abs(tv - ov) / abs(ov))
     ok = tanh_err <= 1e-10 and np.isfinite(sup2) and stable and worst_rel <= 0.005
     _report(10, "transfer function", ok,
@@ -268,15 +268,15 @@ def test_criterion_11_schrodinger_suite():
 def test_criterion_12_admissibility_observability():
     t0 = time.perf_counter()
     cfg = sc.ChainConfig(densities=(1.0,))
-    r800 = sc.admissibility_ratio(cfg, lambda t: np.sin(2 * np.pi * t), 4.0,
+    r800 = sc.admissibility_ratio(cfg, lambda t: np.sin(2 * np.pi * t),
                                   SimOptions(points_per_edge=800, T=4.0, cfl=0.5))
-    r1600 = sc.admissibility_ratio(cfg, lambda t: np.sin(2 * np.pi * t), 4.0,
+    r1600 = sc.admissibility_ratio(cfg, lambda t: np.sin(2 * np.pi * t),
                                    SimOptions(points_per_edge=1600, T=4.0, cfl=0.5))
     stable = abs(r1600 - r800) / r800 < 0.05
     mode = sample_state(cfg, 800, lambda x: np.cos(0.5 * np.pi * x).astype(complex))
-    obs = sc.observability_ratio(cfg, mode, 4.0, SimOptions(points_per_edge=800, T=4.0, cfl=0.5))
+    obs = sc.observability_ratio(cfg, mode, SimOptions(points_per_edge=800, T=4.0, cfl=0.5))
     far = sample_state(cfg, 800, lambda x: smooth_bump(x, 0.7, 0.95))
-    tiny = sc.observability_ratio(cfg, far, 0.5, SimOptions(points_per_edge=800, T=0.5, cfl=0.5))
+    tiny = sc.observability_ratio(cfg, far, SimOptions(points_per_edge=800, T=0.5, cfl=0.5))
     ok = np.isfinite(r800) and stable and obs > 0.1 and tiny < 1e-3
     _report(12, "admissibility/observability", ok,
             f"forced ratio {r800:.5f} (dt-stable: {stable}), mode ratio {obs:.3f} (> 0.1), "

@@ -164,7 +164,7 @@ def test_fd_bvp_zero_data():
 
 def test_fd_bvp_transfer_closed_form():
     cfg = sc.ChainConfig(densities=(1.0,))
-    val = oracle_transfer_value(cfg, 1.0, 1.0, 2000)
+    val = oracle_transfer_value(cfg, 1.0, 2000)
     assert abs(val - (-np.tanh(1.0))) <= 1e-3
 
 

@@ -13,7 +13,7 @@ from stringchain.transfer_matrix import analytic_gap_bound, edge_entries
 def test_char_det_wave_unit_density_never_vanishes():
     cfg = sc.ChainConfig(densities=(1.0,))
     betas = np.linspace(-100, 100, 2001)
-    vals = sc.char_det_wave(cfg, 1j * betas)
+    vals = sc.det_pair(cfg, 1j * betas).d
     assert np.allclose(np.abs(vals), 1.0, atol=1e-12)
 
 
@@ -22,8 +22,8 @@ def test_char_det_wave_conjugate_symmetry():
     rng = np.random.default_rng(0)
     for _ in range(20):
         lam = complex(rng.uniform(-2, 2), rng.uniform(-30, 30))
-        a = sc.char_det_wave(cfg, lam)
-        b = sc.char_det_wave(cfg, np.conj(lam))
+        a = sc.det_pair(cfg, lam).d
+        b = sc.det_pair(cfg, np.conj(lam)).d
         assert abs(np.conj(a) - b) <= 1e-12 * max(1.0, abs(a))
 
 
@@ -61,7 +61,7 @@ def test_root_residuals_reproducible():
     cfg = sc.ChainConfig(densities=(0.25,))
     eig = sc.find_eigenvalues(cfg, (-1, 0, 0, 5), "wave", grid=(32, 64))
     for z, r in zip(eig.eigenvalues, eig.residuals):
-        assert abs(sc.char_det_wave(cfg, z)) == pytest.approx(r, rel=0, abs=1e-15)
+        assert abs(sc.det_pair(cfg, z).d) == pytest.approx(r, rel=0, abs=1e-15)
         assert r <= 1e-10
 
 

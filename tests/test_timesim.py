@@ -201,7 +201,7 @@ def test_schrodinger_strictly_decreasing_with_exact_flux_balance():
     )
     assert np.all(np.diff(trace.energies) < 0)
     e0 = trace.energies[0]
-    assert abs(e0 - trace.energies[-1] - trace.boundary_flux[-1]) <= 0.01 * e0
+    assert abs(e0 - trace.energies[-1] - trace.boundary_flux[-1]) <= 1e-10 * e0
 
 
 def test_schrodinger_rate_tracks_char_det_roots():
@@ -458,6 +458,20 @@ def test_crank_nicolson_flux_balance_at_every_record():
     defect = np.abs(e0 - trace.energies - trace.boundary_flux)
     assert np.max(defect) <= 1e-10 * e0
     assert np.all(np.diff(trace.energies) < 0)
+
+
+@pytest.mark.parametrize("densities", [(1.0,), (1.0, 4.0), (0.3, 2.0, 1.1, 5.0)])
+def test_crank_nicolson_flux_balance_at_every_step(densities):
+    # each step's energy drop is the dt |y_0|^2 it adds to the flux, to rounding
+    cfg = sc.ChainConfig(densities=densities)
+    n = cfg.n_edges
+    u0 = sample_function(cfg, 200, lambda x: smooth_bump(x, 0.1, n - 0.1) + 0.5j * smooth_bump(x))
+    trace, _ = sc.simulate_schrodinger(
+        cfg, u0, sc.SimOptions(points_per_edge=200, T=1.0, dt=2e-3, record_stride=1)
+    )
+    assert trace.energies.size == 501
+    step_defect = np.abs(np.diff(trace.energies) + np.diff(trace.boundary_flux))
+    assert np.max(step_defect) <= 1e-14 * trace.energies[0]
 
 
 @pytest.mark.parametrize("densities", [(1.0,), (1.0, 4.0), (0.3, 2.0, 1.1, 5.0)])

@@ -12,23 +12,15 @@ from stringchain.transfer_function import transfer_det_pair, transfer_gap_bound
 def test_transfer_value_is_minus_tanh_for_unit_density():
     cfg = sc.ChainConfig(densities=(1.0,))
     for lam in (1.0 + 0j, 1 + 5j, 2 + 17.3j, 0.5 - 3j, 1 + 40j):
-        assert sc.transfer_value(cfg, lam, 1.0) == pytest.approx(-np.tanh(lam), abs=1e-12)
-
-
-def test_transfer_value_linearity():
-    cfg = sc.ChainConfig(densities=(1.0, 2.0))
-    lam = 1.0 + 3.3j
-    base = sc.transfer_value(cfg, lam, 1.0)
-    assert sc.transfer_value(cfg, lam, 0.0) == 0.0
-    assert sc.transfer_value(cfg, lam, 2j) == pytest.approx(2j * base, rel=1e-12)
+        assert sc.transfer_value(cfg, lam) == pytest.approx(-np.tanh(lam), abs=1e-12)
 
 
 def test_transfer_value_requires_right_half_plane():
     cfg = sc.ChainConfig(densities=(1.0,))
     with pytest.raises(ValueError):
-        sc.transfer_value(cfg, 1j * 2.0, 1.0)
+        sc.transfer_value(cfg, 1j * 2.0)
     with pytest.raises(ValueError):
-        sc.transfer_value(cfg, -1.0 + 1j, 1.0)
+        sc.transfer_value(cfg, -1.0 + 1j)
 
 
 def test_transfer_sup_scan_unit_density():
@@ -61,7 +53,7 @@ def test_transfer_overflow_is_flagged():
     with pytest.raises(DeterminantOverflow):
         sc.transfer_sup_scan(cfg, 800.0, (-50.0, 50.0), 0.01)
     with pytest.raises(DeterminantOverflow):
-        sc.transfer_value(cfg, 800.0 + 3j, 1.0)
+        sc.transfer_value(cfg, 800.0 + 3j)
 
 
 def test_transfer_pair_certified_bound():
@@ -86,22 +78,22 @@ def test_transfer_pair_unit_density_value():
 def test_transfer_value_agrees_with_fd_oracle():
     cfg = sc.ChainConfig(densities=(1.0, 4.0, 9.0))
     for lam in (1.0 + 2.0j, 0.5 + 11.0j, 2.0 + 25.0j):
-        tv = sc.transfer_value(cfg, lam, 1.0)
-        ov = oracle_transfer_value(cfg, lam, 1.0, 2000)
+        tv = sc.transfer_value(cfg, lam)
+        ov = oracle_transfer_value(cfg, lam, 2000)
         assert abs(tv - ov) <= 0.005 * abs(ov)
 
 
 def test_admissibility_zero_input():
     cfg = sc.ChainConfig(densities=(1.0,))
     opts = SimOptions(points_per_edge=200, T=2.0, cfl=0.5)
-    assert sc.admissibility_ratio(cfg, lambda t: 0.0, 2.0, opts) == 0.0
+    assert sc.admissibility_ratio(cfg, lambda t: 0.0, opts) == 0.0
 
 
 def test_admissibility_finite_and_scale_invariant():
     cfg = sc.ChainConfig(densities=(1.0,))
     opts = SimOptions(points_per_edge=400, T=4.0, cfl=0.5)
-    r1 = sc.admissibility_ratio(cfg, lambda t: np.sin(2 * np.pi * t), 4.0, opts)
-    r3 = sc.admissibility_ratio(cfg, lambda t: 3.0 * np.sin(2 * np.pi * t), 4.0, opts)
+    r1 = sc.admissibility_ratio(cfg, lambda t: np.sin(2 * np.pi * t), opts)
+    r3 = sc.admissibility_ratio(cfg, lambda t: 3.0 * np.sin(2 * np.pi * t), opts)
     assert np.isfinite(r1) and r1 > 0
     assert r3 == pytest.approx(r1, rel=1e-9)
 
@@ -109,10 +101,10 @@ def test_admissibility_finite_and_scale_invariant():
 def test_admissibility_stable_under_refinement():
     cfg = sc.ChainConfig(densities=(1.0,))
     r_coarse = sc.admissibility_ratio(
-        cfg, lambda t: np.sin(2 * np.pi * t), 4.0, SimOptions(points_per_edge=400, T=4.0, cfl=0.5)
+        cfg, lambda t: np.sin(2 * np.pi * t), SimOptions(points_per_edge=400, T=4.0, cfl=0.5)
     )
     r_fine = sc.admissibility_ratio(
-        cfg, lambda t: np.sin(2 * np.pi * t), 4.0, SimOptions(points_per_edge=800, T=4.0, cfl=0.5)
+        cfg, lambda t: np.sin(2 * np.pi * t), SimOptions(points_per_edge=800, T=4.0, cfl=0.5)
     )
     assert abs(r_fine - r_coarse) / r_coarse < 0.05
 
@@ -121,16 +113,16 @@ def test_observability_degenerate_data():
     cfg = sc.ChainConfig(densities=(1.0,))
     state = sample_state(cfg, 200, lambda x: np.zeros_like(x, dtype=complex))
     with pytest.raises(DegenerateData):
-        sc.observability_ratio(cfg, state, 2.0, SimOptions(points_per_edge=200, T=2.0, cfl=0.5))
+        sc.observability_ratio(cfg, state, SimOptions(points_per_edge=200, T=2.0, cfl=0.5))
 
 
 def test_observability_mode_vs_far_support():
     cfg = sc.ChainConfig(densities=(1.0,))
     mode = sample_state(cfg, 800, lambda x: np.cos(0.5 * np.pi * x).astype(complex))
-    ratio = sc.observability_ratio(cfg, mode, 4.0, SimOptions(points_per_edge=800, T=4.0, cfl=0.5))
+    ratio = sc.observability_ratio(cfg, mode, SimOptions(points_per_edge=800, T=4.0, cfl=0.5))
     assert ratio > 0.1
     far = sample_state(cfg, 800, lambda x: smooth_bump(x, 0.7, 0.95))
-    tiny = sc.observability_ratio(cfg, far, 0.5, SimOptions(points_per_edge=800, T=0.5, cfl=0.5))
+    tiny = sc.observability_ratio(cfg, far, SimOptions(points_per_edge=800, T=0.5, cfl=0.5))
     assert tiny < 1e-3
 
 

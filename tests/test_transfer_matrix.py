@@ -238,8 +238,7 @@ def test_kernel_matches_expm_products():
         checks += [
             (tpair.d, -wave[0, 0]),
             (tpair.d_tilde, -wave[1, 0]),
-            (complex(transfer_values(cfg, np.array([lam_r]), 0.5 - 2j)[0]),
-             -(0.5 - 2j) * wave[0, 1] / wave[0, 0]),
+            (complex(transfer_values(cfg, np.array([lam_r]))[0]), -wave[0, 1] / wave[0, 0]),
         ]
         # the real-frequency forms, one edge at lam = i beta
         beta = lam.imag
