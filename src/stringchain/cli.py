@@ -257,15 +257,15 @@ def _cmd_scan(args, cfg, out) -> _Done:
 def _cmd_transfer_scan(args, cfg, out) -> _Done:
     betas = uniform_betas((args.beta_min, args.beta_max), args.step)
     vals = transfer_values(cfg, args.gamma + 1j * betas)
+    abs_h = _modulus(vals)
     scan_csv = write_table(out / "transfer_scan.csv", ["gamma", "beta", "re_H", "im_H", "abs_H"],
-                           np.full(betas.size, args.gamma), betas, vals.real, vals.imag,
-                           _modulus(vals))
-    k = int(np.argmax(np.abs(vals)))
+                           np.full(betas.size, args.gamma), betas, vals.real, vals.imag, abs_h)
+    k = int(np.argmax(abs_h))
     return _Done(
-        f"transfer-scan: sup |H| = {abs(vals[k]):.6g} at beta = {betas[k]:.6g} "
+        f"transfer-scan: sup |H| = {abs_h[k]:.6g} at beta = {betas[k]:.6g} "
         f"on Re lam = {args.gamma}",
         (scan_csv,),
-        {"sup_abs": float(abs(vals[k])), "argmax_beta": float(betas[k])},
+        {"sup_abs": float(abs_h[k]), "argmax_beta": float(betas[k])},
     )
 
 
@@ -458,7 +458,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--beta-max", type=_finite, default=1e4)
         p.add_argument("--count", type=_at_least(1), default=count)
         p.add_argument("--probes", type=_at_least(1), default=8)
-        p.add_argument("--points", type=_at_least(2), help="points per edge (default: auto)")
+        p.add_argument("--points", type=_at_least(3), help="points per edge (default: auto)")
         p.checks.append((lambda a: a.betas is not None or min(a.beta_min, a.beta_max) > 0
                          or max(a.beta_min, a.beta_max) < 0,
                          "log beta grid needs endpoints of one sign, away from 0"))

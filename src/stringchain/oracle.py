@@ -188,7 +188,7 @@ def _nodes_to_chain(cfg: ChainConfig, m: int, full: np.ndarray) -> ChainFunction
 
 
 def fd_bvp_solve(cfg: ChainConfig, lam: complex, data, which: str, m: int) -> ChainFunction:
-    """Direct discretized solve of a two-point boundary-value problem.
+    """Direct discretized solve of a two-point boundary-value problem with load data.
 
     which = "wave":        data is a 2-vector ChainFunction G on the m-cell
                            grid; solves (i*beta - B d/dx) W = G with the box
@@ -196,37 +196,31 @@ def fd_bvp_solve(cfg: ChainConfig, lam: complex, data, which: str, m: int) -> Ch
     which = "schrodinger": data is a scalar ChainFunction g on the m-cell
                            grid; solves (i*beta - A_h) u = g with the
                            generator of `fd_schrodinger_matrix`.
-    which = "transfer":    data is the scalar input gain z; solves the
-                           time-harmonic chain rho y'' = lam^2 y with
-                           rho_0 y'(0) = z and clamped far end, returning y.
     A load off the m-cell grid raises GridMismatch.
     """
+    if which not in ("wave", "schrodinger"):
+        raise ValueError(f"unknown problem kind {which!r}")
     if m < 8:
         raise TooCoarse("need at least 8 cells per edge")
-    if which in ("wave", "schrodinger"):
-        check_uniform_grid(data, cfg, m + 1)
+    check_uniform_grid(data, cfg, m + 1)
     if which == "wave":
         return _box_scheme_wave(cfg, complex(lam).imag, data, m)
-    if which == "schrodinger":
-        op = fd_schrodinger_matrix(cfg, m)
-        # node values; a joint takes its left edge's last sample, the clamped node is dropped
-        rhs = np.concatenate([data.values[0]] + [v[1:] for v in data.values[1:]])[:-1]
-        shifted = 1j * complex(lam).imag * sp.identity(op.dimension) - op.matrix
-        return _nodes_to_chain(cfg, m, np.append(_splu(shifted).solve(rhs), 0.0))
-    if which == "transfer":
-        stiff, w = _stencil(cfg, m)
-        # rho y'' - lam^2 y = 0 with Neumann input folded into node 0
-        rhs = np.zeros(w.size, dtype=complex)
-        rhs[0] = complex(data) / w[0]
-        shifted = _rows_over(stiff, w) - complex(lam) ** 2 * sp.identity(w.size)
-        return _nodes_to_chain(cfg, m, np.append(_splu(shifted).solve(rhs), 0.0))
-    raise ValueError(f"unknown problem kind {which!r}")
+    op = fd_schrodinger_matrix(cfg, m)
+    # node values; a joint takes its left edge's last sample, the clamped node is dropped
+    rhs = np.concatenate([data.values[0]] + [v[1:] for v in data.values[1:]])[:-1]
+    shifted = 1j * complex(lam).imag * sp.identity(op.dimension) - op.matrix
+    return _nodes_to_chain(cfg, m, np.append(_splu(shifted).solve(rhs), 0.0))
 
 
 def oracle_transfer_value(cfg: ChainConfig, lam: complex, m: int) -> complex:
-    """Boundary output lam * y(0) of the discretized time-harmonic solve, unit input."""
-    y = fd_bvp_solve(cfg, lam, 1.0, "transfer", m)
-    return complex(lam * y.values[0][0])
+    """Boundary output lam * y(0) of the time-harmonic chain rho y'' = lam^2 y with unit
+    input rho_0 y'(0) = 1 and clamped far end, by `_stencil`'s m cells per edge."""
+    stiff, w = _stencil(cfg, m)
+    # the Neumann input folded into node 0
+    rhs = np.zeros(w.size, dtype=complex)
+    rhs[0] = 1.0 / w[0]
+    shifted = _rows_over(stiff, w) - complex(lam) ** 2 * sp.identity(w.size)
+    return complex(lam * _splu(shifted).solve(rhs)[0])
 
 
 def _interp(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:

@@ -358,6 +358,8 @@ class _SchrodingerNegativePlan:
 
 def _plan(cfg: ChainConfig, beta: float, grids: Sequence[np.ndarray], kind: str):
     """The solve plan of the wave or Schrodinger resolvent at beta on these grids."""
+    if kind == "schrodinger" and beta == 0.0:
+        raise ZeroBeta("beta must be nonzero")
     if kind == "schrodinger" and beta < 0:
         return _SchrodingerNegativePlan(cfg, beta, grids)
     return _OscillatoryPlan(cfg, beta, grids, kind)
@@ -366,8 +368,6 @@ def _plan(cfg: ChainConfig, beta: float, grids: Sequence[np.ndarray], kind: str)
 def _solve(kind: str, cfg: ChainConfig, beta: float, g: ChainFunction):
     """(values, residual) of one closed-form solve for the load g: per edge the
     values of W (wave) or of (u, rho u') (Schrodinger), and their residual."""
-    if kind == "schrodinger" and beta == 0.0:
-        raise ZeroBeta("beta must be nonzero")
     _check_cfg(g, cfg)
     if g.arity != (2 if kind == "wave" else 1):
         raise ArityMismatch("wave resolvent needs a 2-vector load" if kind == "wave"
@@ -390,8 +390,6 @@ def _scan_grid(cfg: ChainConfig, beta: float, kind: str):
     """(points per edge, probe centre) of the scan grid of this kind at beta: the oscillation
     guard's points at the frequency beta (wave) or sqrt(beta) (Schrodinger, beta > 0), and
     at beta < 0 sqrt(-beta) / (2 c_min) points, with the lowest modes as probes."""
-    if kind == "schrodinger" and beta == 0.0:
-        raise ZeroBeta("beta grid must avoid 0")
     decaying = kind == "schrodinger" and beta < 0
     freq = beta if kind == "wave" else np.sqrt(abs(beta))
     c_min = float(np.min(cfg.wave_speeds))

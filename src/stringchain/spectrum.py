@@ -160,7 +160,8 @@ def imaginary_axis_gap(cfg: ChainConfig, which: str, beta_range: tuple[float, fl
                        step: float, stride: int = 1) -> AxisGap:
     """Smallest |char det(i beta)| on the window beta_range.
 
-    The Schrodinger chain is sampled on uniform_betas(beta_range, step).
+    The Schrodinger chain is sampled on uniform_betas(beta_range, step);
+    a value there that is not finite raises DeterminantOverflow.
     The wave chain's window minimum is certified by branch and bound
     (Piyavskii-Shubert with the second-order bound of `axis_bounds`).
     Round one evaluates g = |D|^2 at the rows uniform_betas(beta_range,
@@ -181,7 +182,7 @@ def imaginary_axis_gap(cfg: ChainConfig, which: str, beta_range: tuple[float, fl
     """
     betas = uniform_betas(beta_range, step)
     if which == "schrodinger":
-        vals = char_det_schrodinger(cfg, 1j * betas)
+        vals = _finite_values(_char_fn(cfg, which), 1j * betas)
         return AxisGap(float(np.min(np.abs(vals))), None, betas.size, 1, 0,
                        betas[::stride].copy(), vals[::stride].copy())
     if which != "wave":
@@ -260,17 +261,15 @@ def count_roots_contour(cfg: ChainConfig, rect: tuple[float, float, float, float
                         which: str) -> int:
     """Winding number of the characteristic function around the rectangle.
 
-    Sums the wrapped phase steps along each side: no ratio of values,
-    which could overflow near the float maximum.
+    Sums the wrapped phase steps around it, its four sides evaluated as one
+    array: no ratio of values, which could overflow near the float maximum.
     """
     re0, re1, im0, im1 = rect
-    fn = _char_fn(cfg, which)
-    corners = [re0 + 1j * im0, re1 + 1j * im0, re1 + 1j * im1, re0 + 1j * im1, re0 + 1j * im0]
-    total = 0.0
-    for a, b in zip(corners[:-1], corners[1:]):
-        t = np.linspace(0.0, 1.0, _CONTOUR_SAMPLES)
-        vals = _finite_values(fn, a + (b - a) * t)
-        total += float(np.sum(_wrap_phase(np.diff(np.angle(vals)))))
+    corners = np.array([re0 + 1j * im0, re1 + 1j * im0, re1 + 1j * im1, re0 + 1j * im1])
+    ends = np.roll(corners, -1)
+    t = np.linspace(0.0, 1.0, _CONTOUR_SAMPLES)
+    vals = _finite_values(_char_fn(cfg, which), corners[:, None] + (ends - corners)[:, None] * t)
+    total = float(np.sum(_wrap_phase(np.diff(np.angle(vals), axis=1))))
     return int(np.rint(total / (2.0 * np.pi)))
 
 

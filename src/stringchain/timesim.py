@@ -117,12 +117,13 @@ class _Layout:
 
 
 def _steps_and_records(T: float, dt: float, least: int, stride: int):
-    """(steps, times, energies, flux): max(least, ceil(T / dt)) steps, and records sized
-    for t = 0, every stride-th step and the last step.  MemoryError if either is too large."""
+    """(steps, T / steps, times, energies, flux): max(least, ceil(T / dt)) steps, and
+    records for t = 0 and each step k with k % stride == 0 or k == steps, which goes to
+    record -(-k // stride).  MemoryError if either is too large."""
     with too_large(f"T / dt = {T:g} / {dt:g} steps at record stride {stride}"):
         steps = max(least, int(np.ceil(T / dt)))
         n_rec = 1 + -(-steps // stride)
-        return steps, np.zeros(n_rec), np.empty(n_rec), np.zeros(n_rec)
+        return steps, T / steps, np.zeros(n_rec), np.empty(n_rec), np.zeros(n_rec)
 
 
 def simulate_wave(cfg: ChainConfig, init: WaveState, opts: SimOptions,
@@ -149,10 +150,8 @@ def simulate_wave(cfg: ChainConfig, init: WaveState, opts: SimOptions,
     layout = _Layout(cfg, opts.points_per_edge)
     n, h, w = layout.n, layout.h, layout.w
     c_max = float(np.max(cfg.wave_speeds))
-    dt = opts.cfl * h / c_max
     stride = opts.record_stride
-    steps, times, energies, flux = _steps_and_records(opts.T, dt, 2, stride)
-    dt = opts.T / steps
+    steps, dt, times, energies, flux = _steps_and_records(opts.T, opts.cfl * h / c_max, 2, stride)
     # increment form: d = u^{k+1} - u^k, d += dt^2 K u / w, u += d.  Off node 0
     # w = h, so dt^2 (K u)_i / w_i = f_i - f_{i-1} with the scaled cell fluxes
     # f_c = (dt^2 / h) g_c (u_{c+1} - u_c); node 0 adds (h / w_0) f_0 and its boundary term
@@ -198,8 +197,6 @@ def simulate_wave(cfg: ChainConfig, init: WaveState, opts: SimOptions,
     d[0] = dt * v0[0] + 0.5 * (lift * f[0] - src * s0)
 
     energies[0] = energy(v0, u, 0.5 * h)
-    rec = 1
-    next_rec = min(stride, steps)
     kin_scale = 0.5 * h / (4.0 * dt * dt)  # for the central difference u^{k+1} - u^{k-1}
 
     two_dt = 2.0 * dt
@@ -208,7 +205,7 @@ def simulate_wave(cfg: ChainConfig, init: WaveState, opts: SimOptions,
     d_rec = np.empty(n)
     for k in range(1, steps + 1):
         u += d  # now u^k; d^{k+1/2} replaces d^{k-1/2} below
-        record = k == next_rec
+        record = k % stride == 0 or k == steps
         if record:
             np.copyto(d_rec, d)
         d_old = d.item(0)
@@ -224,11 +221,10 @@ def simulate_wave(cfg: ChainConfig, init: WaveState, opts: SimOptions,
         bv_prev = bv
         if record:
             d_rec += d
+            rec = -(-k // stride)
             times[rec] = k * dt
             energies[rec] = energy(d_rec, u, kin_scale)
             flux[rec] = flux_cum
-            rec += 1
-            next_rec = min(next_rec + stride, steps)
 
     # the last step is a record: d_rec = u^{M+1} - u^{M-1}
     final = WaveState(u=layout.chain(u), v=layout.chain(d_rec / two_dt))
@@ -271,10 +267,8 @@ def simulate_schrodinger(cfg: ChainConfig, u0: ChainFunction, opts: SimOptions):
         raise LinearSolveFailure("initial state must not contain infs or NaNs")
     u = u_full[:-1].copy()
 
-    dt = opts.dt
     stride = opts.record_stride
-    steps, times, energies, flux = _steps_and_records(opts.T, dt, 1, stride)
-    dt = opts.T / steps
+    steps, dt, times, energies, flux = _steps_and_records(opts.T, opts.dt, 1, stride)
     half = 0.5 * dt
     # the midpoint y = (u^n + u^{n+1}) / 2 solves (I - dt/2 A) y = u^n; factored once
     dl, d, du, du2, ipiv, info = zgttrf(-half * lower[1:], 1.0 - half * diag, -half * upper[:-1])
@@ -289,8 +283,6 @@ def simulate_schrodinger(cfg: ChainConfig, u0: ChainFunction, opts: SimOptions):
         return 0.5 * np.vdot(scaled, scaled).real
 
     energies[0] = energy(u)
-    rec = 1
-    next_rec = min(stride, steps)
     flux_cum = 0.0
     y = np.empty(na, dtype=complex)
     for k in range(1, steps + 1):
@@ -304,12 +296,11 @@ def simulate_schrodinger(cfg: ChainConfig, u0: ChainFunction, opts: SimOptions):
         y += y
         y -= u
         u, y = y, u
-        if k == next_rec:
+        if k % stride == 0 or k == steps:
+            rec = -(-k // stride)
             times[rec] = k * dt
             energies[rec] = energy(u)
             flux[rec] = flux_cum
-            rec += 1
-            next_rec = min(next_rec + stride, steps)
     trace = EnergyTrace(times=times, energies=energies, boundary_flux=flux)
     return trace, layout.chain(np.append(u, 0.0))
 

@@ -13,7 +13,7 @@ every characteristic function; the start vector picks which:
 * (1, i), Schrodinger: the closure whose first component vanishes at the
   Schrodinger eigenvalues (`spectrum.char_det_schrodinger`);
 * (-1, 0), wave: the transfer-closure pair (-P00, -P10), and (1, 0) with
-  (0, 1) stacked: the transfer value -z P01 / P00 (`transfer_function`).
+  (0, 1) stacked: the transfer value -P01 / P00 (`transfer_function`).
 
 `exp_hyp` and `boundary_matrices` use the same entries.  At lam = i beta,
 cosh and sinh are cos and i sin, so the same entries give the
@@ -174,15 +174,15 @@ def propagate(cfg: ChainConfig, lam, kind: str, start):
 
 def _finite_values(fn, lam: np.ndarray) -> np.ndarray:
     """fn(lam), raising DeterminantOverflow unless every value is finite
-    (`propagate` overflows once |Re lam| / c exceeds about 710)."""
+    (`propagate` overflows once the edges' |Re z| add up to about 710)."""
     with np.errstate(over="ignore", invalid="ignore"):
         vals = fn(lam)
     bad = int(np.count_nonzero(~np.isfinite(vals)))
     if bad:
-        worst = float(np.max(np.abs(lam.real)))
+        worst = float(np.max(np.abs(lam)))
         raise DeterminantOverflow(
             f"propagated values are not finite at {bad} of {vals.size} points "
-            f"(|Re lam| up to {worst:.4g})")
+            f"(|lam| up to {worst:.4g})")
     return vals
 
 

@@ -208,6 +208,34 @@ def test_transfer_scan_overflow_is_a_numerical_failure(chain_json, tmp_path, cap
     assert capsys.readouterr().err.startswith("numerical failure: DeterminantOverflow")
 
 
+def test_overflowing_schrodinger_gap_is_a_numerical_failure(tmp_path, capsys):
+    config = tmp_path / "eight.json"
+    config.write_text(json.dumps({"densities": [0.25] * 8}))
+    assert run(["gap", "--which", "schrodinger", "--beta-min", "-3000", "--beta-max", "-1000",
+                "--step", "0.01", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("numerical failure: DeterminantOverflow")
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+def test_transfer_scan_reports_the_largest_abs_h_it_writes(tmp_path):
+    # np.abs and the abs_H column (hypot) differ in the last bit on this chain,
+    # where the two largest values lie at beta = -21.3 and +21.3
+    config = tmp_path / "four.json"
+    config.write_text(json.dumps(
+        {"densities": [0.5679574238562732, 0.5071776648166756, 3.90662647370337,
+                       0.8171924764985474]}))
+    out = tmp_path / "ts"
+    assert run(["transfer-scan", "--config", str(config), "--out", str(out)]) == 0
+    table = np.loadtxt(out / "transfer_scan.csv", delimiter=",", skiprows=1)
+    k = int(np.argmax(table[:, 4]))
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["sup_abs"] == table[k, 4] == np.max(table[:, 4])
+    assert manifest["argmax_beta"] == table[k, 1]
+    cfg = stringchain.ChainConfig(tuple(json.loads(config.read_text())["densities"]))
+    assert stringchain.transfer_sup_scan(cfg, 1.0, (-50.0, 50.0), 0.01) == (
+        manifest["sup_abs"], manifest["argmax_beta"])
+
+
 def test_manifest_bytes_repeat_and_timing_apart(mono_json, tmp_path):
     out = tmp_path / "ts"
     args = ["transfer-scan", "--config", mono_json, "--beta-min", "-5", "--beta-max", "5",
@@ -262,6 +290,8 @@ def test_manifest_bytes_repeat_and_timing_apart(mono_json, tmp_path):
     ["spectrum", "--rect", "-2,-1,0,10", "--tol", "-1"],
     ["resolvent-scan", "--betas", "5", "--jobs", "0"],
     ["schrodinger-scan", "--betas", "100", "--jobs", "-2"],
+    ["resolvent-scan", "--betas", "0.5", "--points", "2"],  # the residual needs 3 points
+    ["schrodinger-scan", "--betas", "-100", "--points", "2"],
 ])
 def test_rejected_option_values_are_usage_errors(chain_json, tmp_path, argv, capsys):
     # option values the library rejects or cannot use are caught before any work starts

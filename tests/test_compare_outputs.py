@@ -1,0 +1,55 @@
+import importlib.util
+import json
+from pathlib import Path
+
+_TOOL = Path(__file__).resolve().parents[1] / "tools" / "compare_outputs.py"
+
+
+def _load_tool():
+    spec = importlib.util.spec_from_file_location("compare_outputs", _TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _run_dir(root: Path, table: str, wall: float, extra: dict) -> Path:
+    """One result tree: a run whose manifest names its own --out directory."""
+    out = root / "chain" / "decay" / "out"
+    out.mkdir(parents=True)
+    (out / "energy.csv").write_text(table)
+    (out / "timing.json").write_text(json.dumps({"wall_time_s": wall}))
+    manifest = {"options": {"out": str(out)}, "outputs": [str(out / "energy.csv")], **extra}
+    (out / "manifest.json").write_text(json.dumps(manifest, indent=2))
+    (root / "chain" / "decay" / "console.txt").write_text("exit 0\ndecay: done\n")
+    return out
+
+
+def test_equal_trees_differ_only_in_out_paths_and_wall_times(tmp_path):
+    tool = _load_tool()
+    _run_dir(tmp_path / "base", "t,E\r\n0,1\r\n", 0.5, {"rate": 1.0})
+    _run_dir(tmp_path / "change", "t,E\r\n0,1\r\n", 2.5, {"rate": 1.0})
+    assert tool.compare_trees(tmp_path / "base", tmp_path / "change") == []
+
+
+def test_every_differing_file_and_every_one_sided_file_is_listed(tmp_path):
+    tool = _load_tool()
+    _run_dir(tmp_path / "base", "t,E\r\n0,1\r\n", 0.5, {"rate": 1.0})
+    out = _run_dir(tmp_path / "change", "t,E\r\n0,1.0000000000000002\r\n", 0.5, {"rate": 2.0})
+    (out / "extra.csv").write_text("x\r\n")
+    (tmp_path / "base" / "chain" / "decay" / "console.txt").write_text("exit 2\n")
+    assert tool.compare_trees(tmp_path / "base", tmp_path / "change") == [
+        "chain/decay/console.txt",
+        "chain/decay/out/energy.csv",
+        "chain/decay/out/extra.csv",
+        "chain/decay/out/manifest.json",
+    ]
+
+
+def test_only_a_manifest_has_its_out_path_normalised(tmp_path):
+    # a CSV that happens to hold the run's directory compares as written
+    tool = _load_tool()
+    for side in ("base", "change"):
+        out = _run_dir(tmp_path / side, "t,E\r\n", 0.5, {})
+        (out / "paths.csv").write_text(str(out))
+    assert tool.compare_trees(tmp_path / "base", tmp_path / "change") == [
+        "chain/decay/out/paths.csv"]

@@ -230,6 +230,8 @@ def test_fd_too_coarse():
     with pytest.raises(TooCoarse):
         sc.fd_wave_matrix(cfg, 4)
     with pytest.raises(TooCoarse):
+        oracle_transfer_value(cfg, 1.0, 4)
+    with pytest.raises(ValueError, match="unknown problem kind"):
         sc.fd_bvp_solve(cfg, 1.0j, None, "transfer", 4)
 
 

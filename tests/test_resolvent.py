@@ -178,6 +178,8 @@ def test_schrodinger_rejects_zero_beta():
     g = sample_function(cfg, 101, lambda x: np.ones_like(x, dtype=complex))
     with pytest.raises(ZeroBeta):
         sc.schrodinger_resolvent(cfg, 0.0, g)
+    with pytest.raises(ZeroBeta, match="beta must be nonzero"):
+        sc.schrodinger_norm_scan(cfg, [0.0], 1)
 
 
 @pytest.mark.parametrize("solve, arity", [(sc.wave_resolvent, 2), (sc.schrodinger_resolvent, 1)])

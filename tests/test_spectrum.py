@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -5,9 +7,15 @@ import stringchain as sc
 from stringchain.errors import DeterminantOverflow, EmptyScan
 from stringchain.chain_core import uniform_betas, uniform_grids
 from stringchain.resolvent import _OscillatoryPlan
-from stringchain.spectrum import _modulus, axis_bounds, count_roots_contour
+from stringchain.spectrum import (
+    _char_fn,
+    _modulus,
+    _wrap_phase,
+    axis_bounds,
+    count_roots_contour,
+)
 from stringchain.transfer_function import transfer_values
-from stringchain.transfer_matrix import analytic_gap_bound, edge_entries
+from stringchain.transfer_matrix import _finite_values, analytic_gap_bound, edge_entries
 
 
 def test_char_det_wave_unit_density_never_vanishes():
@@ -214,6 +222,16 @@ def test_schrodinger_gap_is_sampled():
     assert found.value == np.min(np.abs(sc.char_det_schrodinger(cfg, 1j * betas)))
 
 
+def test_overflowing_schrodinger_gap_is_flagged():
+    # far down the negative axis the Schrodinger closure overflows to inf and nan
+    for densities, window, step in [((1.0, 4.0), (-4e5, -3e5), 1.0),
+                                    ((0.25,) * 8, (-3000.0, -1000.0), 0.01)]:
+        cfg = sc.ChainConfig(densities=densities)
+        message = re.escape(f"(|lam| up to {-window[0]:.4g})")
+        with pytest.raises(DeterminantOverflow, match=message):
+            sc.imaginary_axis_gap(cfg, "schrodinger", window, step)
+
+
 def _random_chains(count, seed):
     """Chains of 1-8 edges with densities U[0.25, 4], as the benchmark draws them."""
     rng = np.random.default_rng(seed)
@@ -310,6 +328,33 @@ def test_near_matched_roots_are_found(grid):
     eig = sc.find_eigenvalues(cfg, rect, "wave", grid=grid)
     assert not eig.failures
     assert eig.eigenvalues.size == count_roots_contour(cfg, eig.search_rect, "wave") == 13
+
+
+def _per_side_count(cfg, rect, which):
+    """The winding count as four side walks, each evaluated and summed on its own."""
+    re0, re1, im0, im1 = rect
+    fn = _char_fn(cfg, which)
+    corners = [re0 + 1j * im0, re1 + 1j * im0, re1 + 1j * im1, re0 + 1j * im1, re0 + 1j * im0]
+    total = 0.0
+    for a, b in zip(corners[:-1], corners[1:]):
+        t = np.linspace(0.0, 1.0, 4096)
+        vals = _finite_values(fn, a + (b - a) * t)
+        total += float(np.sum(_wrap_phase(np.diff(np.angle(vals)))))
+    return int(np.rint(total / (2.0 * np.pi)))
+
+
+def test_contour_count_equals_the_per_side_walk():
+    # one (4, 4096) evaluation around the closed contour counts what four side walks count
+    rng = np.random.default_rng(7)
+    counts = []
+    for i, cfg in enumerate(_random_chains(40, 11)):
+        re0 = rng.uniform(-3.0, -0.5)
+        im0 = rng.uniform(-5.0, 30.0)
+        rect = (re0, rng.uniform(re0 + 0.1, -1e-3), im0, im0 + rng.uniform(0.5, 20.0))
+        which = ("wave", "schrodinger")[i % 2]
+        counts.append(count_roots_contour(cfg, rect, which))
+        assert counts[-1] == _per_side_count(cfg, rect, which), (cfg, rect, which)
+    assert max(counts) > 0
 
 
 def test_far_left_overflow_is_flagged():

@@ -397,7 +397,7 @@ def _global(fn):
 
 
 @pytest.mark.parametrize("mode", ["damped", "conservative", "forced"])
-@pytest.mark.parametrize("stride", [1, 7])
+@pytest.mark.parametrize("stride", [1, 7, 1000])
 def test_leapfrog_matches_reference_loop(mode, stride):
     cfg = sc.ChainConfig(densities=_CHAIN3)
     p, T = 40, 2.0
@@ -415,6 +415,7 @@ def test_leapfrog_matches_reference_loop(mode, stride):
         _global(state.u).real, _global(state.v).real,
     )
     assert stride == 1 or steps % stride != 0  # the last record falls off the stride
+    assert stride < steps or times.size == 2  # a stride past the run records t = 0 and t = T
     e0 = energies[0]
     assert trace.times.shape == times.shape
     assert np.max(np.abs(trace.times - times)) <= 1e-12 * T
@@ -424,7 +425,7 @@ def test_leapfrog_matches_reference_loop(mode, stride):
     assert np.max(np.abs(_global(final.v) - v_end)) <= 1e-12 * np.max(np.abs(v_end))
 
 
-@pytest.mark.parametrize("stride", [1, 7])
+@pytest.mark.parametrize("stride", [1, 7, 1000])
 def test_crank_nicolson_matches_reference_loop(stride):
     cfg = sc.ChainConfig(densities=_CHAIN3)
     p, T, dt = 60, 1.0, 4e-3
@@ -438,6 +439,7 @@ def test_crank_nicolson_matches_reference_loop(stride):
         _CHAIN3, p, T, dt, stride, _global(u0)[:-1].copy()
     )
     assert stride == 1 or steps % stride != 0
+    assert stride < steps or times.size == 2
     e0 = energies[0]
     assert trace.times.shape == times.shape
     assert np.max(np.abs(trace.times - times)) <= 1e-12 * T

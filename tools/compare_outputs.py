@@ -1,0 +1,122 @@
+"""Run the CLI at a base commit and in the working tree, and compare the outputs byte for byte.
+
+    python3 tools/compare_outputs.py --base HEAD
+
+Run from the root of a checkout.  The base commit is exported with
+``git archive`` into a temporary directory, so the repository itself is
+left as it is.  Every invocation in INVOCATIONS runs on every chain in
+CHAINS, once with the base copy's ``src`` and once with the working
+tree's, each into its own ``--out`` directory; the exit code and stdout
+of each run are kept beside it in ``console.txt``.  The two trees of
+results are then compared file by file: ``timing.json`` (a wall time) is
+skipped, and in ``manifest.json`` the run's own ``--out`` path is
+replaced by ``<out>``.  Every differing file, or a file on one side only,
+is printed, and the exit code is 1 if there is any.  Standard library
+only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+# one edge, a mismatched pair, three edges, and the 8-edge chain of the
+# benchmark's spectral_chain(np.random.default_rng(1), 8)
+CHAINS = {
+    "one-edge": (1.0,),
+    "two-edge": (1.0, 4.0),
+    "three-edge": (1.0, 4.0, 0.5),
+    "eight-edge": (3.876159240814838, 0.7905985476986265, 3.8074354267646644,
+                   1.4193679450393204, 1.8374741836471586, 3.3538847268266565,
+                   1.7844967613843548, 2.310976328773973),
+}
+
+_GAP = ["--beta-min", "-20", "--beta-max", "20", "--step", "0.01"]
+INVOCATIONS = {
+    "spectrum-wave": ["spectrum", "--rect", "-3,0,0,20", "--grid", "32,32"],
+    "spectrum-schrodinger": ["spectrum", "--which", "schrodinger", "--rect", "-3,0,0,60",
+                             "--grid", "32,32"],
+    "gap-wave": ["gap", *_GAP],
+    "gap-schrodinger": ["gap", "--which", "schrodinger", *_GAP],
+    "det-bound": ["det-bound", *_GAP],
+    "resolvent-scan": ["resolvent-scan", "--beta-max", "100", "--count", "4", "--probes", "2"],
+    "schrodinger-scan": ["schrodinger-scan", "--beta-max", "1000", "--count", "4",
+                         "--probes", "2"],
+    "schrodinger-scan-negative": ["schrodinger-scan", "--beta-min", "-1000", "--beta-max",
+                                  "-100", "--count", "3", "--probes", "2"],
+    "transfer-scan": ["transfer-scan"],
+    "decay": ["decay", "--T", "10", "--points", "100"],
+    "decay-stride": ["decay", "--T", "10", "--points", "100", "--stride", "7"],
+    "schrodinger-decay": ["schrodinger-decay", "--T", "0.5", "--points", "100", "--dt", "0.003"],
+    "io-ratios": ["io-ratios", "--T", "2", "--points", "100"],
+    "verify": ["verify"],
+}
+
+
+def run_all(src: Path, dest: Path) -> None:
+    """Every invocation on every chain with the package in src, into dest/<chain>/<invocation>."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    for chain, densities in CHAINS.items():
+        config = dest / chain / "config.json"
+        config.parent.mkdir(parents=True)
+        config.write_text(json.dumps({"densities": list(densities)}))
+        for name, argv in INVOCATIONS.items():
+            run_dir = dest / chain / name
+            run_dir.mkdir()
+            cmd = [sys.executable, "-m", "stringchain.cli", *argv, "--config", str(config),
+                   "--out", str(run_dir / "out")]
+            done = subprocess.run(cmd, cwd=dest, env=env, capture_output=True, text=True)
+            (run_dir / "console.txt").write_text(f"exit {done.returncode}\n{done.stdout}")
+
+
+def _normalised(path: Path) -> bytes:
+    data = path.read_bytes()
+    if path.name == "manifest.json":  # the --out directory is the manifest's own
+        data = data.replace(str(path.parent).encode(), b"<out>")
+    return data
+
+
+def compare_trees(base: Path, change: Path) -> list[str]:
+    """Relative paths of the files that differ between two result trees, or that
+    only one holds; timing.json is skipped, manifest.json compared as `_normalised`."""
+    names = sorted({p.relative_to(root).as_posix()
+                    for root in (base, change) for p in root.rglob("*") if p.is_file()})
+    differ = []
+    for name in names:
+        if Path(name).name == "timing.json":
+            continue
+        a, b = base / name, change / name
+        if not (a.is_file() and b.is_file()) or _normalised(a) != _normalised(b):
+            differ.append(name)
+    return differ
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--base", required=True, help="commit to compare against, e.g. HEAD")
+    args = ap.parse_args(argv)
+    archive = subprocess.run(["git", "archive", args.base], check=True,
+                             capture_output=True).stdout
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(tmp / "checkout", filter="data")
+        run_all(tmp / "checkout" / "src", tmp / "base")
+        run_all(Path.cwd() / "src", tmp / "change")
+        differ = compare_trees(tmp / "base", tmp / "change")
+    for name in differ:
+        print(f"differs: {name}")
+    print(f"{len(CHAINS) * len(INVOCATIONS)} runs on each side, {len(differ)} files differ "
+          "(timing.json skipped)")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
