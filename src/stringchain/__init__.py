@@ -14,13 +14,6 @@ from .chain_core import (
     sample_function,
     sample_state,
 )
-from .oracle import (
-    SparseOperator,
-    fd_bvp_solve,
-    fd_resolvent_norm,
-    fd_schrodinger_matrix,
-    fd_wave_matrix,
-)
 from .resolvent import (
     schrodinger_norm_scan,
     schrodinger_resolvent,
@@ -83,3 +76,16 @@ __all__ = [
     "fd_resolvent_norm",
     "fd_bvp_solve",
 ]
+
+# the oracle is the one module that imports scipy at load time (0.3 s); its
+# names resolve on first use, so a command that never reaches it never loads it
+_ORACLE_NAMES = ("SparseOperator", "fd_wave_matrix", "fd_schrodinger_matrix",
+                 "fd_resolvent_norm", "fd_bvp_solve")
+
+
+def __getattr__(name):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

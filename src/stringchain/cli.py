@@ -23,7 +23,6 @@ from pathlib import Path
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import __version__
 from .chain_core import (
@@ -38,7 +37,6 @@ from .chain_core import (
     write_table,
 )
 from .errors import ChainError, ConfigError, InsufficientDecay, UsageError
-from .oracle import fd_bvp_solve, oracle_transfer_value, rel_l2_diff, resample_load
 from .resolvent import (
     random_probe,
     schrodinger_norm_scan,
@@ -336,7 +334,14 @@ def _cmd_io_ratios(args, cfg, out) -> _Done:
 
 
 def _verify_checks(cfg: ChainConfig, seed: int):
-    """Deterministic invariant battery; yields (name, ok, detail)."""
+    """Deterministic invariant battery; yields (name, ok, detail).
+
+    expm and the oracle load scipy, so they are imported here, where they
+    are called, and no other command pays for that import."""
+    from scipy.linalg import expm
+
+    from .oracle import fd_bvp_solve, oracle_transfer_value, rel_l2_diff, resample_load
+
     rng = np.random.default_rng(seed)
     betas = rng.uniform(-100.0, 100.0, size=300)
     ident = det_pair(cfg, 1j * betas).identity_value

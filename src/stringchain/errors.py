@@ -58,7 +58,9 @@ class InsufficientDecay(ChainError):
 
 
 class DegenerateData(ChainError):
-    """Initial data has zero energy where a ratio is requested."""
+    """A ratio is requested over a zero or underflowing denominator: initial data
+    of zero energy, a reference of zero norm, or a time step whose square is not
+    a normal float."""
 
 
 class TooCoarse(ChainError):

@@ -18,7 +18,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .chain_core import ChainConfig, ChainFunction, check_uniform_grid, uniform_grids
-from .errors import SingularShift, SingularSystem, TooCoarse
+from .errors import DegenerateData, SingularShift, SingularSystem, TooCoarse
 
 __all__ = [
     "SparseOperator",
@@ -241,10 +241,13 @@ def rel_l2_diff(a: ChainFunction, b: ChainFunction) -> float:
 
     b is interpolated linearly onto a's grids and each edge integrated by
     the trapezoid rule; the pointwise |.|^2 sums over the components.
+    DegenerateData if |a| is 0 (or underflows to 0).
     """
     num = den = 0.0
     for xa, va, xb, vb in zip(a.grids, a.values, b.grids, b.values):
         diff = (va - _interp(xa, xb, vb)).reshape(xa.size, -1)
         num += float(np.trapezoid(np.sum(np.abs(diff) ** 2, axis=1), xa))
         den += float(np.trapezoid(np.sum(np.abs(va.reshape(xa.size, -1)) ** 2, axis=1), xa))
+    if den == 0.0:
+        raise DegenerateData("relative L2 distance to a function of zero norm")
     return float(np.sqrt(num / den))

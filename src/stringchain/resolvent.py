@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.linalg.lapack import zgetrf, zgetrs
 
 from .chain_core import (
     ChainConfig,
@@ -314,6 +313,8 @@ class _SchrodingerNegativePlan:
             mat[2 * j - 1 : 2 * j + 1, 2 * j - 2 : 2 * j + 2] = [[el, 1.0, -1.0, -er],
                                                                  [-fl * el, fl, fr, -fr * er]]
         mat[-1, -2:] = [e[-1], 1.0]
+        from scipy.linalg.lapack import zgetrf  # beta < 0 alone needs scipy; load it here
+
         self.lu, self.piv, info = zgetrf(mat)
         if info != 0:
             raise SingularDenominator(f"singular coefficient system at beta = {beta}")
@@ -344,6 +345,8 @@ class _SchrodingerNegativePlan:
             rhs[2 * j - 1] = up_parts[j][0] - up_parts[j - 1][-1]
             rhs[2 * j] = rr * dup_parts[j][0] - rl * dup_parts[j - 1][-1]
         rhs[-1] = -up_parts[-1][-1]
+        from scipy.linalg.lapack import zgetrs  # after the first call, a dict lookup
+
         ab, _ = zgetrs(self.lu, self.piv, rhs)
 
         values = []

@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.linalg.lapack import zgttrf, zgttrs
 
 from .chain_core import (
     ChainConfig,
@@ -41,6 +40,7 @@ from .chain_core import (
 from .errors import (
     ArityMismatch,
     CflViolation,
+    DegenerateData,
     GridMismatch,
     InsufficientDecay,
     LinearSolveFailure,
@@ -152,6 +152,9 @@ def simulate_wave(cfg: ChainConfig, init: WaveState, opts: SimOptions,
     c_max = float(np.max(cfg.wave_speeds))
     stride = opts.record_stride
     steps, dt, times, energies, flux = _steps_and_records(opts.T, opts.cfl * h / c_max, 2, stride)
+    if not dt * dt >= np.finfo(float).tiny:  # the recorded kinetic energy divides by dt^2
+        raise DegenerateData(f"time step dt = {dt:g} (T = {opts.T:g} over {steps} steps) "
+                             "has a square below the smallest normal float")
     # increment form: d = u^{k+1} - u^k, d += dt^2 K u / w, u += d.  Off node 0
     # w = h, so dt^2 (K u)_i / w_i = f_i - f_{i-1} with the scaled cell fluxes
     # f_c = (dt^2 / h) g_c (u_{c+1} - u_c); node 0 adds (h / w_0) f_0 and its boundary term
@@ -257,6 +260,8 @@ def simulate_schrodinger(cfg: ChainConfig, u0: ChainFunction, opts: SimOptions):
         raise ArityMismatch("Schrodinger simulation needs a scalar initial state")
     if opts.dt is None:
         raise ValueError("Schrodinger simulation needs opts.dt")
+    from scipy.linalg.lapack import zgttrf, zgttrs  # scipy loads only where it is called
+
     layout = _Layout(cfg, opts.points_per_edge)
     w, lower, diag, upper = _schrodinger_tridiag(layout)
     na = w.size

@@ -98,3 +98,40 @@ def test_only_chain_core_turns_size_errors_into_memory_errors():
     src = ROOT / "src" / "stringchain"
     assert hits(src / "chain_core.py")  # the walk does see the rule where it lives
     assert [h for p in sorted(src.glob("*.py")) if p.name != "chain_core.py" for h in hits(p)] == []
+
+
+def test_scipy_is_imported_only_where_it_is_called():
+    # importing scipy.linalg and scipy.sparse takes about 0.35 s, so a command
+    # that never calls scipy must not load it: only the oracle, which uses
+    # scipy throughout, imports it (directly or as the oracle) at module level,
+    # and every other such import sits in the function that uses the names
+    def scipy_imports(tree):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""] + [a.name for a in node.names]
+            else:
+                continue
+            if any(n.split(".")[0] == "scipy" or n.split(".")[-1] == "oracle" for n in names):
+                yield node
+
+    src = ROOT / "src" / "stringchain"
+    misplaced, inside = [], 0
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        functions = [f for f in ast.walk(tree)
+                     if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for node in scipy_imports(tree):
+            home = [f for f in functions if node in ast.walk(f)]
+            if not home:
+                if path.name != "oracle.py":
+                    misplaced.append(f"{path.name}:{node.lineno}: at module level")
+                continue
+            inside += 1
+            used = {n.id for n in ast.walk(home[-1]) if isinstance(n, ast.Name)}
+            bound = {(a.asname or a.name).split(".")[0] for a in node.names}
+            if not bound <= used:
+                misplaced.append(f"{path.name}:{node.lineno}: unused in {home[-1].name}")
+    assert inside > 0  # the walk does see the imports inside functions
+    assert misplaced == []

@@ -374,3 +374,62 @@ def test_cli_import_loads_only_light_scipy_subpackages():
     scipy_loaded, pools = json.loads(out)
     assert set(scipy_loaded) <= {"linalg", "sparse"}
     assert pools == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["decay", "--T", "1e-155", "--points", "8"],  # dt^2 subnormal: the energies were nan
+    ["decay", "--T", "1e-163", "--points", "8"],  # dt^2 == 0: ZeroDivisionError
+    ["io-ratios", "--T", "1e-155", "--points", "8"],
+    ["io-ratios", "--T", "1e-163", "--points", "8"],
+])
+def test_tiny_horizons_are_numerical_failures(chain_json, tmp_path, argv, capsys):
+    # a leapfrog step whose square is not a normal float is refused before stepping
+    out = tmp_path / "out"
+    assert run([*argv, "--config", chain_json, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: DegenerateData") and err.count("\n") == 1
+    assert not (out / "manifest.json").exists()
+
+
+def test_verify_on_a_chain_whose_solutions_underflow_is_a_numerical_failure(tmp_path, capsys):
+    # at density 1e300 the wave resolvent's solution has zero L2 norm in floats,
+    # so the oracle's relative distance has nothing to divide by
+    config = tmp_path / "heavy.json"
+    config.write_text(json.dumps({"densities": [1e300]}))
+    assert run(["verify", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: DegenerateData") and err.count("\n") == 1
+
+
+SCIPY_FREE_RUNS = [
+    ["spectrum", "--rect", "-2,0,0,10", "--grid", "16,16"],
+    ["spectrum", "--which", "schrodinger", "--rect", "-2,0,0,10", "--grid", "16,16"],
+    ["gap", "--beta-min", "-1", "--beta-max", "1"],
+    ["gap", "--which", "schrodinger", "--beta-min", "-1", "--beta-max", "1"],
+    ["det-bound", "--beta-min", "-1", "--beta-max", "1"],
+    ["transfer-scan", "--beta-min", "-1", "--beta-max", "1"],
+    ["decay", "--T", "0.2", "--points", "40"],
+    ["io-ratios", "--T", "0.2", "--points", "40"],
+    ["resolvent-scan", "--betas", "10", "--probes", "1"],
+    ["schrodinger-scan", "--betas", "100", "--probes", "1"],
+]
+
+
+def test_commands_that_never_call_scipy_never_load_it(chain_json, tmp_path):
+    # importing scipy.linalg and scipy.sparse takes about 0.35 s, ten times a
+    # typical spectral command; only the code that calls scipy imports it
+    probe = ("import json, sys\n"
+             "import stringchain, stringchain.cli\n"
+             "loaded = ['scipy' in sys.modules]\n"
+             "for i, argv in enumerate(json.loads(sys.argv[1])):\n"
+             "    out = f'{sys.argv[3]}/{i}'\n"
+             "    code = stringchain.cli.run([*argv, '--config', sys.argv[2], '--out', out])\n"
+             "    loaded.append((argv[0], code, 'scipy' in sys.modules))\n"
+             "print(json.dumps(loaded))")
+    env = dict(os.environ, PYTHONPATH=str(Path(stringchain.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", probe, json.dumps(SCIPY_FREE_RUNS), chain_json,
+                          str(tmp_path)], env=env, capture_output=True, text=True,
+                         check=True).stdout
+    imported, *runs = json.loads(out.splitlines()[-1])
+    assert imported is False
+    assert runs == [[argv[0], 0, False] for argv in SCIPY_FREE_RUNS]
