@@ -50,7 +50,6 @@ from .errors import (
     SingularDenominator,
     ZeroBeta,
 )
-from .transfer_matrix import propagate
 
 __all__ = [
     "WaveResolventSolution",
@@ -129,8 +128,9 @@ class _OscillatoryPlan:
       start (1, i).
 
     The damped row holds for Y(0) = t * start, and the clamped row
-    Y_0(N) = 0 fixes t through the first component of P * start, P being
-    the propagator product over the chain.
+    Y_0(N) = 0 fixes t through `den`, the first component of P * start,
+    P = E_{N-1}(1) ... E_0(1) being the product of the edge matrices in
+    `edges` that `apply` marches through.
     """
 
     def __init__(self, cfg: ChainConfig, beta: float, grids: Sequence[np.ndarray], kind: str):
@@ -163,8 +163,10 @@ class _OscillatoryPlan:
             ct, st = np.cos(phase), np.sin(phase)
             self.tables.append((ct, p[j] * st, q[j] * st))
             self.edges.append(np.array([[ct[-1], p[j] * st[-1]], [q[j] * st[-1], ct[-1]]]))  # E_j(1)
-        (p00, p01), _ = propagate(cfg, 1j * beta, kind, np.eye(2))
-        self.den = p00 * self.start[0] + p01 * self.start[1]
+        y = np.array(self.start, dtype=complex)
+        for edge in self.edges:
+            y = edge @ y
+        self.den = y[0]
         if abs(self.den) < 1e-14:
             raise singular(f"{what} = {abs(self.den):.3g} at beta = {beta}")
 

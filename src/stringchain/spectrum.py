@@ -69,11 +69,24 @@ def char_det_schrodinger(cfg: ChainConfig, lam) -> complex | np.ndarray:
     comparable across runs; on the positive imaginary axis it matches
     the closed-form resolvent denominator up to that fixed constant.
     """
-    ref = complex(propagate(cfg, 1.0, "schrodinger", (1, 1j))[0])
-    out = propagate(cfg, lam, "schrodinger", (1, 1j))[0] / ref
-    if out.ndim == 0:
-        return complex(out)
-    return out
+    out = _schrodinger_closure(cfg, np.asarray(lam, dtype=complex)) / _schrodinger_closure(cfg, 1.0)
+    return complex(out) if out.ndim == 0 else out
+
+
+def _schrodinger_closure(cfg: ChainConfig, lam):
+    """[P_S(lam) (1, i)]_0 through the wave kernel at mu = sqrt(i lam).
+
+    P_S(lam) = diag(1, mu) P(mu) diag(1, 1/mu) for the wave product P, so
+    the value is [P(mu) (mu, i)]_0 / mu = P00 + i P01 / mu, even in mu
+    (either root serves), and 1 + i sum_j 1 / rho_j, its limit, at mu = 0.
+    """
+    mu = np.sqrt(1j * lam)
+    zero = mu == 0
+    if not zero.any():
+        return propagate(cfg, mu, (mu, 1j))[0] / mu
+    mu = np.where(zero, 1.0, mu)  # any nonzero mu: its value is replaced below
+    at_zero = 1.0 + 1j * sum(1.0 / rho for rho in cfg.densities)
+    return np.where(zero, at_zero, propagate(cfg, mu, (mu, 1j))[0] / mu)
 
 
 def _char_fn(cfg: ChainConfig, which: str):

@@ -4,9 +4,7 @@ The transfer value at lam (Re lam > 0) maps a unit Neumann input at
 the damped end (H is linear in it) to the first component of the
 homogeneous propagated state at x = 0: solve (lam - B d/dx) W = 0 with
 (0,1) W(0) = 1 and the clamped condition at x = N, then read off
-(1,0) W(0).  The companion determinant pair of this closure stays away
-from zero on every vertical line Re lam = gamma > 0, with the certified bound
-(c_0/2) sinh(2 gamma / c_0) * prod_n cosh(2 gamma / c_n).
+(1,0) W(0).
 """
 
 from __future__ import annotations
@@ -19,13 +17,11 @@ from .chain_core import ChainConfig, WaveState, sample_state, uniform_betas
 from .errors import DegenerateData, SingularBoundaryMatrix
 from .spectrum import _modulus
 from .timesim import SimOptions, simulate_wave
-from .transfer_matrix import DetPair, _finite_values, propagate
+from .transfer_matrix import _finite_values, propagate
 
 __all__ = [
     "transfer_value",
     "transfer_values",
-    "transfer_det_pair",
-    "transfer_gap_bound",
     "transfer_sup_scan",
     "round_trip_time",
     "admissibility_ratio",
@@ -46,7 +42,7 @@ def transfer_values(cfg: ChainConfig, lam):
     starts = np.eye(2).reshape((2, 2) + (1,) * lam.ndim)
 
     def closure(lam):
-        (p00, p01), _ = propagate(cfg, lam, "wave", starts)
+        (p00, p01), _ = propagate(cfg, lam, starts)
         if np.any(np.abs(p00) < 1e-14):
             raise SingularBoundaryMatrix("transfer closure numerically singular")
         return -p01 / p00
@@ -57,26 +53,6 @@ def transfer_values(cfg: ChainConfig, lam):
 def transfer_value(cfg: ChainConfig, lam: complex) -> complex:
     """Boundary output (1,0) W(0) for the unit input at one lam, Re lam > 0."""
     return complex(transfer_values(cfg, lam))
-
-
-def transfer_det_pair(cfg: ChainConfig, lam) -> DetPair:
-    """Determinants of the transfer closure and its companion row swap.
-
-    They are (-P00, -P10) for the full wave product P: the start vector
-    (-1, 0) propagated over the chain.
-    """
-    return DetPair(*propagate(cfg, lam, "wave", (-1, 0)))
-
-
-def transfer_gap_bound(cfg: ChainConfig, gamma: float) -> float:
-    """Certified lower bound for Re(D conj(D~)) on the line Re lam = gamma."""
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    c = cfg.wave_speeds
-    bound = 0.5 * c[0] * np.sinh(2.0 * gamma / c[0])
-    for n in range(1, cfg.n_edges):
-        bound *= np.cosh(2.0 * gamma / c[n])
-    return float(bound)
 
 
 def transfer_sup_scan(cfg: ChainConfig, gamma: float, beta_range: tuple[float, float],

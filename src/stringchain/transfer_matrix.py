@@ -1,26 +1,31 @@
 """The edge-propagator kernel of the damped chain.
 
 Edge j carries boundary data (a, b) across its unit length by the
-unimodular matrix [[ch, s12], [s21, ch]] of `edge_entries`: for the wave
-chain exp(lam B^{-1}) with B = [[0, 1], [rho, 0]] acting on (value,
-flux), for the Schrodinger chain the fundamental system of
-rho u'' = i lam u acting on (u, rho u').  `propagate` pushes a start
-vector through edges 0..N-1, so the product P = E_{N-1} ... E_0 gives
-every characteristic function; the start vector picks which:
+unimodular matrix [[ch, s12], [s21, ch]] of `edge_entries`,
+exp(lam B^{-1}) with B = [[0, 1], [rho, 0]] acting on (value, flux).
+`propagate` pushes a start vector through edges 0..N-1, so the product
+P = E_{N-1} ... E_0 gives every characteristic function; the start
+vector picks which:
 
-* (1, 1), wave: the damped/clamped determinant pair (D, D~) of
-  `det_pair`, with Re(D conj(D~)) = 1 on the imaginary axis;
-* (1, i), Schrodinger: the closure whose first component vanishes at the
-  Schrodinger eigenvalues (`spectrum.char_det_schrodinger`);
-* (-1, 0), wave: the transfer-closure pair (-P00, -P10), and (1, 0) with
-  (0, 1) stacked: the transfer value -P01 / P00 (`transfer_function`).
+* (1, 1): the damped/clamped determinant pair (D, D~) of `det_pair`,
+  with Re(D conj(D~)) = 1 on the imaginary axis;
+* (1, 0) with (0, 1) stacked: the transfer value -P01 / P00
+  (`transfer_function`);
+* (mu, i) at mu = sqrt(i lam): mu times the Schrodinger closure
+  (`spectrum.char_det_schrodinger`).
+
+The Schrodinger chain needs no kernel of its own.  Its edge, the
+fundamental system of rho u'' = i lam u acting on (u, rho u'), has the
+entries cosh m, sinh(m) / (rho m) and rho m sinh m with
+m = sqrt(i lam / rho) = mu / c: it is the wave edge at mu with its flux
+scaled by mu, so over the chain P_S(lam) = diag(1, mu) P(mu) diag(1, 1/mu),
+which is even in mu, and one square root per lam serves every edge.
 
 `exp_hyp` and `boundary_matrices` use the same entries.  At lam = i beta,
 cosh and sinh are cos and i sin, so the same entries give the
 real-frequency propagators.
 
-One edge costs one cosh and sinh of its argument, z = lam / c for the
-wave chain and m = sqrt(i lam / rho) for the Schrodinger chain.  For an
+One edge costs one cosh and sinh of its argument z = lam / c.  For an
 array of lam, `_cosh_sinh` evaluates cos and sin of Im z and cosh and
 sinh of Re z once each and forms cosh z = cosh x cos y + i sinh x sin y
 and sinh z = sinh x cos y + i cosh x sin y from them; on the imaginary
@@ -76,7 +81,7 @@ def exp_hyp(rho: float, lam: complex, x: float) -> np.ndarray:
     Unimodular.  At lam = i beta it is [[cos t, i sin(t) / c], [i c sin t, cos t]]
     with c = sqrt(rho) and t = beta x / c.
     """
-    ch, s12, s21 = edge_entries(_check_rho(rho), lam * x, "wave")
+    ch, s12, s21 = edge_entries(_check_rho(rho), lam * x)
     return np.array([[ch, s12], [s21, ch]], dtype=complex)
 
 
@@ -107,41 +112,24 @@ def _cosh_sinh(z):
     return ch, sh
 
 
-def edge_entries(rho: float, lam, kind: str):
+def edge_entries(rho: float, lam):
     """(ch, s12, s21) of one unit edge's propagator [[ch, s12], [s21, ch]] at lam.
 
-    kind "wave" propagates (value, flux) of the first-order wave system:
-    with c = sqrt(rho) and z = lam / c the entries are cosh z,
-    sinh(z) / c and c sinh z.  kind "schrodinger" propagates (u, rho u')
-    of rho u'' = i lam u: with m = sqrt(i lam / rho) they are cosh m,
-    sinh(m) / (rho m) and rho m sinh m, where sinh(m) / m is taken as
-    1 + m^2 / 6 for |m| < 1e-8.  Both matrices are unimodular and entire
-    in lam; `_cosh_sinh` gives cosh and sinh of an array argument.
+    It propagates (value, flux) of the first-order wave system: with
+    c = sqrt(rho) and z = lam / c the entries are cosh z, sinh(z) / c and
+    c sinh z.  The matrix is unimodular and entire in lam; `_cosh_sinh`
+    gives cosh and sinh of an array argument.
     """
-    if kind == "wave":
-        c = math.sqrt(rho)  # np.sqrt's value, without a scalar ufunc call per edge
-        z = lam / c
-        ch, sh = _cosh_sinh(z)
-        del z  # s12 below reuses its buffer: one lam-sized array less at peak
-        s12 = sh / c
-        sh *= c  # s21 = c sinh z in place
-        return ch, s12, sh
-    if kind == "schrodinger":
-        m = np.sqrt(1j * lam / rho)
-        ch, sh = _cosh_sinh(m)
-        small = np.abs(m) < 1e-8
-        if small.any():
-            s12 = np.where(small, 1.0 + m * m / 6.0, sh / np.where(small, 1.0, m))
-        else:
-            s12 = sh / m
-        s12 /= rho
-        s21 = rho * m
-        s21 *= sh
-        return ch, s12, s21
-    raise ValueError(f"unknown kind {kind!r}")
+    c = math.sqrt(rho)  # np.sqrt's value, without a scalar ufunc call per edge
+    z = lam / c
+    ch, sh = _cosh_sinh(z)
+    del z  # s12 below reuses its buffer: one lam-sized array less at peak
+    s12 = sh / c
+    sh *= c  # s21 = c sinh z in place
+    return ch, s12, sh
 
 
-def propagate(cfg: ChainConfig, lam, kind: str, start):
+def propagate(cfg: ChainConfig, lam, start):
     """Push the start vector (a, b) through edges 0..N-1 at lam.
 
     Returns (a, b) at x = N, broadcast over lam.  The components of
@@ -164,10 +152,10 @@ def propagate(cfg: ChainConfig, lam, kind: str, start):
             out_a, out_b = np.empty(flat, dtype=complex), np.empty(flat, dtype=complex)
             for i in range(0, lam.size, _BLOCK):
                 blk = (..., slice(i, i + _BLOCK))
-                out_a[blk], out_b[blk] = propagate(cfg, lam[blk], kind, (a[blk], b[blk]))
+                out_a[blk], out_b[blk] = propagate(cfg, lam[blk], (a[blk], b[blk]))
             return out_a.reshape(shape), out_b.reshape(shape)
     for rho in cfg.densities:
-        ch, s12, s21 = edge_entries(rho, lam, kind)
+        ch, s12, s21 = edge_entries(rho, lam)
         a, b = ch * a + s12 * b, s21 * a + ch * b
     return a, b
 
@@ -200,7 +188,7 @@ def boundary_matrices(cfg: ChainConfig, lam: complex) -> tuple[np.ndarray, np.nd
     q = np.eye(2)
     if cfg.n_edges > 1:
         # propagating both unit vectors gives Q's rows as the stacked components
-        q = propagate(ChainConfig(cfg.densities[1:]), lam, "wave", q)
+        q = propagate(ChainConfig(cfg.densities[1:]), lam, q)
     return np.array([row1, q[0]]), np.array([row1, q[1]])
 
 
@@ -231,7 +219,7 @@ def det_pair(cfg: ChainConfig, lam) -> DetPair:
     lam may be a scalar or an ndarray of complex frequencies.  Agrees
     with the determinants of boundary_matrices for every lam.
     """
-    return DetPair(*propagate(cfg, lam, "wave", (1, 1)))
+    return DetPair(*propagate(cfg, lam, (1, 1)))
 
 
 def analytic_gap_bound(cfg: ChainConfig) -> float:

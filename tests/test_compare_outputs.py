@@ -2,6 +2,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 _TOOL = Path(__file__).resolve().parents[1] / "tools" / "compare_outputs.py"
 
 
@@ -53,3 +55,35 @@ def test_only_a_manifest_has_its_out_path_normalised(tmp_path):
         (out / "paths.csv").write_text(str(out))
     assert tool.compare_trees(tmp_path / "base", tmp_path / "change") == [
         "chain/decay/out/paths.csv"]
+
+
+def test_largest_change_of_same_shaped_numeric_cells(tmp_path):
+    tool = _load_tool()
+    base = _run_dir(tmp_path / "base", "t,E\r\n0,1\r\n1,-2e-3\r\n2,inf\r\n", 0.5,
+                    {"rate": 1.0})
+    change = _run_dir(tmp_path / "change",
+                      "t,E\r\n0,1.0000000000000002\r\n1,-2.002e-3\r\n2,inf\r\n", 0.5,
+                      {"rate": 1.5})
+    assert tool.largest_change(base / "energy.csv", change / "energy.csv") == pytest.approx(1e-3)
+    # the manifest's own --out paths are normalised first; its one number moved by half
+    assert tool.largest_change(base / "manifest.json", change / "manifest.json") == 0.5
+    # a cell that leaves zero or a finite value moves infinitely far
+    (base / "zero.csv").write_text("x\r\n0\r\n1\r\n")
+    (change / "zero.csv").write_text("x\r\n1e-300\r\n1\r\n")
+    (base / "nan.csv").write_text("x\r\nnan\r\n0.5\r\n")
+    (change / "nan.csv").write_text("x\r\nnan\r\ninf\r\n")
+    for name in ("zero.csv", "nan.csv"):
+        assert tool.largest_change(base / name, change / name) == float("inf")
+
+
+def test_largest_change_needs_the_same_text_between_the_numbers(tmp_path):
+    tool = _load_tool()
+    for side, text in (("base", "x,y\r\n1,2\r\n"), ("change", "x,y\r\n1,2\r\n3,4\r\n")):
+        (tmp_path / f"{side}.csv").write_text(text)
+    assert tool.largest_change(tmp_path / "base.csv", tmp_path / "change.csv") is None
+    # digits inside a name or a dotted version are text, not cells
+    (tmp_path / "a.txt").write_text("edge1 numpy 2.4.6 value 3\n")
+    (tmp_path / "b.txt").write_text("edge2 numpy 2.4.7 value 3\n")
+    assert tool.largest_change(tmp_path / "a.txt", tmp_path / "b.txt") is None
+    (tmp_path / "b.txt").write_text("edge1 numpy 2.4.6 value 6\n")
+    assert tool.largest_change(tmp_path / "a.txt", tmp_path / "b.txt") == 1.0

@@ -20,7 +20,7 @@ from stringchain.resolvent import (
     schrodinger_norm_scan,
     wave_resolvent_norm_scan,
 )
-from stringchain.transfer_matrix import edge_entries
+from stringchain.transfer_matrix import propagate
 
 
 def _const_vector_load(cfg, points, vec):
@@ -276,8 +276,13 @@ def _ref_wave(cfg, beta, G):
         else:
             p[1:] = np.cumsum(cells, axis=0)
         p_parts.append(p)
-    h_mat, _ = sc.boundary_matrices(cfg, 1j * beta)
+    # the edge exponentials at a Python complex i beta, whose phases beta / c are rounded
+    # once; H is the damped row moved to x = 1 over the first row of E_{N-1} ... E_1
     exps = [sc.exp_hyp(rho, 1j * beta, 1.0) for rho in cfg.densities]
+    q = np.eye(2, dtype=complex)
+    for e in exps[1:]:
+        q = e @ q
+    h_mat = np.array([np.array([1.0, -1.0]) @ sc.exp_hyp(cfg.densities[0], 1j * beta, -1.0), q[0]])
     gamma = []
     if n_edges >= 2:
         gamma.append(np.zeros(2, dtype=complex))
@@ -324,9 +329,9 @@ def _ref_schrodinger(cfg, beta, g):
             gp.append((st * ic - ct * is_) / (1j * sb * c))
             dgp.append((ct * ic + st * is_) / (1j * rho))
             wv.append(np.array([gp[j][-1], rho * dgp[j][-1]], dtype=complex))
-        steps = [np.array([[ch, s12], [s21, ch]], dtype=complex)
-                 for ch, s12, s21 in (edge_entries(rho, 1j * beta, "schrodinger")
-                                      for rho in cfg.densities)]
+        steps = [np.array([[np.cos(sb / c), np.sin(sb / c) / (sb * c)],
+                           [-sb * c * np.sin(sb / c), np.cos(sb / c)]], dtype=complex)
+                 for c in speeds]
         prod, acc = np.eye(2, dtype=complex), np.zeros(2, dtype=complex)
         for j in range(n_edges):
             acc = steps[j] @ acc + wv[j]
@@ -516,3 +521,24 @@ def test_scan_probes_are_evaluated_one_at_a_time():
     eight = wave_resolvent_norm_scan(cfg, [beta], probes=8, seed=seed)[0]
     assert (one.norm_estimate, one.residual_max) == (ratios[0], residuals[0])
     assert (eight.norm_estimate, eight.residual_max) == (max(ratios), max(residuals))
+
+
+@pytest.mark.parametrize("kind", ["wave", "schrodinger"])
+def test_plan_denominator_is_the_kernel_closure(kind):
+    # den comes from the plan's own edge matrices; the kernel gives the first component of
+    # P * start too, for the Schrodinger chain through P_S = diag(1, mu) P(mu) diag(1, 1/mu)
+    # at mu = sqrt(i * i beta) = i sqrt(beta)
+    from stringchain import resolvent
+
+    rng = np.random.default_rng(43)
+    for _ in range(24):
+        cfg = sc.ChainConfig(tuple(rng.uniform(0.25, 4.0, int(rng.integers(1, 5)))))
+        beta = float(10.0 ** rng.uniform(-1.0, 3.0))
+        if kind == "wave" and rng.uniform() < 0.5:
+            beta = -beta
+        grids = uniform_grids(cfg, resolvent._scan_grid(cfg, beta, kind)[0])
+        plan = resolvent._OscillatoryPlan(cfg, beta, grids, kind)
+        mu, scale = (1j * beta, 1.0) if kind == "wave" else (1j * np.sqrt(beta), 1j * np.sqrt(beta))
+        (p00, p01), _ = propagate(cfg, mu, np.eye(2))
+        den = p00 * plan.start[0] + p01 / scale * plan.start[1]
+        assert abs(plan.den - den) <= 1e-12 * abs(den)

@@ -15,7 +15,7 @@ from stringchain.spectrum import (
     count_roots_contour,
 )
 from stringchain.transfer_function import transfer_values
-from stringchain.transfer_matrix import _finite_values, analytic_gap_bound, edge_entries
+from stringchain.transfer_matrix import _finite_values, analytic_gap_bound
 
 
 def test_char_det_wave_unit_density_never_vanishes():
@@ -285,10 +285,14 @@ def test_schrodinger_det_matches_resolvent_denominator():
 
 
 def _denominator(cfg, beta):
+    """[P_S (1, i)]_0 at lam = i beta > 0, from the edges' propagators of (u, rho u')
+    written out: [[cos t, sin(t) / (sb c)], [-sb c sin t, cos t]], sb = sqrt(beta), t = sb / c."""
+    sb = np.sqrt(beta)
     prod = np.eye(2, dtype=complex)
-    for j in range(cfg.n_edges):
-        ch, s12, s21 = edge_entries(cfg.densities[j], 1j * beta, "schrodinger")
-        prod = np.array([[ch, s12], [s21, ch]], dtype=complex) @ prod
+    for c in cfg.wave_speeds:
+        t = sb / c
+        step = np.array([[np.cos(t), np.sin(t) / (sb * c)], [-sb * c * np.sin(t), np.cos(t)]])
+        prod = step @ prod
     return prod[0, 0] + 1j * prod[0, 1]
 
 

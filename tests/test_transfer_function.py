@@ -6,7 +6,7 @@ from stringchain.chain_core import sample_state, smooth_bump
 from stringchain.errors import DegenerateData, DeterminantOverflow, EmptyScan
 from stringchain.oracle import oracle_transfer_value
 from stringchain.timesim import SimOptions
-from stringchain.transfer_function import transfer_det_pair, transfer_gap_bound
+from stringchain.transfer_matrix import propagate
 
 
 def test_transfer_value_is_minus_tanh_for_unit_density():
@@ -56,14 +56,30 @@ def test_transfer_overflow_is_flagged():
         sc.transfer_value(cfg, 800.0 + 3j)
 
 
+def _transfer_pair(cfg, lam):
+    """Determinants (-P00, -P10) of the transfer closure and its companion row swap:
+    the start vector (-1, 0) propagated over the chain."""
+    return sc.DetPair(*propagate(cfg, lam, (-1, 0)))
+
+
+def _transfer_gap_bound(cfg, gamma):
+    """Certified lower bound (c_0/2) sinh(2 gamma / c_0) prod_n cosh(2 gamma / c_n) for
+    Re(D conj(D~)) of the transfer pair on the line Re lam = gamma > 0."""
+    c = cfg.wave_speeds
+    bound = 0.5 * c[0] * np.sinh(2.0 * gamma / c[0])
+    for n in range(1, cfg.n_edges):
+        bound *= np.cosh(2.0 * gamma / c[n])
+    return float(bound)
+
+
 def test_transfer_pair_certified_bound():
     rng = np.random.default_rng(8)
     for n in (1, 2, 4):
         cfg = sc.ChainConfig(densities=tuple(rng.uniform(0.2, 5.0, n)))
         for gamma in (0.5, 1.0, 2.0):
             betas = rng.uniform(-40, 40, 100)
-            ident = transfer_det_pair(cfg, gamma + 1j * betas).identity_value
-            bound = transfer_gap_bound(cfg, gamma)
+            ident = _transfer_pair(cfg, gamma + 1j * betas).identity_value
+            bound = _transfer_gap_bound(cfg, gamma)
             assert np.all(ident >= bound - 1e-9 * abs(bound))
 
 
@@ -71,7 +87,7 @@ def test_transfer_pair_unit_density_value():
     # Re(D conj(D~)) = sinh(2 gamma) / 2 exactly, independent of beta
     cfg = sc.ChainConfig(densities=(1.0,))
     for beta in (0.0, 0.7, 13.0):
-        pair = transfer_det_pair(cfg, 1.0 + 1j * beta)
+        pair = _transfer_pair(cfg, 1.0 + 1j * beta)
         assert pair.identity_value == pytest.approx(0.5 * np.sinh(2.0), rel=1e-12)
 
 

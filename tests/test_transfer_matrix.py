@@ -7,7 +7,7 @@ from scipy.linalg import expm
 import stringchain as sc
 from stringchain import transfer_matrix
 from stringchain.errors import DeterminantOverflow, NonPositiveDensity
-from stringchain.transfer_function import transfer_det_pair, transfer_values
+from stringchain.transfer_function import transfer_values
 from stringchain.transfer_matrix import (_BLOCK, _cosh_sinh, _finite_values, analytic_gap_bound,
                                          edge_entries, propagate)
 
@@ -25,9 +25,30 @@ def _osc(rho, beta, x):
 
 
 def _schrodinger_step(rho, beta):
-    """One edge's Schrodinger propagator at lam = i beta, from the kernel's entries."""
-    ch, s12, s21 = edge_entries(rho, 1j * beta, "schrodinger")
-    return np.array([[ch, s12], [s21, ch]], dtype=complex)
+    """One edge's Schrodinger propagator at lam = i beta, beta > 0, from the kernel: the
+    wave edge at mu = sqrt(i lam) = i sqrt(beta) with its flux scaled by mu."""
+    mu = 1j * np.sqrt(beta)
+    ch, s12, s21 = edge_entries(rho, mu)
+    return np.array([[ch, s12 / mu], [mu * s21, ch]], dtype=complex)
+
+
+def _schrodinger_entries(rho, lam):
+    """(ch, s12, s21) of one Schrodinger edge on (u, rho u') of rho u'' = i lam u, written
+    directly: with m = sqrt(i lam / rho) they are cosh m, sinh(m) / (rho m) and rho m sinh m,
+    sinh(m) / m taken as 1 + m^2 / 6 for |m| < 1e-8."""
+    m = np.sqrt(1j * np.asarray(lam, dtype=complex) / rho)
+    small = np.abs(m) < 1e-8
+    s12 = np.where(small, 1.0 + m * m / 6.0, np.sinh(m) / np.where(small, 1.0, m))
+    return np.cosh(m), s12 / rho, rho * m * np.sinh(m)
+
+
+def _schrodinger_closure(densities, lam):
+    """[P_S(lam) (1, i)]_0 from the directly written Schrodinger edges, elementwise over lam."""
+    a, b = 1.0, 1j
+    for rho in densities:
+        ch, s12, s21 = _schrodinger_entries(rho, lam)
+        a, b = ch * a + s12 * b, s21 * a + ch * b
+    return a
 
 
 def test_exp_osc_values():
@@ -224,17 +245,20 @@ def test_kernel_matches_expm_products():
         cfg = sc.ChainConfig(densities=tuple(rng.uniform(0.25, 4.0, int(rng.integers(1, 7)))))
         lam = complex(rng.uniform(-3, 3), rng.uniform(-40, 40))
         wave = _expm_product(cfg.densities, lambda r: lam * np.array([[0, 1 / r], [1, 0]]))
-        schr = _expm_product(cfg.densities, lambda r: np.array([[0, 1 / r], [1j * lam, 0]]))
+        schr, schr_1 = (_expm_product(cfg.densities, lambda r: np.array([[0, 1 / r], [1j * z, 0]]))
+                        for z in (lam, 1.0))
         pair = sc.det_pair(cfg, lam)
         checks = [
             (pair.d, wave[0, 0] + wave[0, 1]),
             (pair.d_tilde, wave[1, 0] + wave[1, 1]),
-            (propagate(cfg, lam, "schrodinger", (1, 1j))[0], schr[0, 0] + 1j * schr[0, 1]),
+            # char_det_schrodinger is normalised to 1 at lam = 1
+            (sc.char_det_schrodinger(cfg, lam) * (schr_1[0, 0] + 1j * schr_1[0, 1]),
+             schr[0, 0] + 1j * schr[0, 1]),
         ]
-        # the transfer closure lives on Re lam > 0
+        # the transfer closure lives on Re lam > 0; (-1, 0) gives its pair (-P00, -P10)
         lam_r = complex(abs(lam.real) + 1e-3, lam.imag)
         wave = _expm_product(cfg.densities, lambda r: lam_r * np.array([[0, 1 / r], [1, 0]]))
-        tpair = transfer_det_pair(cfg, lam_r)
+        tpair = sc.DetPair(*propagate(cfg, lam_r, (-1, 0)))
         checks += [
             (tpair.d, -wave[0, 0]),
             (tpair.d_tilde, -wave[1, 0]),
@@ -281,17 +305,41 @@ def test_det_pair_array_equals_scalar_calls_on_axis():
     assert np.array_equal(pair.d_tilde, [p.d_tilde for p in singles])
 
 
+def test_schrodinger_closure_is_the_wave_kernel_at_mu():
+    # P_S(lam) = diag(1, mu) P(mu) diag(1, 1/mu) with mu = sqrt(i lam): the library's
+    # closure through the wave kernel against the Schrodinger edges written directly
+    rng = np.random.default_rng(29)
+    for n in (1, 2, 4, 8):
+        cfg = sc.ChainConfig(densities=tuple(rng.uniform(0.25, 4.0, n)))
+        lam = rng.uniform(-3.0, 1.0, 2000) + 1j * rng.uniform(-300.0, 300.0, 2000)
+        ref = _schrodinger_closure(cfg.densities, lam)
+        norm = _schrodinger_closure(cfg.densities, 1.0)
+        for got in (sc.char_det_schrodinger(cfg, lam),
+                    np.array([sc.char_det_schrodinger(cfg, v) for v in lam[:100]])):
+            d = ref[:got.size]
+            assert np.max(np.abs(got * norm - d) / np.maximum(1.0, np.abs(d))) <= 1e-13
+
+
 def test_schrodinger_entries_finite_at_and_near_zero():
-    # sinh(m) / m -> 1 as m = sqrt(i lam / rho) -> 0: s12 -> 1 / rho, s21 -> 0
-    rho = 2.5
-    for lam in (np.array([0.0, 1e-20, -1e-20, 1e-20j, 1e-20 * (1 - 1j), 3.0 + 1j]),
-                np.complex128(0.0), np.complex128(1e-20j)):
-        ch, s12, s21 = edge_entries(rho, lam, "schrodinger")
-        assert all(np.all(np.isfinite(v)) for v in (ch, s12, s21))
-        tiny = np.abs(lam) < 1e-10
-        for got, limit in ((ch, 1.0), (s12 * rho, 1.0), (s21, 0.0)):
-            assert np.all(np.abs(np.where(tiny, got - limit, 0.0)) <= 1e-19)
-            assert np.all(np.where(lam == 0.0, got, limit) == limit)
+    # P00 + i P01 / mu -> 1 + i sum_j 1 / rho_j as mu = sqrt(i lam) -> 0, and lam = 0
+    # takes that limit
+    for densities in ((2.5,), (0.7, 2.3, 1.1, 4.0)):
+        cfg = sc.ChainConfig(densities=densities)
+        at_zero = 1.0 + 1j * sum(1.0 / rho for rho in densities)
+        norm = _schrodinger_closure(densities, 1.0)
+        lam = np.array([0.0, 1e-20, -1e-20, 1e-20j, 1e-20 * (1 - 1j), 3.0 + 1j])
+        near = 1e-20 * (1 - 1j) * np.logspace(-10, 10, 41)
+        for z in (0.0, np.complex128(0.0), np.array(0.0), np.complex128(1e-20j)):
+            assert sc.char_det_schrodinger(cfg, z) * norm == pytest.approx(at_zero, rel=1e-15)
+        for got in (sc.char_det_schrodinger(cfg, lam),
+                    np.array([sc.char_det_schrodinger(cfg, v) for v in lam])):
+            assert np.all(np.isfinite(got))
+            assert np.all(np.abs(got[:5] * norm - at_zero) <= 1e-15 * abs(at_zero))
+            assert got[5] * norm == pytest.approx(_schrodinger_closure(densities, lam[5]),
+                                                  rel=1e-13)
+        # continuous through lam = 0: within rounding of the value there, up to O(|lam|)
+        step = np.abs(sc.char_det_schrodinger(cfg, near) * norm - at_zero)
+        assert np.all(step <= 1e-15 * abs(at_zero) + 10.0 * np.abs(near))
 
 
 EIGHT = sc.ChainConfig(densities=(0.7, 2.3, 1.1, 4.0, 0.3, 1.9, 0.5, 3.2))
@@ -302,25 +350,30 @@ def _same_bits(x, y):
 
 
 def _schrodinger_lams():
-    # |m| < 1e-8 only in the second block: the other blocks skip that branch
+    # lam = 0 and points next to it only in the second block
     lam = 1j * np.linspace(-80.0, 80.0, 2 * _BLOCK + 501)
     lam[_BLOCK + 10:_BLOCK + 20] = 1e-20 * (1 - 1j)
+    lam[_BLOCK + 20:_BLOCK + 25] = 0.0
     return lam
 
 
-@pytest.mark.parametrize("kind, lam, start", [
-    ("wave", 1j * np.linspace(-300.0, 300.0, 3 * _BLOCK + 123), (1, 1)),  # axis scan
-    ("wave", np.linspace(-3.0, -1e-3, 131)[None, :] + 1j * np.linspace(0.0, 40.0, 130)[:, None],
-     (1, 1)),  # find_eigenvalues' phase grid
-    ("wave", 0.2 + 1j * np.linspace(-100.0, 100.0, 2 * _BLOCK + 7),
-     np.eye(2).reshape(2, 2, 1)),  # transfer_values' stacked starts
-    ("schrodinger", _schrodinger_lams(), (1, 1j)),
+def _propagated(start):
+    return lambda lam: propagate(EIGHT, lam, start)
+
+
+@pytest.mark.parametrize("evaluate, lam", [
+    (_propagated((1, 1)), 1j * np.linspace(-300.0, 300.0, 3 * _BLOCK + 123)),  # axis scan
+    (_propagated((1, 1)), np.linspace(-3.0, -1e-3, 131)[None, :]
+     + 1j * np.linspace(0.0, 40.0, 130)[:, None]),  # find_eigenvalues' phase grid
+    (_propagated(np.eye(2).reshape(2, 2, 1)),
+     0.2 + 1j * np.linspace(-100.0, 100.0, 2 * _BLOCK + 7)),  # transfer_values' stacked starts
+    (lambda lam: (sc.char_det_schrodinger(EIGHT, lam),), _schrodinger_lams()),
 ], ids=["axis", "grid", "stacked", "schrodinger"])
-def test_blocked_propagate_is_bitwise_the_whole_array(kind, lam, start, monkeypatch):
+def test_blocked_propagate_is_bitwise_the_whole_array(evaluate, lam, monkeypatch):
     assert lam.size > _BLOCK and lam.size % _BLOCK
-    got = propagate(EIGHT, lam, kind, start)
+    got = evaluate(lam)
     monkeypatch.setattr(transfer_matrix, "_BLOCK", lam.size)
-    ref = propagate(EIGHT, lam, kind, start)
+    ref = evaluate(lam)
     assert all(_same_bits(g, r) for g, r in zip(got, ref))
 
 

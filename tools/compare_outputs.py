@@ -11,8 +11,10 @@ of each run are kept beside it in ``console.txt``.  The two trees of
 results are then compared file by file: ``timing.json`` (a wall time) is
 skipped, and in ``manifest.json`` the run's own ``--out`` path is
 replaced by ``<out>``.  Every differing file, or a file on one side only,
-is printed, and the exit code is 1 if there is any.  Standard library
-only.
+is printed, and the exit code is 1 if there is any.  A differing file
+whose numeric cells have the same shape on both sides (the text between
+the numbers is the same) is printed with the largest relative change of
+those cells, |change - base| / |base|.  Standard library only.
 """
 
 from __future__ import annotations
@@ -20,7 +22,9 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 import tarfile
@@ -98,6 +102,29 @@ def compare_trees(base: Path, change: Path) -> list[str]:
     return differ
 
 
+# a number standing alone (not part of a name or of a dotted version): an int, a float in
+# Python's or JSON's spelling, or one of their infinities and NaNs
+_NUMBER = re.compile(rb"(?<![\w.])[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
+                     rb"|inf|nan|Infinity|NaN)(?![\w.])")
+
+
+def _relative_change(x: float, y: float) -> float:
+    if x == y or (math.isnan(x) and math.isnan(y)):
+        return 0.0
+    rel = abs(y - x) / abs(x) if x else math.inf
+    return rel if math.isfinite(rel) else math.inf
+
+
+def largest_change(base: Path, change: Path):
+    """Largest relative change of the numeric cells of two files, compared as
+    `_normalised`, or None if the text between their numbers differs."""
+    a, b = _normalised(base), _normalised(change)
+    if _NUMBER.sub(b"#", a) != _NUMBER.sub(b"#", b):
+        return None
+    return max((_relative_change(float(x), float(y))
+                for x, y in zip(_NUMBER.findall(a), _NUMBER.findall(b))), default=0.0)
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--base", required=True, help="commit to compare against, e.g. HEAD")
@@ -111,8 +138,11 @@ def main(argv=None) -> int:
         run_all(tmp / "checkout" / "src", tmp / "base")
         run_all(Path.cwd() / "src", tmp / "change")
         differ = compare_trees(tmp / "base", tmp / "change")
-    for name in differ:
-        print(f"differs: {name}")
+        for name in differ:
+            a, b = tmp / "base" / name, tmp / "change" / name
+            moved = largest_change(a, b) if a.is_file() and b.is_file() else None
+            print(f"differs: {name}" if moved is None
+                  else f"differs: {name} (largest relative change {moved:.3g})")
     print(f"{len(CHAINS) * len(INVOCATIONS)} runs on each side, {len(differ)} files differ "
           "(timing.json skipped)")
     return 1 if differ else 0
