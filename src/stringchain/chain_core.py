@@ -285,8 +285,9 @@ def quadrature_weights(x: np.ndarray) -> np.ndarray:
 
 
 def edge_derivative(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Second-order derivative: centered interior, one-sided at the endpoints."""
-    return np.gradient(y, x, edge_order=2)
+    """Second-order derivative along y's last axis: centered interior, one-sided at the
+    endpoints."""
+    return np.gradient(y, x, axis=-1, edge_order=2)
 
 
 def _check_cfg(fn: ChainFunction, cfg: ChainConfig) -> None:

@@ -14,14 +14,18 @@ the load, namely per-cell product-integration weights (the 8-node
 Gauss-Legendre sums of the kernel against the cell's two hat functions
 1 - tau and tau, so that the linearly interpolated load integrates to a
 weighted sum of its grid values), the kernel at the grid points and the
-propagation matrices.  Applying it to one load is O(n) arithmetic per
-edge.  Both solves run `_solve`, which reports the residual: the relative
+propagation matrices.  It applies to a stack of K loads at once, per
+edge an array of shape (K, n[, arity]), in O(K n) arithmetic per edge,
+and gives each load the bits it would get alone.  Both solves run
+`_solve` on a stack of one, which reports the residual: the relative
 defect of the equation with the solution differentiated numerically once.
 
-Both norm scans run one probe loop, keyed by the kind: per beta one
-plan, one probe basis and the norm weights; per probe one seeded load,
-one apply and chain_core's norms, so an estimate over k probes is the
-running max over the first k.
+Both norm scans run one loop, keyed by the kind: per beta one plan, one
+probe basis and the norm weights; then the probes in stacks of
+max(1, min(probes, _STACK_POINTS // grid points)), each stack one array
+of seeded loads per edge (probe k draws from its own generator), one
+apply, one norm pass and one residual pass.  So an estimate over k
+probes is still the running max over the first k.
 """
 
 from __future__ import annotations
@@ -34,9 +38,8 @@ import numpy as np
 from .chain_core import (
     ChainConfig,
     ChainFunction,
+    _abs2,
     _check_cfg,
-    _h_sum,
-    _l2_sum,
     _wave_weight,
     edge_derivative,
     quadrature_weights,
@@ -69,6 +72,7 @@ _GL_RIGHT = _GL_WEIGHTS * _GL_TAU
 _MIN_CELLS_PER_PERIOD = 10
 _PROBE_MODES = 8  # Fourier modes per edge in a probe band
 _MIN_SCAN_POINTS = 257  # points per edge of a scan grid at low frequency
+_STACK_POINTS = 2**14  # a scan solves max(1, _STACK_POINTS // grid points) probes at once
 
 
 @dataclass
@@ -171,28 +175,30 @@ class _OscillatoryPlan:
             raise singular(f"{what} = {abs(self.den):.3g} at beta = {beta}")
 
     def apply(self, g_values):
-        """Per edge, the values of Y on its grid for one load."""
+        """Per edge, the values of Y on its grid, shape (K, n, 2), for a stack of K loads
+        of shape (K, n[, arity]) per edge; each edge's parts go once its values are formed."""
         parts = []
-        acc = np.zeros(2, dtype=complex)
+        acc = np.zeros((g_values[0].shape[0], 2, 1), dtype=complex)  # one column per load
         for j, g in enumerate(g_values):
             cos_lo, cos_hi, sin_lo, sin_hi = self.cells[j]
             kc, ks = self.kernels[j]
-            v = g.reshape(g.shape[0], -1)
-            lo, hi = v[:-1], v[1:]
-            part = np.zeros((v.shape[0], 2), dtype=complex)
+            v = g.reshape(g.shape[0], g.shape[1], -1)
+            lo, hi = v[:, :-1], v[:, 1:]
+            part = np.zeros((v.shape[0], v.shape[1], 2), dtype=complex)
             # part(x) = int_j^x E(j - s) S(s) ds, cell by cell
             np.cumsum((cos_lo * lo + cos_hi * hi) @ kc + (sin_lo * lo + sin_hi * hi) @ ks,
-                      axis=0, out=part[1:])
+                      axis=1, out=part[:, 1:])
             parts.append(part)
-            acc = self.edges[j] @ (acc + part[-1])
-        f = (-acc[0] / self.den) * np.array(self.start)
+            acc = self.edges[j] @ (acc + part[:, -1, :, None])
+        f = (-acc[:, 0] / self.den) * np.array(self.start)
         values = []
-        for j, part in enumerate(parts):
-            ct, pst, qst = self.tables[j]
-            d = f + part
-            values.append(np.stack([ct * d[:, 0] + pst * d[:, 1], qst * d[:, 0] + ct * d[:, 1]],
-                                   axis=1))
-            f = self.edges[j] @ d[-1]
+        for j, (ct, pst, qst) in enumerate(self.tables):
+            d = parts[j]
+            d += f[:, None, :]
+            values.append(np.stack([ct * d[..., 0] + pst * d[..., 1],
+                                    qst * d[..., 0] + ct * d[..., 1]], axis=-1))
+            f = (self.edges[j] @ d[:, -1, :, None])[..., 0]
+            parts[j] = None
         return values
 
 
@@ -228,22 +234,23 @@ def _probe_bases(cfg: ChainConfig, grids: Sequence[np.ndarray], modes: int, cent
     return bases
 
 
-def _probe_values(bases, seed, arity: int):
-    """One seeded probe on prepared bases: random_probe's draws, one product per edge.
+def _probe_values(bases, seeds, arity: int):
+    """A stack of seeded probes on prepared bases, one per seed: random_probe's draws.
 
-    Edge by edge the generator yields coefficients (mode, component,
-    cos/sin, re/im); regrouped as rows (mode, cos/sin) and columns
-    (component, re/im), the real product with the basis holds the real
-    and imaginary parts of each component side by side.
+    Each probe has its own generator, which yields edge by edge the
+    coefficients (mode, component, cos/sin, re/im); regrouped as rows
+    (mode, cos/sin) and columns (component, re/im), the real product with
+    the basis holds the real and imaginary parts of each component side
+    by side.  Per edge one product writes the whole (K, n[, arity]) stack.
     """
-    rng = np.random.default_rng(seed)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
     values = []
     for basis in bases:
         modes = basis.shape[1] // 2
-        coefs = rng.standard_normal((modes, arity, 2, 2))
-        mix = coefs.transpose(0, 2, 1, 3).reshape(2 * modes, 2 * arity)
+        coefs = np.stack([rng.standard_normal((modes, arity, 2, 2)) for rng in rngs])
+        mix = coefs.transpose(0, 1, 3, 2, 4).reshape(len(rngs), 2 * modes, 2 * arity)
         v = (basis @ mix).view(complex)
-        values.append(v[:, 0] if arity == 1 else v)
+        values.append(v[..., 0] if arity == 1 else v)
     return values
 
 
@@ -257,8 +264,8 @@ def random_probe(cfg: ChainConfig, grids: Sequence[np.ndarray], seed, arity: int
     frequency actually responds; low-frequency probes would underreport
     the norm by a factor ~ center.
     """
-    values = _probe_values(_probe_bases(cfg, grids, _PROBE_MODES, center), seed, arity)
-    return ChainFunction(list(grids), values)
+    values = _probe_values(_probe_bases(cfg, grids, _PROBE_MODES, center), [seed], arity)
+    return ChainFunction(list(grids), [v[0] for v in values])
 
 
 def _beta_key(beta: float) -> int:
@@ -322,31 +329,32 @@ class _SchrodingerNegativePlan:
             raise SingularDenominator(f"singular coefficient system at beta = {beta}")
 
     def apply(self, g_values):
-        """Per edge, the values of Y = (u, rho u') on its grid for one scalar load."""
+        """Per edge, the values of Y = (u, rho u') on its grid, shape (K, n, 2), for a stack
+        of K scalar loads of shape (K, n) per edge; one zgetrs solves all K systems."""
         up_parts, dup_parts = [], []
         for j, g in enumerate(g_values):
             m = self.ms[j]
             fwd_lo, fwd_hi, bwd_lo, bwd_hi = self.cells[j]
             fv = g / (1j * self.densities[j])
-            lo, hi = fv[:-1], fv[1:]
+            lo, hi = fv[:, :-1], fv[:, 1:]
             # rows: a_cum, forward from x_j, and b_cum, backward from x_{j+1}, reversed
-            acc = np.zeros((2, g.shape[0]), dtype=complex)
-            acc[0, 1:] = fwd_lo * lo + fwd_hi * hi
-            acc[1, 1:] = (bwd_lo * lo + bwd_hi * hi)[::-1]
+            acc = np.zeros((g.shape[0], 2, g.shape[1]), dtype=complex)
+            acc[:, 0, 1:] = fwd_lo * lo + fwd_hi * hi
+            acc[:, 1, 1:] = (bwd_lo * lo + bwd_hi * hi)[:, ::-1]
             for s, factor in self.scans[j]:
-                acc[:, s + 1:] += factor * acc[:, 1:-s]
-            a_cum, b_cum = acc[0], acc[1, ::-1]
+                acc[..., s + 1:] += factor * acc[..., 1:-s]
+            a_cum, b_cum = acc[:, 0], acc[:, 1, ::-1]
             up_parts.append(-(a_cum + b_cum) / (2.0 * m))
             dup_parts.append((a_cum - b_cum) / 2.0)
 
         n_edges = len(up_parts)
-        rhs = np.zeros(2 * n_edges, dtype=complex)
-        rhs[0] = 1j * up_parts[0][0] - self.densities[0] * dup_parts[0][0]
+        rhs = np.zeros((2 * n_edges, g_values[0].shape[0]), dtype=complex)  # one column per load
+        rhs[0] = 1j * up_parts[0][:, 0] - self.densities[0] * dup_parts[0][:, 0]
         for j in range(1, n_edges):
             rl, rr = self.densities[j - 1], self.densities[j]
-            rhs[2 * j - 1] = up_parts[j][0] - up_parts[j - 1][-1]
-            rhs[2 * j] = rr * dup_parts[j][0] - rl * dup_parts[j - 1][-1]
-        rhs[-1] = -up_parts[-1][-1]
+            rhs[2 * j - 1] = up_parts[j][:, 0] - up_parts[j - 1][:, -1]
+            rhs[2 * j] = rr * dup_parts[j][:, 0] - rl * dup_parts[j - 1][:, -1]
+        rhs[-1] = -up_parts[-1][:, -1]
         from scipy.linalg.lapack import zgetrs  # after the first call, a dict lookup
 
         ab, _ = zgetrs(self.lu, self.piv, rhs)
@@ -355,9 +363,9 @@ class _SchrodingerNegativePlan:
         for j in range(n_edges):
             m, rho = self.ms[j], self.densities[j]
             ea, eb = self.exps[j]
-            aj, bj = ab[2 * j], ab[2 * j + 1]
+            aj, bj = ab[2 * j, :, None], ab[2 * j + 1, :, None]
             values.append(np.stack([up_parts[j] + aj * ea + bj * eb,
-                                    rho * (dup_parts[j] - m * aj * ea + m * bj * eb)], axis=1))
+                                    rho * (dup_parts[j] - m * aj * ea + m * bj * eb)], axis=-1))
         return values
 
 
@@ -377,9 +385,11 @@ def _solve(kind: str, cfg: ChainConfig, beta: float, g: ChainFunction):
     if g.arity != (2 if kind == "wave" else 1):
         raise ArityMismatch("wave resolvent needs a 2-vector load" if kind == "wave"
                             else "Schrodinger resolvent needs a scalar load")
-    values = _plan(cfg, beta, g.grids, kind).apply(g.values)
-    g_norm = _norm(kind, cfg, [quadrature_weights(x) for x in g.grids], g.values)
-    return values, _residual(kind, cfg, beta, g.grids, g.values, values, g_norm)
+    loads = [v[None] for v in g.values]  # a stack of one
+    values = _plan(cfg, beta, g.grids, kind).apply(loads)
+    g_norm = _norm(kind, cfg, [quadrature_weights(x) for x in g.grids], loads)
+    residual = _residual(kind, cfg, beta, g.grids, loads, values, g_norm)
+    return [v[0] for v in values], float(residual[0])
 
 
 def schrodinger_resolvent(cfg: ChainConfig, beta: float,
@@ -403,41 +413,39 @@ def _scan_grid(cfg: ChainConfig, beta: float, kind: str):
     return max(_MIN_SCAN_POINTS, points), 0.0 if decaying else freq
 
 
-def _norm(kind: str, cfg: ChainConfig, weights, values) -> float:
-    """h_norm of wave values, the L2 norm of Schrodinger ones, w @ y per edge."""
-    return float(np.sqrt(_h_sum(weights, cfg.densities, values) if kind == "wave"
-                         else _l2_sum(weights, values)))
+def _norm(kind: str, cfg: ChainConfig, weights, values) -> np.ndarray:
+    """Per load of a stack, the h_norm of wave values (K, n, 2) or the L2 norm of
+    Schrodinger ones (K, n); w @ y per edge is one dot product per load."""
+    total = 0.0
+    for w, rho, v in zip(weights, cfg.densities, values):
+        y = _wave_weight(rho, v[..., 0], v[..., 1]) if kind == "wave" else _abs2(v)
+        total = total + (w @ y[..., None])[..., 0]
+    return np.sqrt(total)
 
 
-def _residual(kind: str, cfg: ChainConfig, beta: float, grids, g, y, g_norm: float) -> float:
-    """Relative defect, over the load's norm g_norm (unless 0), of the solution values y
-    of the load g: the h_norm defect of i*beta*W - B dW/dx - G, or for y = (u, rho u')
-    the L2 defect of d/dx(rho u') + i g + beta u, whose flux comes from the closed form,
-    so that one numerical derivative enters and the check does not re-run the solve."""
+def _residual(kind: str, cfg: ChainConfig, beta: float, grids, g, y, g_norm) -> np.ndarray:
+    """Per load of a stack, the relative defect, over the load's norm g_norm (unless 0),
+    of the solution values y of the load g: the h_norm defect of i*beta*W - B dW/dx - G,
+    or for y = (u, rho u') the L2 defect of d/dx(rho u') + i g + beta u, whose flux comes
+    from the closed form, so that one numerical derivative enters and the check does not
+    re-run the solve."""
     num = 0.0
     for x, rho, gx, yx in zip(grids, cfg.densities, g, y):
         if kind == "wave":
-            dw1 = edge_derivative(x, yx[:, 0])
-            dw2 = edge_derivative(x, yx[:, 1])
-            r1 = 1j * beta * yx[:, 0] - dw2 - gx[:, 0]
-            r2 = 1j * beta * yx[:, 1] - rho * dw1 - gx[:, 1]
-            num += np.trapezoid(_wave_weight(rho, r1, r2), x)
+            dw1, dw2 = edge_derivative(x, np.moveaxis(yx, -1, 0))  # both components at once
+            r1 = 1j * beta * yx[..., 0] - dw2 - gx[..., 0]
+            r2 = 1j * beta * yx[..., 1] - rho * dw1 - gx[..., 1]
+            num = num + np.trapezoid(_wave_weight(rho, r1, r2), x)
         else:
-            dflux = edge_derivative(x, yx[:, 1])
-            num += np.trapezoid(np.abs(dflux - (-1j * gx - beta * yx[:, 0])) ** 2, x).real
-    return float(np.sqrt(num) / g_norm if g_norm != 0.0 else np.sqrt(num))
-
-
-def _measure(kind: str, cfg: ChainConfig, beta: float, grids, weights, g, y):
-    """(norm ratio, residual) of probe g and solution y; y = (u, rho u') gives u's ratio."""
-    g_norm = _norm(kind, cfg, weights, g)
-    u = y if kind == "wave" else [v[:, 0] for v in y]
-    return _norm(kind, cfg, weights, u) / g_norm, _residual(kind, cfg, beta, grids, g, y, g_norm)
+            dflux = edge_derivative(x, yx[..., 1])
+            num = num + np.trapezoid(np.abs(dflux - (-1j * gx - beta * yx[..., 0])) ** 2, x)
+    return np.sqrt(num) / np.where(g_norm != 0.0, g_norm, 1.0)
 
 
 def _norm_scan(kind: str, cfg: ChainConfig, betas: Sequence[float], probes: int,
                points_per_edge: Optional[int], seed: int) -> list[ScanPoint]:
-    """The probe loop of both norm scans: one plan and one probe basis per beta."""
+    """The probe loop of both norm scans: one plan and one probe basis per beta, then the
+    probes in stacks of up to _STACK_POINTS grid points, each probe k from its own seed."""
     if probes < 1:
         raise ValueError("probes must be >= 1")
     arity = 2 if kind == "wave" else 1
@@ -449,14 +457,19 @@ def _norm_scan(kind: str, cfg: ChainConfig, betas: Sequence[float], probes: int,
         weights = [quadrature_weights(x) for x in grids]
         bases = _probe_bases(cfg, grids, _PROBE_MODES, center)
         key = _beta_key(beta)
-        best = worst_residual = 0.0
-        for k in range(probes):
-            g = _probe_values(bases, [seed, key, k], arity)
-            ratio, residual = _measure(kind, cfg, beta, grids, weights, g, plan.apply(g))
-            best = max(best, ratio)
-            worst_residual = max(worst_residual, residual)
-        out.append(ScanPoint(beta=float(beta), norm_estimate=best, probes=probes,
-                             residual_max=worst_residual))
+        stack = max(1, min(probes, _STACK_POINTS // sum(x.size for x in grids)))
+        ratios, residuals = [0.0], [0.0]
+        for first in range(0, probes, stack):
+            seeds = [[seed, key, k] for k in range(first, min(first + stack, probes))]
+            g = _probe_values(bases, seeds, arity)
+            y = plan.apply(g)
+            g_norm = _norm(kind, cfg, weights, g)
+            u = y if kind == "wave" else [v[..., 0] for v in y]  # y = (u, rho u') gives u's ratio
+            ratios += (_norm(kind, cfg, weights, u) / g_norm).tolist()
+            residuals += _residual(kind, cfg, beta, grids, g, y, g_norm).tolist()
+            del g, y, u  # so that no stack's arrays outlive it into the next one's solve
+        out.append(ScanPoint(beta=float(beta), norm_estimate=max(ratios), probes=probes,
+                             residual_max=max(residuals)))
     return out
 
 

@@ -20,6 +20,7 @@ still sampled.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -69,8 +70,14 @@ def char_det_schrodinger(cfg: ChainConfig, lam) -> complex | np.ndarray:
     comparable across runs; on the positive imaginary axis it matches
     the closed-form resolvent denominator up to that fixed constant.
     """
-    out = _schrodinger_closure(cfg, np.asarray(lam, dtype=complex)) / _schrodinger_closure(cfg, 1.0)
+    out = _schrodinger_closure(cfg, np.asarray(lam, dtype=complex)) / _schrodinger_reference(cfg)
     return complex(out) if out.ndim == 0 else out
+
+
+@functools.lru_cache(maxsize=64)
+def _schrodinger_reference(cfg: ChainConfig):
+    """char_det_schrodinger's normaliser, the closure at lam = 1, once per chain."""
+    return _schrodinger_closure(cfg, 1.0)
 
 
 def _schrodinger_closure(cfg: ChainConfig, lam):

@@ -64,26 +64,43 @@ def test_largest_change_of_same_shaped_numeric_cells(tmp_path):
     change = _run_dir(tmp_path / "change",
                       "t,E\r\n0,1.0000000000000002\r\n1,-2.002e-3\r\n2,inf\r\n", 0.5,
                       {"rate": 1.5})
-    assert tool.largest_change(base / "energy.csv", change / "energy.csv") == pytest.approx(1e-3)
+    assert tool.column_changes(base / "energy.csv", change / "energy.csv") == {
+        "t": 0.0, "E": pytest.approx(1e-3)}
     # the manifest's own --out paths are normalised first; its one number moved by half
-    assert tool.largest_change(base / "manifest.json", change / "manifest.json") == 0.5
+    assert tool.column_changes(base / "manifest.json", change / "manifest.json") == {
+        '"rate":': 0.5}
     # a cell that leaves zero or a finite value moves infinitely far
     (base / "zero.csv").write_text("x\r\n0\r\n1\r\n")
     (change / "zero.csv").write_text("x\r\n1e-300\r\n1\r\n")
     (base / "nan.csv").write_text("x\r\nnan\r\n0.5\r\n")
     (change / "nan.csv").write_text("x\r\nnan\r\ninf\r\n")
     for name in ("zero.csv", "nan.csv"):
-        assert tool.largest_change(base / name, change / name) == float("inf")
+        assert tool.column_changes(base / name, change / name) == {"x": float("inf")}
 
 
 def test_largest_change_needs_the_same_text_between_the_numbers(tmp_path):
     tool = _load_tool()
     for side, text in (("base", "x,y\r\n1,2\r\n"), ("change", "x,y\r\n1,2\r\n3,4\r\n")):
         (tmp_path / f"{side}.csv").write_text(text)
-    assert tool.largest_change(tmp_path / "base.csv", tmp_path / "change.csv") is None
+    assert tool.column_changes(tmp_path / "base.csv", tmp_path / "change.csv") is None
     # digits inside a name or a dotted version are text, not cells
     (tmp_path / "a.txt").write_text("edge1 numpy 2.4.6 value 3\n")
     (tmp_path / "b.txt").write_text("edge2 numpy 2.4.7 value 3\n")
-    assert tool.largest_change(tmp_path / "a.txt", tmp_path / "b.txt") is None
+    assert tool.column_changes(tmp_path / "a.txt", tmp_path / "b.txt") is None
     (tmp_path / "b.txt").write_text("edge1 numpy 2.4.6 value 6\n")
-    assert tool.largest_change(tmp_path / "a.txt", tmp_path / "b.txt") == 1.0
+    assert tool.column_changes(tmp_path / "a.txt", tmp_path / "b.txt") == {
+        "edge1 numpy 2.4.6 value": 1.0}
+
+
+def test_changes_are_reported_per_column(tmp_path):
+    # a column of rounding noise, such as |D| at converged roots, no longer hides the others
+    tool = _load_tool()
+    (tmp_path / "base.csv").write_text("re,im,residual\r\n-0.5,2,1e-17\r\n-0.25,4,3e-18\r\n")
+    (tmp_path / "change.csv").write_text("re,im,residual\r\n-0.5,2.002,5e-17\r\n-0.25,4,2e-18\r\n")
+    changes = tool.column_changes(tmp_path / "base.csv", tmp_path / "change.csv")
+    assert changes == {"re": 0.0, "im": pytest.approx(1e-3), "residual": pytest.approx(4.0)}
+    # elsewhere a number's column is the text that leads up to it on its line
+    (tmp_path / "base.json").write_text('{\n  "gap": 0.5,\n  "roots": [1, 2]\n}\n')
+    (tmp_path / "change.json").write_text('{\n  "gap": 0.75,\n  "roots": [1, 3]\n}\n')
+    assert tool.column_changes(tmp_path / "base.json", tmp_path / "change.json") == {
+        '"gap":': 0.5, '"roots": [': 0.0, '"roots": [#,': 0.5}

@@ -512,11 +512,11 @@ def test_scan_probes_are_evaluated_one_at_a_time():
     weights = [quadrature_weights(x) for x in grids]
     ratios, residuals = [], []
     for k in range(8):
-        g = resolvent._probe_values(bases, [seed, _beta_key(beta), k], 2)
+        g = resolvent._probe_values(bases, [[seed, _beta_key(beta), k]], 2)
         w = plan.apply(g)
-        g_norm = float(np.sqrt(resolvent._h_sum(weights, cfg.densities, g)))
-        ratios.append(float(np.sqrt(resolvent._h_sum(weights, cfg.densities, w))) / g_norm)
-        residuals.append(resolvent._residual("wave", cfg, beta, grids, g, w, g_norm))
+        g_norm = resolvent._norm("wave", cfg, weights, g)
+        ratios.append(float(resolvent._norm("wave", cfg, weights, w)[0] / g_norm[0]))
+        residuals.append(float(resolvent._residual("wave", cfg, beta, grids, g, w, g_norm)[0]))
     one = wave_resolvent_norm_scan(cfg, [beta], probes=1, seed=seed)[0]
     eight = wave_resolvent_norm_scan(cfg, [beta], probes=8, seed=seed)[0]
     assert (one.norm_estimate, one.residual_max) == (ratios[0], residuals[0])
@@ -542,3 +542,63 @@ def test_plan_denominator_is_the_kernel_closure(kind):
         (p00, p01), _ = propagate(cfg, mu, np.eye(2))
         den = p00 * plan.start[0] + p01 / scale * plan.start[1]
         assert abs(plan.den - den) <= 1e-12 * abs(den)
+
+
+@pytest.mark.parametrize("kind, beta", [("wave", 10.0), ("wave", 1e3),
+                                        ("schrodinger", 100.0), ("schrodinger", -100.0)])
+def test_stacked_apply_is_stacks_of_one(kind, beta):
+    # a plan solves a stack of loads as it solves each load alone, bit for bit, and the
+    # stacked loads are those drawn one seed at a time
+    from stringchain import resolvent
+
+    rng = np.random.default_rng(61)
+    arity = 2 if kind == "wave" else 1
+    for trial in range(4):
+        cfg = sc.ChainConfig(tuple(rng.uniform(0.25, 4.0, int(rng.integers(1, 5)))))
+        points, center = resolvent._scan_grid(cfg, beta, kind)
+        grids = uniform_grids(cfg, points)
+        plan = resolvent._plan(cfg, beta, grids, kind)
+        bases = resolvent._probe_bases(cfg, grids, 8, center)
+        seeds = [[trial, k] for k in range(8)]
+        loads = resolvent._probe_values(bases, seeds, arity)
+        stacked = plan.apply(loads)
+        for k, seed in enumerate(seeds):
+            alone = resolvent._probe_values(bases, [seed], arity)
+            single = plan.apply(alone)
+            for j in range(cfg.n_edges):
+                assert np.array_equal(loads[j][k], alone[j][0])
+                assert np.array_equal(stacked[j][k], single[j][0])
+
+
+def test_scan_points_do_not_depend_on_the_stack_size(monkeypatch):
+    from stringchain import resolvent
+
+    rng = np.random.default_rng(62)
+    chains = [sc.ChainConfig(tuple(rng.uniform(0.25, 4.0, n))) for n in (1, 2, 4)]
+    scans = [(wave_resolvent_norm_scan, [10.0, -40.0, 316.0]),
+             (schrodinger_norm_scan, [100.0, -100.0, 1e4, -1e4])]
+
+    def run():
+        return [scan(cfg, betas, probes=8, seed=5) for cfg in chains for scan, betas in scans]
+
+    stacked = run()
+    monkeypatch.setattr(resolvent, "_STACK_POINTS", 1)  # every probe a stack of one
+    assert run() == stacked
+
+
+def test_norm_scan_memory_peak():
+    # beta = 1e4 on four edges (70,008 grid points) is the benchmark's largest scan
+    # frequency and a stack of one probe.  Before probes were stacked this scan peaked at
+    # 22.6 MB of traced memory (22.98 MB measured as below); building the stack from
+    # copies of the loads took it to 29.1 MB.
+    import tracemalloc
+
+    cfg = sc.ChainConfig((2.09, 1, 1.67, 3.42))
+    wave_resolvent_norm_scan(cfg, [10.0], 8)  # first-call allocations stay out of the peak
+    tracemalloc.start()
+    try:
+        wave_resolvent_norm_scan(cfg, [1e4], 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * 22.6e6

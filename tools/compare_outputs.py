@@ -13,8 +13,10 @@ skipped, and in ``manifest.json`` the run's own ``--out`` path is
 replaced by ``<out>``.  Every differing file, or a file on one side only,
 is printed, and the exit code is 1 if there is any.  A differing file
 whose numeric cells have the same shape on both sides (the text between
-the numbers is the same) is printed with the largest relative change of
-those cells, |change - base| / |base|.  Standard library only.
+the numbers is the same) is printed with the largest relative change,
+|change - base| / |base|, of each numeric column that moved: a CSV
+column is named by its header, any other number by the text that leads
+up to it on its line, numbers shown as #.  Standard library only.
 """
 
 from __future__ import annotations
@@ -115,14 +117,26 @@ def _relative_change(x: float, y: float) -> float:
     return rel if math.isfinite(rel) else math.inf
 
 
-def largest_change(base: Path, change: Path):
-    """Largest relative change of the numeric cells of two files, compared as
-    `_normalised`, or None if the text between their numbers differs."""
+def column_changes(base: Path, change: Path):
+    """{column: largest relative change of its cells} of two files, compared as
+    `_normalised`, or None if the text between their numbers differs.  A CSV file's
+    columns are its header's fields; elsewhere a number's column is the text before it
+    on its line, with numbers shown as #."""
     a, b = _normalised(base), _normalised(change)
     if _NUMBER.sub(b"#", a) != _NUMBER.sub(b"#", b):
         return None
-    return max((_relative_change(float(x), float(y))
-                for x, y in zip(_NUMBER.findall(a), _NUMBER.findall(b))), default=0.0)
+    lines_a, lines_b = a.splitlines(), b.splitlines()
+    header = lines_a[0].decode().split(",") if base.suffix == ".csv" and lines_a else None
+    changes: dict[str, float] = {}
+    for line_a, line_b in zip(lines_a, lines_b):
+        for x, y in zip(_NUMBER.finditer(line_a), _NUMBER.finditer(line_b)):
+            lead = line_a[:x.start()]
+            field = lead.count(b",")
+            column = (header[field] if header and field < len(header)
+                      else _NUMBER.sub(b"#", lead).decode().strip())
+            rel = _relative_change(float(x.group()), float(y.group()))
+            changes[column] = max(changes.get(column, 0.0), rel)
+    return changes
 
 
 def main(argv=None) -> int:
@@ -140,9 +154,13 @@ def main(argv=None) -> int:
         differ = compare_trees(tmp / "base", tmp / "change")
         for name in differ:
             a, b = tmp / "base" / name, tmp / "change" / name
-            moved = largest_change(a, b) if a.is_file() and b.is_file() else None
-            print(f"differs: {name}" if moved is None
-                  else f"differs: {name} (largest relative change {moved:.3g})")
+            moved = column_changes(a, b) if a.is_file() and b.is_file() else None
+            if moved is None:
+                print(f"differs: {name}")
+            else:
+                cells = ", ".join(f"{column or '-'} {rel:.3g}"
+                                  for column, rel in moved.items() if rel)
+                print(f"differs: {name} (largest relative change by column: {cells or 'none'})")
     print(f"{len(CHAINS) * len(INVOCATIONS)} runs on each side, {len(differ)} files differ "
           "(timing.json skipped)")
     return 1 if differ else 0
