@@ -317,15 +317,16 @@ def _wave_weight(rho: float, first: np.ndarray, second: np.ndarray) -> np.ndarra
     return rho * _abs2(first) + _abs2(second)
 
 
-def _h_sum(weights, densities, values) -> float:
-    """sum_j int rho_j |V_1|^2 + |V_2|^2 dx of 2-vector values, w @ y per edge."""
-    return float(sum(w @ _wave_weight(rho, v[:, 0], v[:, 1])
-                     for w, rho, v in zip(weights, densities, values)))
+def _h_sum(weights, densities, values) -> np.ndarray:
+    """Per load, sum_j int rho_j |V_1|^2 + |V_2|^2 dx of per-edge 2-vector values
+    (..., n, 2); w @ y per edge is one dot product per load."""
+    return sum((w @ _wave_weight(rho, v[..., 0], v[..., 1])[..., None])[..., 0]
+               for w, rho, v in zip(weights, densities, values))
 
 
-def _l2_sum(weights, values):
-    """sum_j int |v_j|^2 dx, per component for 2-vector values."""
-    return sum(w @ _abs2(v) for w, v in zip(weights, values))
+def _l2_sum(weights, values) -> np.ndarray:
+    """Per load, sum_j int |v_j|^2 dx of per-edge scalar values (..., n)."""
+    return sum((w @ _abs2(v)[..., None])[..., 0] for w, v in zip(weights, values))
 
 
 def energy_first_order(V: ChainFunction, cfg: ChainConfig) -> float:
@@ -362,7 +363,8 @@ def h_norm(V: ChainFunction, cfg: ChainConfig) -> float:
 
 def l2_norm(u: ChainFunction) -> float:
     """sqrt(sum_j int |u_j|^2 dx), over both components of a 2-vector function."""
-    return float(np.sqrt(np.sum(_l2_sum([quadrature_weights(x) for x in u.grids], u.values))))
+    values = u.values if u.arity == 1 else [np.moveaxis(v, -1, 0) for v in u.values]
+    return float(np.sqrt(np.sum(_l2_sum([quadrature_weights(x) for x in u.grids], values))))
 
 
 def smooth_bump(x, lo: float = 0.1, hi: float = 0.9) -> np.ndarray:

@@ -6,7 +6,8 @@ x = N.  One plan, `_OscillatoryPlan`, solves it for the wave chain at
 every beta and the Schrodinger chain at beta > 0 by marching from the
 damped end, with no anchoring at x = 1 and no 2x2 boundary system.  At
 beta < 0 the Schrodinger solution is rebuilt from decaying exponentials
-on each edge, which keeps every matrix entry below 1 whatever |beta|.
+on each edge, which keeps every matrix entry below 1 whatever |beta|;
+the 2N x 2N system for their coefficients is solved per stack.
 
 A plan is built once per (chain, beta, grids): it runs the oscillation
 guard and the singularity checks and holds all that does not depend on
@@ -38,8 +39,9 @@ import numpy as np
 from .chain_core import (
     ChainConfig,
     ChainFunction,
-    _abs2,
     _check_cfg,
+    _h_sum,
+    _l2_sum,
     _wave_weight,
     edge_derivative,
     quadrature_weights,
@@ -214,23 +216,21 @@ def wave_resolvent(cfg: ChainConfig, beta: float, G: ChainFunction) -> WaveResol
     return WaveResolventSolution(W=ChainFunction(G.grids, values), beta=beta, residual=residual)
 
 
-def _probe_bases(cfg: ChainConfig, grids: Sequence[np.ndarray], modes: int, center: float):
-    """Per edge, the real (n, 2*modes) table cos(m pi x~), sin(m pi x~) of the probe band.
+def _probe_bases(cfg: ChainConfig, grids: Sequence[np.ndarray], center: float):
+    """Per edge, the real (n, 2 _PROBE_MODES) table cos(m pi x~), sin(m pi x~) of the band.
 
-    With center = 0 the band is the lowest `modes` Fourier modes of the
-    edge; otherwise it sits around the spatial frequency center / c_j.
+    With center = 0 the band is the lowest _PROBE_MODES Fourier modes of
+    the edge; otherwise it sits around the spatial frequency center / c_j.
     Columns run mode by mode, cosine before sine.
     """
     bases = []
     for j, g in enumerate(grids):
-        if center == 0.0:
-            mode_idx = np.arange(1, modes + 1)
-        else:
+        lo = 1
+        if center != 0.0:
             mc = max(1, int(np.rint(abs(center) / (np.pi * cfg.wave_speeds[j]))))
-            lo = max(1, mc - modes // 2 + 1)
-            mode_idx = np.arange(lo, lo + modes)
-        arg = (g - float(j))[:, None] * (mode_idx * np.pi)[None, :]
-        bases.append(np.stack([np.cos(arg), np.sin(arg)], axis=2).reshape(g.size, 2 * modes))
+            lo = max(1, mc - _PROBE_MODES // 2 + 1)
+        arg = (g - float(j))[:, None] * (np.arange(lo, lo + _PROBE_MODES) * np.pi)[None, :]
+        bases.append(np.stack([np.cos(arg), np.sin(arg)], axis=2).reshape(g.size, -1))
     return bases
 
 
@@ -246,9 +246,8 @@ def _probe_values(bases, seeds, arity: int):
     rngs = [np.random.default_rng(seed) for seed in seeds]
     values = []
     for basis in bases:
-        modes = basis.shape[1] // 2
-        coefs = np.stack([rng.standard_normal((modes, arity, 2, 2)) for rng in rngs])
-        mix = coefs.transpose(0, 1, 3, 2, 4).reshape(len(rngs), 2 * modes, 2 * arity)
+        coefs = np.stack([rng.standard_normal((_PROBE_MODES, arity, 2, 2)) for rng in rngs])
+        mix = coefs.transpose(0, 1, 3, 2, 4).reshape(len(rngs), 2 * _PROBE_MODES, 2 * arity)
         v = (basis @ mix).view(complex)
         values.append(v[..., 0] if arity == 1 else v)
     return values
@@ -264,7 +263,7 @@ def random_probe(cfg: ChainConfig, grids: Sequence[np.ndarray], seed, arity: int
     frequency actually responds; low-frequency probes would underreport
     the norm by a factor ~ center.
     """
-    values = _probe_values(_probe_bases(cfg, grids, _PROBE_MODES, center), [seed], arity)
+    values = _probe_values(_probe_bases(cfg, grids, center), [seed], arity)
     return ChainFunction(list(grids), [v[0] for v in values])
 
 
@@ -282,8 +281,8 @@ class _SchrodingerNegativePlan:
     nothing overflows however large |beta| gets.  Both recurrences of an
     edge, the backward one reversed, run together by recursive doubling,
     with no loop over grid points.  The 2N x 2N system for the
-    homogeneous coefficients is factored here; only its right-hand side
-    depends on the load.
+    homogeneous coefficients is built here and solved per stack; only its
+    right-hand side depends on the load.
     """
 
     def __init__(self, cfg: ChainConfig, beta: float, grids: Sequence[np.ndarray]):
@@ -322,15 +321,11 @@ class _SchrodingerNegativePlan:
             mat[2 * j - 1 : 2 * j + 1, 2 * j - 2 : 2 * j + 2] = [[el, 1.0, -1.0, -er],
                                                                  [-fl * el, fl, fr, -fr * er]]
         mat[-1, -2:] = [e[-1], 1.0]
-        from scipy.linalg.lapack import zgetrf  # beta < 0 alone needs scipy; load it here
-
-        self.lu, self.piv, info = zgetrf(mat)
-        if info != 0:
-            raise SingularDenominator(f"singular coefficient system at beta = {beta}")
+        self.mat, self.beta = mat, beta
 
     def apply(self, g_values):
         """Per edge, the values of Y = (u, rho u') on its grid, shape (K, n, 2), for a stack
-        of K scalar loads of shape (K, n) per edge; one zgetrs solves all K systems."""
+        of K scalar loads of shape (K, n) per edge; one np.linalg.solve solves all K systems."""
         up_parts, dup_parts = [], []
         for j, g in enumerate(g_values):
             m = self.ms[j]
@@ -355,9 +350,11 @@ class _SchrodingerNegativePlan:
             rhs[2 * j - 1] = up_parts[j][:, 0] - up_parts[j - 1][:, -1]
             rhs[2 * j] = rr * dup_parts[j][:, 0] - rl * dup_parts[j - 1][:, -1]
         rhs[-1] = -up_parts[-1][:, -1]
-        from scipy.linalg.lapack import zgetrs  # after the first call, a dict lookup
-
-        ab, _ = zgetrs(self.lu, self.piv, rhs)
+        try:
+            ab = np.linalg.solve(self.mat, rhs)
+        except np.linalg.LinAlgError:
+            raise SingularDenominator(
+                f"singular coefficient system at beta = {self.beta}") from None
 
         values = []
         for j in range(n_edges):
@@ -415,12 +412,9 @@ def _scan_grid(cfg: ChainConfig, beta: float, kind: str):
 
 def _norm(kind: str, cfg: ChainConfig, weights, values) -> np.ndarray:
     """Per load of a stack, the h_norm of wave values (K, n, 2) or the L2 norm of
-    Schrodinger ones (K, n); w @ y per edge is one dot product per load."""
-    total = 0.0
-    for w, rho, v in zip(weights, cfg.densities, values):
-        y = _wave_weight(rho, v[..., 0], v[..., 1]) if kind == "wave" else _abs2(v)
-        total = total + (w @ y[..., None])[..., 0]
-    return np.sqrt(total)
+    Schrodinger ones (K, n)."""
+    return np.sqrt(_h_sum(weights, cfg.densities, values) if kind == "wave"
+                   else _l2_sum(weights, values))
 
 
 def _residual(kind: str, cfg: ChainConfig, beta: float, grids, g, y, g_norm) -> np.ndarray:
@@ -455,7 +449,7 @@ def _norm_scan(kind: str, cfg: ChainConfig, betas: Sequence[float], probes: int,
         grids = uniform_grids(cfg, points_per_edge or points)
         plan = _plan(cfg, beta, grids, kind)
         weights = [quadrature_weights(x) for x in grids]
-        bases = _probe_bases(cfg, grids, _PROBE_MODES, center)
+        bases = _probe_bases(cfg, grids, center)
         key = _beta_key(beta)
         stack = max(1, min(probes, _STACK_POINTS // sum(x.size for x in grids)))
         ratios, residuals = [0.0], [0.0]

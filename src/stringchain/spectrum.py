@@ -200,13 +200,12 @@ def imaginary_axis_gap(cfg: ChainConfig, which: str, beta_range: tuple[float, fl
     too many cells.  The open cells are counted in `open_cells`, and the
     result is then uncertified.
     """
+    fn = _char_fn(cfg, which)
     betas = uniform_betas(beta_range, step)
     if which == "schrodinger":
-        vals = _finite_values(_char_fn(cfg, which), 1j * betas)
+        vals = _finite_values(fn, 1j * betas)
         return AxisGap(float(np.min(np.abs(vals))), None, betas.size, 1, 0,
                        betas[::stride].copy(), vals[::stride].copy())
-    if which != "wave":
-        raise ValueError(f"unknown system {which!r}")
     rows = betas[::stride].copy()
     del betas
     hi = float(beta_range[1])
@@ -247,7 +246,7 @@ def _modulus(z: np.ndarray) -> np.ndarray:
     return np.hypot(z.real, z.imag)
 
 
-def _refine_newton(fn, z0: complex, tol: float, max_travel: float = np.inf):
+def _refine_newton(fn, z0: complex, tol: float, max_travel: float):
     """Newton with a central-difference derivative; returns (z, |f|, ok).
 
     Once |f| <= tol it takes one more step, kept unless |f| grows: tol
@@ -340,7 +339,7 @@ def find_eigenvalues(cfg: ChainConfig, rect: tuple[float, float, float, float], 
     failures: list[dict] = []
     for iy, ix in cand_idx:
         z0 = complex(0.5 * (res[ix] + res[ix + 1]), 0.5 * (ims[iy] + ims[iy + 1]))
-        z, resid, ok = _refine_newton(fn, z0, tol, max_travel=2.0 * diag)
+        z, resid, ok = _refine_newton(fn, z0, tol, 2.0 * diag)
         if ok:
             inside = (re0 - 1e-9 <= z.real <= re1 + 1e-9) and (im0 - 1e-9 <= z.imag <= im1 + 1e-9)
             if inside and all(abs(z - r) > 1e-8 for r in roots):

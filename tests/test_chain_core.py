@@ -121,6 +121,17 @@ def test_energy_schrodinger_examples():
     assert sc.energy_schrodinger(rotated, cfg) == pytest.approx(1.0, rel=1e-12)
 
 
+def test_l2_norm_of_a_2_vector_function_sums_its_components():
+    # both components of a 2-vector function enter its L2 norm, each as a scalar function
+    rng = np.random.default_rng(17)
+    grids = [np.linspace(j, j + 1, n) for j, n in enumerate((101, 64, 257))]
+    values = [rng.standard_normal((g.size, 2)) + 1j * rng.standard_normal((g.size, 2))
+              for g in grids]
+    first, second = (l2_norm(ChainFunction(grids, [v[:, c] for v in values])) for c in (0, 1))
+    expected = np.sqrt(first**2 + second**2)
+    assert abs(l2_norm(ChainFunction(grids, values)) - expected) <= 1e-15 * expected
+
+
 def test_energy_arity_checks():
     cfg = sc.ChainConfig(densities=(1.0,))
     scalar = sample_function(cfg, 64, lambda x: np.sin(x).astype(complex))

@@ -412,6 +412,7 @@ SCIPY_FREE_RUNS = [
     ["io-ratios", "--T", "0.2", "--points", "40"],
     ["resolvent-scan", "--betas", "10", "--probes", "1"],
     ["schrodinger-scan", "--betas", "100", "--probes", "1"],
+    ["schrodinger-scan", "--betas", "-100", "--probes", "1"],
 ]
 
 

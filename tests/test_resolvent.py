@@ -13,6 +13,7 @@ from stringchain.chain_core import (
 from stringchain.errors import (
     GridMismatch,
     QuadratureTooCoarse,
+    SingularDenominator,
     ZeroBeta,
 )
 from stringchain.resolvent import (
@@ -508,7 +509,7 @@ def test_scan_probes_are_evaluated_one_at_a_time():
     beta, seed = 316.0, 9
     grids = uniform_grids(cfg, resolvent._scan_grid(cfg, beta, "wave")[0])
     plan = resolvent._OscillatoryPlan(cfg, beta, grids, "wave")
-    bases = resolvent._probe_bases(cfg, grids, 8, beta)
+    bases = resolvent._probe_bases(cfg, grids, beta)
     weights = [quadrature_weights(x) for x in grids]
     ratios, residuals = [], []
     for k in range(8):
@@ -558,7 +559,7 @@ def test_stacked_apply_is_stacks_of_one(kind, beta):
         points, center = resolvent._scan_grid(cfg, beta, kind)
         grids = uniform_grids(cfg, points)
         plan = resolvent._plan(cfg, beta, grids, kind)
-        bases = resolvent._probe_bases(cfg, grids, 8, center)
+        bases = resolvent._probe_bases(cfg, grids, center)
         seeds = [[trial, k] for k in range(8)]
         loads = resolvent._probe_values(bases, seeds, arity)
         stacked = plan.apply(loads)
@@ -568,6 +569,41 @@ def test_stacked_apply_is_stacks_of_one(kind, beta):
             for j in range(cfg.n_edges):
                 assert np.array_equal(loads[j][k], alone[j][0])
                 assert np.array_equal(stacked[j][k], single[j][0])
+
+
+@pytest.mark.parametrize("kind, beta", [("wave", 40.0), ("wave", 1e3),
+                                        ("schrodinger", 100.0), ("schrodinger", -100.0)])
+def test_stacked_norms_are_the_chain_core_norms(kind, beta):
+    # the scans' norm of each load in a stack is h_norm (wave) or l2_norm (Schrodinger)
+    # of that load alone, bit for bit: both are chain_core's one weighted sum
+    from stringchain import resolvent
+
+    rng = np.random.default_rng(63)
+    arity = 2 if kind == "wave" else 1
+    for trial in range(4):
+        cfg = sc.ChainConfig(tuple(rng.uniform(0.25, 4.0, int(rng.integers(1, 5)))))
+        points, center = resolvent._scan_grid(cfg, beta, kind)
+        grids = uniform_grids(cfg, points)
+        weights = [quadrature_weights(x) for x in grids]
+        loads = resolvent._probe_values(resolvent._probe_bases(cfg, grids, center),
+                                        [[trial, k] for k in range(8)], arity)
+        norms = resolvent._norm(kind, cfg, weights, loads)
+        for k in range(8):
+            alone = sc.ChainFunction(grids, [v[k] for v in loads])
+            assert norms[k] == (h_norm(alone, cfg) if kind == "wave" else l2_norm(alone))
+
+
+def test_negative_beta_singular_system_raises_singular_denominator(monkeypatch):
+    # the beta < 0 coefficient system is solved per stack; a singular one is reported
+    # as the closed form's SingularDenominator, naming beta
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    cfg = sc.ChainConfig((1.0, 4.0))
+    g = random_probe(cfg, uniform_grids(cfg, 101), seed=3, arity=1)
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    with pytest.raises(SingularDenominator, match="beta = -40.0"):
+        sc.schrodinger_resolvent(cfg, -40.0, g)
 
 
 def test_scan_points_do_not_depend_on_the_stack_size(monkeypatch):

@@ -57,6 +57,9 @@ INVOCATIONS = {
                          "--probes", "2"],
     "schrodinger-scan-negative": ["schrodinger-scan", "--beta-min", "-1000", "--beta-max",
                                   "-100", "--count", "3", "--probes", "2"],
+    # 8 probes on the eight-edge chain: two stacks per beta (7 + 1)
+    "schrodinger-scan-negative-stacks": ["schrodinger-scan", "--beta-min", "-10000",
+                                         "--beta-max", "-100", "--count", "3"],
     "transfer-scan": ["transfer-scan"],
     "decay": ["decay", "--T", "10", "--points", "100"],
     "decay-stride": ["decay", "--T", "10", "--points", "100", "--stride", "7"],
