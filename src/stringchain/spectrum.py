@@ -6,8 +6,10 @@ nontrivial homogeneous solution of the boundary-value problem exists iff
 the 2x2 boundary closure is singular.  Roots are located by the argument
 principle on a grid over a rectangle: every grid cell around which the
 phase of the determinant winds starts a Newton refinement with a
-central-difference derivative.  An optional winding-number count along
-the rectangle boundary audits for missed roots.
+central-difference derivative.  The grid is screened in blocks: a
+block's inside is evaluated only if its boundary winds (Delves-Lyness)
+or steps by more than pi / 2 (Ying-Katz).  An optional winding-number
+count along the rectangle boundary audits for missed roots.
 
 The axis gap min |D(i beta)| over a window is certified for the wave
 chain, not sampled: `axis_bounds` bounds |D| and the curvature of
@@ -47,6 +49,7 @@ _CONTOUR_SAMPLES = 4096  # per side of the counting contour
 _GAP_RTOL = 1e-12  # the certified gap is the window minimum to this relative tolerance
 _GAP_MAX_SPLITS = 400_000  # midpoints per search: the cost of the 1e-3 scan it replaced
 _EPS = float(np.finfo(float).eps)
+_SCREEN = 8  # cells per side of the blocks by which find_eigenvalues screens its grid
 
 
 @dataclass
@@ -292,6 +295,39 @@ def count_roots_contour(cfg: ChainConfig, rect: tuple[float, float, float, float
     return int(np.rint(total / (2.0 * np.pi)))
 
 
+def _screened_phase(fn, res: np.ndarray, ims: np.ndarray, phase: np.ndarray) -> None:
+    """np.angle(fn) on the grid res x ims into `phase` (NaN where left out): on the
+    block lines, every _SCREEN-th row and column and the outer ones, then inside
+    each block whose boundary winds (wrapped steps summing beyond pi) or has a
+    wrapped step above pi / 2.
+
+    The outer lines hold each edge's largest |Re z_j| on the grid (Re lam / c_j;
+    for the Schrodinger chain Re sqrt(i lam) / c_j, harmonic, so extreme on the
+    boundary), which bounds the propagated values and past 710.48 overflows cosh:
+    DeterminantOverflow is raised wherever the full grid raised it.
+    """
+    ys = np.append(np.arange(0, ims.size - 1, _SCREEN), ims.size - 1)
+    xs = np.append(np.arange(0, res.size - 1, _SCREEN), res.size - 1)
+    lines = np.zeros(phase.shape, dtype=bool)
+    lines[ys] = lines[:, xs] = True
+    lam = res + 1j * ims[:, None]
+
+    def fill(mask):
+        phase[mask] = np.angle(_finite_values(fn, lam[mask]))
+
+    fill(lines)
+    h = _wrap_phase(np.diff(phase[ys], axis=1))
+    v = _wrap_phase(np.diff(phase[:, xs], axis=0))
+    # per block side: the sum of its wrapped steps and the number above pi / 2
+    h = np.add.reduceat(np.stack((h, np.abs(h) > 0.5 * np.pi)), xs[:-1], axis=2)
+    v = np.add.reduceat(np.stack((v, np.abs(v) > 0.5 * np.pi)), ys[:-1], axis=1)
+    turn = h[0, :-1] - h[0, 1:] + v[0, :, 1:] - v[0, :, :-1]
+    steep = h[1, :-1] + h[1, 1:] + v[1, :, 1:] + v[1, :, :-1]
+    # each node takes its block's verdict, rows then columns; the lines are filled already
+    wind = ((np.abs(turn) > np.pi) | (steep > 0))[np.searchsorted(ys, np.arange(ims.size)) - 1]
+    fill(wind[:, np.searchsorted(xs, np.arange(res.size)) - 1] & ~lines)
+
+
 def find_eigenvalues(cfg: ChainConfig, rect: tuple[float, float, float, float], which: str,
                      grid: tuple[int, int] = (64, 64), tol: float = 1e-10,
                      audit: bool = False) -> EigenSet:
@@ -302,7 +338,11 @@ def find_eigenvalues(cfg: ChainConfig, rect: tuple[float, float, float, float], 
     it (the argument principle).  Newton starts at the centre of every
     cell that winds and its result is kept if it lands inside the
     rectangle with |det| <= tol.  The scan grid is padded by one cell so
-    roots sitting exactly on the rectangle boundary are still seen.  A
+    roots sitting exactly on the rectangle boundary are still seen.  Only
+    blocks of 8 x 8 cells whose boundary winds or has a wrapped step above
+    pi / 2 are evaluated inside (`_screened_phase`).  Where the block lines
+    resolve the phase, no cell of another block winds (D is entire), so
+    the starts are those of the full grid.  A
     cell holding several roots starts one Newton run only, and a grid too
     coarse for the phase (steps beyond pi) can miss a root; `audit`
     counts the roots on the boundary to show either.  Starts that fail
@@ -323,14 +363,14 @@ def find_eigenvalues(cfg: ChainConfig, rect: tuple[float, float, float, float], 
     with too_large(f"grid {nx} x {ny}"):
         res = np.linspace(re0 - dx, re1 + dx, nx + 2)
         ims = np.linspace(im0 - dy, im1 + dy, ny + 2)
+        phase = np.full((ny + 2, nx + 2), np.nan)
     res = np.minimum(res, -_AXIS_MARGIN)
-    phase = np.angle(_finite_values(fn, res[None, :] + 1j * ims[:, None]))
-    dh = np.diff(phase, axis=1)
-    dv = np.diff(phase, axis=0)
+    _screened_phase(fn, res, ims, phase)
+    dh = _wrap_phase(np.diff(phase, axis=1))
+    dv = _wrap_phase(np.diff(phase, axis=0))
     del phase
-    for d in (dh, dv):
-        _wrap_phase(d)
     # counterclockwise phase change around each cell: 2 pi times its root count
+    # (NaN, so never a start, where a corner was left out)
     turn = dh[:-1] - dh[1:] + dv[:, 1:] - dv[:, :-1]
     cand_idx = np.argwhere(np.abs(turn) > np.pi)
     diag = abs(complex(re1 - re0, im1 - im0))

@@ -131,6 +131,33 @@ def test_record_counts_the_src_lines_of_base_and_working_tree(tmp_path):
     assert record["change"].endswith(" with uncommitted changes")
 
 
+def test_change_side_runs_in_a_copy_of_the_working_tree(tmp_path):
+    # the benchmark reports where it runs, which files it sees and what tracked.txt says
+    repo = tmp_path / "repo"
+    names = ("untracked.txt", "ignored/cache.txt", "deleted.txt")
+    run_py = ("import json, os\n"
+              f"seen = {{n: {{'value': int(os.path.exists(n))}} for n in {names!r}}}\n"
+              "print(json.dumps({'correct': True, 'attempted': 1, 'failed': 0, 'metrics': seen,"
+              " 'cwd': os.getcwd(), 'tracked': open('tracked.txt').read()}))\n")
+    _throwaway_repo(repo, run_py, {".gitignore": "ignored/\n", "tracked.txt": "base\n",
+                                   "deleted.txt": "deleted in the working tree\n"})
+    (repo / "tracked.txt").write_text("changed\n")
+    (repo / "untracked.txt").write_text("new\n")
+    (repo / "ignored").mkdir()
+    (repo / "ignored" / "cache.txt").write_text("left over\n")
+    (repo / "deleted.txt").unlink()
+    subprocess.run([sys.executable, str(_TOOL), "--base", "HEAD", "--out", "out.json"],
+                   cwd=repo, check=True, capture_output=True)
+    results = {r["side"]: r["result"] for r in json.loads((repo / "out.json").read_text())["runs"]}
+    seen = {side: {n: m["value"] for n, m in r["metrics"].items()} for side, r in results.items()}
+    assert seen == {
+        "base": {"untracked.txt": 0, "ignored/cache.txt": 0, "deleted.txt": 1},
+        "change": {"untracked.txt": 1, "ignored/cache.txt": 0, "deleted.txt": 0}}
+    assert (results["base"]["tracked"], results["change"]["tracked"]) == ("base\n", "changed\n")
+    for result in results.values():  # both copies are gone with the tool
+        assert not Path(result["cwd"]).exists()
+
+
 def test_sigterm_removes_the_base_checkout_and_stops_the_run(tmp_path):
     # a throwaway repository whose benchmark only records its pid and sleeps
     repo, tmpdir, pidfile = tmp_path / "repo", tmp_path / "tmp", tmp_path / "bench.pid"

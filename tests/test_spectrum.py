@@ -1,3 +1,4 @@
+import math
 import re
 
 import numpy as np
@@ -6,10 +7,14 @@ import pytest
 import stringchain as sc
 from stringchain.errors import DeterminantOverflow, EmptyScan
 from stringchain.chain_core import uniform_betas, uniform_grids
+from stringchain import spectrum
 from stringchain.resolvent import _OscillatoryPlan
 from stringchain.spectrum import (
+    _AXIS_MARGIN,
     _char_fn,
     _modulus,
+    _refine_newton,
+    _screened_phase,
     _wrap_phase,
     axis_bounds,
     count_roots_contour,
@@ -425,3 +430,136 @@ def test_returned_roots_are_polished():
             h = 1e-7 * (1.0 + abs(z))
             z = z - f(cfg, z) * (2 * h) / (f(cfg, z + h) - f(cfg, z - h))
         assert abs(z - z0) <= 1e-12
+
+
+def _full_grid_search(cfg, rect, which, grid, tol=1e-10):
+    """find_eigenvalues without its block screen: every node of the padded grid is
+    evaluated and every cell whose phase winds starts Newton."""
+    re0, re1, im0, im1 = (float(v) for v in rect)
+    re1 = min(re1, -_AXIS_MARGIN)
+    nx, ny = grid
+    fn = _char_fn(cfg, which)
+    dx, dy = (re1 - re0) / (nx - 1), (im1 - im0) / (ny - 1)
+    res = np.minimum(np.linspace(re0 - dx, re1 + dx, nx + 2), -_AXIS_MARGIN)
+    ims = np.linspace(im0 - dy, im1 + dy, ny + 2)
+    phase = np.angle(_finite_values(fn, res[None, :] + 1j * ims[:, None]))
+    dh = _wrap_phase(np.diff(phase, axis=1))
+    dv = _wrap_phase(np.diff(phase, axis=0))
+    turn = dh[:-1] - dh[1:] + dv[:, 1:] - dv[:, :-1]
+    diag = abs(complex(re1 - re0, im1 - im0))
+    roots, residuals, failures = [], [], []
+    for iy, ix in np.argwhere(np.abs(turn) > np.pi):
+        z0 = complex(0.5 * (res[ix] + res[ix + 1]), 0.5 * (ims[iy] + ims[iy + 1]))
+        z, resid, ok = _refine_newton(fn, z0, tol, 2.0 * diag)
+        if ok:
+            inside = (re0 - 1e-9 <= z.real <= re1 + 1e-9) and (im0 - 1e-9 <= z.imag <= im1 + 1e-9)
+            if inside and all(abs(z - r) > 1e-8 for r in roots):
+                roots.append(z)
+                residuals.append(resid)
+        else:
+            failures.append({"start": z0, "last": z, "residual": resid})
+    order = np.lexsort(([r.real for r in roots], [r.imag for r in roots])) if roots else []
+    return (np.array([roots[i] for i in order], dtype=complex),
+            np.array([residuals[i] for i in order], dtype=float), failures)
+
+
+def _assert_matches_full_grid(cfg, rect, which, grid=(64, 64)):
+    eig = sc.find_eigenvalues(cfg, rect, which, grid=grid)
+    roots, residuals, failures = _full_grid_search(cfg, rect, which, grid)
+    assert eig.eigenvalues.tobytes() == roots.tobytes(), (cfg, rect, which)
+    assert eig.residuals.tobytes() == residuals.tobytes(), (cfg, rect, which)
+    assert repr(eig.failures) == repr(failures), (cfg, rect, which)
+    return eig
+
+
+# the 8-edge chain of the benchmark's spectral_chain(np.random.default_rng(1), 8),
+# with its spectral workload's rectangles and grids
+_EIGHT_EDGES = (3.876159240814838, 0.7905985476986265, 3.8074354267646644, 1.4193679450393204,
+                1.8374741836471586, 3.3538847268266565, 1.7844967613843548, 2.310976328773973)
+_LENGTH = float(np.sum(1.0 / np.sqrt(_EIGHT_EDGES)))
+_BENCH_SEARCHES = [
+    ("wave", (-3.0, 0.0, -0.25 * np.pi / _LENGTH, 12.25 * np.pi / _LENGTH), (128, 384)),
+    ("schrodinger", (-3.0, 0.0, -0.5, (5.25 * np.pi / _LENGTH) ** 2), (160, 768)),
+]
+
+
+@pytest.mark.parametrize("which", ["wave", "schrodinger"])
+def test_screened_search_matches_the_full_grid_on_random_chains(which):
+    # 100 chains of 1-8 edges; every fourth has a nearly matched damped end,
+    # which puts roots far left and steepens the phase near them
+    found = 0
+    for s in range(100):
+        rng = np.random.default_rng([9, s])
+        densities = rng.uniform(0.25, 4.0, int(rng.integers(1, 9)))
+        if s % 4 == 0:
+            densities[0] = rng.uniform(0.97, 1.03)
+        re0, im0 = rng.uniform(-3.0, -0.5), rng.uniform(-5.0, 20.0)
+        rect = (re0, 0.0, im0, im0 + rng.uniform(5.0, 40.0))
+        eig = _assert_matches_full_grid(sc.ChainConfig(densities=tuple(densities)), rect, which)
+        found += eig.eigenvalues.size
+    assert found > 200
+
+
+@pytest.mark.parametrize("which,rect,grid", _BENCH_SEARCHES)
+def test_screened_search_matches_the_full_grid_at_benchmark_sizes(which, rect, grid):
+    eig = _assert_matches_full_grid(sc.ChainConfig(densities=_EIGHT_EDGES), rect, which, grid)
+    assert eig.eigenvalues.size > 0 and not eig.failures
+
+
+def test_screened_search_keeps_the_long_chain_result():
+    # the 50-edge chain's phase is too coarse on the default grid (see the README):
+    # 26 of its 243 roots are found, no more and no fewer than on the full grid
+    cfg = sc.ChainConfig(densities=tuple(np.random.default_rng(1).uniform(0.25, 4.0, 50)))
+    eig = _assert_matches_full_grid(cfg, (-3.0, 0.0, 0.0, 20.0), "wave")
+    assert eig.eigenvalues.size == 26 and not eig.failures
+
+
+def test_screen_fills_blocks_whose_boundary_steps_steeply():
+    # exp(i k lam) has no root, so no block winds, but its phase steps by k dx
+    res, ims = np.linspace(-2.0, -1.0, 34), np.linspace(0.0, 1.0, 34)
+    for step, filled in ((2.0, True), (1.0, False)):
+        phase = np.full((34, 34), np.nan)
+        k = step / (res[1] - res[0])
+        _screened_phase(lambda lam: np.exp(1j * k * lam), res, ims, phase)
+        assert np.isfinite(phase[[0, 8, 16, 24, 32, 33]]).all()
+        assert np.isfinite(phase[:, [0, 8, 16, 24, 32, 33]]).all()
+        assert np.isfinite(phase).all() == filled
+
+
+def test_screened_search_finds_several_roots_in_one_block():
+    # tanh(2 lam) = -1/2: roots -ln(3) / 4 + k pi i / 2, three or four to a block here
+    cfg = sc.ChainConfig(densities=(0.25,))
+    rect, grid = (-1.0, -0.05, 0.0, 10.0), (16, 16)
+    eig = _assert_matches_full_grid(cfg, rect, "wave", grid)
+    assert np.max(np.abs(eig.eigenvalues - (-math.log(3.0) / 4 + 0.5j * np.pi * np.arange(7)))) \
+        <= 1e-8
+    dy = (rect[3] - rect[2]) / (grid[1] - 1)
+    ims = np.linspace(rect[2] - dy, rect[3] + dy, grid[1] + 2)
+    blocks = (np.searchsorted(ims, eig.eigenvalues.imag) - 1) // 8
+    assert np.max(np.bincount(blocks)) >= 3
+
+
+def test_screened_search_finds_a_root_on_a_block_line():
+    # grid row 8, a block line, passes through the root -ln(3) / 4 + pi i / 2
+    cfg = sc.ChainConfig(densities=(0.25,))
+    im1, ny = 4.0, 24
+    im0 = (0.5 * np.pi - 7 * im1 / (ny - 1)) / (1 - 7 / (ny - 1))
+    rect = (-1.0, -0.05, im0, im1)
+    dy = (im1 - im0) / (ny - 1)
+    assert np.linspace(im0 - dy, im1 + dy, ny + 2)[8] == 0.5 * np.pi
+    eig = _assert_matches_full_grid(cfg, rect, "wave", (24, ny))
+    root = -math.log(3.0) / 4 + 0.5j * np.pi
+    assert np.min(np.abs(eig.eigenvalues - root)) <= 1e-8
+
+
+@pytest.mark.parametrize("which,rect,grid", _BENCH_SEARCHES)
+def test_screened_search_evaluates_at_most_35_percent_of_the_grid(monkeypatch, which, rect, grid):
+    counted = []
+    for name in ("det_pair", "_schrodinger_closure"):
+        def counting(cfg, lam, inner=getattr(spectrum, name)):
+            counted.append(np.size(lam))
+            return inner(cfg, lam)
+        monkeypatch.setattr(spectrum, name, counting)
+    eig = sc.find_eigenvalues(sc.ChainConfig(densities=_EIGHT_EDGES), rect, which, grid=grid)
+    assert eig.eigenvalues.size > 0
+    assert 0 < sum(counted) <= 0.35 * (grid[0] + 2) * (grid[1] + 2)

@@ -3,17 +3,21 @@
     python3 tools/bench_pairs.py --base HEAD --out BENCH_10.json
 
 Run from the root of a checkout.  The base commit is exported with
-``git archive`` into a temporary directory, so the repository itself is
-left as it is.  Each pair runs ``python3 perfbench/run.py`` in the base
-copy and in the working tree with the same seed; odd pairs run the
-working tree first.  Every workload in BENCHMARK.json gets ten untraced
-pairs (seeds 101-110) and three traced pairs (seeds 101-103), and every
-run lasts BENCHMARK.json's run_seconds.
+``git archive`` into a temporary directory, and the working tree is
+copied beside it: its tracked files and its untracked files that are
+not ignored, as they are on disk.  So both sides start from fresh
+trees, without the working tree's build and benchmark leftovers, and
+the repository itself is left as it is.  Each pair runs
+``python3 perfbench/run.py`` in the base copy and in the working-tree
+copy with the same seed; odd pairs run the working tree first.  Every
+workload in BENCHMARK.json gets ten untraced pairs (seeds 101-110) and
+three traced pairs (seeds 101-103), and every run lasts BENCHMARK.json's
+run_seconds.
 The output file holds every result line, both commits, the sha256 of
 ``git diff --binary HEAD`` (so a file measured on uncommitted changes
 names the tree it measured), the numpy and scipy versions, the CPU
 count, and under ``"src_lines"`` the lines of ``src/**/*.py`` in the
-base copy and in the working tree.  Its ``"summary"`` gives, per
+base copy and in the working-tree copy.  Its ``"summary"`` gives, per
 workload of the untraced pairs, each side's total attempted and failed
 jobs (under ``"jobs"``) and, per end-to-end metric, each side's median
 and quartiles (``statistics.quantiles``, exclusive method), the number
@@ -27,7 +31,7 @@ layers, and whether the change median is worse than the base median by
 more than 10% (the relative change is null where the base median is 0;
 any worse value then counts); every such layer is printed.
 A SIGTERM ends the tool as an exception would: the running benchmark
-is killed and the temporary checkout removed.  Standard library only.
+is killed and the temporary copies removed.  Standard library only.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ import hashlib
 import io
 import json
 import os
+import shutil
 import signal
 import statistics
 import subprocess
@@ -60,6 +65,17 @@ def _run(root: Path, workload: str, seed: int, seconds: int, trace: int) -> dict
            "--seconds", str(seconds), "--trace", str(trace)]
     out = subprocess.run(cmd, cwd=root, check=True, capture_output=True, text=True).stdout
     return json.loads(out.strip().splitlines()[-1])
+
+
+def copy_working_tree(dest: Path) -> None:
+    """The working tree's tracked files and its untracked files that are not
+    ignored, as they are on disk, into dest."""
+    names = _git("ls-files", "-z", "--cached", "--others", "--exclude-standard")
+    for name in filter(None, names.split(b"\0")):
+        path = Path(os.fsdecode(name))
+        if path.is_file():  # a tracked file deleted in the working tree is left out
+            (dest / path).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(path, dest / path)
 
 
 def src_lines(root: Path) -> int:
@@ -178,9 +194,10 @@ def main(argv=None) -> int:
         "runs": [],
     }
     with tempfile.TemporaryDirectory() as tmp:
+        sides = [("base", Path(tmp) / "base"), ("change", Path(tmp) / "change")]
         with tarfile.open(fileobj=io.BytesIO(_git("archive", args.base))) as tar:
-            tar.extractall(tmp, filter="data")
-        sides = [("base", Path(tmp)), ("change", Path.cwd())]
+            tar.extractall(sides[0][1], filter="data")
+        copy_working_tree(sides[1][1])
         record["src_lines"] = {side: src_lines(root) for side, root in sides}
         for i, (workload, seed, trace) in enumerate(plan):
             for side, root in sides[::-1] if i % 2 else sides:

@@ -49,6 +49,10 @@ INVOCATIONS = {
     "spectrum-wave": ["spectrum", "--rect", "-3,0,0,20", "--grid", "32,32"],
     "spectrum-schrodinger": ["spectrum", "--which", "schrodinger", "--rect", "-3,0,0,60",
                              "--grid", "32,32"],
+    # the spectral benchmark's grids: enough 8 x 8-cell blocks for the search to skip some
+    "spectrum-wave-bench-grid": ["spectrum", "--rect", "-3,0,0,20", "--grid", "128,384"],
+    "spectrum-schrodinger-bench-grid": ["spectrum", "--which", "schrodinger", "--rect",
+                                        "-3,0,0,60", "--grid", "160,768"],
     "gap-wave": ["gap", *_GAP],
     "gap-schrodinger": ["gap", "--which", "schrodinger", *_GAP],
     "det-bound": ["det-bound", *_GAP],
