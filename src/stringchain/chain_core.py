@@ -13,6 +13,7 @@ import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cache
 from typing import Sequence
 
 import numpy as np
@@ -46,7 +47,7 @@ __all__ = [
     "write_table",
 ]
 
-_CSV_CHUNK = 8192  # table rows formatted per write
+_CSV_CELLS = 4096  # table cells formatted per write (whole rows), about 250 bytes each
 
 
 @dataclass(frozen=True)
@@ -244,18 +245,147 @@ class EnergyTrace:
 def write_table(path, header, *columns):
     """Write the columns side by side as CSV, each number as %.17g; returns path.
 
-    Bytes as csv.writer's, \\r\\n line ends included.  Rows are formatted
-    _CSV_CHUNK at a time with one format string: no list of the whole table.
+    The bytes are csv.writer's of `"%.17g" % v` (v as float), \\r\\n line ends
+    included.  numpy makes the digits in double-double arithmetic under an error
+    bound (`_g17_digits`); the cells it cannot decide (a fraction within 1e-9 of
+    1/2, a wrong decade estimate, zeros, infinities, NaNs) go to Python's `%`.
+    _CSV_CELLS cells are formatted per write: no list of the whole table.
     """
     cols = [np.asarray(c) for c in columns]
+    if any(c.dtype.kind not in "biufO" for c in cols):
+        raise TypeError("write_table writes real numbers only")
     rows = min(c.shape[0] for c in cols)
-    fmt = ",".join(["%.17g"] * len(cols)) + "\r\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        for lo in range(0, rows, _CSV_CHUNK):
-            chunk = [c[lo : lo + _CSV_CHUNK].tolist() for c in cols]
-            fh.writelines(fmt % row for row in zip(*chunk))
+    step = max(1, _CSV_CELLS // len(cols))
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\r\n").encode())
+        for lo in range(0, rows, step):
+            fh.write(_g17_csv(np.column_stack([c[lo : min(lo + step, rows)] for c in cols])))
     return path
+
+
+# 10**p = (hi + lo) 2**e, hi + lo in [0.5, 1), for the p = 16 - k in [-292, 340] of
+# every finite nonzero double: rows hi, its Dekker halves hh + hl, lo, e; NaN till used
+_P_MIN = -292
+_POW = np.full((5, 633), np.nan)
+_SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitter for doubles
+_TEN = 10 ** np.arange(17, dtype=np.int64)
+
+
+def _pow10(i: np.ndarray) -> np.ndarray:
+    """Rows hi, hh, hl, lo, e of _POW at the indices i = p - _P_MIN.  A missing entry
+    is computed once from exact integers: hi is 10**p 2**-e correctly rounded and
+    lo the rest correctly rounded, so hi + lo is within 2**-106 relative of it."""
+    rows = np.take(_POW, i, axis=1)
+    if np.isnan(rows[0]).any():
+        for j in set(i[np.isnan(rows[0])].tolist()):
+            p = j + _P_MIN
+            num, den = (10**p, 1) if p >= 0 else (1, 10**-p)
+            e = num.bit_length() - den.bit_length()
+            e += (num << max(-e, 0)) >= (den << max(e, 0))
+            a, b = num << max(-e, 0), den << max(e, 0)  # 10**p 2**-e = a / b
+            hi = a / b  # int / int rounds correctly; hi 2**53 is an integer
+            hh = _SPLIT * hi - (_SPLIT * hi - hi)
+            _POW[:, j] = hi, hh, hi - hh, ((a << 53) - int(hi * 2**53) * b) / (b << 53), e
+        rows = np.take(_POW, i, axis=1)
+    return rows
+
+
+def _g17_digits(x: np.ndarray):
+    """(n, k, decided): "%.17g" % v's 17 digits n = round(|v| 10**(16 - k)) and
+    exponent k for every v of x the bound below decides; 10**16 and 0 elsewhere.
+    With k = floor(log10 |v|), |v| = f 2**E and 10**(16 - k) = (hi + lo) 2**e from
+    `_pow10`, n = (p + err + f lo) 2**(E + e): Dekker's two-product gives f hi as
+    p + err exactly, hi + lo is off by under 2**-106, |f lo| < 2**-54 rounds by
+    2**-108 at most and err + f lo by 2**-107.  As 2**(E + e) < 2**57 / 0.25, n is
+    off by under 1.75 2**-106 2**59 < 2**-46.  That decides the rounding of every
+    cell whose fraction is more than 1e-9 from 1/2, and whether k was the decade:
+    floor(n) in [1e16, 1e17) (a carry to 1e17 gives 1e16 and k + 1; a true n just
+    under 1e16 rounds up to it and prints the same).
+    Ties and near-ties (Python rounds exact ties half to even), cells whose decade
+    estimate was off, zeros, infinities and NaNs are left undecided.
+    """
+    decided = np.isfinite(x) & (x != 0.0)
+    ax = np.where(decided, np.abs(x), 1.0)
+    k = np.floor(np.log10(ax)).astype(np.int64)
+    i = 16 - _P_MIN - k
+    hi, hh, hl, lo, e = _pow10(i)
+    f, E = np.frexp(ax)
+    fh = _SPLIT * f - (_SPLIT * f - f)
+    fl = f - fh
+    p = f * hi
+    err = ((((fh * hh - p) + fh * hl) + fl * hh) + fl * hl) + f * lo
+    scale = np.ldexp(1.0, E + e.astype(np.int32))
+    low = err * scale
+    whole = np.floor(low)
+    low -= whole
+    n = (p * scale).astype(np.int64) + whole.astype(np.int64)
+    decided &= (np.abs(low - 0.5) >= 1e-9) & (n >= _TEN[16]) & (n < 10 * _TEN[16])
+    n += low > 0.5
+    carry = n == 10 * _TEN[16]
+    return np.where(decided & ~carry, n, _TEN[16]), np.where(decided, k + carry, 0), decided
+
+
+@cache
+def _word_tables() -> dict:
+    """NUL-padded 4-byte words: 0..9999 in full, without leading and without trailing
+    zeros; and per exponent k (index k + 324) the divisors that split the digits at
+    the point, the point, sign and "0.000" prefix, exponent and each separator."""
+    v, ten = np.arange(10000, dtype=np.int16)[:, None], _TEN[:5].astype(np.int16)
+    ch = (v // ten[3::-1] % 10 + 48).astype(np.uint8)
+    lead, trail = np.where(v < ten[3::-1], 0, ch), np.where(v % ten[4:0:-1] == 0, 0, ch)
+    k = np.arange(-324, 309)
+    split = np.where((k > 0) & (k < 17), k, 0)  # digits after the first before the point
+    words = {"digits": np.concatenate([ch, lead, trail]).view(np.uint32).ravel(),
+             "int": _TEN[16 - split], "frac": _TEN[split],
+             "dot": np.where((k < 0) & (k > -5), 0, np.frombuffer(b".\0\0\0", np.uint32))}
+    pre = [sign + ("0." + "0" * (-j - 1) if -5 < j < 0 else "")
+           for sign in ("", "-") for j in k.tolist()]
+    tail = [("" if -5 < j < 17 else "e%+03d" % j) + sep
+            for sep in (",", "\r\n") for j in k.tolist()]
+    for name, text in (("prefix", pre), ("tail", tail)):
+        words[name] = np.array(text, "S8").view(np.uint32).reshape(-1, 2).T.copy()
+    return words
+
+
+def _g17_csv(block: np.ndarray) -> bytes:
+    """"%.17g" % v of every cell of a (rows, cols) real block, row by row, each
+    followed by "," or, after a row's last cell, "\\r\\n".  A cell is 14 NUL-padded
+    4-byte words: sign and "0.000" prefix (2), integer digits (5), point, fraction
+    digits (4), exponent and separator (2); words no cell uses are dropped, then
+    the NULs.  Cells `_g17_digits` leaves undecided go to Python's `%`."""
+    t = _word_tables()
+    x = block.astype(float, copy=False).ravel()
+    n, k, decided = _g17_digits(x)
+    k += 324
+    ip, rest = np.divmod(n, t["int"][k])
+    g = np.empty((9, x.size), dtype=np.int32)  # word indices: integer part, fraction
+    g[0] = ip // _TEN[16]
+    v = np.stack([ip - g[0] * _TEN[16], rest * t["frac"][k]])
+    half = np.empty((2, 2, x.size), dtype=np.int32)  # part, upper and lower 8 digits
+    np.floor_divide(v, _TEN[8], out=half[:, 0])
+    np.subtract(v, half[:, 0] * _TEN[8], out=half[:, 1])
+    words = g[1:].reshape(2, 4, -1)
+    np.floor_divide(half, 10000, out=words[:, 0::2])
+    np.subtract(half, words[:, 0::2] * 10000, out=words[:, 1::2])
+    # integer words drop leading zeros up to the first nonzero one (table offset
+    # 10000), fraction words trailing zeros after the last one (offset 20000)
+    g[0] += 10000
+    np.add(g[1:5], 10000, out=g[1:5], where=ip < _TEN[:3:-4, None])
+    g[5] += 20000 * ((half[1, 1] == 0) & (g[6] == 0))
+    g[6] += 20000 * (half[1, 1] == 0)
+    g[7] += 20000 * (g[8] == 0)
+    g[8] += 20000
+    w = np.empty((14, x.size), dtype=np.uint32)
+    np.take(t["prefix"], k + 633 * (x < 0), axis=1, out=w[0:2], mode="clip")
+    np.take(t["digits"], g[:5], out=w[2:7], mode="clip")
+    np.multiply(t["dot"][k], v[1] != 0, out=w[7])
+    np.take(t["digits"], g[5:], out=w[8:12], mode="clip")
+    k.reshape(block.shape)[:, -1] += 633
+    np.take(t["tail"], k, axis=1, out=w[12:14], mode="clip")
+    slow = np.flatnonzero(~decided)
+    text = ["%.17g" % y for y in x[slow].tolist()]
+    w[:12, slow] = np.array(text, "S48").view(np.uint32).reshape(-1, 12).T
+    return w[w.any(axis=1)].T.tobytes().translate(None, b"\0")
 
 
 def quadrature_weights(x: np.ndarray) -> np.ndarray:

@@ -300,3 +300,129 @@ def test_right_point_count_on_an_uneven_grid_is_rejected(consumer):
     uneven[1][1:-1] += 0.25 / (p - 1)
     with pytest.raises(GridMismatch, match="edge 1"):
         run(uneven)
+
+
+def _float_neighbours(values, ulps):
+    """Every double within `ulps` steps of each of values (finite, positive), both signs."""
+    bits = np.asarray(values, dtype=float).view(np.int64)[:, None] + np.arange(-ulps, ulps + 1)
+    near = bits.ravel().view(np.float64)
+    return np.concatenate([near, -near])
+
+
+def _g17_cases() -> np.ndarray:
+    """Over 10**6 doubles for the %.17g kernel, each family at its hard cases."""
+    from stringchain.chain_core import uniform_betas
+
+    rng = np.random.default_rng(17)
+    # every biased exponent, subnormals included, with random mantissas and signs
+    exponent = np.repeat(np.arange(2048, dtype=np.uint64), 200) << np.uint64(52)
+    mantissa = rng.integers(0, 2**52, exponent.size, dtype=np.uint64)
+    sign = rng.integers(0, 2, exponent.size, dtype=np.uint64) << np.uint64(63)
+    every_exponent = (exponent | mantissa | sign).view(np.float64)
+    random_bits = rng.integers(0, 2**64, 300_000, dtype=np.uint64).view(np.float64)
+    specials = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, np.copysign(np.nan, -1.0),
+                         5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308])
+    payload_nans = np.array([0x7FF0000000000001, 0xFFF8000000000001, 0x7FFFFFFFFFFFFFFF],
+                            dtype=np.uint64).view(np.float64)
+    powers = np.array([float(f"1e{p}") for p in range(-323, 309)])
+    switches = _float_neighbours([1e-5, 1e-4, 1e16, 1e17, 99999999999999999.0], 64)
+    integers = np.concatenate([
+        np.arange(-100_000, 100_001, dtype=float),
+        rng.integers(0, 2**53, 100_000).astype(float),
+        rng.integers(2**53, 2**63, 100_000).astype(float),
+        2.0 ** np.arange(1024),
+        2.0**53 + np.arange(-64, 65),
+    ])
+    grids = np.concatenate([
+        uniform_betas((-50.0, 50.0), 0.01),  # transfer-scan's default grid
+        uniform_betas((-200.0, 200.0), 1e-3)[::100],  # gap's det_scan.csv rows
+        uniform_betas((0.1, 1e4), 0.1),
+        np.linspace(0.0, 20.0, 160_001),  # an energy trace's times
+    ])
+    # exact 17th-digit ties, which Python rounds half to even: m + 1/4 and m + 3/4
+    # just above 1e15, and the odd multiples of 2**-18 in [0.1, 1)
+    m = rng.integers(10**15, 2**50, 20_000).astype(float)
+    ties = np.concatenate([m + 0.25, m + 0.75, np.arange(26215, 2**18, 2) / 2**18])
+    cases = np.concatenate([every_exponent, random_bits, specials, payload_nans,
+                            _float_neighbours(powers, 1), switches, integers, grids,
+                            ties, -ties])
+    assert cases.size >= 10**6
+    return cases
+
+
+def test_write_table_matches_percent_g17_on_a_million_hard_cases(tmp_path):
+    from stringchain.chain_core import write_table
+
+    cases = _g17_cases()
+    got = write_table(tmp_path / "g17.csv", ["v"], cases).read_bytes()
+    want = ("v\r\n" + "".join("%.17g\r\n" % v for v in cases.tolist())).encode()
+    if got != want:
+        pairs = zip(cases.tolist(), got.split(b"\r\n")[1:], want.split(b"\r\n")[1:])
+        bad = [(v, a, b) for v, a, b in pairs if a != b]
+        pytest.fail(f"{len(bad)} cells differ from %.17g, the first: {bad[:3]}")
+
+
+def test_g17_form_switches_and_ties():
+    from stringchain.chain_core import _g17_csv
+
+    cells = np.array([[99999999999999999.0, 1e16, 1e-5, 1e-4, 1e15 + 0.25, 1e15 + 0.75]])
+    assert _g17_csv(cells) == (b"1e+17,10000000000000000,1.0000000000000001e-05,0.0001,"
+                               b"1000000000000000.2,1000000000000000.8\r\n")
+
+
+def test_g17_kernel_decides_all_but_a_few_cells_of_a_transfer_scan():
+    # byte identity alone would pass a kernel that sent every cell to Python's %
+    from stringchain.chain_core import _g17_digits, uniform_betas
+    from stringchain.transfer_function import transfer_values
+
+    betas = uniform_betas((-50.0, 50.0), 0.01)
+    vals = transfer_values(sc.ChainConfig((1.0, 4.0)), 1.0 + 1j * betas)
+    table = np.column_stack([np.full(betas.size, 1.0), betas, vals.real, vals.imag,
+                             np.abs(vals)])
+    _, _, decided = _g17_digits(table.ravel())
+    assert np.count_nonzero(~decided) <= 1e-3 * table.size
+
+
+def test_pow10_table_is_within_2_pow_minus_105_of_the_power():
+    from fractions import Fraction
+
+    from stringchain import chain_core
+
+    smallest, largest = 5e-324, np.finfo(float).max
+    ks = np.arange(np.floor(np.log10(smallest)), np.floor(np.log10(largest)) + 1).astype(int)
+    i = 16 - ks - chain_core._P_MIN  # every index the kernel can request
+    assert i.min() == 0 and i.max() == chain_core._POW.shape[1] - 1
+    hi, hh, hl, lo, e = chain_core._pow10(i)
+    for k, h, a, b, low, ee in zip(ks.tolist(), hi.tolist(), hh.tolist(), hl.tolist(),
+                                   lo.tolist(), e.tolist()):
+        exact = Fraction(10) ** (16 - k) / Fraction(2) ** int(ee)
+        assert Fraction(1, 2) <= exact < 1
+        assert Fraction(a) + Fraction(b) == Fraction(h)  # Dekker's halves, 26 bits each
+        for half in (a, b):
+            n = abs(Fraction(half).numerator)
+            assert n == 0 or (n // (n & -n)).bit_length() <= 26
+        assert abs(Fraction(h) + Fraction(low) - exact) <= exact / 2**105
+
+
+def test_write_table_peak_memory_stays_below_the_per_row_writer(tmp_path):
+    # tracemalloc peaks of the writer that formatted 8192 rows at a time with Python's %,
+    # measured on these two tables: 1,616,929 and 1,594,270 bytes
+    import tracemalloc
+
+    from stringchain.chain_core import uniform_betas, write_table
+    from stringchain.transfer_function import transfer_values
+
+    betas = uniform_betas((-50.0, 50.0), 0.01)
+    vals = transfer_values(sc.ChainConfig((1.0, 4.0)), 1.0 + 1j * betas)
+    scan = (np.full(betas.size, 1.0), betas, vals.real, vals.imag, np.abs(vals))
+    times = np.linspace(0.0, 20.0, 160_000)
+    energies = np.exp(-times) * (1.0 + 0.1 * np.cos(7.0 * times))
+    trace = (times, energies, energies[0] - energies)
+    for columns, bound in ((scan, 1_616_000), (trace, 1_594_000)):
+        tracemalloc.start()
+        try:
+            write_table(tmp_path / "t.csv", ["c"] * len(columns), *columns)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, (len(columns[0]), peak)

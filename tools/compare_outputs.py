@@ -56,6 +56,9 @@ INVOCATIONS = {
     "gap-wave": ["gap", *_GAP],
     "gap-schrodinger": ["gap", "--which", "schrodinger", *_GAP],
     "det-bound": ["det-bound", *_GAP],
+    # the CLI defaults, as the spectral benchmark runs them: 4,001-row det_scan.csv tables
+    "gap-defaults": ["gap"],
+    "det-bound-defaults": ["det-bound"],
     "resolvent-scan": ["resolvent-scan", "--beta-max", "100", "--count", "4", "--probes", "2"],
     "schrodinger-scan": ["schrodinger-scan", "--beta-max", "1000", "--count", "4",
                          "--probes", "2"],
@@ -67,6 +70,8 @@ INVOCATIONS = {
     "transfer-scan": ["transfer-scan"],
     "decay": ["decay", "--T", "10", "--points", "100"],
     "decay-stride": ["decay", "--T", "10", "--points", "100", "--stride", "7"],
+    # energies that decay below 1e-5, so %.17g's exponent form is written too
+    "decay-exponent-form": ["decay", "--T", "20", "--points", "200"],
     "schrodinger-decay": ["schrodinger-decay", "--T", "0.5", "--points", "100", "--dt", "0.003"],
     "io-ratios": ["io-ratios", "--T", "2", "--points", "100"],
     "verify": ["verify"],
