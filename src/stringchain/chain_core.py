@@ -47,7 +47,8 @@ __all__ = [
     "write_table",
 ]
 
-_CSV_CELLS = 4096  # table cells formatted per write (whole rows), about 250 bytes each
+_CSV_CELLS = 8192  # table cells formatted per numpy pass (whole rows), about 150 bytes each
+_CSV_SMALL = 300  # tables of fewer cells are formatted by Python's % alone (measured crossover)
 
 
 @dataclass(frozen=True)
@@ -246,20 +247,28 @@ def write_table(path, header, *columns):
     """Write the columns side by side as CSV, each number as %.17g; returns path.
 
     The bytes are csv.writer's of `"%.17g" % v` (v as float), \\r\\n line ends
-    included.  numpy makes the digits in double-double arithmetic under an error
-    bound (`_g17_digits`); the cells it cannot decide (a fraction within 1e-9 of
-    1/2, a wrong decade estimate, zeros, infinities, NaNs) go to Python's `%`.
-    _CSV_CELLS cells are formatted per write: no list of the whole table.
+    included.  A table of fewer than _CSV_SMALL cells is formatted by Python's
+    `%` alone, one format string per row.  A larger one goes through `_g17_csv`,
+    _CSV_CELLS cells (whole rows) at a time: no list of the whole table.
     """
     cols = [np.asarray(c) for c in columns]
     if any(c.dtype.kind not in "biufO" for c in cols):
         raise TypeError("write_table writes real numbers only")
     rows = min(c.shape[0] for c in cols)
-    step = max(1, _CSV_CELLS // len(cols))
     with open(path, "wb") as fh:
         fh.write((",".join(header) + "\r\n").encode())
+        if rows * len(cols) < _CSV_SMALL:
+            fmt = ",".join(["%.17g"] * len(cols)) + "\r\n"
+            lists = [c[:rows].astype(float).tolist() for c in cols]
+            fh.write("".join([fmt % row for row in zip(*lists)]).encode())
+            return path
+        step = max(1, _CSV_CELLS // len(cols))
+        block = np.empty((min(step, rows), len(cols)))
         for lo in range(0, rows, step):
-            fh.write(_g17_csv(np.column_stack([c[lo : min(lo + step, rows)] for c in cols])))
+            part = block[: min(step, rows - lo)]
+            for j, c in enumerate(cols):
+                part[:, j] = c[lo : lo + part.shape[0]]
+            fh.write(_g17_csv(part))
     return path
 
 
@@ -268,16 +277,17 @@ def write_table(path, header, *columns):
 _P_MIN = -292
 _POW = np.full((5, 633), np.nan)
 _SPLIT = 134217729.0  # 2**27 + 1, Dekker's splitter for doubles
-_TEN = 10 ** np.arange(17, dtype=np.int64)
+_TEN = 10 ** np.arange(18, dtype=np.int64)
 
 
 def _pow10(i: np.ndarray) -> np.ndarray:
-    """Rows hi, hh, hl, lo, e of _POW at the indices i = p - _P_MIN.  A missing entry
-    is computed once from exact integers: hi is 10**p 2**-e correctly rounded and
-    lo the rest correctly rounded, so hi + lo is within 2**-106 relative of it."""
-    rows = np.take(_POW, i, axis=1)
-    if np.isnan(rows[0]).any():
-        for j in set(i[np.isnan(rows[0])].tolist()):
+    """Rows hi, hh, hl, lo, e of _POW at the indices i = p - _P_MIN, clipped to the
+    table.  A missing entry is computed once from exact integers: hi is 10**p 2**-e
+    correctly rounded and lo the rest correctly rounded, so hi + lo is within
+    2**-106 relative of it."""
+    rows = _POW.take(i, axis=1, mode="clip")
+    if np.isnan(rows[0].min()):
+        for j in set(np.clip(i[np.isnan(rows[0])], 0, _POW.shape[1] - 1).tolist()):
             p = j + _P_MIN
             num, den = (10**p, 1) if p >= 0 else (1, 10**-p)
             e = num.bit_length() - den.bit_length()
@@ -286,106 +296,159 @@ def _pow10(i: np.ndarray) -> np.ndarray:
             hi = a / b  # int / int rounds correctly; hi 2**53 is an integer
             hh = _SPLIT * hi - (_SPLIT * hi - hi)
             _POW[:, j] = hi, hh, hi - hh, ((a << 53) - int(hi * 2**53) * b) / (b << 53), e
-        rows = np.take(_POW, i, axis=1)
+        rows = _POW.take(i, axis=1, mode="clip")
     return rows
 
 
 def _g17_digits(x: np.ndarray):
     """(n, k, decided): "%.17g" % v's 17 digits n = round(|v| 10**(16 - k)) and
-    exponent k for every v of x the bound below decides; 10**16 and 0 elsewhere.
+    exponent k for every v of x the bound below decides; n and k are unspecified
+    elsewhere.
     With k = floor(log10 |v|), |v| = f 2**E and 10**(16 - k) = (hi + lo) 2**e from
     `_pow10`, n = (p + err + f lo) 2**(E + e): Dekker's two-product gives f hi as
     p + err exactly, hi + lo is off by under 2**-106, |f lo| < 2**-54 rounds by
     2**-108 at most and err + f lo by 2**-107.  As 2**(E + e) < 2**57 / 0.25, n is
     off by under 1.75 2**-106 2**59 < 2**-46.  That decides the rounding of every
     cell whose fraction is more than 1e-9 from 1/2, and whether k was the decade:
-    floor(n) in [1e16, 1e17) (a carry to 1e17 gives 1e16 and k + 1; a true n just
-    under 1e16 rounds up to it and prints the same).
+    floor(n) in [1e16, 1e17) (a true n just under 1e16 rounds up to it and prints
+    the same).
     Ties and near-ties (Python rounds exact ties half to even), cells whose decade
-    estimate was off, zeros, infinities and NaNs are left undecided.
+    estimate was off or whose n rounds up to 1e17, zeros, infinities and NaNs are
+    left undecided.
     """
-    decided = np.isfinite(x) & (x != 0.0)
-    ax = np.where(decided, np.abs(x), 1.0)
-    k = np.floor(np.log10(ax)).astype(np.int64)
-    i = 16 - _P_MIN - k
-    hi, hh, hl, lo, e = _pow10(i)
-    f, E = np.frexp(ax)
-    fh = _SPLIT * f - (_SPLIT * f - f)
-    fl = f - fh
-    p = f * hi
-    err = ((((fh * hh - p) + fh * hl) + fl * hh) + fl * hl) + f * lo
-    scale = np.ldexp(1.0, E + e.astype(np.int32))
-    low = err * scale
-    whole = np.floor(low)
-    low -= whole
-    n = (p * scale).astype(np.int64) + whole.astype(np.int64)
-    decided &= (np.abs(low - 0.5) >= 1e-9) & (n >= _TEN[16]) & (n < 10 * _TEN[16])
-    n += low > 0.5
-    carry = n == 10 * _TEN[16]
-    return np.where(decided & ~carry, n, _TEN[16]), np.where(decided, k + carry, 0), decided
+    with np.errstate(all="ignore"):  # zeros, infinities and NaNs fail the checks
+        ax = np.abs(x)
+        k = np.floor(np.log10(ax)).astype(np.int64)
+        hi, hh, hl, lo, e = _pow10(16 - _P_MIN - k)
+        f, E = np.frexp(ax)
+        fh = _SPLIT * f
+        fh -= fh - f
+        fl = f - fh
+        p = f * hi
+        err = fh * hh  # then ((((fh hh - p) + fh hl) + fl hh) + fl hl) + f lo
+        err -= p
+        err += fh * hl
+        err += fl * hh
+        err += fl * hl
+        err += f * lo
+        # 2**(E + e) from its exponent bits: as k is off by one at most, n = p 2**(E + e)
+        # with p in [0.25, 1) lies in [1e15, 1e18), so E + e is in [50, 61]
+        scale = ((E + e).astype(np.int64) + 1023 << 52).view(float)
+        err *= scale
+        whole = np.floor(err)
+        err -= whole
+        err -= 0.5  # the fraction of n less 1/2
+        p *= scale
+        n = p.astype(np.int64)
+        n += whole.astype(np.int64)
+        # False where err is NaN (v infinite or NaN) and where n is 0 (v zero)
+        decided = (np.abs(err) >= 1e-9) & ((n - _TEN[16]).view(np.uint64) < _TEN[16] * 9)
+        n += err > 0.0
+    decided &= n < _TEN[17]
+    return n, k, decided
 
 
 @cache
-def _word_tables() -> dict:
-    """NUL-padded 4-byte words: 0..9999 in full, without leading and without trailing
-    zeros; and per exponent k (index k + 324) the divisors that split the digits at
-    the point, the point, sign and "0.000" prefix, exponent and each separator."""
-    v, ten = np.arange(10000, dtype=np.int16)[:, None], _TEN[:5].astype(np.int16)
-    ch = (v // ten[3::-1] % 10 + 48).astype(np.uint8)
-    lead, trail = np.where(v < ten[3::-1], 0, ch), np.where(v % ten[4:0:-1] == 0, 0, ch)
+def _layout_tables() -> dict:
+    """The int64 tables of `_g17_records`, each word 8 little-endian bytes.
+    "digits": per 0..9999 its four ASCII digits plus 2**32 times twice its trailing
+    zeros (32 for 0).  "L", "H", "C" (3 words each): per row q = 34 c + 2 t + (v < 0),
+    t the trailing zeros of the 17 digits and c the layout class of the exponent k
+    ("class" holds 34 c per k + 324), the record's first 24 bytes: L and H mask the
+    digits before and after the point, C holds the sign, "0.000" prefix and point.
+    "tail": per k + 324 (+ 633 after a row's last cell) the exponent and separator."""
+    v = np.arange(10000, dtype=np.int16)[:, None]
+    ascii4 = (v // _TEN[3::-1].astype(np.int16) % 10 + 48).astype(np.uint8)
+    zeros = np.where(v[:, 0] == 0, 32, 2 * (v % _TEN[1:5].astype(np.int16) == 0).sum(axis=1))
     k = np.arange(-324, 309)
-    split = np.where((k > 0) & (k < 17), k, 0)  # digits after the first before the point
-    words = {"digits": np.concatenate([ch, lead, trail]).view(np.uint32).ravel(),
-             "int": _TEN[16 - split], "frac": _TEN[split],
-             "dot": np.where((k < 0) & (k > -5), 0, np.frombuffer(b".\0\0\0", np.uint32))}
-    pre = [sign + ("0." + "0" * (-j - 1) if -5 < j < 0 else "")
-           for sign in ("", "-") for j in k.tolist()]
+    # classes 0..16: s = c + 1 digits before the point (the exponent form is class 0);
+    # 17..20: k = c - 21 in [-4, -1], "0." and -k - 1 zeros before all 17 digits
+    cls = np.where((k >= 0) & (k < 17), k, np.where((k < 0) & (k > -5), k + 21, 0))
+    c = np.arange(21)[:, None, None, None]
+    s = np.where(c < 17, c + 1, 0)
+    last = 16 - np.arange(17)[:, None, None]  # the last digit written, per t
+    # digit i < s at byte 6 + i, the point at 6 + s, digit i >= s at 7 + i
+    pos = np.arange(24)
+    shape = (21, 17, 2, 24)
+    L = np.broadcast_to((pos >= 6) & (pos < 6 + s), shape)
+    H = np.broadcast_to((pos >= 7 + s) & (pos <= 7 + last), shape)
+    prefix = np.array([[sign + ("0." + "0" * (20 - j) if j >= 17 else "") for sign in ("", "-")]
+                       for j in range(21)], "S24").view(np.uint8).reshape(21, 1, 2, 24)
+    C = prefix | np.where((pos == 6 + s) & (0 < s) & (s <= last), ord("."), 0).astype(np.uint8)
+    words = [(m * np.uint8(255) if m.dtype == bool else m).astype(np.uint8).view(np.int64)
+             .reshape(-1, 3).T.copy() for m in (L, H, C)]
     tail = [("" if -5 < j < 17 else "e%+03d" % j) + sep
             for sep in (",", "\r\n") for j in k.tolist()]
-    for name, text in (("prefix", pre), ("tail", tail)):
-        words[name] = np.array(text, "S8").view(np.uint32).reshape(-1, 2).T.copy()
-    return words
+    return {"digits": ascii4.view(np.uint32).ravel().astype(np.int64) | zeros << 32,
+            "L": words[0], "H": words[1], "C": words[2],
+            "class": 34 * cls, "tail": np.array(tail, "S8").view(np.int64)}
+
+
+def _digit_words(n: np.ndarray, digits: np.ndarray):
+    """(F, 2 t): the 17 digits of each n as ASCII at bytes 7..23 of three int64 words
+    F (3, n.size), and twice the number of trailing zeros t of each n."""
+    top = n // _TEN[8]
+    d0 = top // _TEN[8]
+    # n = d0 10**16 + a 10**8 + b; quads[0] holds a // 10**4 and b // 10**4, the
+    # low halves of F[1] and F[2], quads[1] a % 10**4 and b % 10**4
+    ab = np.empty((2, n.size), np.int64)
+    np.subtract(top, np.multiply(d0, _TEN[8], out=ab[0]), out=ab[0])
+    np.subtract(n, np.multiply(top, _TEN[8], out=ab[1]), out=ab[1])
+    ab = ab.astype(np.int32)
+    quads = np.empty((2, 2, n.size), np.int32)
+    np.floor_divide(ab, 10000, out=quads[0])
+    np.subtract(ab, quads[0] * 10000, out=quads[1])
+    words = digits.take(quads, mode="clip")
+    del top, ab, quads
+    F = np.empty((3, n.size), np.int64)
+    np.left_shift(d0 + 48, 56, out=F[0])
+    np.bitwise_or(words[0] & 0xFFFFFFFF, words[1] << 32, out=F[1:])
+    # trailing zeros of a and b, then of n, doubled: a zero group counts 32, so the
+    # minimum takes the lower group's count unless that group is zero
+    words >>= 32
+    zeros = np.minimum(words[1], words[0] + 8)
+    return F, np.minimum(zeros[1], zeros[0] + 16)
 
 
 def _g17_csv(block: np.ndarray) -> bytes:
     """"%.17g" % v of every cell of a (rows, cols) real block, row by row, each
-    followed by "," or, after a row's last cell, "\\r\\n".  A cell is 14 NUL-padded
-    4-byte words: sign and "0.000" prefix (2), integer digits (5), point, fraction
-    digits (4), exponent and separator (2); words no cell uses are dropped, then
-    the NULs.  Cells `_g17_digits` leaves undecided go to Python's `%`."""
-    t = _word_tables()
+    followed by "," or, after a row's last cell, "\\r\\n": `_g17_records`' records
+    with their NULs dropped by one `bytes.translate`.  The records come from their
+    own function so that its temporaries are freed before the copy to bytes."""
     x = block.astype(float, copy=False).ravel()
+    return _g17_records(x, block.shape[1]).tobytes().translate(None, b"\0")
+
+
+def _g17_records(x: np.ndarray, cols: int) -> np.ndarray:
+    """(x.size, 4) int64: per cell of x, read as rows of `cols` cells, a record of 32
+    NUL-padded bytes: sign and "0.000" prefix (bytes 0-5), the digits and point
+    (6-23), exponent and separator (24-31).
+    Digit i of the 17 sits at byte 7 + i in F and at 6 + i in I, F shifted down a
+    byte; the layout row's masks take the digits before the point from I and those
+    after it, up to the last nonzero one, from F.  Cells `_g17_digits` leaves
+    undecided go to Python's `%`."""
+    t = _layout_tables()
     n, k, decided = _g17_digits(x)
+    F, q = _digit_words(n, t["digits"])
+    del n
     k += 324
-    ip, rest = np.divmod(n, t["int"][k])
-    g = np.empty((9, x.size), dtype=np.int32)  # word indices: integer part, fraction
-    g[0] = ip // _TEN[16]
-    v = np.stack([ip - g[0] * _TEN[16], rest * t["frac"][k]])
-    half = np.empty((2, 2, x.size), dtype=np.int32)  # part, upper and lower 8 digits
-    np.floor_divide(v, _TEN[8], out=half[:, 0])
-    np.subtract(v, half[:, 0] * _TEN[8], out=half[:, 1])
-    words = g[1:].reshape(2, 4, -1)
-    np.floor_divide(half, 10000, out=words[:, 0::2])
-    np.subtract(half, words[:, 0::2] * 10000, out=words[:, 1::2])
-    # integer words drop leading zeros up to the first nonzero one (table offset
-    # 10000), fraction words trailing zeros after the last one (offset 20000)
-    g[0] += 10000
-    np.add(g[1:5], 10000, out=g[1:5], where=ip < _TEN[:3:-4, None])
-    g[5] += 20000 * ((half[1, 1] == 0) & (g[6] == 0))
-    g[6] += 20000 * (half[1, 1] == 0)
-    g[7] += 20000 * (g[8] == 0)
-    g[8] += 20000
-    w = np.empty((14, x.size), dtype=np.uint32)
-    np.take(t["prefix"], k + 633 * (x < 0), axis=1, out=w[0:2], mode="clip")
-    np.take(t["digits"], g[:5], out=w[2:7], mode="clip")
-    np.multiply(t["dot"][k], v[1] != 0, out=w[7])
-    np.take(t["digits"], g[5:], out=w[8:12], mode="clip")
-    k.reshape(block.shape)[:, -1] += 633
-    np.take(t["tail"], k, axis=1, out=w[12:14], mode="clip")
-    slow = np.flatnonzero(~decided)
-    text = ["%.17g" % y for y in x[slow].tolist()]
-    w[:12, slow] = np.array(text, "S48").view(np.uint32).reshape(-1, 12).T
-    return w[w.any(axis=1)].T.tobytes().translate(None, b"\0")
+    q += t["class"].take(k, mode="clip")
+    q += x < 0
+    I = F >> 8
+    I[:2] |= F[1:] << 56
+    I &= t["L"].take(q, axis=1, mode="clip")
+    F &= t["H"].take(q, axis=1, mode="clip")
+    I |= F
+    rec = np.empty((x.size, 4), np.int64)
+    np.bitwise_or(I, t["C"].take(q, axis=1, mode="clip"), out=rec[:, :3].T)
+    if not decided.all():
+        slow = np.flatnonzero(~decided)
+        k[slow] = 324  # no exponent
+        text = ["%.17g" % y for y in x[slow].tolist()]
+        rec[slow, :3] = np.array(text, "S24").view(np.int64).reshape(-1, 3)
+    k.reshape(-1, cols)[:, -1] += 633
+    rec[:, 3] = t["tail"].take(k, mode="clip")
+    return rec
 
 
 def quadrature_weights(x: np.ndarray) -> np.ndarray:

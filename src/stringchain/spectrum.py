@@ -295,11 +295,14 @@ def count_roots_contour(cfg: ChainConfig, rect: tuple[float, float, float, float
     return int(np.rint(total / (2.0 * np.pi)))
 
 
-def _screened_phase(fn, res: np.ndarray, ims: np.ndarray, phase: np.ndarray) -> None:
+def _screened_phase(fn, res: np.ndarray, ims: np.ndarray, phase: np.ndarray) -> np.ndarray:
     """np.angle(fn) on the grid res x ims into `phase` (NaN where left out): on the
     block lines, every _SCREEN-th row and column and the outer ones, then inside
     each block whose boundary winds (wrapped steps summing beyond pi) or has a
-    wrapped step above pi / 2.
+    wrapped step above pi / 2.  Returns the cells, (ims.size - 1, res.size - 1),
+    whose four corners it filled: those of the filled blocks and of the blocks one
+    cell wide or high, all of whose nodes lie on the lines.  Every other cell has a
+    corner inside a block it left out.
 
     The outer lines hold each edge's largest |Re z_j| on the grid (Re lam / c_j;
     for the Schrodinger chain Re sqrt(i lam) / c_j, harmonic, so extreme on the
@@ -323,9 +326,13 @@ def _screened_phase(fn, res: np.ndarray, ims: np.ndarray, phase: np.ndarray) -> 
     v = np.add.reduceat(np.stack((v, np.abs(v) > 0.5 * np.pi)), ys[:-1], axis=1)
     turn = h[0, :-1] - h[0, 1:] + v[0, :, 1:] - v[0, :, :-1]
     steep = h[1, :-1] + h[1, 1:] + v[1, :, 1:] + v[1, :, :-1]
+    wind = (np.abs(turn) > np.pi) | (steep > 0)
     # each node takes its block's verdict, rows then columns; the lines are filled already
-    wind = ((np.abs(turn) > np.pi) | (steep > 0))[np.searchsorted(ys, np.arange(ims.size)) - 1]
-    fill(wind[:, np.searchsorted(xs, np.arange(res.size)) - 1] & ~lines)
+    fill(wind[np.searchsorted(ys, np.arange(ims.size)) - 1]
+         [:, np.searchsorted(xs, np.arange(res.size)) - 1] & ~lines)
+    wind |= (np.diff(ys) == 1)[:, None] | (np.diff(xs) == 1)
+    return wind[np.searchsorted(ys, np.arange(ims.size - 1), "right") - 1] \
+        [:, np.searchsorted(xs, np.arange(res.size - 1), "right") - 1]
 
 
 def find_eigenvalues(cfg: ChainConfig, rect: tuple[float, float, float, float], which: str,
@@ -365,14 +372,18 @@ def find_eigenvalues(cfg: ChainConfig, rect: tuple[float, float, float, float], 
         ims = np.linspace(im0 - dy, im1 + dy, ny + 2)
         phase = np.full((ny + 2, nx + 2), np.nan)
     res = np.minimum(res, -_AXIS_MARGIN)
-    _screened_phase(fn, res, ims, phase)
-    dh = _wrap_phase(np.diff(phase, axis=1))
-    dv = _wrap_phase(np.diff(phase, axis=0))
+    cells = np.zeros(phase.shape, dtype=bool)
+    cells[:-1, :-1] = _screened_phase(fn, res, ims, phase)
+    # counterclockwise phase change around each filled cell, from its lower left
+    # corner at the flat index c: 2 pi times its root count
+    c = np.flatnonzero(cells)
+    row = phase.shape[1]
+    c00, c01, c10, c11 = (np.take(phase, c + d) for d in (0, 1, row, row + 1))
+    turn = _wrap_phase(c01 - c00) - _wrap_phase(c11 - c10) + _wrap_phase(c11 - c01) \
+        - _wrap_phase(c10 - c00)
     del phase
-    # counterclockwise phase change around each cell: 2 pi times its root count
-    # (NaN, so never a start, where a corner was left out)
-    turn = dh[:-1] - dh[1:] + dv[:, 1:] - dv[:, :-1]
-    cand_idx = np.argwhere(np.abs(turn) > np.pi)
+    # row by row, as the dedupe below keeps the first of two starts' equal roots
+    cand_idx = zip(*np.divmod(c[np.abs(turn) > np.pi], row))
     diag = abs(complex(re1 - re0, im1 - im0))
     roots: list[complex] = []
     residuals: list[float] = []

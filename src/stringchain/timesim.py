@@ -169,37 +169,36 @@ def simulate_wave(cfg: ChainConfig, init: WaveState, opts: SimOptions,
     v0 = layout.gather(init.v, real=True)
     u[-1] = v0[-1] = 0.0  # the clamped node neither moves nor carries energy
 
-    # elastic term: rho_j |du|^2 / h summed edge by edge over the cell differences
-    du = np.empty(n - 1)
-    du_edges = [(rho, du[s.start : s.stop - 1]) for rho, s in zip(cfg.densities, layout.spans)]
-
-    def energy(vel, u, kin_scale):
-        """kin_scale * sum_i (w_i / h) vel_i^2, trapezoid weights w, plus u's elastic energy."""
-        np.subtract(u[1:], u[:-1], out=du)
-        elastic = 0.0
-        for rho, seg in du_edges:
-            elastic += rho * float(np.dot(seg, seg))
-        ends = vel.item(0) ** 2 + vel.item(-1) ** 2
-        return kin_scale * (float(np.dot(vel, vel)) - 0.5 * ends) + (0.5 / h) * elastic
-
+    # f holds the cell differences u_{c+1} - u_c before they are scaled to fluxes; a
+    # record takes the elastic term rho_j |du|^2 / h from them, edge by edge
     f = np.empty(n - 1)
     f_right, f_left, u_right, u_left = f[1:], f[:-1], u[1:], u[:-1]
+    f_edges = [(rho, f[s.start : s.stop - 1]) for rho, s in zip(cfg.densities, layout.spans)]
+
+    def elastic():
+        total = 0.0
+        for rho, seg in f_edges:
+            total += rho * float(np.dot(seg, seg))
+        return total
+
+    def energy(vel, elastic_sum, kin_scale):
+        """kin_scale * sum_i (w_i / h) vel_i^2, trapezoid weights w, plus the elastic term."""
+        ends = vel.item(0) ** 2 + vel.item(-1) ** 2
+        return kin_scale * (float(np.dot(vel, vel)) - 0.5 * ends) + (0.5 / h) * elastic_sum
+
     d = np.zeros(n)  # the clamped node's increment stays 0
     d_in = d[1:-1]
 
-    def fluxes():
-        np.subtract(u_right, u_left, out=f)
-        np.multiply(f, g_scaled, out=f)
-
     # Taylor start: u^1 - u^0 = dt v^0 + dt^2/2 A u^0
-    fluxes()
+    np.subtract(u_right, u_left, out=f)
+    energies[0] = energy(v0, elastic(), 0.5 * h)
+    np.multiply(f, g_scaled, out=f)
     np.subtract(f_right, f_left, out=d_in)
     d_in *= 0.5
     d_in += dt * v0[1:-1]
     s0 = v0[0] if mode == "damped" else float(forcing(0.0)) if forced else 0.0
     d[0] = dt * v0[0] + 0.5 * (lift * f[0] - src * s0)
 
-    energies[0] = energy(v0, u, 0.5 * h)
     kin_scale = 0.5 * h / (4.0 * dt * dt)  # for the central difference u^{k+1} - u^{k-1}
 
     two_dt = 2.0 * dt
@@ -209,10 +208,12 @@ def simulate_wave(cfg: ChainConfig, init: WaveState, opts: SimOptions,
     for k in range(1, steps + 1):
         u += d  # now u^k; d^{k+1/2} replaces d^{k-1/2} below
         record = k % stride == 0 or k == steps
+        np.subtract(u_right, u_left, out=f)
         if record:
             np.copyto(d_rec, d)
+            elastic_k = elastic()
+        np.multiply(f, g_scaled, out=f)
         d_old = d.item(0)
-        fluxes()
         d_in += f_right
         d_in -= f_left
         vn = float(forcing(k * dt)) if forced else 0.0
@@ -226,7 +227,7 @@ def simulate_wave(cfg: ChainConfig, init: WaveState, opts: SimOptions,
             d_rec += d
             rec = -(-k // stride)
             times[rec] = k * dt
-            energies[rec] = energy(d_rec, u, kin_scale)
+            energies[rec] = energy(d_rec, elastic_k, kin_scale)
             flux[rec] = flux_cum
 
     # the last step is a record: d_rec = u^{M+1} - u^{M-1}

@@ -233,18 +233,20 @@ def test_integrate_edge_even_counts_use_trapezoid(n):
         assert abs(quadrature_weights(x) @ y - ref) <= 1e-13 * abs(ref)
 
 
-def test_write_table_bytes_match_csv_writer(tmp_path):
+# 20,001 rows span several write chunks; 0, 1 and 13 rows lie below the small-table
+# crossover; the last count fills two whole chunks of the test's four columns
+@pytest.mark.parametrize("rows", [20001, 0, 1, 13, 2 * (sc.chain_core._CSV_CELLS // 4)])
+def test_write_table_bytes_match_csv_writer(tmp_path, rows):
     import csv
 
     from stringchain.chain_core import write_table
 
     rng = np.random.default_rng(8)
-    rows = 20001  # spans several write chunks
     ints = np.arange(rows) % 7
     floats = rng.standard_normal(rows).tolist()  # a list of Python floats
     arr = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
-    arr[:6] = [-0.0, 1e-300, np.nan, np.inf, -np.inf, 0.0]
-    floats[:3] = [-0.0, float("nan"), 1e-300]
+    arr[:6] = [-0.0, 1e-300, np.nan, np.inf, -np.inf, 0.0][:rows]
+    floats[:3] = [-0.0, float("nan"), 1e-300][:rows]
     columns = (ints, floats, arr, [7] * rows)
     path = write_table(tmp_path / "t.csv", ["i", "f", "a", "k"], *columns)
     ref = tmp_path / "ref.csv"
