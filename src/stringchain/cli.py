@@ -44,7 +44,7 @@ from .resolvent import (
     wave_resolvent,
     wave_resolvent_norm_scan,
 )
-from .spectrum import _AXIS_MARGIN, _modulus, find_eigenvalues, imaginary_axis_gap
+from .spectrum import _AXIS_MARGIN, find_eigenvalues, imaginary_axis_gap
 from .timesim import SimOptions, fit_decay_rate, simulate_schrodinger, simulate_wave
 from .transfer_function import (
     admissibility_ratio,
@@ -204,10 +204,10 @@ def _write_det_scan(out: Path, which: str, found) -> Path:
     if which == "schrodinger":
         d = found.first
         return write_table(path, ["beta", "re_D", "im_D", "abs_D"],
-                           betas, d.real, d.imag, _modulus(d))
+                           betas, d.real, d.imag, np.abs(d))
     pair = found.first
     return write_table(path, ["beta", "re_D", "im_D", "abs_D", "re_Dt", "im_Dt", "re_DDbar"],
-                       betas, pair.d.real, pair.d.imag, _modulus(pair.d),
+                       betas, pair.d.real, pair.d.imag, np.abs(pair.d),
                        pair.d_tilde.real, pair.d_tilde.imag, pair.identity_value)
 
 
@@ -255,7 +255,7 @@ def _cmd_scan(args, cfg, out) -> _Done:
 def _cmd_transfer_scan(args, cfg, out) -> _Done:
     betas = uniform_betas((args.beta_min, args.beta_max), args.step)
     vals = transfer_values(cfg, args.gamma + 1j * betas)
-    abs_h = _modulus(vals)
+    abs_h = np.abs(vals)
     scan_csv = write_table(out / "transfer_scan.csv", ["gamma", "beta", "re_H", "im_H", "abs_H"],
                            np.full(betas.size, args.gamma), betas, vals.real, vals.imag, abs_h)
     k = int(np.argmax(abs_h))

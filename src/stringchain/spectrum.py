@@ -6,7 +6,8 @@ nontrivial homogeneous solution of the boundary-value problem exists iff
 the 2x2 boundary closure is singular.  Roots are located by the argument
 principle on a grid over a rectangle: every grid cell around which the
 phase of the determinant winds starts a Newton refinement with a
-central-difference derivative.  The grid is screened in blocks: a
+central-difference derivative, and Newton steps all of a search's starts
+together, one lam array per kernel call.  The grid is screened in blocks: a
 block's inside is evaluated only if its boundary winds (Delves-Lyness)
 or steps by more than pi / 2 (Ying-Katz).  An optional winding-number
 count along the rectangle boundary audits for missed roots.
@@ -215,7 +216,7 @@ def imaginary_axis_gap(cfg: ChainConfig, which: str, beta_range: tuple[float, fl
     pts = rows if rows[-1] >= hi else np.append(rows, hi)
     pair = det_pair(cfg, 1j * pts)
     first = DetPair(pair.d[:rows.size], pair.d_tilde[:rows.size])
-    d = _modulus(pair.d)
+    d = np.abs(pair.d)
     _, curv, allowance = axis_bounds(cfg, float(np.max(np.abs(pts))))
     best = float(np.min(d))
     lambdas, rounds = pts.size, 1
@@ -231,7 +232,7 @@ def imaginary_axis_gap(cfg: ChainConfig, which: str, beta_range: tuple[float, fl
             break
         stuck = ~split
         mid = mid[split]
-        dm = _modulus(det_pair(cfg, 1j * mid).d)
+        dm = np.abs(det_pair(cfg, 1j * mid).d)
         lambdas, rounds = lambdas + mid.size, rounds + 1
         best = min(best, float(np.min(dm)))
         a = np.concatenate((a[split], mid, a[stuck]))
@@ -242,35 +243,35 @@ def imaginary_axis_gap(cfg: ChainConfig, which: str, beta_range: tuple[float, fl
     return AxisGap(best, lower, lambdas, rounds, a.size, rows, first)
 
 
-def _modulus(z: np.ndarray) -> np.ndarray:
-    """|z| elementwise as Python's abs computes it (hypot): the abs_D and abs_H
-    columns of the CLI, so that a minimum is the det_scan.csv entry of its row.
-    np.abs may differ in the last bit."""
-    return np.hypot(z.real, z.imag)
-
-
-def _refine_newton(fn, z0: complex, tol: float, max_travel: float):
-    """Newton with a central-difference derivative; returns (z, |f|, ok).
-
-    Once |f| <= tol it takes one more step, kept unless |f| grows: tol
-    alone pins a root only to about tol / |f'|.
+def _refine_newton(fn, starts: np.ndarray, tol: float, max_travel: float):
+    """Newton with a central-difference derivative from all starts together;
+    returns the arrays (z, |f|, ok).  Each step calls fn once at z +- h and once
+    at the new iterates, for the starts still moving.  A start stops after
+    _NEWTON_MAX_ITER steps, on a zero or non-finite derivative, or once more
+    than max_travel from where it began.  Once |f| <= tol it takes one more
+    step, kept unless |f| grows: tol alone pins a root only to about tol / |f'|.
+    Every operation is elementwise, so each start gets the bits it gets alone.
     """
-    z = complex(z0)
-    f = complex(fn(z))
+    z0 = np.asarray(starts, dtype=complex)
+    z, f = z0.copy(), fn(z0)
+    moving = np.arange(z.size)
     for _ in range(_NEWTON_MAX_ITER):
-        converged = abs(f) <= tol
-        h = 1e-7 * (1.0 + abs(z))
-        d = (complex(fn(z + h)) - complex(fn(z - h))) / (2.0 * h)
-        if d == 0.0 or not np.isfinite(d):
+        if not moving.size:
             break
-        z_new = z - f / d
-        f_new = complex(fn(z_new))
-        if converged and not abs(f_new) <= abs(f):
-            break
-        z, f = z_new, f_new
-        if converged or abs(z - z0) > max_travel:
-            break
-    return z, abs(f), abs(f) <= tol
+        zm, fm = z[moving], f[moving]
+        h = 1e-7 * (1.0 + np.abs(zm))
+        both = fn(np.concatenate((zm + h, zm - h)))
+        d = (both[:zm.size] - both[zm.size:]) / (2.0 * h)
+        step = (d != 0.0) & np.isfinite(d)
+        moving, zm, fm, d = moving[step], zm[step], fm[step], d[step]
+        z_new = zm - fm / d
+        f_new = fn(z_new)
+        converged = np.abs(fm) <= tol
+        take = ~converged | (np.abs(f_new) <= np.abs(fm))
+        moving, z_new, f_new, converged = moving[take], z_new[take], f_new[take], converged[take]
+        z[moving], f[moving] = z_new, f_new
+        moving = moving[~converged & ~(np.abs(z_new - z0[moving]) > max_travel)]
+    return z, np.abs(f), np.abs(f) <= tol
 
 
 def _wrap_phase(d: np.ndarray) -> np.ndarray:
@@ -383,14 +384,14 @@ def find_eigenvalues(cfg: ChainConfig, rect: tuple[float, float, float, float], 
         - _wrap_phase(c10 - c00)
     del phase
     # row by row, as the dedupe below keeps the first of two starts' equal roots
-    cand_idx = zip(*np.divmod(c[np.abs(turn) > np.pi], row))
+    iy, ix = np.divmod(c[np.abs(turn) > np.pi], row)
+    starts = 0.5 * (res[ix] + res[ix + 1]) + 1j * (0.5 * (ims[iy] + ims[iy + 1]))
     diag = abs(complex(re1 - re0, im1 - im0))
+    zs, resids, oks = _refine_newton(fn, starts, tol, 2.0 * diag)
     roots: list[complex] = []
     residuals: list[float] = []
     failures: list[dict] = []
-    for iy, ix in cand_idx:
-        z0 = complex(0.5 * (res[ix] + res[ix + 1]), 0.5 * (ims[iy] + ims[iy + 1]))
-        z, resid, ok = _refine_newton(fn, z0, tol, 2.0 * diag)
+    for z0, z, resid, ok in zip(starts.tolist(), zs.tolist(), resids.tolist(), oks.tolist()):
         if ok:
             inside = (re0 - 1e-9 <= z.real <= re1 + 1e-9) and (im0 - 1e-9 <= z.imag <= im1 + 1e-9)
             if inside and all(abs(z - r) > 1e-8 for r in roots):
@@ -398,10 +399,11 @@ def find_eigenvalues(cfg: ChainConfig, rect: tuple[float, float, float, float], 
                 residuals.append(resid)
         else:
             failures.append({"start": z0, "last": z, "residual": resid})
-    order = np.lexsort((np.array([r.real for r in roots]), np.array([r.imag for r in roots]))) \
-        if roots else np.array([], dtype=int)
-    eig = np.array([roots[i] for i in order], dtype=complex)
-    resid = np.array([residuals[i] for i in order], dtype=float)
+    # by Im, then Re; an |Im| within the inside test's 1e-9 (a real root's rounding) is 0
+    found = sorted(zip(roots, residuals), key=lambda p: (
+        p[0].imag if abs(p[0].imag) > 1e-9 else 0.0, p[0].real))
+    eig = np.array([z for z, _ in found], dtype=complex)
+    resid = np.array([r for _, r in found], dtype=float)
     audit_count = None
     if audit:
         pad_rect = (re0 - 0.5 * dx, re1 + 0.5 * dx, im0 - 0.5 * dy, im1 + 0.5 * dy)

@@ -15,7 +15,6 @@ import numpy as np
 
 from .chain_core import ChainConfig, WaveState, sample_state, uniform_betas
 from .errors import DegenerateData, SingularBoundaryMatrix
-from .spectrum import _modulus
 from .timesim import SimOptions, simulate_wave
 from .transfer_matrix import _finite_values, propagate
 
@@ -61,7 +60,7 @@ def transfer_sup_scan(cfg: ChainConfig, gamma: float, beta_range: tuple[float, f
     if gamma <= 0:
         raise ValueError("gamma must be positive")
     betas = uniform_betas(beta_range, step)
-    vals = _modulus(transfer_values(cfg, gamma + 1j * betas))
+    vals = np.abs(transfer_values(cfg, gamma + 1j * betas))
     k = int(np.argmax(vals))
     return float(vals[k]), float(betas[k])
 

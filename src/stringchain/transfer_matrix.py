@@ -25,14 +25,15 @@ which is even in mu, and one square root per lam serves every edge.
 cosh and sinh are cos and i sin, so the same entries give the
 real-frequency propagators.
 
-One edge costs one cosh and sinh of its argument z = lam / c.  For an
-array of lam, `_cosh_sinh` evaluates cos and sin of Im z and cosh and
-sinh of Re z once each and forms cosh z = cosh x cos y + i sinh x sin y
-and sinh z = sinh x cos y + i cosh x sin y from them; on the imaginary
-axis this gives numpy's own complex cosh and sinh, bit for bit.  A
-scalar lam (Newton steps, the resolvents' single frequency) keeps
-np.cosh and np.sinh.  The products overflow once |Re z| passes about
-710.48, where cosh(Re z) does.
+One edge costs one cosh and sinh of its argument z = lam / c.
+`_cosh_sinh` evaluates cos and sin of Im z and cosh and sinh of Re z
+once each and forms cosh z = cosh x cos y + i sinh x sin y and
+sinh z = sinh x cos y + i cosh x sin y from them; on the imaginary axis
+this gives numpy's own complex cosh and sinh, bit for bit.  Every lam,
+an array or a scalar, takes this one path; every operation being
+elementwise, a point of a lam array gets the same bits in an array of
+any size.  The products overflow once |Re z| passes about 710.48, where
+cosh(Re z) does.
 
 A lam array larger than one block (_BLOCK points) is pushed through the
 chain a block at a time: the temporaries stay in cache, peak memory is
@@ -92,12 +93,9 @@ def _cosh_sinh(z):
     functions; here each is evaluated once, into the real and imaginary
     parts of the two outputs, and the products are formed there with one
     real temporary, so peak memory stays at two complex arrays of z's
-    size, which `propagate` keeps to one block.  A scalar or 0-d argument
-    keeps np.cosh/np.sinh.
+    size, which `propagate` keeps to one block.  A scalar z gives 0-d arrays.
     """
-    if not isinstance(z, np.ndarray) or z.ndim == 0:
-        return np.cosh(z), np.sinh(z)
-    ch, sh = np.empty(z.shape, dtype=complex), np.empty(z.shape, dtype=complex)
+    ch, sh = np.empty(np.shape(z), dtype=complex), np.empty(np.shape(z), dtype=complex)
     cx, cy, sx, sy = ch.real, ch.imag, sh.real, sh.imag  # views into the outputs
     np.cosh(z.real, out=cx)
     np.cos(z.imag, out=cy)
@@ -118,7 +116,7 @@ def edge_entries(rho: float, lam):
     It propagates (value, flux) of the first-order wave system: with
     c = sqrt(rho) and z = lam / c the entries are cosh z, sinh(z) / c and
     c sinh z.  The matrix is unimodular and entire in lam; `_cosh_sinh`
-    gives cosh and sinh of an array argument.
+    gives cosh and sinh of z.
     """
     c = math.sqrt(rho)  # np.sqrt's value, without a scalar ufunc call per edge
     z = lam / c
@@ -132,15 +130,15 @@ def edge_entries(rho: float, lam):
 def propagate(cfg: ChainConfig, lam, start):
     """Push the start vector (a, b) through edges 0..N-1 at lam.
 
-    Returns (a, b) at x = N, broadcast over lam.  The components of
-    start may be arrays that broadcast against lam, so several start
-    vectors share one cosh/sinh evaluation per edge.  A lam array of
-    more than _BLOCK points is evaluated _BLOCK points at a time along
-    its flattened axes, into preallocated outputs, with the values of
-    the whole-array evaluation bit for bit; a broadcast shape that does
-    not end in lam's shape is evaluated whole.
+    Returns (a, b) at x = N, broadcast over lam; a scalar lam takes the
+    same array path.  The components of start may be arrays that broadcast
+    against lam, so several start vectors share one cosh/sinh evaluation
+    per edge.  A lam array of more than _BLOCK points is evaluated _BLOCK
+    points at a time along its flattened axes, into preallocated outputs,
+    with the values of the whole-array evaluation bit for bit; a broadcast
+    shape that does not end in lam's shape is evaluated whole.
     """
-    lam = np.asarray(lam, dtype=complex)[()]  # a 0-d lam becomes a cheaper scalar
+    lam = np.asarray(lam, dtype=complex)
     a, b = start
     if lam.size > _BLOCK:
         shape = np.broadcast_shapes(np.shape(a), np.shape(b), lam.shape)

@@ -218,8 +218,8 @@ def test_overflowing_schrodinger_gap_is_a_numerical_failure(tmp_path, capsys):
 
 
 def test_transfer_scan_reports_the_largest_abs_h_it_writes(tmp_path):
-    # np.abs and the abs_H column (hypot) differ in the last bit on this chain,
-    # where the two largest values lie at beta = -21.3 and +21.3
+    # on this chain the two largest values lie at beta = -21.3 and +21.3, where
+    # np.abs and Python's abs (hypot) differ in the last bit
     config = tmp_path / "four.json"
     config.write_text(json.dumps(
         {"densities": [0.5679574238562732, 0.5071776648166756, 3.90662647370337,

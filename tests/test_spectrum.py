@@ -12,14 +12,12 @@ from stringchain.resolvent import _OscillatoryPlan
 from stringchain.spectrum import (
     _AXIS_MARGIN,
     _char_fn,
-    _modulus,
     _refine_newton,
     _screened_phase,
     _wrap_phase,
     axis_bounds,
     count_roots_contour,
 )
-from stringchain.transfer_function import transfer_values
 from stringchain.transfer_matrix import _finite_values, analytic_gap_bound
 
 
@@ -258,16 +256,6 @@ def test_schrodinger_gap_rows_equal_a_fresh_evaluation():
         assert np.array_equal(_bits(found.first), _bits(fresh))
 
 
-def test_modulus_is_python_abs_bit_for_bit():
-    # the abs_D and abs_H columns: the det_scan rows and the transfer-scan rows
-    # at the CLI's defaults
-    rows = uniform_betas((-200.0, 200.0), 1e-3)[::100]
-    line = 1.0 + 1j * uniform_betas((-50.0, 50.0), 0.01)
-    for cfg in _random_chains(40, 2024):
-        for z in (sc.det_pair(cfg, 1j * rows).d, transfer_values(cfg, line)):
-            assert np.array_equal(_bits(_modulus(z)), _bits(np.array([abs(v) for v in z])))
-
-
 def test_schrodinger_det_normalization_and_axis():
     cfg = sc.ChainConfig(densities=(1.0, 2.0))
     assert sc.char_det_schrodinger(cfg, 1.0 + 0.0j) == pytest.approx(1.0)
@@ -448,9 +436,10 @@ def _full_grid_search(cfg, rect, which, grid, tol=1e-10):
     turn = dh[:-1] - dh[1:] + dv[:, 1:] - dv[:, :-1]
     diag = abs(complex(re1 - re0, im1 - im0))
     roots, residuals, failures = [], [], []
-    for iy, ix in np.argwhere(np.abs(turn) > np.pi):
-        z0 = complex(0.5 * (res[ix] + res[ix + 1]), 0.5 * (ims[iy] + ims[iy + 1]))
-        z, resid, ok = _refine_newton(fn, z0, tol, 2.0 * diag)
+    iy, ix = np.nonzero(np.abs(turn) > np.pi)
+    starts = 0.5 * (res[ix] + res[ix + 1]) + 1j * (0.5 * (ims[iy] + ims[iy + 1]))
+    found = _refine_newton(fn, starts, tol, 2.0 * diag)
+    for z0, z, resid, ok in zip(*(v.tolist() for v in (starts, *found))):
         if ok:
             inside = (re0 - 1e-9 <= z.real <= re1 + 1e-9) and (im0 - 1e-9 <= z.imag <= im1 + 1e-9)
             if inside and all(abs(z - r) > 1e-8 for r in roots):
@@ -563,3 +552,84 @@ def test_screened_search_evaluates_at_most_35_percent_of_the_grid(monkeypatch, w
     eig = sc.find_eigenvalues(sc.ChainConfig(densities=_EIGHT_EDGES), rect, which, grid=grid)
     assert eig.eigenvalues.size > 0
     assert 0 < sum(counted) <= 0.35 * (grid[0] + 2) * (grid[1] + 2)
+
+
+def _newton_runs(monkeypatch, cfg, rect, which, tol=1e-10):
+    """find_eigenvalues with its Newton call recorded: (eig, [(fn, starts, tol,
+    max_travel, result)], number of fn calls Newton made)."""
+    runs, calls = [], []
+
+    def recording(fn, starts, tol, max_travel, inner=spectrum._refine_newton):
+        def counted(lam):
+            calls.append(np.size(lam))
+            return fn(lam)
+        runs.append((fn, starts.copy(), tol, max_travel, inner(counted, starts, tol, max_travel)))
+        return runs[-1][-1]
+
+    monkeypatch.setattr(spectrum, "_refine_newton", recording)
+    eig = sc.find_eigenvalues(cfg, rect, which, tol=tol)
+    monkeypatch.undo()
+    return eig, runs, calls
+
+
+@pytest.mark.parametrize("which", ["wave", "schrodinger"])
+def test_newton_gives_each_start_the_bits_it_gets_alone(monkeypatch, which):
+    # random 1-8 edge chains; every fourth has a nearly matched damped end, where
+    # some starts fail to refine, and every third search asks for |det| <= 1e-30,
+    # so that its starts run until a stopping rule fails them.  Last, a rectangle
+    # where the unit-density chain has no root: no cell winds, so nothing starts
+    failed, searches = 0, []
+    for s in range(24):
+        rng = np.random.default_rng([32, s])
+        densities = rng.uniform(0.25, 4.0, int(rng.integers(1, 9)))
+        if s % 4 == 0:
+            densities[0] = rng.uniform(0.97, 1.03)
+        re0, im0 = rng.uniform(-3.0, -0.5), rng.uniform(-5.0, 20.0)
+        rect = (re0, 0.0, im0, im0 + rng.uniform(5.0, 40.0))
+        searches.append((tuple(densities), rect, 1e-30 if s % 3 == 1 else 1e-10))
+    for densities, rect, tol in searches + [((1.0,), (-1.0, 0.0, -1.0, 1.0), 1e-10)]:
+        _, runs, _ = _newton_runs(monkeypatch, sc.ChainConfig(densities), rect, which, tol)
+        (fn, starts, tol, max_travel, (z, resid, ok)), = runs
+        assert z.shape == resid.shape == ok.shape == starts.shape
+        for k in range(starts.size):
+            alone = _refine_newton(fn, starts[k:k + 1], tol, max_travel)
+            assert np.array_equal(_bits(alone[0]), _bits(z[k:k + 1]))
+            assert np.array_equal(_bits(alone[1]), _bits(resid[k:k + 1]))
+            assert alone[2][0] == ok[k]
+        failed += int(np.count_nonzero(~ok))
+    assert failed > 0 and starts.size == 0
+
+
+def test_newton_steps_all_starts_in_one_kernel_call_each(monkeypatch):
+    # the 50-edge chain's search starts 28 Newton runs: one at a time they would
+    # make at least three calls each, together they make one and then two per step
+    cfg = sc.ChainConfig(densities=tuple(np.random.default_rng(1).uniform(0.25, 4.0, 50)))
+    eig, runs, calls = _newton_runs(monkeypatch, cfg, (-3.0, 0.0, 0.0, 20.0), "wave")
+    starts = runs[0][1]
+    assert eig.eigenvalues.size == 26 and starts.size == 28
+    assert calls[0] == starts.size and len(calls) % 2 == 1
+    assert len(calls) <= min(1 + 2 * spectrum._NEWTON_MAX_ITER, 2 * starts.size)
+    for at_h, at_new in zip(calls[1::2], calls[2::2]):  # z +- h, then the new iterates
+        assert at_h % 2 == 0 and at_new <= at_h // 2
+
+
+@pytest.mark.parametrize("which", ["wave", "schrodinger"])
+def test_residuals_are_the_kernel_modulus_at_the_roots(which):
+    found = 0
+    for cfg in _random_chains(12, 321):
+        eig = sc.find_eigenvalues(cfg, (-3.0, 0.0, -1.0, 15.0), which)
+        values = _char_fn(cfg, which)(eig.eigenvalues)
+        assert np.array_equal(_bits(eig.residuals), _bits(np.abs(values)))
+        found += eig.eigenvalues.size
+    assert found > 20
+
+
+def test_real_axis_roots_are_listed_by_re():
+    # Im of a real root is rounding noise of either sign (1e-30 to 1e-16), so
+    # ordering by (Im, Re) would list these two by the signs of that noise
+    cfg = sc.ChainConfig((1.6996, 0.3399, 3.7271, 1.7759, 3.8453, 1.848, 3.1206))
+    eig = sc.find_eigenvalues(cfg, (-3.0, 0.0, 0.0, 20.0), "wave")
+    real = eig.eigenvalues[np.abs(eig.eigenvalues.imag) <= 1e-9]
+    assert real.size == 2 and np.array_equal(eig.eigenvalues[:2], real)
+    assert real[0].real < real[1].real
+    assert np.all(np.diff(eig.eigenvalues[2:].imag) > 0)

@@ -30,7 +30,6 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import stringchain as sc  # noqa: E402
 from stringchain.chain_core import uniform_betas, write_table  # noqa: E402
-from stringchain.spectrum import _modulus  # noqa: E402
 from stringchain.transfer_function import transfer_values  # noqa: E402
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
@@ -45,12 +44,12 @@ def tables() -> dict:
     found = sc.imaginary_axis_gap(eight, "wave", (-200.0, 200.0), 1e-3, 100)
     pair = found.first
     det_scan = (["beta", "re_D", "im_D", "abs_D", "re_Dt", "im_Dt", "re_DDbar"],
-                (found.rows, pair.d.real, pair.d.imag, _modulus(pair.d),
+                (found.rows, pair.d.real, pair.d.imag, np.abs(pair.d),
                  pair.d_tilde.real, pair.d_tilde.imag, pair.identity_value))
     betas = uniform_betas((-50.0, 50.0), 0.01)
     vals = transfer_values(eight, 1.0 + 1j * betas)
     transfer_scan = (["gamma", "beta", "re_H", "im_H", "abs_H"],
-                     (np.full(betas.size, 1.0), betas, vals.real, vals.imag, _modulus(vals)))
+                     (np.full(betas.size, 1.0), betas, vals.real, vals.imag, np.abs(vals)))
     cfg = sc.ChainConfig((1.0, 4.0))
     init = sc.sample_state(cfg, 8, lambda x: sc.chain_core.smooth_bump(x, 0.2, 0.8))
     # dt = cfl h / 2 with h = 1/7: 20 / 160,000 steps

@@ -33,8 +33,9 @@ import tarfile
 import tempfile
 from pathlib import Path
 
-# one edge, a mismatched pair, three edges, and the 8-edge chain of the
-# benchmark's spectral_chain(np.random.default_rng(1), 8)
+# one edge, a mismatched pair, three edges, the 8-edge chain of the
+# benchmark's spectral_chain(np.random.default_rng(1), 8), and a 7-edge chain
+# with two roots on the real axis, which spectrum lists in order of Re
 CHAINS = {
     "one-edge": (1.0,),
     "two-edge": (1.0, 4.0),
@@ -42,11 +43,13 @@ CHAINS = {
     "eight-edge": (3.876159240814838, 0.7905985476986265, 3.8074354267646644,
                    1.4193679450393204, 1.8374741836471586, 3.3538847268266565,
                    1.7844967613843548, 2.310976328773973),
+    "seven-edge": (1.6996, 0.3399, 3.7271, 1.7759, 3.8453, 1.848, 3.1206),
 }
 
 _GAP = ["--beta-min", "-20", "--beta-max", "20", "--step", "0.01"]
 INVOCATIONS = {
     "spectrum-wave": ["spectrum", "--rect", "-3,0,0,20", "--grid", "32,32"],
+    "spectrum-wave-default-grid": ["spectrum", "--rect", "-3,0,0,20"],
     "spectrum-schrodinger": ["spectrum", "--which", "schrodinger", "--rect", "-3,0,0,60",
                              "--grid", "32,32"],
     # the spectral benchmark's grids: enough 8 x 8-cell blocks for the search to skip some
