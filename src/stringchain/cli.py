@@ -186,7 +186,6 @@ def _cmd_spectrum(args, cfg, out) -> _Done:
         "abscissa": eig.abscissa,
         "count": int(eig.eigenvalues.size),
         "rect": list(eig.search_rect),
-        "tol": args.tol,
         "failures": len(eig.failures),
     })
     lines = [f"spectrum: {eig.eigenvalues.size} roots in rect {eig.search_rect}, "
@@ -267,20 +266,16 @@ def _cmd_transfer_scan(args, cfg, out) -> _Done:
     )
 
 
-def _write_decay(args, cfg, out, trace, option_names, **results):
-    """Fit the decay rate, write energy.csv and run.json; returns (rate note, outputs)."""
+def _write_decay(out, trace, **results):
+    """Fit the decay rate, write energy.csv and run.json (results only, the inputs are
+    the manifest's); returns (rate note, outputs)."""
     try:
         omega = fit_decay_rate(trace)
     except InsufficientDecay:
         omega = None
     energy_csv = out / "energy.csv"
     trace.to_csv(energy_csv)
-    run_json = _write_json(out / "run.json", {
-        "config": {"densities": list(cfg.densities)},
-        "options": {name: getattr(args, name) for name in option_names},
-        "fitted_rate": omega,
-        **results,
-    })
+    run_json = _write_json(out / "run.json", {"fitted_rate": omega, **results})
     note = "" if omega is None else f", fitted rate = {omega:.4g}"
     return note, (energy_csv, run_json)
 
@@ -293,8 +288,7 @@ def _cmd_decay(args, cfg, out) -> _Done:
     e0 = trace.energies[0]
     below = trace.times[trace.energies <= 1e-6 * e0]
     extinction = float(below[0]) if below.size else None
-    note, outputs = _write_decay(args, cfg, out, trace, ("points", "T", "cfl", "stride"),
-                                 extinction_time=extinction)
+    note, outputs = _write_decay(out, trace, extinction_time=extinction)
     msg = f"decay: E(0) = {e0:.6g}, E(T)/E(0) = {trace.energies[-1] / e0:.3e}{note}"
     if extinction is not None:
         msg += f", extinction by t = {extinction:.3g}"
@@ -306,8 +300,7 @@ def _cmd_schrodinger_decay(args, cfg, out) -> _Done:
     init = sample_function(cfg, args.points, smooth_bump)
     trace, _ = simulate_schrodinger(cfg, init, opts)
     balance = abs(trace.energies[0] - trace.energies[-1] - trace.boundary_flux[-1])
-    note, outputs = _write_decay(args, cfg, out, trace, ("points", "T", "dt"),
-                                 flux_balance_defect=balance)
+    note, outputs = _write_decay(out, trace, flux_balance_defect=balance)
     return _Done(f"schrodinger-decay: E(T)/E(0) = {trace.energies[-1] / trace.energies[0]:.3e}, "
                  f"flux balance defect = {balance:.3e}{note}", outputs)
 
@@ -326,7 +319,6 @@ def _cmd_io_ratios(args, cfg, out) -> _Done:
         "admissibility_ratio": adm,
         "observability_ratio": obs,
         "round_trip_time": round_trip_time(cfg),
-        "T": args.T,
     }
     ratios_json = _write_json(out / "io_ratios.json", payload)
     return _Done(f"io-ratios: admissibility = {adm:.6g}, observability = {obs:.6g}, "

@@ -29,12 +29,11 @@ class EmptyScan(ChainError):
     """A scan range contains no sample points."""
 
 
-class SingularBoundaryMatrix(ChainError):
-    """2x2 boundary matrix is numerically singular."""
-
-
 class SingularDenominator(ChainError):
-    """Closed-form coefficient denominator is numerically zero."""
+    """A solve's closed-form denominator is below 1e-14, or its coefficient system singular."""
+
+    def __init__(self, den: complex, at: str):
+        super().__init__(f"closed-form denominator = {abs(den):.3g} at {at}")
 
 
 class QuadratureTooCoarse(ChainError):

@@ -188,8 +188,8 @@ def imaginary_axis_gap(cfg: ChainConfig, which: str, beta_range: tuple[float, fl
     a value there that is not finite raises DeterminantOverflow.
     The wave chain's window minimum is certified by branch and bound
     (Piyavskii-Shubert with the second-order bound of `axis_bounds`).
-    Round one evaluates g = |D|^2 at the rows uniform_betas(beta_range,
-    step)[::stride], and at the window's upper end if the rows stop short
+    Round one evaluates g = |D|^2 at the rows alone, uniform_betas(beta_range,
+    step, stride), and at the window's upper end if the rows stop short
     of it.  Each later round splits, with one det_pair call for all the
     midpoints, every cell whose lower bound min(g(a), g(b)) - M w^2/8 - e
     lies below best (1 - 1e-12) - e, where e bounds the rounding of g
@@ -205,13 +205,12 @@ def imaginary_axis_gap(cfg: ChainConfig, which: str, beta_range: tuple[float, fl
     result is then uncertified.
     """
     fn = _char_fn(cfg, which)
-    betas = uniform_betas(beta_range, step)
     if which == "schrodinger":
+        betas = uniform_betas(beta_range, step)
         vals = _finite_values(fn, 1j * betas)
         return AxisGap(float(np.min(np.abs(vals))), None, betas.size, 1, 0,
                        betas[::stride].copy(), vals[::stride].copy())
-    rows = betas[::stride].copy()
-    del betas
+    rows = uniform_betas(beta_range, step, stride)
     hi = float(beta_range[1])
     pts = rows if rows[-1] >= hi else np.append(rows, hi)
     pair = det_pair(cfg, 1j * pts)

@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .chain_core import ChainConfig, WaveState, sample_state, uniform_betas
-from .errors import DegenerateData, SingularBoundaryMatrix
+from .errors import DegenerateData, SingularDenominator
 from .timesim import SimOptions, simulate_wave
 from .transfer_matrix import _finite_values, propagate
 
@@ -42,8 +42,9 @@ def transfer_values(cfg: ChainConfig, lam):
 
     def closure(lam):
         (p00, p01), _ = propagate(cfg, lam, starts)
-        if np.any(np.abs(p00) < 1e-14):
-            raise SingularBoundaryMatrix("transfer closure numerically singular")
+        small = np.abs(p00) < 1e-14
+        if small.any():
+            raise SingularDenominator(p00[small][0], f"lam = {lam[small][0]:.6g}")
         return -p01 / p00
 
     return _finite_values(closure, lam)
@@ -56,9 +57,7 @@ def transfer_value(cfg: ChainConfig, lam: complex) -> complex:
 
 def transfer_sup_scan(cfg: ChainConfig, gamma: float, beta_range: tuple[float, float],
                       step: float) -> tuple[float, float]:
-    """(sup |H|, argmax beta) over the grid on the line Re lam = gamma."""
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    """(sup |H|, its first beta) over the grid on the line Re lam = gamma > 0."""
     betas = uniform_betas(beta_range, step)
     vals = np.abs(transfer_values(cfg, gamma + 1j * betas))
     k = int(np.argmax(vals))

@@ -29,10 +29,10 @@ One edge costs one cosh and sinh of its argument z = lam / c.
 `_cosh_sinh` evaluates cos and sin of Im z and cosh and sinh of Re z
 once each and forms cosh z = cosh x cos y + i sinh x sin y and
 sinh z = sinh x cos y + i cosh x sin y from them; on the imaginary axis
-this gives numpy's own complex cosh and sinh, bit for bit.  Every lam,
-an array or a scalar, takes this one path; every operation being
-elementwise, a point of a lam array gets the same bits in an array of
-any size.  The products overflow once |Re z| passes about 710.48, where
+this gives numpy's own complex cosh and sinh, bit for bit.  Every lam
+takes this one path, a scalar as a one-element array; every operation
+being elementwise, a lam gets the same bits alone or in an array of any
+size.  The products overflow once |Re z| passes about 710.48, where
 cosh(Re z) does.
 
 A lam array larger than one block (_BLOCK points) is pushed through the
@@ -50,7 +50,7 @@ from typing import Union
 import numpy as np
 
 from .chain_core import ChainConfig
-from .errors import DeterminantOverflow, NonPositiveDensity
+from .errors import DeterminantOverflow
 
 __all__ = [
     "DetPair",
@@ -70,19 +70,14 @@ __all__ = [
 _BLOCK = 8192
 
 
-def _check_rho(rho: float) -> float:
-    if not np.isfinite(rho) or rho <= 0.0:
-        raise NonPositiveDensity(f"density {rho} must be positive and finite")
-    return float(rho)
-
-
 def exp_hyp(rho: float, lam: complex, x: float) -> np.ndarray:
     """exp(lam*x*B^{-1}) for general complex lam, written with cosh and sinh.
 
     Unimodular.  At lam = i beta it is [[cos t, i sin(t) / c], [i c sin t, cos t]]
-    with c = sqrt(rho) and t = beta x / c.
+    with c = sqrt(rho) and t = beta x / c; rho is checked as a chain's density.
+    A scalar lam x / c is Python's complex division, not numpy's (Im z rounds once).
     """
-    ch, s12, s21 = edge_entries(_check_rho(rho), lam * x)
+    ch, s12, s21 = edge_entries(ChainConfig((rho,)).densities[0], lam * x)
     return np.array([[ch, s12], [s21, ch]], dtype=complex)
 
 
@@ -130,16 +125,19 @@ def edge_entries(rho: float, lam):
 def propagate(cfg: ChainConfig, lam, start):
     """Push the start vector (a, b) through edges 0..N-1 at lam.
 
-    Returns (a, b) at x = N, broadcast over lam; a scalar lam takes the
-    same array path.  The components of start may be arrays that broadcast
-    against lam, so several start vectors share one cosh/sinh evaluation
-    per edge.  A lam array of more than _BLOCK points is evaluated _BLOCK
-    points at a time along its flattened axes, into preallocated outputs,
-    with the values of the whole-array evaluation bit for bit; a broadcast
-    shape that does not end in lam's shape is evaluated whole.
+    Returns (a, b) at x = N, broadcast over lam; a scalar lam is a one-element
+    array reshaped back (numpy's scalar arithmetic would round otherwise).  The
+    components of start may be arrays that broadcast against lam, so several
+    start vectors share one cosh/sinh evaluation per edge.  A lam array of more
+    than _BLOCK points is evaluated _BLOCK points at a time along its flattened
+    axes, into preallocated outputs, with the whole-array values bit for bit; a
+    broadcast shape that does not end in lam's shape is evaluated whole.
     """
     lam = np.asarray(lam, dtype=complex)
     a, b = start
+    if lam.ndim == 0:
+        shape = np.broadcast_shapes(np.shape(a), np.shape(b))
+        return tuple(v.reshape(shape) for v in propagate(cfg, lam.reshape(1), start))
     if lam.size > _BLOCK:
         shape = np.broadcast_shapes(np.shape(a), np.shape(b), lam.shape)
         lead = shape[:len(shape) - lam.ndim]

@@ -428,3 +428,76 @@ def test_write_table_peak_memory_stays_below_the_per_row_writer(tmp_path):
         finally:
             tracemalloc.stop()
         assert peak <= bound, (len(columns[0]), peak)
+
+
+def test_uniform_betas_hit_their_grid_points():
+    # lo + k step, rounded once: no drift over 400,001 points, 0 on a symmetric grid
+    from stringchain.chain_core import uniform_betas
+    betas = uniform_betas((-200.0, 200.0), 1e-3)  # the gap and det-bound default
+    assert betas.size == 400_001
+    assert betas[200_000] == 0.0 and betas[-1] == 200.0
+    assert np.array_equal(betas, -200.0 + 1e-3 * np.arange(400_001))
+    assert uniform_betas((-50.0, 50.0), 0.01)[-1] == 50.0  # transfer-scan's default
+
+
+@pytest.mark.parametrize("beta_range, step", [
+    ((-200.0, 200.0), 1e-3), ((-20.0, 20.0), 0.01), ((0.1, 1e4), 0.1), ((-3.3, 7.1), 0.07),
+    ((5.0, 5.0), 1.0), ((-1.0, 2.0), 0.3)])
+@pytest.mark.parametrize("stride", [1, 2, 3, 7, 100, 10**6])
+def test_strided_uniform_betas_are_the_full_grid_sliced(beta_range, step, stride):
+    from stringchain.chain_core import uniform_betas
+    full = uniform_betas(beta_range, step)
+    strided = uniform_betas(beta_range, step, stride)
+    assert np.array_equal(strided, full[::stride])
+    assert strided.dtype == full.dtype and strided.flags.c_contiguous
+
+
+def test_uniform_betas_reject_an_empty_range():
+    from stringchain.chain_core import uniform_betas
+    from stringchain.errors import EmptyScan
+    with pytest.raises(EmptyScan, match="empty beta range"):
+        uniform_betas((1.0, -1.0), 0.1)
+
+
+def test_chain_function_rejects_malformed_input():
+    x = np.linspace(0.0, 1.0, 4)
+    with pytest.raises(GridMismatch, match="one entry per edge"):
+        ChainFunction([x], [np.zeros(4, complex)] * 2)
+    with pytest.raises(EmptyChain):
+        ChainFunction([], [])
+    with pytest.raises(GridMismatch, match="1d with at least 2 points"):
+        ChainFunction([np.array([0.0])], [np.zeros(1, complex)])
+    with pytest.raises(GridMismatch, match="1d with at least 2 points"):
+        ChainFunction([np.zeros((2, 2))], [np.zeros(2, complex)])
+    with pytest.raises(GridMismatch, match="3 values on 4 grid points"):
+        ChainFunction([x], [np.zeros(3, complex)])
+    with pytest.raises(ArityMismatch, match=r"shape \(n,\) or \(n, 2\)"):
+        ChainFunction([x], [np.zeros((4, 3), complex)])
+
+
+def test_grid_and_sampling_input_checks():
+    cfg = sc.ChainConfig((1.0, 2.0))
+    with pytest.raises(GridMismatch, match="at least 2 points"):
+        uniform_grids(cfg, 1)
+    with pytest.raises(ArityMismatch, match=r"\(n, 2\) array"):
+        sample_function(cfg, 8, lambda x: x, arity=2)
+
+
+def test_wave_state_input_checks():
+    one, two = sc.ChainConfig((1.0,)), sc.ChainConfig((1.0, 1.0))
+    clamped = lambda x: np.sin(np.pi * x).astype(complex)  # noqa: E731
+    with pytest.raises(GridMismatch, match="same number of edges"):
+        sc.WaveState(u=sample_function(two, 16, clamped), v=zeros_function(one, 16))
+    with pytest.raises(ArityMismatch, match="scalar functions"):
+        sc.WaveState(u=sample_function(one, 16, clamped), v=zeros_function(one, 16, arity=2))
+    with pytest.raises(GridMismatch, match="share their grids"):
+        sc.WaveState(u=sample_function(one, 16, clamped), v=zeros_function(one, 17))
+    with pytest.raises(GridMismatch, match="vanish at the clamped end"):
+        sc.WaveState(u=sample_function(one, 16, lambda x: np.ones_like(x, dtype=complex)),
+                     v=zeros_function(one, 16))
+
+
+def test_write_table_rejects_a_complex_column(tmp_path):
+    from stringchain.chain_core import write_table
+    with pytest.raises(TypeError, match="real numbers only"):
+        write_table(tmp_path / "t.csv", ["a", "b"], np.arange(3.0), np.full(3, 1j))

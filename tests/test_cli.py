@@ -434,3 +434,32 @@ def test_commands_that_never_call_scipy_never_load_it(chain_json, tmp_path):
     imported, *runs = json.loads(out.splitlines()[-1])
     assert imported is False
     assert runs == [[argv[0], 0, False] for argv in SCIPY_FREE_RUNS]
+
+
+def test_schrodinger_scan_negative_log_grid(mono_json, tmp_path):
+    # both ends negative: the log grid runs from -1000 to -100 with its sign restored
+    out = tmp_path / "neg"
+    assert run(["schrodinger-scan", "--config", mono_json, "--beta-min", "-1000",
+                "--beta-max", "-100", "--count", "3", "--probes", "1", "--out", str(out)]) == 0
+    rows = (out / "schrodinger_scan.csv").read_text().splitlines()[1:]
+    betas = [float(r.split(",")[0]) for r in rows]
+    assert betas == pytest.approx([-1000.0, -1000.0 / np.sqrt(10.0), -100.0], rel=1e-15)
+
+
+@pytest.mark.parametrize("argv, name, results", [
+    (["decay", "--T", "0.5", "--points", "40"], "run.json", {"fitted_rate", "extinction_time"}),
+    (["schrodinger-decay", "--T", "0.1", "--points", "40"], "run.json",
+     {"fitted_rate", "flux_balance_defect"}),
+    (["spectrum", "--rect", "-2,-0.5,0,4", "--grid", "16,16"], "spectrum_summary.json",
+     {"abscissa", "count", "rect", "failures"}),
+    (["io-ratios", "--T", "1", "--points", "40"], "io_ratios.json",
+     {"admissibility_ratio", "observability_ratio", "round_trip_time"}),
+])
+def test_side_files_hold_results_and_the_manifest_the_inputs(mono_json, tmp_path, argv, name,
+                                                              results):
+    out = tmp_path / "out"
+    assert run([*argv, "--config", mono_json, "--out", str(out)]) == 0
+    assert set(json.loads((out / name).read_text())) == results
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"] == {"densities": [1.0]}
+    assert {k.lstrip("-").replace("-", "_") for k in argv[1::2]} <= set(manifest["options"])

@@ -253,3 +253,20 @@ def test_rel_l2_diff_and_resample_load_on_linear_data(arity):
     for x, v in zip(r.grids, r.values):
         assert np.array_equal(x, np.linspace(x[0], x[-1], 17))
         assert np.allclose(v, fn(x), rtol=0, atol=1e-13)
+
+
+def test_a_shift_numerically_in_the_spectrum_is_refused():
+    # A - i beta has a pivot of 1e-16: LU accepts it, the norm is 1e16
+    beta = 2.0
+    ident = sp.identity(4, dtype=complex, format="csc")
+    matrix = sp.diags([1j * beta - 1e-16, -1.0, -2.0, -3.0]).tocsc()
+    op = sc.SparseOperator(matrix, [(0, k, "u") for k in range(4)], ident)
+    with pytest.raises(SingularShift, match="numerically in the spectrum"):
+        sc.fd_resolvent_norm(op, beta)
+
+
+def test_fd_bvp_solve_needs_eight_cells_per_edge():
+    cfg = sc.ChainConfig((1.0, 4.0))
+    g = sample_function(cfg, 8, lambda x: np.ones_like(x, dtype=complex))
+    with pytest.raises(TooCoarse, match="at least 8 cells"):
+        sc.fd_bvp_solve(cfg, 3.0j, g, "schrodinger", 7)

@@ -638,3 +638,16 @@ def test_norm_scan_memory_peak():
     finally:
         tracemalloc.stop()
     assert peak <= 1.05 * 22.6e6
+
+
+def test_resolvent_input_checks():
+    from stringchain.errors import ArityMismatch
+    cfg = sc.ChainConfig((1.0, 4.0))
+    grids = uniform_grids(cfg, 801)
+    with pytest.raises(ArityMismatch, match="2-vector load"):
+        sc.wave_resolvent(cfg, 3.0, random_probe(cfg, grids, seed=1, arity=1))
+    with pytest.raises(ArityMismatch, match="scalar load"):
+        sc.schrodinger_resolvent(cfg, 17.0, random_probe(cfg, grids, seed=1, arity=2))
+    for scan in (wave_resolvent_norm_scan, schrodinger_norm_scan):
+        with pytest.raises(ValueError, match="probes must be >= 1"):
+            scan(cfg, [10.0], 0)

@@ -633,3 +633,29 @@ def test_real_axis_roots_are_listed_by_re():
     assert real.size == 2 and np.array_equal(eig.eigenvalues[:2], real)
     assert real[0].real < real[1].real
     assert np.all(np.diff(eig.eigenvalues[2:].imag) > 0)
+
+
+def test_default_wave_gap_search_builds_only_its_rows():
+    # round one takes every 100th point of the 400,001-point default grid; the
+    # full grid alone would be 3.2 MB
+    import tracemalloc
+    cfg = sc.ChainConfig((1.0, 4.0))
+    tracemalloc.start()
+    try:
+        found = sc.imaginary_axis_gap(cfg, "wave", (-200.0, 200.0), 1e-3, 100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert found.certified and found.rows.size == 4001
+    assert np.array_equal(found.rows, uniform_betas((-200.0, 200.0), 1e-3)[::100])
+    assert peak < 1_000_000
+
+
+def test_search_input_checks():
+    cfg = sc.ChainConfig((1.0, 4.0))
+    with pytest.raises(ValueError, match="unknown system 'heat'"):
+        sc.imaginary_axis_gap(cfg, "heat", (-1.0, 1.0), 0.1)
+    with pytest.raises(EmptyScan, match="empty search rectangle"):
+        sc.find_eigenvalues(cfg, (-1.0, -2.0, 0.0, 10.0), "wave")
+    with pytest.raises(EmptyScan, match="empty search rectangle"):
+        sc.find_eigenvalues(cfg, (-2.0, -1.0, 10.0, 10.0), "wave")

@@ -518,3 +518,16 @@ def test_schrodinger_rejects_nonzero_clamped_end():
     u0 = sample_function(cfg, 50, lambda x: np.ones_like(x, dtype=complex))
     with pytest.raises(GridMismatch):
         sc.simulate_schrodinger(cfg, u0, sc.SimOptions(points_per_edge=50, T=0.5, dt=1e-2))
+
+
+def test_time_domain_input_checks():
+    cfg = sc.ChainConfig((1.0, 4.0))
+    with pytest.raises(ValueError, match="record_stride must be >= 1"):
+        sc.SimOptions(points_per_edge=16, T=1.0, record_stride=0)
+    opts = sc.SimOptions(points_per_edge=16, T=1.0)
+    with pytest.raises(ValueError, match="unknown mode 'undamped'"):
+        sc.simulate_wave(cfg, _bump_state(cfg, 16), opts, mode="undamped")
+    # 20 samples, the energy gone after the first
+    trace = EnergyTrace(np.arange(20.0), np.r_[1.0, np.zeros(19)], np.zeros(20))
+    with pytest.raises(InsufficientDecay, match="fewer than 10 samples above the energy floor"):
+        sc.fit_decay_rate(trace)

@@ -399,3 +399,29 @@ def test_det_pair_axis_scan_peak_memory_is_outputs_plus_one_block():
     finally:
         tracemalloc.stop()
     assert peak <= pair.d.nbytes + pair.d_tilde.nbytes + 4 * 2**20
+
+
+def test_a_scalar_lambda_gets_the_bits_of_the_array_evaluation():
+    # each scalar call against the one array call, bit for bit, on a 6-edge chain
+    from stringchain.transfer_function import transfer_value
+    rng = np.random.default_rng(6)
+    cfg = sc.ChainConfig(tuple(rng.uniform(0.25, 4.0, 6)))
+    lams = rng.uniform(-3.0, -0.1, 300) + 1j * rng.uniform(-40.0, 40.0, 300)
+    pair, schr = sc.det_pair(cfg, lams), sc.char_det_schrodinger(cfg, lams)
+    right = -lams.conj()  # the transfer function lives on Re lam > 0
+    h = transfer_values(cfg, right)
+    q0, q1 = propagate(sc.ChainConfig(cfg.densities[1:]), lams, np.eye(2)[:, :, None])
+    for k, lam in enumerate(lams.tolist()):
+        one = sc.det_pair(cfg, lam)
+        assert (one.d, one.d_tilde) == (pair.d[k], pair.d_tilde[k])
+        assert sc.char_det_schrodinger(cfg, lam) == schr[k]
+        assert transfer_value(cfg, right[k].item()) == h[k]
+        hm, hm_tilde = sc.boundary_matrices(cfg, lam)  # row 2: the unit vectors propagated
+        assert np.array_equal(hm[1], q0[:, k]) and np.array_equal(hm_tilde[1], q1[:, k])
+
+
+def test_a_scalar_lambda_keeps_the_shape_of_its_start():
+    cfg = sc.ChainConfig((1.0, 4.0))
+    assert [np.shape(v) for v in propagate(cfg, 0.5 + 2.0j, (1, 1))] == [(), ()]
+    a, b = propagate(cfg, 0.5 + 2.0j, np.eye(2)[:, :, None])
+    assert a.shape == b.shape == (2, 1)

@@ -6,8 +6,9 @@ Run from the root of a checkout.  The base commit is exported with
 ``git archive`` into a temporary directory, so the repository itself is
 left as it is.  Every invocation in INVOCATIONS runs on every chain in
 CHAINS, once with the base copy's ``src`` and once with the working
-tree's, each into its own ``--out`` directory; the exit code and stdout
-of each run are kept beside it in ``console.txt``.  The two trees of
+tree's, each into its own ``--out`` directory; the exit code, stdout and
+stderr of each run are kept beside it in ``console.txt``, so the failing
+invocations compare their error text too.  The two trees of
 results are then compared file by file: ``timing.json`` (a wall time) is
 skipped, and in ``manifest.json`` the run's own ``--out`` path is
 replaced by ``<out>``.  Every differing file, or a file on one side only,
@@ -78,6 +79,9 @@ INVOCATIONS = {
     "schrodinger-decay": ["schrodinger-decay", "--T", "0.5", "--points", "100", "--dt", "0.003"],
     "io-ratios": ["io-ratios", "--T", "2", "--points", "100"],
     "verify": ["verify"],
+    # failures: an overflowing transfer value (exit 2) and an empty beta range (exit 64)
+    "transfer-scan-overflow": ["transfer-scan", "--gamma", "800"],
+    "gap-empty-range": ["gap", "--beta-min", "1", "--beta-max", "-1"],
 }
 
 
@@ -94,7 +98,8 @@ def run_all(src: Path, dest: Path) -> None:
             cmd = [sys.executable, "-m", "stringchain.cli", *argv, "--config", str(config),
                    "--out", str(run_dir / "out")]
             done = subprocess.run(cmd, cwd=dest, env=env, capture_output=True, text=True)
-            (run_dir / "console.txt").write_text(f"exit {done.returncode}\n{done.stdout}")
+            (run_dir / "console.txt").write_text(
+                f"exit {done.returncode}\n{done.stdout}{done.stderr}")
 
 
 def _normalised(path: Path) -> bytes:
