@@ -171,6 +171,8 @@ def uniform_betas(beta_range: tuple[float, float], step: float, stride: int = 1)
     lo, hi = beta_range
     if not (0 < step < math.inf and math.isfinite(lo) and math.isfinite(hi)):
         raise EmptyScan(f"need finite ends and a positive finite step, got {beta_range}, {step}")
+    if not (isinstance(stride, (int, np.integer)) and stride > 0):
+        raise EmptyScan(f"need a positive integer stride, got {stride!r}")
     with too_large(f"{(hi - lo) / step:.3g} betas"):
         betas = np.arange(0, math.ceil((hi + 0.5 * step - lo) / step), stride, dtype=float)
     if betas.size == 0:

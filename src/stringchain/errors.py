@@ -30,7 +30,8 @@ class EmptyScan(ChainError):
 
 
 class SingularDenominator(ChainError):
-    """A solve's closed-form denominator is below 1e-14, or its coefficient system singular."""
+    """A solve's closed-form denominator is below FLOOR, or its coefficient system singular."""
+    FLOOR = 1e-14  # the smallest |denominator| a closed form divides by
 
     def __init__(self, den: complex, at: str):
         super().__init__(f"closed-form denominator = {abs(den):.3g} at {at}")

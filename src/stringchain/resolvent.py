@@ -172,7 +172,7 @@ class _OscillatoryPlan:
         for edge in self.edges:
             y = edge @ y
         self.den = y[0]
-        if abs(self.den) < 1e-14:
+        if abs(self.den) < SingularDenominator.FLOOR:
             raise SingularDenominator(self.den, f"beta = {beta}")
 
     def apply(self, g_values):

@@ -205,12 +205,12 @@ def imaginary_axis_gap(cfg: ChainConfig, which: str, beta_range: tuple[float, fl
     result is then uncertified.
     """
     fn = _char_fn(cfg, which)
+    rows = uniform_betas(beta_range, step, stride)
     if which == "schrodinger":
         betas = uniform_betas(beta_range, step)
         vals = _finite_values(fn, 1j * betas)
-        return AxisGap(float(np.min(np.abs(vals))), None, betas.size, 1, 0,
-                       betas[::stride].copy(), vals[::stride].copy())
-    rows = uniform_betas(beta_range, step, stride)
+        return AxisGap(float(np.min(np.abs(vals))), None, betas.size, 1, 0, rows,
+                       vals[::stride].copy())
     hi = float(beta_range[1])
     pts = rows if rows[-1] >= hi else np.append(rows, hi)
     pair = det_pair(cfg, 1j * pts)

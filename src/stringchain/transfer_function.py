@@ -42,7 +42,7 @@ def transfer_values(cfg: ChainConfig, lam):
 
     def closure(lam):
         (p00, p01), _ = propagate(cfg, lam, starts)
-        small = np.abs(p00) < 1e-14
+        small = np.abs(p00) < SingularDenominator.FLOOR
         if small.any():
             raise SingularDenominator(p00[small][0], f"lam = {lam[small][0]:.6g}")
         return -p01 / p00

@@ -21,9 +21,9 @@ m = sqrt(i lam / rho) = mu / c: it is the wave edge at mu with its flux
 scaled by mu, so over the chain P_S(lam) = diag(1, mu) P(mu) diag(1, 1/mu),
 which is even in mu, and one square root per lam serves every edge.
 
-`exp_hyp` and `boundary_matrices` use the same entries.  At lam = i beta,
-cosh and sinh are cos and i sin, so the same entries give the
-real-frequency propagators.
+`exp_hyp` and `boundary_matrices` use the same entries, broadcast over lam,
+their matrices in the last two axes, (..., 2, 2), as `@` and expm take them.
+At lam = i beta, cosh and sinh are cos and i sin: real-frequency propagators.
 
 One edge costs one cosh and sinh of its argument z = lam / c.
 `_cosh_sinh` evaluates cos and sin of Im z and cosh and sinh of Re z
@@ -70,15 +70,15 @@ __all__ = [
 _BLOCK = 8192
 
 
-def exp_hyp(rho: float, lam: complex, x: float) -> np.ndarray:
-    """exp(lam*x*B^{-1}) for general complex lam, written with cosh and sinh.
+def exp_hyp(rho: float, lam, x) -> np.ndarray:
+    """exp(lam*x*B^{-1}), broadcast over lam and x, in the last two axes: (..., 2, 2).
 
     Unimodular.  At lam = i beta it is [[cos t, i sin(t) / c], [i c sin t, cos t]]
     with c = sqrt(rho) and t = beta x / c; rho is checked as a chain's density.
-    A scalar lam x / c is Python's complex division, not numpy's (Im z rounds once).
+    For scalars lam x / c is Python's complex division, not numpy's (Im z rounds once).
     """
     ch, s12, s21 = edge_entries(ChainConfig((rho,)).densities[0], lam * x)
-    return np.array([[ch, s12], [s21, ch]], dtype=complex)
+    return np.stack([ch, s12, s21, ch], axis=-1).reshape(np.shape(ch) + (2, 2))
 
 
 def _cosh_sinh(z):
@@ -170,8 +170,8 @@ def _finite_values(fn, lam: np.ndarray) -> np.ndarray:
     return vals
 
 
-def boundary_matrices(cfg: ChainConfig, lam: complex) -> tuple[np.ndarray, np.ndarray]:
-    """Characteristic matrices (H, H_tilde) of the damped chain at lam.
+def boundary_matrices(cfg: ChainConfig, lam) -> tuple[np.ndarray, np.ndarray]:
+    """Characteristic matrices (H, H_tilde) of the damped chain at lam, each lam.shape + (2, 2).
 
     Row 1 applies (1, -1) to the backward exponential on edge 0 (the
     damped condition v(0) = rho_0 u_x(0) transported to the anchor at
@@ -181,11 +181,11 @@ def boundary_matrices(cfg: ChainConfig, lam: complex) -> tuple[np.ndarray, np.nd
     the anchor already sits at the clamped end.
     """
     row1 = np.array([1.0, -1.0], dtype=complex) @ exp_hyp(cfg.densities[0], lam, -1.0)
-    q = np.eye(2)
+    q = np.eye(2).reshape((2, 2) + (1,) * np.ndim(lam))
     if cfg.n_edges > 1:
         # propagating both unit vectors gives Q's rows as the stacked components
         q = propagate(ChainConfig(cfg.densities[1:]), lam, q)
-    return np.array([row1, q[0]]), np.array([row1, q[1]])
+    return tuple(np.stack(np.broadcast_arrays(row1, np.moveaxis(r, 0, -1)), axis=-2) for r in q)
 
 
 @dataclass

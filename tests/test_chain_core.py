@@ -459,6 +459,18 @@ def test_uniform_betas_reject_an_empty_range():
         uniform_betas((1.0, -1.0), 0.1)
 
 
+@pytest.mark.parametrize("stride", [0, -1, 2.5, 2.0])
+def test_uniform_betas_reject_a_stride_that_is_not_a_positive_integer(stride):
+    from stringchain.chain_core import uniform_betas
+    from stringchain.errors import EmptyScan
+    with pytest.raises(EmptyScan, match="positive integer stride"):
+        uniform_betas((-1.0, 1.0), 0.1, stride)
+    # both gap searches take their rows from it, the sampled Schrodinger search too
+    for which in ("wave", "schrodinger"):
+        with pytest.raises(EmptyScan, match="positive integer stride"):
+            sc.imaginary_axis_gap(sc.ChainConfig((1.0, 4.0)), which, (-1.0, 1.0), 0.1, stride)
+
+
 def test_chain_function_rejects_malformed_input():
     x = np.linspace(0.0, 1.0, 4)
     with pytest.raises(GridMismatch, match="one entry per edge"):

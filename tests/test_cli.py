@@ -180,6 +180,25 @@ def test_verify_command_passes(mono_json, tmp_path, capsys):
     assert manifest["all_ok"] is True
 
 
+def test_verify_makes_no_per_lambda_kernel_calls(tmp_path, monkeypatch, capsys):
+    # its checks pass lam arrays: one boundary_matrices call, one exp_hyp call per edge
+    # drawn, and no det_pair call at a scalar lam
+    import stringchain.cli as cli
+    calls = {"boundary_matrices": [], "exp_hyp": [], "det_pair": []}
+    for name, seen in calls.items():
+        def counted(*args, fn=getattr(cli, name), seen=seen):
+            seen.append(np.ndim(args[1]))
+            return fn(*args)
+        monkeypatch.setattr(cli, name, counted)
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({"densities": [1.0, 4.0, 0.5]}))
+    assert run(["verify", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+    assert calls["boundary_matrices"] == [1]
+    assert 1 <= len(calls["exp_hyp"]) <= 3 and set(calls["exp_hyp"]) == {1}
+    assert calls["det_pair"] and 0 not in calls["det_pair"]
+
+
 @pytest.mark.parametrize("densities", ["14", 3])
 def test_non_list_densities_are_config_errors(tmp_path, densities, capsys):
     path = tmp_path / "chain.json"
@@ -280,6 +299,7 @@ def test_manifest_bytes_repeat_and_timing_apart(mono_json, tmp_path):
     ["schrodinger-scan", "--betas", "100", "--points", "1"],
     ["spectrum", "--rect", "a,0,0,1"],
     ["spectrum", "--rect", "-1,0,0,1", "--grid", "nan,64"],
+    ["spectrum", "--rect", "-1,0,0,1", "--grid", "16.5,16"],  # sizes are whole numbers
     ["resolvent-scan", "--betas", "nan"],
     ["spectrum", "--rect", "0,-1,0,1"],
     ["spectrum", "--rect", "0,1,0,1"],

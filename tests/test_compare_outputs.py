@@ -104,3 +104,21 @@ def test_changes_are_reported_per_column(tmp_path):
     (tmp_path / "change.json").write_text('{\n  "gap": 0.75,\n  "roots": [1, 3]\n}\n')
     assert tool.column_changes(tmp_path / "base.json", tmp_path / "change.json") == {
         '"gap":': 0.5, '"roots": [': 0.0, '"roots": [#,': 0.5}
+
+
+def test_largest_absolute_change_beside_the_relative_one(tmp_path):
+    # a column that leaves or crosses 0 reads a relative change of inf or about 1, whatever
+    # the size of the move; its absolute change gives that size
+    tool = _load_tool()
+    (tmp_path / "base.csv").write_text("beta,im\r\n0,-1e-9\r\n0.5,2\r\n1,nan\r\n")
+    (tmp_path / "change.csv").write_text("beta,im\r\n1e-12,2e-9\r\n0.5,2\r\n1,nan\r\n")
+    moves = tool.column_moves(tmp_path / "base.csv", tmp_path / "change.csv")
+    assert moves == {"beta": (float("inf"), 1e-12), "im": pytest.approx((3.0, 3e-9))}
+    assert tool.column_changes(tmp_path / "base.csv", tmp_path / "change.csv") == {
+        "beta": float("inf"), "im": pytest.approx(3.0)}
+    # a move to or from a non-finite value is an infinite move by either measure
+    (tmp_path / "change.csv").write_text("beta,im\r\n0,-1e-9\r\n0.5,inf\r\n1,0\r\n")
+    assert tool.column_moves(tmp_path / "base.csv", tmp_path / "change.csv") == {
+        "beta": (0.0, 0.0), "im": (float("inf"), float("inf"))}
+    assert tool.column_moves(tmp_path / "base.csv", tmp_path / "base.csv") == {
+        "beta": (0.0, 0.0), "im": (0.0, 0.0)}

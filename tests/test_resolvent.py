@@ -606,6 +606,20 @@ def test_negative_beta_singular_system_raises_singular_denominator(monkeypatch):
         sc.schrodinger_resolvent(cfg, -40.0, g)
 
 
+def test_both_closed_forms_read_the_one_denominator_floor(monkeypatch):
+    # the floor is SingularDenominator.FLOOR alone: raising it reaches the resolvent plan
+    # and the transfer value, each naming its point as before
+    from stringchain.transfer_function import transfer_values
+
+    cfg = sc.ChainConfig((1.0, 4.0))
+    g = random_probe(cfg, uniform_grids(cfg, 101), seed=3, arity=2)
+    monkeypatch.setattr(SingularDenominator, "FLOOR", np.inf)
+    with pytest.raises(SingularDenominator, match="beta = 3.0"):
+        sc.wave_resolvent(cfg, 3.0, g)
+    with pytest.raises(SingularDenominator, match="lam = 1"):
+        transfer_values(cfg, np.array([1.0 + 2.0j]))
+
+
 def test_scan_points_do_not_depend_on_the_stack_size(monkeypatch):
     from stringchain import resolvent
 

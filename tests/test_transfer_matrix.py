@@ -156,6 +156,30 @@ def test_det_pair_matches_boundary_matrices():
             assert abs(_det2(ht) - pair.d_tilde) <= 1e-10 * max(1.0, abs(pair.d_tilde))
 
 
+@pytest.mark.parametrize("n", [1, 2, 8])
+@pytest.mark.parametrize("shape", [(9,), (3, 5)])
+def test_boundary_matrices_and_exp_hyp_stack_their_matrices_over_lam(n, shape):
+    # each (..., 2, 2) matrix of an array call is the one-element-array call's, bit for bit,
+    # and det H is det_pair's D
+    rng = np.random.default_rng(n)
+    cfg = sc.ChainConfig(tuple(rng.uniform(0.25, 4.0, n)))
+    lam = rng.uniform(-2, 2, shape) + 1j * rng.uniform(-40, 40, shape)
+    x = rng.uniform(-1, 1, shape)
+    h, ht = sc.boundary_matrices(cfg, lam)
+    e = sc.exp_hyp(cfg.densities[-1], lam, x)
+    assert h.shape == ht.shape == e.shape == shape + (2, 2)
+    for k in np.ndindex(shape):
+        h1, ht1 = sc.boundary_matrices(cfg, lam[k].reshape(1))
+        assert np.array_equal(h[k], h1[0]) and np.array_equal(ht[k], ht1[0])
+        assert np.array_equal(e[k], sc.exp_hyp(cfg.densities[-1], lam[k].reshape(1), x[k])[0])
+    pair = sc.det_pair(cfg, lam)
+    assert np.all(np.abs(np.linalg.det(h) - pair.d) <= 1e-10 * np.maximum(1.0, np.abs(pair.d)))
+    assert np.all(np.abs(np.linalg.det(ht) - pair.d_tilde)
+                  <= 1e-10 * np.maximum(1.0, np.abs(pair.d_tilde)))
+    # x broadcasts against lam too
+    assert sc.exp_hyp(1.0, lam[..., None], np.array([0.5, 1.0])).shape == shape + (2, 2, 2)
+
+
 def test_det_pair_right_half_plane_lower_bound():
     # Re(D conj(D~)) >= prod cosh(2 gamma / c_n) * sinh(2 gamma / c_0) / 2
     rng = np.random.default_rng(13)
@@ -296,7 +320,7 @@ def test_cosh_sinh_kernel_matches_numpy():
 
 
 def test_det_pair_array_equals_scalar_calls_on_axis():
-    # an array of lam runs the split kernel, a scalar lam runs np.cosh/np.sinh
+    # a scalar lam runs the array kernel as a one-element array: the same bits either way
     cfg = sc.ChainConfig(densities=(0.7, 2.3, 1.1, 4.0))
     lam = 1j * np.linspace(-300.0, 300.0, 257)
     pair = sc.det_pair(cfg, lam)

@@ -15,9 +15,12 @@ replaced by ``<out>``.  Every differing file, or a file on one side only,
 is printed, and the exit code is 1 if there is any.  A differing file
 whose numeric cells have the same shape on both sides (the text between
 the numbers is the same) is printed with the largest relative change,
-|change - base| / |base|, of each numeric column that moved: a CSV
-column is named by its header, any other number by the text that leads
-up to it on its line, numbers shown as #.  Standard library only.
+|change - base| / |base|, and the largest absolute change,
+|change - base|, of each numeric column that moved (a column that
+reaches or crosses 0 reads a relative change of 1 or inf, whatever the
+size of the move): a CSV column is named by its header, any other number
+by the text that leads up to it on its line, numbers shown as #.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -130,33 +133,43 @@ _NUMBER = re.compile(rb"(?<![\w.])[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
                      rb"|inf|nan|Infinity|NaN)(?![\w.])")
 
 
-def _relative_change(x: float, y: float) -> float:
+def _changes(x: float, y: float) -> tuple[float, float]:
+    """(relative, absolute) change from x to y: 0 for equal cells, inf for a non-finite move."""
     if x == y or (math.isnan(x) and math.isnan(y)):
-        return 0.0
-    rel = abs(y - x) / abs(x) if x else math.inf
-    return rel if math.isfinite(rel) else math.inf
+        return 0.0, 0.0
+    moved = abs(y - x)
+    rel = moved / abs(x) if x else math.inf
+    return tuple(v if math.isfinite(v) else math.inf for v in (rel, moved))
 
 
-def column_changes(base: Path, change: Path):
-    """{column: largest relative change of its cells} of two files, compared as
-    `_normalised`, or None if the text between their numbers differs.  A CSV file's
-    columns are its header's fields; elsewhere a number's column is the text before it
-    on its line, with numbers shown as #."""
+def column_moves(base: Path, change: Path):
+    """{column: (largest relative change, largest absolute change) of its cells} of two
+    files, compared as `_normalised`, or None if the text between their numbers differs.
+    A CSV file's columns are its header's fields; elsewhere a number's column is the text
+    before it on its line, with numbers shown as #."""
     a, b = _normalised(base), _normalised(change)
     if _NUMBER.sub(b"#", a) != _NUMBER.sub(b"#", b):
         return None
     lines_a, lines_b = a.splitlines(), b.splitlines()
     header = lines_a[0].decode().split(",") if base.suffix == ".csv" and lines_a else None
-    changes: dict[str, float] = {}
+    moves: dict[str, tuple[float, float]] = {}
     for line_a, line_b in zip(lines_a, lines_b):
         for x, y in zip(_NUMBER.finditer(line_a), _NUMBER.finditer(line_b)):
             lead = line_a[:x.start()]
             field = lead.count(b",")
             column = (header[field] if header and field < len(header)
                       else _NUMBER.sub(b"#", lead).decode().strip())
-            rel = _relative_change(float(x.group()), float(y.group()))
-            changes[column] = max(changes.get(column, 0.0), rel)
-    return changes
+            rel, moved = _changes(float(x.group()), float(y.group()))
+            old_rel, old_moved = moves.get(column, (0.0, 0.0))
+            moves[column] = max(old_rel, rel), max(old_moved, moved)
+    return moves
+
+
+def column_changes(base: Path, change: Path):
+    """{column: largest relative change of its cells}: `column_moves` without the
+    absolute changes, or None."""
+    moves = column_moves(base, change)
+    return None if moves is None else {column: rel for column, (rel, _) in moves.items()}
 
 
 def main(argv=None) -> int:
@@ -174,13 +187,14 @@ def main(argv=None) -> int:
         differ = compare_trees(tmp / "base", tmp / "change")
         for name in differ:
             a, b = tmp / "base" / name, tmp / "change" / name
-            moved = column_changes(a, b) if a.is_file() and b.is_file() else None
+            moved = column_moves(a, b) if a.is_file() and b.is_file() else None
             if moved is None:
                 print(f"differs: {name}")
             else:
-                cells = ", ".join(f"{column or '-'} {rel:.3g}"
-                                  for column, rel in moved.items() if rel)
-                print(f"differs: {name} (largest relative change by column: {cells or 'none'})")
+                cells = ", ".join(f"{column or '-'} {rel:.3g} (abs {by:.3g})"
+                                  for column, (rel, by) in moved.items() if by)
+                print(f"differs: {name} (largest relative and absolute change by column: "
+                      f"{cells or 'none'})")
     print(f"{len(CHAINS) * len(INVOCATIONS)} runs on each side, {len(differ)} files differ "
           "(timing.json skipped)")
     return 1 if differ else 0
