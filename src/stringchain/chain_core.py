@@ -517,8 +517,8 @@ def _wave_weight(rho: float, first: np.ndarray, second: np.ndarray) -> np.ndarra
 
 def _h_sum(weights, densities, values) -> np.ndarray:
     """Per load, sum_j int rho_j |V_1|^2 + |V_2|^2 dx of per-edge 2-vector values
-    (..., n, 2); w @ y per edge is one dot product per load."""
-    return sum((w @ _wave_weight(rho, v[..., 0], v[..., 1])[..., None])[..., 0]
+    (..., 2, n), components first; w @ y per edge is one dot product per load."""
+    return sum((w @ _wave_weight(rho, v[..., 0, :], v[..., 1, :])[..., None])[..., 0]
                for w, rho, v in zip(weights, densities, values))
 
 
@@ -532,7 +532,8 @@ def energy_first_order(V: ChainFunction, cfg: ChainConfig) -> float:
     _check_cfg(V, cfg)
     if V.arity != 2:
         raise ArityMismatch("first-order energy needs a 2-vector function")
-    return 0.5 * _h_sum([quadrature_weights(x) for x in V.grids], cfg.densities, V.values)
+    return 0.5 * _h_sum([quadrature_weights(x) for x in V.grids], cfg.densities,
+                        [v.T for v in V.values])
 
 
 def energy_schrodinger(u: ChainFunction, cfg: ChainConfig) -> float:
@@ -561,7 +562,7 @@ def h_norm(V: ChainFunction, cfg: ChainConfig) -> float:
 
 def l2_norm(u: ChainFunction) -> float:
     """sqrt(sum_j int |u_j|^2 dx), over both components of a 2-vector function."""
-    values = u.values if u.arity == 1 else [np.moveaxis(v, -1, 0) for v in u.values]
+    values = u.values if u.arity == 1 else [v.T for v in u.values]
     return float(np.sqrt(np.sum(_l2_sum([quadrature_weights(x) for x in u.grids], values))))
 
 

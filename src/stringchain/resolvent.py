@@ -14,11 +14,16 @@ guard and the singularity checks and holds all that does not depend on
 the load, namely per-cell product-integration weights (the 8-node
 Gauss-Legendre sums of the kernel against the cell's two hat functions
 1 - tau and tau, so that the linearly interpolated load integrates to a
-weighted sum of its grid values), the kernel at the grid points and the
+weighted sum of its grid values; at a real frequency they come by angle
+addition from the kernel at the grid points, with trig at the nodes
+once per distinct cell width), the kernel at the grid points and the
 propagation matrices.  It applies to a stack of K loads at once, per
-edge an array of shape (K, n[, arity]), in O(K n) arithmetic per edge,
-and gives each load the bits it would get alone.  Both solves run
-`_solve` on a stack of one, which reports the residual: the relative
+edge an array of shape (K, arity, n), or (K, n) for scalar loads, and
+gives per edge the solution's (K, 2, n): components before points, so
+that every pass runs along the grid.  That is O(K n) arithmetic per
+edge, and each load gets the bits it would get alone.  Both solves run
+`_solve` on a stack of one, the transpose of the load's (n, 2) values,
+and transpose the solution back; it reports the residual: the relative
 defect of the equation with the solution differentiated numerically once.
 
 Both norm scans run one loop, keyed by the kind: per beta one plan, one
@@ -120,6 +125,25 @@ def _hat_weights(kernel: np.ndarray, h: np.ndarray):
     return (kernel @ _GL_LEFT) * half, (kernel @ _GL_RIGHT) * half
 
 
+def _oscillatory_weights(omega: float, h: np.ndarray, ca: np.ndarray, sa: np.ndarray):
+    """`_hat_weights` of cos and of sin of omega (s - j), from the cells' left-end values
+    ca, sa of cos and sin of that phase.
+
+    A node's phase is the left end's plus omega tau_k h, so by angle addition the weights
+    are (ca A - sa B) h/2 for cos and (sa A + ca B) h/2 for sin, A and B being the hat
+    sums of cos and sin of omega tau_k h.  Those depend on a cell only through its
+    width, so they are evaluated once per distinct width: a few on a uniform grid.
+    """
+    widths = np.unique(h)
+    arg = omega * (widths[:, None] * _GL_TAU[None, :])
+    c, s = np.cos(arg), np.sin(arg)
+    a_lo, a_hi, b_lo, b_hi = np.stack([c @ _GL_LEFT, c @ _GL_RIGHT,
+                                       s @ _GL_LEFT, s @ _GL_RIGHT])[:, np.searchsorted(widths, h)]
+    half = 0.5 * h
+    return ((ca * a_lo - sa * b_lo) * half, (ca * a_hi - sa * b_hi) * half,
+            (sa * a_lo + ca * b_lo) * half, (sa * a_hi + ca * b_hi) * half)
+
+
 class _OscillatoryPlan:
     """Real-frequency solve of Y' = M_j Y + S, marched from the damped end.
 
@@ -151,21 +175,19 @@ class _OscillatoryPlan:
             self.start = (1.0, 1j)
         self.cells, self.kernels, self.tables, self.edges = [], [], [], []
         for j, x in enumerate(grids):
-            s, h = _gl_nodes(x)
+            h = np.diff(x)
             h_max = float(np.max(h))
             if _MIN_CELLS_PER_PERIOD * h_max * abs(omega[j]) > 2.0 * np.pi:
                 limit = 2.0 * np.pi / abs(omega[j]) / _MIN_CELLS_PER_PERIOD
                 raise QuadratureTooCoarse(
                     f"edge {j}: cell width {h_max:.3g} exceeds {limit:.3g} "
                     f"(need {_MIN_CELLS_PER_PERIOD} cells per oscillation period)")
-            phase = omega[j] * (s - float(j))
-            weights = _hat_weights(np.cos(phase), h) + _hat_weights(np.sin(phase), h)
-            self.cells.append([w[:, None] for w in weights])
-            # E(-tau) S = cos(w tau) L g + sin(w tau) rot L g, applied to rows of loads
-            rot = np.array([[0.0, -p[j]], [-q[j], 0.0]])
-            self.kernels.append((sources[j].T, (rot @ sources[j]).T))
             phase = omega[j] * (x - float(j))
             ct, st = np.cos(phase), np.sin(phase)
+            self.cells.append(_oscillatory_weights(omega[j], h, ct[:-1], st[:-1]))
+            # E(-tau) S = cos(w tau) L g + sin(w tau) rot L g, applied from the left to loads
+            rot = np.array([[0.0, -p[j]], [-q[j], 0.0]])
+            self.kernels.append((sources[j], rot @ sources[j]))
             self.tables.append((ct, p[j] * st, q[j] * st))
             self.edges.append(np.array([[ct[-1], p[j] * st[-1]], [q[j] * st[-1], ct[-1]]]))  # E_j(1)
         y = np.array(self.start, dtype=complex)
@@ -176,29 +198,32 @@ class _OscillatoryPlan:
             raise SingularDenominator(self.den, f"beta = {beta}")
 
     def apply(self, g_values):
-        """Per edge, the values of Y on its grid, shape (K, n, 2), for a stack of K loads
-        of shape (K, n[, arity]) per edge; each edge's parts go once its values are formed."""
+        """Per edge, the values of Y on its grid, shape (K, 2, n), for a stack of K loads
+        of shape (K, arity, n), or (K, n) if scalar, per edge; each edge's parts go once
+        its values are formed."""
         parts = []
         acc = np.zeros((g_values[0].shape[0], 2, 1), dtype=complex)  # one column per load
         for j, g in enumerate(g_values):
             cos_lo, cos_hi, sin_lo, sin_hi = self.cells[j]
             kc, ks = self.kernels[j]
-            v = g.reshape(g.shape[0], g.shape[1], -1)
-            lo, hi = v[:, :-1], v[:, 1:]
-            part = np.zeros((v.shape[0], v.shape[1], 2), dtype=complex)
+            v = g.reshape(g.shape[0], -1, g.shape[-1])
+            lo, hi = v[..., :-1], v[..., 1:]
+            part = np.zeros((v.shape[0], 2, v.shape[2]), dtype=complex)
             # part(x) = int_j^x E(j - s) S(s) ds, cell by cell
-            np.cumsum((cos_lo * lo + cos_hi * hi) @ kc + (sin_lo * lo + sin_hi * hi) @ ks,
-                      axis=1, out=part[:, 1:])
+            np.cumsum(kc @ (cos_lo * lo + cos_hi * hi) + ks @ (sin_lo * lo + sin_hi * hi),
+                      axis=-1, out=part[..., 1:])
             parts.append(part)
-            acc = self.edges[j] @ (acc + part[:, -1, :, None])
-        f = (-acc[:, 0] / self.den) * np.array(self.start)
+            acc = self.edges[j] @ (acc + part[..., -1:])
+        f = (-acc[:, :1] / self.den) * np.array(self.start)[:, None]
         values = []
         for j, (ct, pst, qst) in enumerate(self.tables):
             d = parts[j]
-            d += f[:, None, :]
-            values.append(np.stack([ct * d[..., 0] + pst * d[..., 1],
-                                    qst * d[..., 0] + ct * d[..., 1]], axis=-1))
-            f = (self.edges[j] @ d[:, -1, :, None])[..., 0]
+            d += f
+            y = np.empty_like(d)
+            np.add(ct * d[:, 0], pst * d[:, 1], out=y[:, 0])
+            np.add(qst * d[:, 0], ct * d[:, 1], out=y[:, 1])
+            values.append(y)
+            f = self.edges[j] @ d[..., -1:]
             parts[j] = None
         return values
 
@@ -240,7 +265,8 @@ def _probe_values(bases, seeds, arity: int):
     coefficients (mode, component, cos/sin, re/im); regrouped as rows
     (mode, cos/sin) and columns (component, re/im), the real product with
     the basis holds the real and imaginary parts of each component side
-    by side.  Per edge one product writes the whole (K, n[, arity]) stack.
+    by side.  Per edge one product writes the whole stack, and a 2-vector stack is copied
+    components first: shape (K, arity, n), or (K, n) for scalar probes.
     """
     rngs = [np.random.default_rng(seed) for seed in seeds]
     values = []
@@ -248,7 +274,7 @@ def _probe_values(bases, seeds, arity: int):
         coefs = np.stack([rng.standard_normal((_PROBE_MODES, arity, 2, 2)) for rng in rngs])
         mix = coefs.transpose(0, 1, 3, 2, 4).reshape(len(rngs), 2 * _PROBE_MODES, 2 * arity)
         v = (basis @ mix).view(complex)
-        values.append(v[..., 0] if arity == 1 else v)
+        values.append(v[..., 0] if arity == 1 else np.ascontiguousarray(v.transpose(0, 2, 1)))
     return values
 
 
@@ -263,7 +289,7 @@ def random_probe(cfg: ChainConfig, grids: Sequence[np.ndarray], seed, arity: int
     the norm by a factor ~ center.
     """
     values = _probe_values(_probe_bases(cfg, grids, center), [seed], arity)
-    return ChainFunction(list(grids), [v[0] for v in values])
+    return ChainFunction(list(grids), [v[0].T for v in values])
 
 
 def _beta_key(beta: float) -> int:
@@ -323,7 +349,7 @@ class _SchrodingerNegativePlan:
         self.mat, self.beta = mat, beta
 
     def apply(self, g_values):
-        """Per edge, the values of Y = (u, rho u') on its grid, shape (K, n, 2), for a stack
+        """Per edge, the values of Y = (u, rho u') on its grid, shape (K, 2, n), for a stack
         of K scalar loads of shape (K, n) per edge; one np.linalg.solve solves all K systems."""
         up_parts, dup_parts = [], []
         for j, g in enumerate(g_values):
@@ -360,7 +386,7 @@ class _SchrodingerNegativePlan:
             ea, eb = self.exps[j]
             aj, bj = ab[2 * j, :, None], ab[2 * j + 1, :, None]
             values.append(np.stack([up_parts[j] + aj * ea + bj * eb,
-                                    rho * (dup_parts[j] - m * aj * ea + m * bj * eb)], axis=-1))
+                                    rho * (dup_parts[j] - m * aj * ea + m * bj * eb)], axis=1))
         return values
 
 
@@ -380,11 +406,11 @@ def _solve(kind: str, cfg: ChainConfig, beta: float, g: ChainFunction):
     if g.arity != (2 if kind == "wave" else 1):
         raise ArityMismatch("wave resolvent needs a 2-vector load" if kind == "wave"
                             else "Schrodinger resolvent needs a scalar load")
-    loads = [v[None] for v in g.values]  # a stack of one
+    loads = [v.T[None] for v in g.values]  # a stack of one, components first
     values = _plan(cfg, beta, g.grids, kind).apply(loads)
     g_norm = _norm(kind, cfg, [quadrature_weights(x) for x in g.grids], loads)
     residual = _residual(kind, cfg, beta, g.grids, loads, values, g_norm)
-    return [v[0] for v in values], float(residual[0])
+    return [v[0].T for v in values], float(residual[0])
 
 
 def schrodinger_resolvent(cfg: ChainConfig, beta: float,
@@ -409,7 +435,7 @@ def _scan_grid(cfg: ChainConfig, beta: float, kind: str):
 
 
 def _norm(kind: str, cfg: ChainConfig, weights, values) -> np.ndarray:
-    """Per load of a stack, the h_norm of wave values (K, n, 2) or the L2 norm of
+    """Per load of a stack, the h_norm of wave values (K, 2, n) or the L2 norm of
     Schrodinger ones (K, n)."""
     return np.sqrt(_h_sum(weights, cfg.densities, values) if kind == "wave"
                    else _l2_sum(weights, values))
@@ -424,13 +450,13 @@ def _residual(kind: str, cfg: ChainConfig, beta: float, grids, g, y, g_norm) -> 
     num = 0.0
     for x, rho, gx, yx in zip(grids, cfg.densities, g, y):
         if kind == "wave":
-            dw1, dw2 = edge_derivative(x, np.moveaxis(yx, -1, 0))  # both components at once
-            r1 = 1j * beta * yx[..., 0] - dw2 - gx[..., 0]
-            r2 = 1j * beta * yx[..., 1] - rho * dw1 - gx[..., 1]
+            dw = edge_derivative(x, yx)  # both components at once
+            r1 = 1j * beta * yx[:, 0] - dw[:, 1] - gx[:, 0]
+            r2 = 1j * beta * yx[:, 1] - rho * dw[:, 0] - gx[:, 1]
             num = num + np.trapezoid(_wave_weight(rho, r1, r2), x)
         else:
-            dflux = edge_derivative(x, yx[..., 1])
-            num = num + np.trapezoid(np.abs(dflux - (-1j * gx - beta * yx[..., 0])) ** 2, x)
+            dflux = edge_derivative(x, yx[:, 1])
+            num = num + np.trapezoid(np.abs(dflux - (-1j * gx - beta * yx[:, 0])) ** 2, x)
     return np.sqrt(num) / np.where(g_norm != 0.0, g_norm, 1.0)
 
 
@@ -456,7 +482,7 @@ def _norm_scan(kind: str, cfg: ChainConfig, betas: Sequence[float], probes: int,
             g = _probe_values(bases, seeds, arity)
             y = plan.apply(g)
             g_norm = _norm(kind, cfg, weights, g)
-            u = y if kind == "wave" else [v[..., 0] for v in y]  # y = (u, rho u') gives u's ratio
+            u = y if kind == "wave" else [v[:, 0] for v in y]  # y = (u, rho u') gives u's ratio
             ratios += (_norm(kind, cfg, weights, u) / g_norm).tolist()
             residuals += _residual(kind, cfg, beta, grids, g, y, g_norm).tolist()
             del g, y, u  # so that no stack's arrays outlive it into the next one's solve

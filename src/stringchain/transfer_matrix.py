@@ -75,8 +75,10 @@ def exp_hyp(rho: float, lam, x) -> np.ndarray:
 
     Unimodular.  At lam = i beta it is [[cos t, i sin(t) / c], [i c sin t, cos t]]
     with c = sqrt(rho) and t = beta x / c; rho is checked as a chain's density.
-    For scalars lam x / c is Python's complex division, not numpy's (Im z rounds once).
+    For scalars lam x / c is Python's complex division, not numpy's (Im z rounds once);
+    any other lam or x, such as a list, is taken as an array.
     """
+    lam, x = (v if np.isscalar(v) else np.asarray(v) for v in (lam, x))
     ch, s12, s21 = edge_entries(ChainConfig((rho,)).densities[0], lam * x)
     return np.stack([ch, s12, s21, ch], axis=-1).reshape(np.shape(ch) + (2, 2))
 

@@ -589,8 +589,86 @@ def test_stacked_norms_are_the_chain_core_norms(kind, beta):
                                         [[trial, k] for k in range(8)], arity)
         norms = resolvent._norm(kind, cfg, weights, loads)
         for k in range(8):
-            alone = sc.ChainFunction(grids, [v[k] for v in loads])
+            alone = sc.ChainFunction(grids, [v[k].T for v in loads])
             assert norms[k] == (h_norm(alone, cfg) if kind == "wave" else l2_norm(alone))
+
+
+@pytest.mark.parametrize("kind, beta, uneven", [
+    ("wave", 10.0, False), ("wave", 316.0, False), ("wave", 1e4, False), ("wave", -1e4, False),
+    ("schrodinger", 100.0, False), ("schrodinger", 1e4, False), ("wave", 316.0, True)])
+def test_oscillatory_plan_weights_are_the_node_sums(kind, beta, uneven):
+    # the plan's per-cell weights, built by angle addition from the grid-point phases, are
+    # the 8-node Gauss-Legendre sums of cos and sin of omega (s - j) against the two hat
+    # functions, up to the rounding of the phase omega (s - j) itself
+    from stringchain import resolvent
+
+    cfg = sc.ChainConfig((2.09, 1.0, 1.67))
+    if uneven:  # random interior nodes per edge, so nearly every cell has its own width
+        rng = np.random.default_rng(71)
+        grids = [np.sort(np.concatenate([[j, j + 1.0], rng.uniform(j, j + 1.0, 8000)]))
+                 for j in range(cfg.n_edges)]
+    else:
+        grids = uniform_grids(cfg, resolvent._scan_grid(cfg, beta, kind)[0])
+    plan = resolvent._OscillatoryPlan(cfg, beta, grids, kind)
+    omega = (beta if kind == "wave" else np.sqrt(beta)) / cfg.wave_speeds
+    eps = np.finfo(float).eps
+    for j, x in enumerate(grids):
+        h = np.diff(x)
+        s = x[:-1, None] + resolvent._GL_TAU[None, :] * h[:, None]
+        phase = omega[j] * (s - float(j))
+        direct = []
+        for kernel in (np.cos(phase), np.sin(phase)):
+            direct += [(kernel @ resolvent._GL_LEFT) * (0.5 * h),
+                       (kernel @ resolvent._GL_RIGHT) * (0.5 * h)]
+        for w, ref in zip(plan.cells[j], direct):
+            scale = np.max(np.abs(ref))
+            assert np.max(np.abs(w - ref)) <= 8 * eps * (1 + abs(omega[j])) * scale
+
+
+@pytest.mark.parametrize("kind, beta", [("wave", 40.0), ("wave", 1e3),
+                                        ("schrodinger", 100.0), ("schrodinger", -100.0)])
+def test_solves_are_the_scan_stack_transposed(kind, beta):
+    # wave_resolvent and schrodinger_resolvent hold their values points first, (n, 2); the
+    # scans hold a stack components first, (K, 2, n).  For the same random_probe load the
+    # public values are the .T of the scan's stack of one, bit for bit, whatever the
+    # memory layout of the load's values
+    from stringchain import resolvent
+
+    cfg = sc.ChainConfig((2.09, 1.0, 1.67))
+    arity = 2 if kind == "wave" else 1
+    points, center = resolvent._scan_grid(cfg, beta, kind)
+    grids = uniform_grids(cfg, points)
+    seed = [7, resolvent._beta_key(beta), 0]
+    g = random_probe(cfg, grids, seed, arity=arity, center=center)
+    plan = resolvent._plan(cfg, beta, grids, kind)
+    stack = resolvent._probe_values(resolvent._probe_bases(cfg, grids, center), [seed], arity)
+    values = plan.apply(stack)
+    weights = [quadrature_weights(x) for x in grids]
+    residual = resolvent._residual(kind, cfg, beta, grids, stack, values,
+                                   resolvent._norm(kind, cfg, weights, stack))
+    loads = [list(g.values), [np.ascontiguousarray(v) for v in g.values]]
+    if arity == 2:
+        strided = []
+        for v in g.values:  # every other column of a wider array: neither C nor F order
+            wide = np.zeros((v.shape[0], 4), dtype=complex)
+            wide[:, ::2] = v
+            strided.append(wide[:, ::2])
+        assert not (strided[0].flags.c_contiguous or strided[0].flags.f_contiguous)
+        loads.append(strided)
+    for load in loads:
+        load = sc.ChainFunction(grids, load)
+        for j in range(cfg.n_edges):
+            assert np.array_equal(load.values[j].T, stack[j][0])
+        if kind == "wave":
+            sol = sc.wave_resolvent(cfg, beta, load)
+            for j in range(cfg.n_edges):
+                assert np.array_equal(sol.W.values[j], values[j][0].T)
+        else:
+            sol = sc.schrodinger_resolvent(cfg, beta, load)
+            for j in range(cfg.n_edges):
+                assert np.array_equal(sol.u.values[j], values[j][0, 0])
+                assert np.array_equal(sol.flux[j], values[j][0, 1])
+        assert sol.residual == float(residual[0])
 
 
 def test_negative_beta_singular_system_raises_singular_denominator(monkeypatch):

@@ -180,6 +180,19 @@ def test_boundary_matrices_and_exp_hyp_stack_their_matrices_over_lam(n, shape):
     assert sc.exp_hyp(1.0, lam[..., None], np.array([0.5, 1.0])).shape == shape + (2, 2, 2)
 
 
+def test_boundary_matrices_and_exp_hyp_take_lists_as_arrays():
+    # a Python list of lam (or of x) gives the array call's matrices, bit for bit, as it
+    # does for det_pair, propagate and transfer_values
+    cfg = sc.ChainConfig((1.0, 4.0, 0.5))
+    lam = [1j, 2j, -0.3 + 7.5j]
+    x = [0.25, -1.0, 0.8]
+    for lam_in, x_in in ((lam, x), (lam, np.array(x)), (np.array(lam), x)):
+        assert np.array_equal(sc.exp_hyp(2.0, lam_in, x_in),
+                              sc.exp_hyp(2.0, np.array(lam), np.array(x)))
+    for got, want in zip(sc.boundary_matrices(cfg, lam), sc.boundary_matrices(cfg, np.array(lam))):
+        assert got.shape == (3, 2, 2) and np.array_equal(got, want)
+
+
 def test_det_pair_right_half_plane_lower_bound():
     # Re(D conj(D~)) >= prod cosh(2 gamma / c_n) * sinh(2 gamma / c_0) / 2
     rng = np.random.default_rng(13)

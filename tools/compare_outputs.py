@@ -69,6 +69,10 @@ INVOCATIONS = {
     "resolvent-scan": ["resolvent-scan", "--beta-max", "100", "--count", "4", "--probes", "2"],
     "schrodinger-scan": ["schrodinger-scan", "--beta-max", "1000", "--count", "4",
                          "--probes", "2"],
+    # the resolvent benchmark's scans at the CLI defaults: betas up to 1e4 and 8 probes, so
+    # stacks of one probe on grids of up to 17,502 points an edge (more where c_min < 1)
+    "resolvent-scan-defaults": ["resolvent-scan"],
+    "schrodinger-scan-defaults": ["schrodinger-scan"],
     "schrodinger-scan-negative": ["schrodinger-scan", "--beta-min", "-1000", "--beta-max",
                                   "-100", "--count", "3", "--probes", "2"],
     # 8 probes on the eight-edge chain: two stacks per beta (7 + 1)
