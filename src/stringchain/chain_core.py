@@ -164,19 +164,20 @@ def check_uniform_grid(fn: ChainFunction, cfg: ChainConfig, points_per_edge: int
 
 
 def uniform_betas(beta_range: tuple[float, float], step: float, stride: int = 1) -> np.ndarray:
-    """lo + k step, rounded once, for every stride-th k < ceil((hi + step / 2 - lo) / step):
-    hi is included up to half a step; never empty.  The bits are lo + step * np.arange(n)'s,
-    so 0 is a point of a symmetric grid, where np.arange(lo, hi, step) would step by
-    (lo + step) - lo as rounded and drift.  MemoryError if it cannot be allocated."""
+    """lo + k step, rounded once, for every stride-th k < max(1, ceil((hi + step / 2 - lo) /
+    step)): hi is included up to half a step, and lo always, though half a step may vanish
+    in hi + step / 2.  The bits are lo + step * np.arange(n)'s, so 0 is a point of a
+    symmetric grid, where np.arange(lo, hi, step) would step by (lo + step) - lo as rounded
+    and drift.  EmptyScan if hi < lo, MemoryError if it cannot be allocated."""
     lo, hi = beta_range
     if not (0 < step < math.inf and math.isfinite(lo) and math.isfinite(hi)):
         raise EmptyScan(f"need finite ends and a positive finite step, got {beta_range}, {step}")
     if not (isinstance(stride, (int, np.integer)) and stride > 0):
         raise EmptyScan(f"need a positive integer stride, got {stride!r}")
-    with too_large(f"{(hi - lo) / step:.3g} betas"):
-        betas = np.arange(0, math.ceil((hi + 0.5 * step - lo) / step), stride, dtype=float)
-    if betas.size == 0:
+    if hi < lo:
         raise EmptyScan("empty beta range")
+    with too_large(f"{(hi - lo) / step:.3g} betas"):
+        betas = np.arange(0, max(math.ceil((hi + 0.5 * step - lo) / step), 1), stride, dtype=float)
     betas *= step
     betas += lo
     return betas

@@ -160,6 +160,8 @@ _positive = _typed(float, lambda v: 0 < v < np.inf, "a positive finite number")
 _finite = _typed(float, np.isfinite, "a finite number")
 _cfl = _typed(float, lambda v: 0 < v <= 1, "a number in (0, 1]")
 _betas = _typed(_Numbers, lambda v: True, "a comma-separated list of finite numbers")
+_nonzero_betas = _typed(_Numbers, lambda v: 0.0 not in v.values,
+                        "a comma-separated list of finite nonzero numbers")
 _rect = _typed(_Numbers, lambda v: _is_rect(v.values),
                f"re_min,re_max,im_min,im_max with re_min < re_max, re_min < -{_AXIS_MARGIN:g} "
                "and im_min < im_max")
@@ -442,12 +444,13 @@ def _build_parser() -> _Parser:
     for name in ("spectrum", "gap"):
         sub.choices[name].add_argument("--which", choices=("wave", "schrodinger"), default="wave")
 
-    for name, help_, beta_min, count in (
-        ("resolvent-scan", "wave resolvent norm estimates over beta", 10.0, 40),
-        ("schrodinger-scan", "Schrodinger resolvent estimates over beta", 100.0, 20),
+    for name, help_, beta_min, count, betas in (
+        ("resolvent-scan", "wave resolvent norm estimates over beta", 10.0, 40, _betas),
+        ("schrodinger-scan", "Schrodinger resolvent estimates over beta", 100.0, 20,
+         _nonzero_betas),  # the Schrodinger resolvent is not solved at beta = 0
     ):
         p = _subcommand(sub, name, help_, _cmd_scan)
-        p.add_argument("--betas", type=_betas, help="explicit comma-separated betas")
+        p.add_argument("--betas", type=betas, help="explicit comma-separated betas")
         p.add_argument("--beta-min", type=_finite, default=beta_min)
         p.add_argument("--beta-max", type=_finite, default=1e4)
         p.add_argument("--count", type=_at_least(1), default=count)

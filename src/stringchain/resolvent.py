@@ -11,20 +11,19 @@ the 2N x 2N system for their coefficients is solved per stack.
 
 A plan is built once per (chain, beta, grids): it runs the oscillation
 guard and the singularity checks and holds all that does not depend on
-the load, namely per-cell product-integration weights (the 8-node
-Gauss-Legendre sums of the kernel against the cell's two hat functions
-1 - tau and tau, so that the linearly interpolated load integrates to a
-weighted sum of its grid values; at a real frequency they come by angle
-addition from the kernel at the grid points, with trig at the nodes
-once per distinct cell width), the kernel at the grid points and the
-propagation matrices.  It applies to a stack of K loads at once, per
-edge an array of shape (K, arity, n), or (K, n) for scalar loads, and
-gives per edge the solution's (K, 2, n): components before points, so
-that every pass runs along the grid.  That is O(K n) arithmetic per
-edge, and each load gets the bits it would get alone.  Both solves run
-`_solve` on a stack of one, the transpose of the load's (n, 2) values,
-and transpose the solution back; it reports the residual: the relative
-defect of the equation with the solution differentiated numerically once.
+the load, namely the kernel at the grid points, the propagation matrices
+and per-cell product-integration weights, in both plans from one rule,
+`_hat_sums`: the 8-node Gauss-Legendre sums of a kernel against a cell's
+hat functions 1 - tau and tau, once per distinct cell width, so that the
+linearly interpolated load integrates to a weighted sum of its grid
+values.  It applies to a stack of K loads at once, per edge an array of
+shape (K, arity, n), or (K, n) for scalar loads, and gives per edge the
+solution's (K, 2, n): components before points, so that every pass runs
+along the grid.  That is O(K n) arithmetic per edge, and each load gets
+the bits it would get alone.  Both solves run `_solve` on a stack of
+one, the transpose of the load's (n, 2) values, and transpose the
+solution back; it reports the residual: the relative defect of the
+equation with the solution differentiated numerically once.
 
 Both norm scans run one loop, keyed by the kind: per beta one plan, one
 probe basis and the norm weights; then the probes in stacks of
@@ -108,37 +107,27 @@ class ScanPoint:
     residual_max: float
 
 
-def _gl_nodes(x: np.ndarray):
-    """Gauss-Legendre nodes per grid cell, shape (n-1, 8), plus the cell widths."""
-    h = np.diff(x)
-    return x[:-1, None] + _GL_TAU[None, :] * h[:, None], h
-
-
-def _hat_weights(kernel: np.ndarray, h: np.ndarray):
-    """Per-cell weights (a, b) of the load's end values lo, hi.
-
-    kernel holds the kernel at the GL nodes of each cell; a*lo + b*hi is
-    the 8-node GL integral of kernel times the linear interpolant of
-    the load on that cell.
-    """
-    half = 0.5 * h
-    return (kernel @ _GL_LEFT) * half, (kernel @ _GL_RIGHT) * half
+def _hat_sums(h: np.ndarray, kernel):
+    """The 8-node Gauss-Legendre sums sum_k w_k (1 - tau_k) f(tau_k h), sum_k w_k tau_k f(tau_k h)
+    of kernel f against each cell's hat functions, stacked (2, ..., cells).  They depend on a
+    cell only through its width h, so kernel maps the offsets (widths, 8) of each distinct
+    width (a few on a uniform grid) to values (..., widths, 8)."""
+    widths = np.unique(h)
+    f = kernel(widths[:, None] * _GL_TAU[None, :])
+    return np.take(np.stack([f @ _GL_LEFT, f @ _GL_RIGHT]), np.searchsorted(widths, h), axis=-1)
 
 
 def _oscillatory_weights(omega: float, h: np.ndarray, ca: np.ndarray, sa: np.ndarray):
-    """`_hat_weights` of cos and of sin of omega (s - j), from the cells' left-end values
-    ca, sa of cos and sin of that phase.
+    """Per cell, the weights of the load's end values in the 8-node Gauss-Legendre integrals
+    of cos and of sin of omega (s - j) times the load's linear interpolant, from the cells'
+    left-end values ca, sa of cos and sin of that phase.
 
     A node's phase is the left end's plus omega tau_k h, so by angle addition the weights
-    are (ca A - sa B) h/2 for cos and (sa A + ca B) h/2 for sin, A and B being the hat
-    sums of cos and sin of omega tau_k h.  Those depend on a cell only through its
-    width, so they are evaluated once per distinct width: a few on a uniform grid.
+    are (ca A - sa B) h/2 for cos and (sa A + ca B) h/2 for sin, A and B being the
+    `_hat_sums` of cos and sin of omega tau_k h.
     """
-    widths = np.unique(h)
-    arg = omega * (widths[:, None] * _GL_TAU[None, :])
-    c, s = np.cos(arg), np.sin(arg)
-    a_lo, a_hi, b_lo, b_hi = np.stack([c @ _GL_LEFT, c @ _GL_RIGHT,
-                                       s @ _GL_LEFT, s @ _GL_RIGHT])[:, np.searchsorted(widths, h)]
+    (a_lo, b_lo), (a_hi, b_hi) = _hat_sums(
+        h, lambda t: np.stack([np.cos(omega * t), np.sin(omega * t)]))
     half = 0.5 * h
     return ((ca * a_lo - sa * b_lo) * half, (ca * a_hi - sa * b_hi) * half,
             (sa * a_lo + ca * b_lo) * half, (sa * a_hi + ca * b_hi) * half)
@@ -318,16 +307,18 @@ class _SchrodingerNegativePlan:
         self.cells, self.scans, self.exps = [], [], []
         for j, x in enumerate(grids):
             m = ms[j]
-            s, h = _gl_nodes(x)
-            self.cells.append(_hat_weights(np.exp(-m * (x[1:, None] - s)), h)
-                              + _hat_weights(np.exp(-m * (s - x[:-1, None])), h))
+            # with the Gauss nodes symmetric about 1/2, the forward kernel e^{-m (x_{i+1} - s)}
+            # has the backward kernel e^{-m (s - x_i)}'s hat sums, swapped
+            h = np.diff(x)
+            lo, hi = _hat_sums(h, lambda t: np.exp(-m * t)) * (0.5 * h)
+            self.cells.append((hi, lo, lo, hi))
             # apply's recurrences acc[i] = decay[i] acc[i - 1] + local[i] by recursive
-            # doubling: the pass of width step adds to acc[i] the product of the step
-            # decays that end at i (each <= 1) times acc[i - step]
-            prod, step, scan = np.exp(-m * np.stack([h, h[::-1]])), 1, []
-            while step < h.size:
-                scan.append((step, prod[:, step:].copy()))
-                prod[:, step:] *= prod[:, :-step]
+            # doubling: the pass of width step adds to acc[i] the decay from point
+            # i - step to point i, e^{-m (x_i - x_{i-step})} <= 1, times acc[i - step];
+            # the backward recurrence runs on the mirrored grid
+            both, step, scan = np.stack([x, -x[::-1]]), 1, []
+            while step < x.size - 1:
+                scan.append((step, np.exp(-m * (both[:, step + 1:] - both[:, 1:-step]))))
                 step *= 2
             self.scans.append(scan)
             xt = x - float(j)

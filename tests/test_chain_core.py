@@ -442,7 +442,8 @@ def test_uniform_betas_hit_their_grid_points():
 
 @pytest.mark.parametrize("beta_range, step", [
     ((-200.0, 200.0), 1e-3), ((-20.0, 20.0), 0.01), ((0.1, 1e4), 0.1), ((-3.3, 7.1), 0.07),
-    ((5.0, 5.0), 1.0), ((-1.0, 2.0), 0.3)])
+    ((5.0, 5.0), 1.0), ((-1.0, 2.0), 0.3),
+    ((1e16, 1e16), 1e-3)])  # half a step is lost in 1e16 + 5e-4, yet lo is a point
 @pytest.mark.parametrize("stride", [1, 2, 3, 7, 100, 10**6])
 def test_strided_uniform_betas_are_the_full_grid_sliced(beta_range, step, stride):
     from stringchain.chain_core import uniform_betas
@@ -457,6 +458,8 @@ def test_uniform_betas_reject_an_empty_range():
     from stringchain.errors import EmptyScan
     with pytest.raises(EmptyScan, match="empty beta range"):
         uniform_betas((1.0, -1.0), 0.1)
+    with pytest.raises(EmptyScan, match="empty beta range"):  # hi < lo by less than a step
+        uniform_betas((1.0, 0.99), 0.1)
 
 
 @pytest.mark.parametrize("stride", [0, -1, 2.5, 2.0])

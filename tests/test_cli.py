@@ -312,6 +312,7 @@ def test_manifest_bytes_repeat_and_timing_apart(mono_json, tmp_path):
     ["schrodinger-scan", "--betas", "100", "--jobs", "-2"],
     ["resolvent-scan", "--betas", "0.5", "--points", "2"],  # the residual needs 3 points
     ["schrodinger-scan", "--betas", "-100", "--points", "2"],
+    ["schrodinger-scan", "--betas", "100,0"],  # ZeroBeta, before beta = 100 is solved
 ])
 def test_rejected_option_values_are_usage_errors(chain_json, tmp_path, argv, capsys):
     # option values the library rejects or cannot use are caught before any work starts

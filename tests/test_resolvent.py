@@ -595,11 +595,16 @@ def test_stacked_norms_are_the_chain_core_norms(kind, beta):
 
 @pytest.mark.parametrize("kind, beta, uneven", [
     ("wave", 10.0, False), ("wave", 316.0, False), ("wave", 1e4, False), ("wave", -1e4, False),
-    ("schrodinger", 100.0, False), ("schrodinger", 1e4, False), ("wave", 316.0, True)])
+    ("schrodinger", 100.0, False), ("schrodinger", 1e4, False), ("wave", 316.0, True),
+    ("schrodinger", -100.0, False), ("schrodinger", -1e4, False),
+    ("schrodinger", -100.0, True), ("schrodinger", -1e4, True)])
 def test_oscillatory_plan_weights_are_the_node_sums(kind, beta, uneven):
-    # the plan's per-cell weights, built by angle addition from the grid-point phases, are
-    # the 8-node Gauss-Legendre sums of cos and sin of omega (s - j) against the two hat
-    # functions, up to the rounding of the phase omega (s - j) itself
+    # both plans' per-cell weights, built once per distinct cell width, are the 8-node
+    # Gauss-Legendre sums of their kernels against the two hat functions.  At a real
+    # frequency the kernels are cos and sin of omega (s - j), which the plan builds by angle
+    # addition from the grid-point phases, so up to the rounding of the phase itself.  At
+    # beta < 0 (Schrodinger) they are e^{-m (x_{i+1} - s)} and e^{-m (s - x_i)}, and the
+    # doubling factors, taken from the grid, are the products of the per-cell decays
     from stringchain import resolvent
 
     cfg = sc.ChainConfig((2.09, 1.0, 1.67))
@@ -609,20 +614,40 @@ def test_oscillatory_plan_weights_are_the_node_sums(kind, beta, uneven):
                  for j in range(cfg.n_edges)]
     else:
         grids = uniform_grids(cfg, resolvent._scan_grid(cfg, beta, kind)[0])
-    plan = resolvent._OscillatoryPlan(cfg, beta, grids, kind)
-    omega = (beta if kind == "wave" else np.sqrt(beta)) / cfg.wave_speeds
+    decaying = kind == "schrodinger" and beta < 0
+    plan = resolvent._plan(cfg, beta, grids, kind)
+    if decaying:
+        rate = np.sqrt(-beta) / cfg.wave_speeds  # m_j
+    else:
+        rate = (beta if kind == "wave" else np.sqrt(beta)) / cfg.wave_speeds  # omega_j
     eps = np.finfo(float).eps
     for j, x in enumerate(grids):
         h = np.diff(x)
         s = x[:-1, None] + resolvent._GL_TAU[None, :] * h[:, None]
-        phase = omega[j] * (s - float(j))
+        if decaying:
+            kernels = (np.exp(-rate[j] * (x[1:, None] - s)), np.exp(-rate[j] * (s - x[:-1, None])))
+        else:
+            phase = rate[j] * (s - float(j))
+            kernels = (np.cos(phase), np.sin(phase))
         direct = []
-        for kernel in (np.cos(phase), np.sin(phase)):
+        for kernel in kernels:
             direct += [(kernel @ resolvent._GL_LEFT) * (0.5 * h),
                        (kernel @ resolvent._GL_RIGHT) * (0.5 * h)]
+        bound = 8 * eps * (1 + abs(rate[j]))
         for w, ref in zip(plan.cells[j], direct):
-            scale = np.max(np.abs(ref))
-            assert np.max(np.abs(w - ref)) <= 8 * eps * (1 + abs(omega[j])) * scale
+            assert np.max(np.abs(w - ref)) <= bound * np.max(np.abs(ref))
+        if decaying:
+            # the pass of width step scales point i by the decays of the step cells that end
+            # there, forward and on the reversed cells: products formed by recursive doubling
+            # in extended precision, whose own rounding, one per decay, the bound adds
+            steps = [step for step, _ in plan.scans[j]]
+            assert steps == [2**k for k in range(int(np.ceil(np.log2(h.size))))]
+            prod = np.exp(-rate[j] * np.stack([h, h[::-1]]).astype(np.longdouble))
+            for step, factor in plan.scans[j]:
+                ref = prod[:, step:].astype(float)
+                extended = step * float(np.finfo(np.longdouble).eps)
+                assert np.max(np.abs(factor - ref)) <= (bound + extended) * np.max(ref)
+                prod[:, step:] = prod[:, step:] * prod[:, :-step]
 
 
 @pytest.mark.parametrize("kind, beta", [("wave", 40.0), ("wave", 1e3),

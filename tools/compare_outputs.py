@@ -78,6 +78,9 @@ INVOCATIONS = {
     # 8 probes on the eight-edge chain: two stacks per beta (7 + 1)
     "schrodinger-scan-negative-stacks": ["schrodinger-scan", "--beta-min", "-10000",
                                          "--beta-max", "-100", "--count", "3"],
+    # the resolvent benchmark's beta < 0 job: 20 betas, 8 probes
+    "schrodinger-scan-negative-defaults": ["schrodinger-scan", "--beta-min", "-100",
+                                           "--beta-max", "-10000"],
     "transfer-scan": ["transfer-scan"],
     "decay": ["decay", "--T", "10", "--points", "100"],
     "decay-stride": ["decay", "--T", "10", "--points", "100", "--stride", "7"],
@@ -86,9 +89,13 @@ INVOCATIONS = {
     "schrodinger-decay": ["schrodinger-decay", "--T", "0.5", "--points", "100", "--dt", "0.003"],
     "io-ratios": ["io-ratios", "--T", "2", "--points", "100"],
     "verify": ["verify"],
-    # failures: an overflowing transfer value (exit 2) and an empty beta range (exit 64)
+    # failures: an overflowing transfer value (exit 2), an empty beta range (exit 64) and a
+    # Schrodinger beta of 0 (exit 64)
     "transfer-scan-overflow": ["transfer-scan", "--gamma", "800"],
     "gap-empty-range": ["gap", "--beta-min", "1", "--beta-max", "-1"],
+    "schrodinger-scan-zero-beta": ["schrodinger-scan", "--betas", "100,0"],
+    # a range of one beta, where half a step vanishes beside 1e15 (exit 0)
+    "gap-one-beta": ["gap", "--beta-min", "1e15", "--beta-max", "1e15"],
 }
 
 
