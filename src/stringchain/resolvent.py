@@ -23,14 +23,14 @@ along the grid.  That is O(K n) arithmetic per edge, and each load gets
 the bits it would get alone.  Both solves run `_solve` on a stack of
 one, the transpose of the load's (n, 2) values, and transpose the
 solution back; it reports the residual: the relative defect of the
-equation with the solution differentiated numerically once.
+equation with the solution differentiated once by `GridStencil`.
 
-Both norm scans run one loop, keyed by the kind: per beta one plan, one
-probe basis and the norm weights; then the probes in stacks of
-max(1, min(probes, _STACK_POINTS // grid points)), each stack one array
-of seeded loads per edge (probe k draws from its own generator), one
-apply, one norm pass and one residual pass.  So an estimate over k
-probes is still the running max over the first k.
+Both norm scans run one loop: per beta one plan, new grids, weights and
+stencils when the point count changes and new probe bases when a band
+does; then probes in stacks of max(1, min(probes, _STACK_POINTS // grid
+points)), each one array of seeded loads per edge (probe k draws from
+its own generator), one apply, one norm pass and one residual pass.  So
+an estimate over k probes is still the running max over the first k.
 """
 
 from __future__ import annotations
@@ -43,11 +43,11 @@ import numpy as np
 from .chain_core import (
     ChainConfig,
     ChainFunction,
+    GridStencil,
     _check_cfg,
     _h_sum,
     _l2_sum,
     _wave_weight,
-    edge_derivative,
     quadrature_weights,
     too_large,
     uniform_grids,
@@ -229,19 +229,17 @@ def wave_resolvent(cfg: ChainConfig, beta: float, G: ChainFunction) -> WaveResol
     return WaveResolventSolution(W=ChainFunction(G.grids, values), beta=beta, residual=residual)
 
 
-def _probe_bases(cfg: ChainConfig, grids: Sequence[np.ndarray], center: float):
-    """Per edge, the real (n, 2 _PROBE_MODES) table cos(m pi x~), sin(m pi x~) of the band.
+def _probe_band(cfg: ChainConfig, center: float) -> list[int]:
+    """Per edge, the first of _PROBE_MODES modes around the spatial frequency center / c_j."""
+    return [max(1, int(np.rint(abs(center) / (np.pi * c))) - _PROBE_MODES // 2 + 1)
+            for c in cfg.wave_speeds]
 
-    With center = 0 the band is the lowest _PROBE_MODES Fourier modes of
-    the edge; otherwise it sits around the spatial frequency center / c_j.
-    Columns run mode by mode, cosine before sine.
-    """
+
+def _probe_bases(cfg: ChainConfig, grids: Sequence[np.ndarray], center: float):
+    """Per edge, the real (n, 2 _PROBE_MODES) table cos(m pi x~), sin(m pi x~) of the
+    `_probe_band` at center.  Columns run mode by mode, cosine before sine."""
     bases = []
-    for j, g in enumerate(grids):
-        lo = 1
-        if center != 0.0:
-            mc = max(1, int(np.rint(abs(center) / (np.pi * cfg.wave_speeds[j]))))
-            lo = max(1, mc - _PROBE_MODES // 2 + 1)
+    for j, (g, lo) in enumerate(zip(grids, _probe_band(cfg, center))):
         arg = (g - float(j))[:, None] * (np.arange(lo, lo + _PROBE_MODES) * np.pi)[None, :]
         bases.append(np.stack([np.cos(arg), np.sin(arg)], axis=2).reshape(g.size, -1))
     return bases
@@ -400,7 +398,7 @@ def _solve(kind: str, cfg: ChainConfig, beta: float, g: ChainFunction):
     loads = [v.T[None] for v in g.values]  # a stack of one, components first
     values = _plan(cfg, beta, g.grids, kind).apply(loads)
     g_norm = _norm(kind, cfg, [quadrature_weights(x) for x in g.grids], loads)
-    residual = _residual(kind, cfg, beta, g.grids, loads, values, g_norm)
+    residual = _residual(kind, cfg, beta, map(GridStencil, g.grids), loads, values, g_norm)
     return [v[0].T for v in values], float(residual[0])
 
 
@@ -432,39 +430,47 @@ def _norm(kind: str, cfg: ChainConfig, weights, values) -> np.ndarray:
                    else _l2_sum(weights, values))
 
 
-def _residual(kind: str, cfg: ChainConfig, beta: float, grids, g, y, g_norm) -> np.ndarray:
+def _residual(kind: str, cfg: ChainConfig, beta: float, stencils, g, y, g_norm) -> np.ndarray:
     """Per load of a stack, the relative defect, over the load's norm g_norm (unless 0),
     of the solution values y of the load g: the h_norm defect of i*beta*W - B dW/dx - G,
     or for y = (u, rho u') the L2 defect of d/dx(rho u') + i g + beta u, whose flux comes
     from the closed form, so that one numerical derivative enters and the check does not
     re-run the solve."""
     num = 0.0
-    for x, rho, gx, yx in zip(grids, cfg.densities, g, y):
+    for st, rho, gx, yx in zip(stencils, cfg.densities, g, y):
         if kind == "wave":
-            dw = edge_derivative(x, yx)  # both components at once
+            dw = st.derivative(yx)  # both components at once
             r1 = 1j * beta * yx[:, 0] - dw[:, 1] - gx[:, 0]
-            r2 = 1j * beta * yx[:, 1] - rho * dw[:, 0] - gx[:, 1]
-            num = num + np.trapezoid(_wave_weight(rho, r1, r2), x)
+            dw[:, 0] *= rho  # in place, then r2 in dw's name, each array dropped once used:
+            dw = 1j * beta * yx[:, 1] - dw[:, 0] - gx[:, 1]  # the pass's peak sets the scan's
+            num = num + st.trapezoid(_wave_weight(rho, r1, dw))
+            r1 = dw = None
         else:
-            dflux = edge_derivative(x, yx[:, 1])
-            num = num + np.trapezoid(np.abs(dflux - (-1j * gx - beta * yx[:, 0])) ** 2, x)
+            dflux = st.derivative(yx[:, 1])
+            num = num + st.trapezoid(np.abs(dflux - (-1j * gx - beta * yx[:, 0])) ** 2)
     return np.sqrt(num) / np.where(g_norm != 0.0, g_norm, 1.0)
 
 
 def _norm_scan(kind: str, cfg: ChainConfig, betas: Sequence[float], probes: int,
                points_per_edge: Optional[int], seed: int) -> list[ScanPoint]:
-    """The probe loop of both norm scans: one plan and one probe basis per beta, then the
-    probes in stacks of up to _STACK_POINTS grid points, each probe k from its own seed."""
+    """The probe loop of both norm scans, as the module docstring has it: tables kept while
+    the points and bands stay, probes in stacks, each probe k from its own seed."""
     if probes < 1:
         raise ValueError("probes must be >= 1")
     arity = 2 if kind == "wave" else 1
-    out = []
+    out, held = [], (None, None)  # the (points, bands) of the tables held
     for beta in betas:
         points, center = _scan_grid(cfg, beta, kind)
-        grids = uniform_grids(cfg, points_per_edge or points)
+        tables = (points_per_edge or points, _probe_band(cfg, center))
+        if tables != held:
+            bases = plan = None  # the old tables go before the new are built
+            if tables[0] != held[0]:
+                grids = weights = stencils = None
+                grids = uniform_grids(cfg, tables[0])
+                weights = [quadrature_weights(x) for x in grids]
+                stencils = [GridStencil(x) for x in grids]
+            bases, held = _probe_bases(cfg, grids, center), tables
         plan = _plan(cfg, beta, grids, kind)
-        weights = [quadrature_weights(x) for x in grids]
-        bases = _probe_bases(cfg, grids, center)
         key = _beta_key(beta)
         stack = max(1, min(probes, _STACK_POINTS // sum(x.size for x in grids)))
         ratios, residuals = [0.0], [0.0]
@@ -473,9 +479,10 @@ def _norm_scan(kind: str, cfg: ChainConfig, betas: Sequence[float], probes: int,
             g = _probe_values(bases, seeds, arity)
             y = plan.apply(g)
             g_norm = _norm(kind, cfg, weights, g)
-            u = y if kind == "wave" else [v[:, 0] for v in y]  # y = (u, rho u') gives u's ratio
+            # y = (u, rho u') gives u's ratio; summing a copy of u is cheaper than its gapped view
+            u = y if kind == "wave" else [np.ascontiguousarray(v[:, 0]) for v in y]
             ratios += (_norm(kind, cfg, weights, u) / g_norm).tolist()
-            residuals += _residual(kind, cfg, beta, grids, g, y, g_norm).tolist()
+            residuals += _residual(kind, cfg, beta, stencils, g, y, g_norm).tolist()
             del g, y, u  # so that no stack's arrays outlive it into the next one's solve
         out.append(ScanPoint(beta=float(beta), norm_estimate=max(ratios), probes=probes,
                              residual_max=max(residuals)))

@@ -137,3 +137,15 @@ def test_scipy_is_imported_only_where_it_is_called():
     assert ("oracle.py", None) in places  # the walk does see the imports
     assert places <= allowed
     assert unused == []
+
+
+def test_np_gradient_is_called_nowhere_in_src():
+    # the derivative rule has one home, chain_core.GridStencil, which builds np.gradient's
+    # coefficients once per grid; a call of np.gradient elsewhere would be a second rule
+    def hits(path: Path) -> list[str]:
+        return [f"{path.name}:{node.lineno}" for node in ast.walk(ast.parse(path.read_text()))
+                if (isinstance(node, ast.Attribute) and node.attr == "gradient")
+                or (isinstance(node, ast.alias) and node.name == "gradient")]
+
+    assert hits(ROOT / "tests" / "test_resolvent.py")  # the walk does see a call
+    assert [h for p in sorted((ROOT / "src").rglob("*.py")) for h in hits(p)] == []

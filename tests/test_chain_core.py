@@ -6,6 +6,7 @@ import pytest
 import stringchain as sc
 from stringchain.chain_core import (
     ChainFunction,
+    GridStencil,
     first_order_state,
     l2_norm,
     quadrature_weights,
@@ -159,6 +160,32 @@ def test_integrate_edge_simpson_vs_trapezoid():
     err_odd = abs(quadrature_weights(x_odd) @ np.sin(np.pi * x_odd) - 2 / np.pi)
     err_even = abs(quadrature_weights(x_even) @ np.sin(np.pi * x_even) - 2 / np.pi)
     assert err_odd < err_even / 50
+
+
+def test_derivative_stencil_is_np_gradient():
+    # the stencil built once per grid is np.gradient's second-order rule, and its trapezoid
+    # np.trapezoid's, bit for bit: on the scans' uniform grids, whose linspace widths are all
+    # equal at 257 points and not quite at 1,752 and 17,502; on grids of constant widths that
+    # are not powers of two, where only the uniform formula gives np.gradient's bits; on
+    # 3-point and random grids; for 1-D, (K, n) and (K, 2, n) values and a gapped view
+    rng = np.random.default_rng(83)
+    grids = [x for n in (257, 1752, 17502) for x in uniform_grids(sc.ChainConfig((1.0,) * 4), n)]
+    grids += [np.array([0.0, 0.1, 0.2]), 0.375 * np.arange(9.0), np.array([0.0, 1.0, 3.0]),
+              np.sort(rng.uniform(0.0, 1.0, 50))]
+    for x in grids:
+        stencil, n = GridStencil(x), x.size
+        for shape in [(n,), (3, n), (3, 2, n)]:
+            y = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            for values in [y, y.real] + ([y[:, 1]] if len(shape) == 3 else []):
+                ref = np.gradient(values, x, axis=-1, edge_order=2)
+                got = stencil.derivative(values)
+                assert got.dtype == ref.dtype and np.array_equal(got, ref)
+                assert np.array_equal(stencil.trapezoid(values), np.trapezoid(values, x))
+    x = np.array([0.0, 1.0])
+    with pytest.raises(ValueError):
+        np.gradient(np.ones(2), x, axis=-1, edge_order=2)
+    with pytest.raises(ValueError):
+        GridStencil(x).derivative(np.ones(2))
 
 
 def test_wave_state_invariants():

@@ -3,6 +3,7 @@ import pytest
 
 import stringchain as sc
 from stringchain.chain_core import (
+    GridStencil,
     h_norm,
     l2_norm,
     quadrature_weights,
@@ -500,6 +501,21 @@ def test_schrodinger_resolvent_matches_reference(beta, uneven):
     assert sol.residual == pytest.approx(residual, rel=1e-9)
 
 
+@pytest.mark.parametrize("scan, betas, points", [
+    # on (1, 4): points and bands kept (10, 12), the bands changed (20), the points changed
+    # (2000) and changed back (15); with the points fixed, only the bands change
+    (wave_resolvent_norm_scan, [10.0, 12.0, 20.0, 2000.0, 15.0], None),
+    (wave_resolvent_norm_scan, [10.0, 12.0, 40.0, 10.0], 301),
+    (schrodinger_norm_scan, [100.0, 110.0, 400.0, 5e4, 100.0], None),
+    (schrodinger_norm_scan, [-100.0, -200.0, -3e5, -150.0], None)])
+def test_scan_is_its_one_beta_scans(scan, betas, points):
+    # a scan keeps its grid tables and probe bases from one beta to the next while they
+    # stay the same; every beta's point is still what a scan of that beta alone gives
+    cfg = sc.ChainConfig((1.0, 4.0))
+    alone = [scan(cfg, [beta], 3, points_per_edge=points, seed=5)[0] for beta in betas]
+    assert scan(cfg, betas, 3, points_per_edge=points, seed=5) == alone
+
+
 def test_scan_probes_are_evaluated_one_at_a_time():
     # the k-probe estimate is the running max over probes evaluated on their own,
     # so the 1-probe scan is the first probe of the 8-probe scan, bit for bit
@@ -517,7 +533,9 @@ def test_scan_probes_are_evaluated_one_at_a_time():
         w = plan.apply(g)
         g_norm = resolvent._norm("wave", cfg, weights, g)
         ratios.append(float(resolvent._norm("wave", cfg, weights, w)[0] / g_norm[0]))
-        residuals.append(float(resolvent._residual("wave", cfg, beta, grids, g, w, g_norm)[0]))
+        residuals.append(float(resolvent._residual("wave", cfg, beta,
+                                                   [GridStencil(x) for x in grids], g, w,
+                                                   g_norm)[0]))
     one = wave_resolvent_norm_scan(cfg, [beta], probes=1, seed=seed)[0]
     eight = wave_resolvent_norm_scan(cfg, [beta], probes=8, seed=seed)[0]
     assert (one.norm_estimate, one.residual_max) == (ratios[0], residuals[0])
@@ -669,8 +687,8 @@ def test_solves_are_the_scan_stack_transposed(kind, beta):
     stack = resolvent._probe_values(resolvent._probe_bases(cfg, grids, center), [seed], arity)
     values = plan.apply(stack)
     weights = [quadrature_weights(x) for x in grids]
-    residual = resolvent._residual(kind, cfg, beta, grids, stack, values,
-                                   resolvent._norm(kind, cfg, weights, stack))
+    residual = resolvent._residual(kind, cfg, beta, [GridStencil(x) for x in grids], stack,
+                                   values, resolvent._norm(kind, cfg, weights, stack))
     loads = [list(g.values), [np.ascontiguousarray(v) for v in g.values]]
     if arity == 2:
         strided = []

@@ -81,6 +81,13 @@ INVOCATIONS = {
     # the resolvent benchmark's beta < 0 job: 20 betas, 8 probes
     "schrodinger-scan-negative-defaults": ["schrodinger-scan", "--beta-min", "-100",
                                            "--beta-max", "-10000"],
+    # a scan keeps its grid tables while the point count stays and its probe bases while the
+    # bands do: fixed points with moving bands (up to beta = 100, which 301 points resolve on
+    # every chain here), and betas whose grids change and change back
+    "resolvent-scan-fixed-points": ["resolvent-scan", "--points", "301", "--beta-max", "100",
+                                    "--count", "6", "--probes", "3"],
+    "resolvent-scan-grid-returns": ["resolvent-scan", "--betas", "10,2000,20,2000",
+                                    "--probes", "2"],
     "transfer-scan": ["transfer-scan"],
     "decay": ["decay", "--T", "10", "--points", "100"],
     "decay-stride": ["decay", "--T", "10", "--points", "100", "--stride", "7"],
